@@ -2,9 +2,11 @@
 
 Every subcommand prints single-line JSON objects with sorted keys, so
 identical inputs produce byte-identical output.  Floats are emitted with
-Python's shortest round-trip repr.  Config files are JSON objects; command
-line flags override individual config entries, and ``--sweep FILE`` fans a
-JSON array of configs over a process pool, printing results in input order.
+Python's shortest round-trip repr; the JSON is strict, so a value that is
+not finite ends the run with exit code 2 instead.  Config files are JSON
+objects; command line flags override individual config entries, and
+``--sweep FILE`` fans a JSON array of configs over a process pool,
+printing results in input order.
 
 Exit codes: 0 success, 2 invalid input or domain violation, 3 no cycle
 detected, 4 numerical cross-check failure.
@@ -22,10 +24,11 @@ import sys
 import numpy as np
 
 from .dynamics import (
+    STATIONARY_TOL,
     CycleInfo,
     HamiltonianSchedule,
-    find_cycle,
-    is_stationary,
+    _find_cycle,
+    clip_trajectory,
     ray_distances,
     trajectory,
 )
@@ -81,7 +84,7 @@ _EPILOG = (
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _point_value(value):
@@ -137,16 +140,25 @@ def run_triangle(config: dict) -> list[str]:
 
 
 def _evolve_cycle(spec, z0, schedule, T, dt):
-    """Full-span run, cycle detection, and the re-run clipped to one cycle."""
+    """Full-span run, cycle detection, and the run clipped to one cycle."""
     traj = trajectory(spec, z0, schedule, T, dt)
-    if is_stationary(traj):
-        residual = float(np.max(ray_distances(traj)))
-        info = CycleInfo(len(traj.times) - 1, float(traj.times[-1]), residual)
+    d = ray_distances(traj)
+    if float(np.max(d)) < STATIONARY_TOL:
+        info = CycleInfo(len(traj.times) - 1, float(traj.times[-1]),
+                         float(np.max(d)))
         return traj, info
-    info = find_cycle(traj)
+    info = _find_cycle(traj.times, d, None)
     if abs(info.time - T) > 1e-12:
-        traj = trajectory(spec, z0, schedule, info.time, dt)
+        traj = clip_trajectory(traj, schedule, info.time)
     return traj, info
+
+
+def _strided(n: int, stride: int) -> list[int]:
+    """Every stride-th of n sample indices, plus the last one."""
+    ks = list(range(0, n, stride))
+    if ks[-1] != n - 1:
+        ks.append(n - 1)
+    return ks
 
 
 def run_evolve(config: dict) -> list[str]:
@@ -163,24 +175,15 @@ def run_evolve(config: dict) -> list[str]:
     cyc, info = _evolve_cycle(spec, z0, schedule, T, dt)
     beta = dynamical_phase(spec, level, cyc, schedule)
     gamma = line_integral_phase(spec, level, cyc, cyclicity_tol=cyclicity_tol)
-    residual = projective_distance(spec, cyc.points[0], cyc.points[-1])
+    residual = projective_distance(spec, cyc.point(0), cyc.final_point)
     report = assemble_report(
         beta + gamma, beta, gamma, residual, method="chart-line-integral"
     )
 
-    lines = []
-    ks = list(range(0, len(cyc.times), stride))
-    if ks[-1] != len(cyc.times) - 1:
-        ks.append(len(cyc.times) - 1)
-    for k in ks:
-        lines.append(
-            _dumps(
-                {
-                    "Z": matrix_to_json(cyc.points[k].entries),
-                    "t": float(cyc.times[k]),
-                }
-            )
-        )
+    lines = [
+        _dumps({"Z": matrix_to_json(cyc.points[k]), "t": float(cyc.times[k])})
+        for k in _strided(len(cyc.times), stride)
+    ]
     summary = {
         "cross_check_error": float(cyc.cross_check_error),
         "cycle": {
@@ -313,14 +316,12 @@ def run_oracle_compare(config: dict) -> list[str]:
     sched_j = map_schedule(schedule, j)
     psi0 = coherent_vector(j, complex(z0.entries[0, 0]))
     straj = schrodinger_evolve(psi0, sched_j, T, dt)
-    ks = list(range(0, len(traj.times), stride))
-    if ks[-1] != len(traj.times) - 1:
-        ks.append(len(traj.times) - 1)
+    ks = _strided(len(traj.times), stride)
     guess = None
     max_dist = 0.0
     for k in ks:
         guess = bloch_projection(straj.states[k], j, initial=guess)
-        d = projective_distance(spec, [[guess]], traj.points[k])
+        d = projective_distance(spec, [[guess]], traj.point(k))
         max_dist = max(max_dist, d)
     return [
         _dumps(

@@ -1,10 +1,16 @@
 """Classical coherent-parameter flow under time-dependent linear Hamiltonians.
 
-The defining-representation unitary U(t) is integrated with fixed-step RK4
-and pushed onto the chart by a fractional-linear (Mobius) action; a direct
-Riccati integration of the chart variable runs alongside as an independent
-cross-check.  Hamiltonians are supplied as schedules: fixed Hermitian
-generators with piecewise-linear time coefficients.
+Every integration here takes the same fixed-size RK4 step, ``_rk4_step``,
+and projects a linear state back onto its polar factor every
+``REUNITARIZE_EVERY`` steps.  :func:`propagate` runs that step alone for
+the defining-representation unitary (:func:`evolve_unitary`) and for
+spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory`
+advances the unitary U(t) and a direct Riccati integration of the chart
+variable side by side with the same stage Hamiltonians; after the loop the
+fractional-linear (Mobius) action maps the whole stack of unitaries onto
+the chart at once, and the chart rules and the cross-check between the two
+routes run on whole arrays.  Hamiltonians are supplied as schedules: fixed
+Hermitian generators with piecewise-linear time coefficients.
 
 Chart orientation: the point z = 0 labels the reference (top) weight ray,
 and a 2 x 2 unitary with blocks a, b, c, d moves the scalar coordinate as
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +42,9 @@ from .manifolds import (
     ManifoldSpec,
     PointMatrix,
     kernel,
+    point_faults,
     projective_distance,
+    raise_first_fault,
     validate_point,
 )
 from .serialize import matrix_from_json, matrix_to_json
@@ -43,12 +52,21 @@ from .serialize import matrix_from_json, matrix_to_json
 HERMITICITY_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-6
 REUNITARIZE_EVERY = 50
+# Symmetry slack of Mobius images along a trajectory, the chart size at
+# which the Riccati variable counts as diverged, and the smallest
+# |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
+PATH_SYMMETRY_TOL = 1e-9
+RICCATI_BOUND = 1e8
+CHART_EDGE_TOL = 1e-12
+STATIONARY_TOL = 1e-9
 
 
 def _hermitize(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch("generators must be square matrices")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("generator entries must be finite")
     residual = float(np.max(np.abs(arr - arr.conj().T)))
     if residual > tol:
         raise SymmetryViolation(f"generator is not Hermitian (by {residual:.3e})")
@@ -76,6 +94,8 @@ class HamiltonianSchedule:
         coeffs = np.asarray(coefficients, dtype=float).reshape(-1)
         if len(coeffs) != len(gens):
             raise DimensionMismatch("one coefficient per generator")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("schedule coefficients must be finite")
         matrix = _assemble(gens, coeffs)
         return cls(gens, None, coeffs, matrix)
 
@@ -88,6 +108,8 @@ class HamiltonianSchedule:
             raise DimensionMismatch(
                 "each sample row must hold a time and one value per generator"
             )
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("schedule samples must be finite")
         times = rows[:, 0]
         if rows.shape[0] == 1:
             return cls.constant(gens, rows[0, 1:])
@@ -165,20 +187,18 @@ def block_split(H, spec: ManifoldSpec):
 
     The top-left block is p x p: the defining size is p + q for AIII and
     2p for CI and DIII.  The vector family has no defining block action.
+    A stack of matrices splits into stacks of blocks.
     """
-    if spec.family is Family.BDI:
-        raise UnsupportedFamily(
-            "the vector chart has no block fractional-linear action"
-        )
     arr = np.asarray(H, dtype=complex)
     p = spec.p
-    n = p + spec.q if spec.family is Family.AIII else 2 * p
-    if arr.shape != (n, n):
+    n = defining_dimension(spec)
+    if arr.shape[-2:] != (n, n):
         raise DimensionMismatch(
             f"expected a {n} x {n} matrix for {spec.family.value} "
             f"p={spec.p}, got {arr.shape}"
         )
-    return arr[:p, :p], arr[:p, p:], arr[p:, :p], arr[p:, p:]
+    top, bottom = arr[..., :p, :], arr[..., p:, :]
+    return top[..., :p], top[..., p:], bottom[..., :p], bottom[..., p:]
 
 
 def defining_dimension(spec: ManifoldSpec) -> int:
@@ -188,6 +208,20 @@ def defining_dimension(spec: ManifoldSpec) -> int:
             "the vector chart has no block fractional-linear action"
         )
     return spec.p + spec.q if spec.family is Family.AIII else 2 * spec.p
+
+
+def _chart_images(spec: ManifoldSpec, U, z: np.ndarray):
+    """Denominator determinants ``det(A^T + Z B^T)`` and fractional-linear
+    images of ``z`` under one matrix or a stack; an image whose
+    determinant is below ``CHART_EDGE_TOL`` is meaningless."""
+    a, b, c, d = (blk.swapaxes(-1, -2) for blk in block_split(U, spec))
+    den = z @ b
+    den += a
+    det = np.linalg.det(den)
+    den[np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)
+    num = z @ d
+    num += c
+    return det, np.linalg.solve(den, num)
 
 
 def mobius_act(
@@ -200,14 +234,9 @@ def mobius_act(
     scalar rule ``z -> (c + d z)/(a + b z)``.  Composing actions multiplies
     the matrices: ``act(U2, act(U1, Z)) == act(U2 @ U1, Z)``.
     """
-    a, b, c, d = block_split(U, spec)
-    zp = validate_point(spec, Z)
-    z = zp.entries
-    den = a.T + z @ b.T
-    num = c.T + z @ d.T
-    if abs(np.linalg.det(den)) < 1e-12:
+    det, out = _chart_images(spec, U, validate_point(spec, Z).entries)
+    if abs(det) < CHART_EDGE_TOL:
         raise ChartOverflow("orbit left the coordinate chart")
-    out = np.linalg.solve(den, num)
     return validate_point(spec, out, symmetry_tol=symmetry_tol)
 
 
@@ -225,73 +254,96 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     return -1j * (c.T + z @ d.T - a.T @ z - z @ b.T @ z)
 
 
-def _polar_unitary(U: np.ndarray) -> np.ndarray:
-    w, _, vh = np.linalg.svd(U)
+def _polar(Y: np.ndarray) -> np.ndarray:
+    """Nearest matrix with orthonormal columns: the unitary polar factor of
+    a square matrix, the normalisation of a column."""
+    w, _, vh = np.linalg.svd(Y, full_matrices=False)
     return w @ vh
 
 
-def _rk4_unitary(U, H1, H2, H3, h):
-    k1 = -1j * (H1 @ U)
-    k2 = -1j * (H2 @ (U + (h / 2.0) * k1))
-    k3 = -1j * (H2 @ (U + (h / 2.0) * k2))
-    k4 = -1j * (H3 @ (U + h * k3))
-    return U + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _linear_rhs(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return -1j * (H @ Y)
+
+
+def _rk4_step(rhs, y, H1, H2, H3, h):
+    """Classical RK4 step of dy/dt = rhs(H(t), y) given H at the start,
+    middle and end of the step."""
+    k1 = rhs(H1, y)
+    k2 = rhs(H2, y + (h / 2.0) * k1)
+    k3 = rhs(H2, y + (h / 2.0) * k2)
+    k4 = rhs(H3, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _linear_step(schedule: HamiltonianSchedule, Y, t: float, h: float, k: int):
+    """Step ``k`` of i dY/dt = H(t) Y from time t, re-projected onto its
+    polar factor every ``REUNITARIZE_EVERY`` steps.  Returns the new state
+    and the stage Hamiltonians."""
+    stages = (schedule(t), schedule(t + h / 2.0), schedule(t + h))
+    Y = _rk4_step(_linear_rhs, Y, *stages, h)
+    if (k + 1) % REUNITARIZE_EVERY == 0:
+        Y = _polar(Y)
+    return Y, stages
 
 
 def _grid(t0: float, t1: float, dt: float):
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     span = t1 - t0
-    if span <= 0.0:
-        raise ValueError("the time span must be positive")
+    if not 0.0 < span < math.inf:
+        raise ValueError("the time span must be positive and finite")
     n = max(1, math.ceil(span / dt - 1e-9))
     return n, span / n
+
+
+def propagate(
+    schedule: HamiltonianSchedule, Y0, t0: float, t1: float, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate i dY/dt = H(t) Y over [t0, t1] from a square matrix or a
+    column ``Y0``; returns the grid times and the stack of states."""
+    if not schedule.covers(t0, t1):
+        raise ScheduleGap("schedule does not cover the integration span")
+    n, h = _grid(t0, t1, dt)
+    states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
+    states[0] = Y0
+    for k in range(n):
+        states[k + 1], _ = _linear_step(schedule, states[k], t0 + k * h, h, k)
+    return np.linspace(t0, t1, n + 1), states
 
 
 def evolve_unitary(
     schedule: HamiltonianSchedule, t0: float, t1: float, dt: float
 ) -> np.ndarray:
-    """Integrate i dU/dt = H(t) U from the identity over [t0, t1].
-
-    Fixed-step RK4 with polar re-unitarization every 50 steps; the result
-    is exactly re-unitarized at the end.
-    """
-    if not schedule.covers(t0, t1):
-        raise ScheduleGap("schedule does not cover the integration span")
-    n, h = _grid(t0, t1, dt)
-    U = np.eye(schedule.dim, dtype=complex)
-    for k in range(n):
-        t = t0 + k * h
-        H1 = schedule(t)
-        H2 = schedule(t + h / 2.0)
-        H3 = schedule(t + h)
-        U = _rk4_unitary(U, H1, H2, H3, h)
-        if (k + 1) % REUNITARIZE_EVERY == 0:
-            U = _polar_unitary(U)
-    return _polar_unitary(U)
+    """Integrate i dU/dt = H(t) U from the identity over [t0, t1], by
+    :func:`propagate`; the result is exactly re-unitarized at the end."""
+    _, states = propagate(schedule, np.eye(schedule.dim), t0, t1, dt)
+    return _polar(states[-1])
 
 
 @dataclass
 class Trajectory:
-    """Sampled chart evolution with its defining-representation unitaries.
+    """Sampled chart evolution, stored as arrays whose rows follow ``times``.
 
-    ``cross_check_error`` is the largest entrywise gap between the Mobius
-    path (stored in ``points``) and the independent Riccati integration.
+    ``points`` is the ``(n+1, rows, cols)`` Mobius path, ``unitaries`` the
+    ``(n+1, d, d)`` unitaries behind it and ``riccati`` the independent
+    Riccati path; ``cross_check_error`` is the largest entrywise gap
+    between the two paths.  The rows of ``points`` passed the chart rules
+    when the trajectory was built; :meth:`point` does not check them again.
     """
 
     spec: ManifoldSpec
     times: np.ndarray
-    points: list[PointMatrix]
-    unitaries: list[np.ndarray] | None
+    points: np.ndarray
+    unitaries: np.ndarray | None
     cross_check_error: float
+    riccati: np.ndarray | None = None
 
     @property
     def final_point(self) -> PointMatrix:
-        return self.points[-1]
+        return self.point(-1)
 
-    def chart_path(self) -> np.ndarray:
-        """All sampled points stacked into one (n_samples, rows, cols) array."""
-        return np.stack([p.entries for p in self.points])
+    def point(self, k: int) -> PointMatrix:
+        return PointMatrix(self.points[k], self.spec)
 
 
 def trajectory(
@@ -300,16 +352,15 @@ def trajectory(
     schedule: HamiltonianSchedule,
     T: float,
     dt: float,
-    cross_check_tol: float = CROSS_CHECK_TOL,
-    store_unitaries: bool = True,
-    symmetry_tol: float = 1e-9,
 ) -> Trajectory:
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
     One fused loop advances the unitary and the Riccati variable with the
-    same RK4 stages and Hamiltonian evaluations.  Stored points come from
-    the Mobius route; the loop raises ``CrossCheckFailure`` as soon as the
-    two routes disagree beyond ``cross_check_tol``.
+    same RK4 steps and stage Hamiltonians.  After the loop the Mobius map
+    takes the whole stack of unitaries to ``points`` with one batched
+    solve, and the guards run on whole arrays: the first failing step
+    raises ``ChartOverflow``, ``SymmetryViolation``, ``OutsideDomain`` or
+    ``CrossCheckFailure``, naming its time.
     """
     if schedule.dim != defining_dimension(spec):
         raise DimensionMismatch(
@@ -317,49 +368,61 @@ def trajectory(
         )
     if not schedule.covers(0.0, T):
         raise ScheduleGap("schedule does not cover [0, T]")
-    z0 = validate_point(spec, Z0)
+    z0 = validate_point(spec, Z0).entries
     n, h = _grid(0.0, T, dt)
-    U = np.eye(schedule.dim, dtype=complex)
-    z_riccati = z0.entries.copy()
-    times = np.linspace(0.0, T, n + 1)
-    points = [z0]
-    unitaries = [U.copy()] if store_unitaries else None
-    max_err = 0.0
+    us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
+    zs = np.empty((n + 1,) + z0.shape, dtype=complex)
+    us[0], zs[0] = np.eye(schedule.dim), z0
+    rhs = partial(riccati_rhs, spec)
     for k in range(n):
-        t = k * h
-        H1 = schedule(t)
-        H2 = schedule(t + h / 2.0)
-        H3 = schedule(t + h)
-        U = _rk4_unitary(U, H1, H2, H3, h)
-        if (k + 1) % REUNITARIZE_EVERY == 0:
-            U = _polar_unitary(U)
-        r1 = riccati_rhs(spec, H1, z_riccati)
-        r2 = riccati_rhs(spec, H2, z_riccati + (h / 2.0) * r1)
-        r3 = riccati_rhs(spec, H2, z_riccati + (h / 2.0) * r2)
-        r4 = riccati_rhs(spec, H3, z_riccati + h * r3)
-        z_riccati = z_riccati + (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        if not np.all(np.isfinite(z_riccati)) or np.max(np.abs(z_riccati)) > 1e8:
-            raise ChartOverflow(
-                f"Riccati variable diverged near t = {times[k + 1]:.6g}"
-            )
-        try:
-            zp = mobius_act(spec, U, z0, symmetry_tol=symmetry_tol)
-        except ChartOverflow as exc:
-            raise ChartOverflow(
-                f"orbit left the coordinate chart at t = {times[k + 1]:.6g}"
-            ) from exc
-        err = float(np.max(np.abs(zp.entries - z_riccati)))
-        if err > max_err:
-            max_err = err
-        if max_err > cross_check_tol:
-            raise CrossCheckFailure(
-                f"Mobius and Riccati paths disagree by {max_err:.3e} "
-                f"at t = {times[k + 1]:.6g}"
-            )
-        points.append(zp)
-        if store_unitaries:
-            unitaries.append(U.copy())
-    return Trajectory(spec, times, points, unitaries, max_err)
+        us[k + 1], stages = _linear_step(schedule, us[k], k * h, h, k)
+        zs[k + 1] = _rk4_step(rhs, zs[k], *stages, h)
+        if _diverged(zs[k + 1]):
+            break
+    m = k + 2
+    return _chart_path(spec, np.linspace(0.0, T, n + 1)[:m], us[:m], zs[:m])
+
+
+def clip_trajectory(
+    traj: Trajectory, schedule: HamiltonianSchedule, t_end: float
+) -> Trajectory:
+    """The samples of a trajectory before ``t_end`` plus one partial RK4
+    step on both routes that ends exactly at ``t_end``."""
+    k = int(np.searchsorted(traj.times, t_end)) - 1
+    if not 0 <= k < len(traj.times) - 1:
+        raise ValueError("the clip time must lie inside the trajectory span")
+    t = float(traj.times[k])
+    U, stages = _linear_step(schedule, traj.unitaries[k], t, t_end - t, k)
+    z = _rk4_step(partial(riccati_rhs, traj.spec), traj.riccati[k], *stages,
+                  t_end - t)
+    return _chart_path(traj.spec, np.append(traj.times[: k + 1], t_end),
+                       np.append(traj.unitaries[: k + 1], [U], axis=0),
+                       np.append(traj.riccati[: k + 1], [z], axis=0))
+
+
+def _diverged(z: np.ndarray) -> bool:
+    return not np.max(np.abs(z)) <= RICCATI_BOUND  # NaN counts as diverged
+
+
+def _chart_path(spec, times, us, zs) -> Trajectory:
+    """Mobius images of the unitaries ``us`` with every guard run on the
+    arrays.  A step that trips several guards reports the first of:
+    Riccati divergence (only the last step can diverge), the chart edge,
+    the chart rules, the cross-check."""
+    det, images = _chart_images(spec, us, zs[0])
+    points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
+    points[0] = zs[0]
+    err = np.max(np.abs(points - zs), axis=(1, 2))
+    bounded = np.arange(len(times)) < len(times) - _diverged(zs[-1])
+    raise_first_fault([
+        (bounded, ChartOverflow, lambda k: "Riccati variable diverged"),
+        (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,
+         lambda k: "orbit left the coordinate chart"),
+        *faults,
+        (err <= CROSS_CHECK_TOL, CrossCheckFailure,
+         lambda k: f"Mobius and Riccati paths disagree by {err[k]:.3e}"),
+    ], times)
+    return Trajectory(spec, times, points, us, float(np.max(err)), zs)
 
 
 def expectation(spec: ManifoldSpec, level: int, Z, H) -> float:
@@ -377,12 +440,10 @@ def expectation(spec: ManifoldSpec, level: int, Z, H) -> float:
 
     def log_term(s: float) -> complex:
         U = expm_hermitian_generator(H, s)
-        a, b, _, _ = block_split(U, spec)
-        den = a.T + zp.entries @ b.T
-        det = np.linalg.det(den)
-        if abs(det) < 1e-12:
+        det, zs = _chart_images(spec, U, zp.entries)
+        if abs(det) < CHART_EDGE_TOL:
             raise ChartOverflow("flow left the chart during differentiation")
-        zs = mobius_act(spec, U, zp, symmetry_tol=1e-9)
+        zs = validate_point(spec, zs, symmetry_tol=1e-9)
         return level * (np.log(det) + np.log(kernel(spec, zs, zp)) - k00)
 
     value = 1j * (log_term(step) - log_term(-step)) / (2.0 * step)
@@ -426,13 +487,14 @@ class CycleInfo:
 
 def ray_distances(traj: Trajectory) -> np.ndarray:
     """Projective distance of every sample from the starting point."""
-    z0 = traj.points[0]
+    z0 = traj.point(0)
     return np.array(
-        [projective_distance(traj.spec, p, z0) for p in traj.points]
+        [projective_distance(traj.spec, traj.point(k), z0)
+         for k in range(len(traj.times))]
     )
 
 
-def is_stationary(traj: Trajectory, tol: float = 1e-9) -> bool:
+def is_stationary(traj: Trajectory, tol: float = STATIONARY_TOL) -> bool:
     """True when the whole trajectory stays on the starting ray."""
     return float(np.max(ray_distances(traj))) < tol
 
@@ -446,7 +508,11 @@ def find_cycle(traj: Trajectory, tol: float | None = None) -> CycleInfo:
     return time by a parabola through the squared distances.  A trajectory
     that never leaves the start ray returns index 1 immediately.
     """
-    d = ray_distances(traj)
+    return _find_cycle(traj.times, ray_distances(traj), tol)
+
+
+def _find_cycle(times, d, tol: float | None) -> CycleInfo:
+    """:func:`find_cycle` on sample times and their ray distances."""
     n = len(d) - 1
     if n < 1:
         raise NoCycleFound("trajectory has no steps")
@@ -456,7 +522,7 @@ def find_cycle(traj: Trajectory, tol: float | None = None) -> CycleInfo:
     if d[1] < tol:
         first_out = next((k for k in range(1, n + 1) if d[k] >= tol), None)
         if first_out is None:
-            return CycleInfo(1, float(traj.times[1]), float(d[1]))
+            return CycleInfo(1, float(times[1]), float(d[1]))
         escape = first_out
     else:
         escape = 1
@@ -467,12 +533,12 @@ def find_cycle(traj: Trajectory, tol: float | None = None) -> CycleInfo:
         )
     while k_ret + 1 <= n and d[k_ret + 1] < d[k_ret]:
         k_ret += 1
-    t_star = float(traj.times[k_ret])
+    t_star = float(times[k_ret])
     if 1 <= k_ret <= n - 1:
-        t_star = _parabola_vertex(traj.times, d, k_ret)
+        t_star = _parabola_vertex(times, d, k_ret)
     elif k_ret == n and n >= 2:
-        t_star = _parabola_vertex(traj.times, d, n - 1)
-        t_star = min(max(t_star, float(traj.times[n - 1])), float(traj.times[n]))
+        t_star = _parabola_vertex(times, d, n - 1)
+        t_star = min(max(t_star, float(times[n - 1])), float(times[n]))
     return CycleInfo(k_ret, t_star, float(d[k_ret]))
 
 

@@ -21,6 +21,7 @@ from .manifolds import (
     PointMatrix,
     kernel,
     validate_point,
+    validate_points,
 )
 
 GRADIENT_STEP = 1e-6
@@ -122,20 +123,24 @@ def gradient(
     """Holomorphic partials of the potential along the coordinate basis.
 
     Central differences along the real and imaginary axes of each basis
-    direction combine as ``(d/dx - i d/dy) / 2``.
+    direction combine as ``(d/dx - i d/dy) / 2``.  The whole stencil is
+    checked against the chart at once.
     """
     zp = validate_point(spec, z)
-    base = zp.entries
+    basis = np.array(coordinate_basis(spec))
+    shifts = np.array([step, -step, 1j * step, -1j * step])
+    stencil = zp.entries + shifts[None, :, None, None] * basis[:, None]
+    try:
+        points = validate_points(spec, stencil.reshape(-1, *zp.entries.shape))
+        f = [potential(spec, level, PointMatrix(p, spec)) for p in points]
+    except OutsideDomain as exc:
+        raise BoundaryTooClose(
+            "finite-difference stencil crosses the domain boundary"
+        ) from exc
     out = np.empty(spec.complex_dimension, dtype=complex)
-    for mu, b in enumerate(coordinate_basis(spec)):
-        fx = (
-            _potential_raw(spec, level, base + step * b)
-            - _potential_raw(spec, level, base - step * b)
-        ) / (2.0 * step)
-        fy = (
-            _potential_raw(spec, level, base + 1j * step * b)
-            - _potential_raw(spec, level, base - 1j * step * b)
-        ) / (2.0 * step)
+    for mu in range(len(out)):
+        fx = (f[4 * mu] - f[4 * mu + 1]) / (2.0 * step)
+        fy = (f[4 * mu + 2] - f[4 * mu + 3]) / (2.0 * step)
         out[mu] = (fx - 1j * fy) / 2.0
     return out
 

@@ -134,51 +134,90 @@ def validate_point(
 ) -> PointMatrix:
     """Validate a chart point and return it as an immutable ``PointMatrix``.
 
-    Symmetry (CI) and skew-symmetry (DIII) are enforced to ``symmetry_tol``
-    and then projected exactly.  Non-compact specs additionally require the
-    strict domain interior.
+    The one-point case of :func:`validate_points`.
 
     Raises
     ------
-    DimensionMismatch, SymmetryViolation, OutsideDomain
+    DimensionMismatch, ValueError, SymmetryViolation, OutsideDomain
     """
     if isinstance(z, PointMatrix):
-        if z.spec != spec:
+        if z.spec is not spec and z.spec != spec:
             raise SpecMismatch("point was validated against a different spec")
         return z
-    arr = as_chart_array(spec, z)
+    arr = validate_points(spec, as_chart_array(spec, z)[None], symmetry_tol)
+    return PointMatrix(arr[0], spec)
 
-    if spec.family is Family.CI:
-        residual = np.max(np.abs(arr - arr.T))
-        if residual > symmetry_tol:
-            raise SymmetryViolation(
-                f"symmetric chart violated by {residual:.3e}"
-            )
-        arr = (arr + arr.T) / 2.0
-    elif spec.family is Family.DIII:
-        residual = np.max(np.abs(arr + arr.T))
-        if residual > symmetry_tol:
-            raise SymmetryViolation(
-                f"skew-symmetric chart violated by {residual:.3e}"
-            )
-        arr = (arr - arr.T) / 2.0
-        np.fill_diagonal(arr, 0.0)
 
+def validate_points(
+    spec: ManifoldSpec, stack, symmetry_tol: float = SYMMETRY_TOL
+) -> np.ndarray:
+    """Validate a ``(n, rows, cols)`` stack of chart points at once.
+
+    Raises for the earliest row that breaks a rule of :func:`point_faults`
+    and returns the stack projected onto the family's symmetry.
+    """
+    arr, faults = point_faults(spec, stack, symmetry_tol)
+    raise_first_fault(faults)
+    return arr
+
+
+def point_faults(
+    spec: ManifoldSpec, stack, symmetry_tol: float = SYMMETRY_TOL
+):
+    """The chart rules on a ``(n, rows, cols)`` stack of points.
+
+    Entries must be finite (else ``ValueError``).  CI points must be
+    symmetric and DIII points skew-symmetric to ``symmetry_tol`` (else
+    ``SymmetryViolation``), and are then projected exactly.  Non-compact
+    points must lie in the strict interior of the bounded domain (else
+    ``OutsideDomain``).  Returns the projected stack and one fault
+    ``(mask of passing rows, exception type, message of a row)`` per rule,
+    in that order.
+    """
+    arr = np.array(stack, dtype=complex)
+    if arr.ndim != 3 or arr.shape[1:] != spec.point_shape:
+        raise DimensionMismatch(
+            f"expected points of shape {spec.point_shape}, got {arr.shape}"
+        )
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    faults = [(finite, ValueError, lambda k: "chart point is not finite")]
+    if spec.family in (Family.CI, Family.DIII):
+        sym = "symmetric" if spec.family is Family.CI else "skew-symmetric"
+        flip = arr.swapaxes(1, 2) * (1.0 if spec.family is Family.CI else -1.0)
+        gap = np.max(np.abs(arr - flip), axis=(1, 2))
+        faults.append((gap <= symmetry_tol, SymmetryViolation,
+                       lambda k: f"{sym} chart violated by {gap[k]:.3e}"))
+        flip += arr
+        arr = np.divide(flip, 2.0, out=flip)
     if not spec.compact:
-        _check_interior(spec, arr)
-    return PointMatrix(arr.copy(), spec)
+        z = arr if finite.all() else np.where(finite[:, None, None], arr, 0.0)
+        gram = z @ z.conj().swapaxes(1, 2)
+        if spec.family is Family.BDI:
+            zz = np.abs((z @ z.swapaxes(1, 2))[:, 0, 0])
+            norm2 = np.real(gram[:, 0, 0])
+            inside = (zz < 1.0) & (1.0 + zz**2 - 2.0 * norm2 > 0.0)
+        else:
+            gram = np.subtract(np.eye(spec.point_shape[0]), gram, out=gram)
+            inside = np.linalg.eigvalsh(gram)[:, 0] > 0.0
+        faults.append((inside, OutsideDomain,
+                       lambda k: "point on or outside the bounded domain"))
+    return arr, faults
 
 
-def _check_interior(spec: ManifoldSpec, arr: np.ndarray) -> None:
-    if spec.family is Family.BDI:
-        zz = complex((arr @ arr.T).item())
-        norm2 = float(np.real((arr @ arr.conj().T).item()))
-        if abs(zz) >= 1.0 or 1.0 + abs(zz) ** 2 - 2.0 * norm2 <= 0.0:
-            raise OutsideDomain("BDI point outside the bounded domain")
-        return
-    gram = np.eye(spec.point_shape[0]) - arr @ arr.conj().T
-    if np.min(np.linalg.eigvalsh(gram)) <= 0.0:
-        raise OutsideDomain("point on or outside the bounded domain boundary")
+def raise_first_fault(faults, times=None) -> None:
+    """Raise the fault of the earliest failing row, if a row fails.
+
+    ``faults`` holds ``(mask of passing rows, exception type, message of a
+    row)`` entries; on a row that fails several, the earlier entry wins.
+    With ``times`` the message names the row's time.
+    """
+    failing = [(int(np.argmin(ok)), i)
+               for i, (ok, _, _) in enumerate(faults) if not ok.all()]
+    if failing:
+        k, i = min(failing)
+        _, kind, message = faults[i]
+        where = "" if times is None else f" at t = {times[k]:.6g}"
+        raise kind(message(k) + where)
 
 
 def _det(m: np.ndarray) -> complex:

@@ -156,7 +156,7 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
 
 def _as_points(spec: ManifoldSpec, loop) -> list:
     if isinstance(loop, Trajectory):
-        return list(loop.points)
+        return [loop.point(k) for k in range(len(loop.times))]
     return [validate_point(spec, v) for v in loop]
 
 
@@ -213,8 +213,8 @@ def dynamical_phase(
         raise GridMismatch("trajectory times and points do not align")
     try:
         energies = [
-            _expectation(spec, level, p, schedule(t))
-            for t, p in zip(times, traj.points)
+            _expectation(spec, level, traj.point(k), schedule(t))
+            for k, t in enumerate(times)
         ]
     except ScheduleGap as exc:
         raise GridMismatch("schedule does not cover the trajectory span") from exc

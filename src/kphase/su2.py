@@ -5,7 +5,9 @@ basis ordered from highest to lowest weight, so the chart origin z = 0
 labels the first basis vector.  A 2 x 2 Hermitian generator written as
 c0 I + c . sigma promotes to ``c0 (2j) I + 2 c . J``; at j = 1/2 this is
 the identity map, and the coherent expectation of the promoted generator
-matches the chart-side cocycle formula at level 2j.
+matches the chart-side cocycle formula at level 2j.  States evolve with the
+same propagator as the chart's defining-representation unitary
+(``dynamics.propagate``), applied to a column vector.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSchedule
+from .dynamics import HamiltonianSchedule, propagate
 from .errors import (
     ChartOverflow,
     DimensionMismatch,
@@ -24,8 +26,6 @@ from .errors import (
     NotCyclic,
 )
 from .phases import wrap_angle
-
-RENORMALIZE_EVERY = 50
 
 
 def _two_j(j) -> int:
@@ -136,35 +136,20 @@ class StateTrajectory:
 def schrodinger_evolve(
     psi0, schedule: HamiltonianSchedule, T: float, dt: float
 ) -> StateTrajectory:
-    """RK4 integration of i dpsi/dt = H(t) psi with periodic renormalizing."""
-    psi = np.asarray(psi0, dtype=complex).reshape(-1).copy()
+    """Integrate i dpsi/dt = H(t) psi over [0, T].
+
+    The state runs as a d x 1 column through ``dynamics.propagate``: the
+    same RK4 step and re-projection rule as the defining-representation
+    unitary, where the polar factor of a column is its normalisation.
+    """
+    psi = np.asarray(psi0, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-8:
         raise DimensionMismatch("initial state must have unit norm")
-    psi /= norm
     if len(psi) != schedule.dim:
         raise DimensionMismatch("state and schedule dimensions differ")
-    if dt <= 0.0 or T <= 0.0:
-        raise ValueError("T and dt must be positive")
-    n = max(1, math.ceil(T / dt - 1e-9))
-    h = T / n
-    times = np.linspace(0.0, T, n + 1)
-    states = np.empty((n + 1, len(psi)), dtype=complex)
-    states[0] = psi
-    for k in range(n):
-        t = k * h
-        H1 = schedule(t)
-        H2 = schedule(t + h / 2.0)
-        H3 = schedule(t + h)
-        k1 = -1j * (H1 @ psi)
-        k2 = -1j * (H2 @ (psi + (h / 2.0) * k1))
-        k3 = -1j * (H2 @ (psi + (h / 2.0) * k2))
-        k4 = -1j * (H3 @ (psi + h * k3))
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % RENORMALIZE_EVERY == 0:
-            psi = psi / float(np.linalg.norm(psi))
-        states[k + 1] = psi
-    return StateTrajectory(times=times, states=states)
+    times, states = propagate(schedule, (psi / norm)[:, None], 0.0, T, dt)
+    return StateTrajectory(times=times, states=states[:, :, 0])
 
 
 def quantum_phases(

@@ -74,7 +74,7 @@ def tilt_runs():
         sub = Trajectory(
             SPEC,
             np.asarray([traj.times[k] for k in ks]),
-            [traj.points[k] for k in ks],
+            traj.points[ks],
             None,
             traj.cross_check_error,
         )

@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+import kphase.cli
 from kphase import HamiltonianSchedule, cp1, triangle_phase
 from kphase.cli import main
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+NaN = math.nan
 
 
 def run_cli(capsys, argv):
@@ -102,6 +104,65 @@ def test_evolve_with_oracle(tmp_path, capsys):
     assert abs(abs(summary["report"]["gamma"]) - math.pi) < 1e-4
     assert summary["oracle"]["method"] == "quantum-oracle"
     assert abs(summary["oracle_defect"]) < 1e-4
+
+
+def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trajectory(*args, **kwargs)
+
+    trajectory = kphase.cli.trajectory
+    monkeypatch.setattr(kphase.cli, "trajectory", counted)
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    cfg = {"schedule": sched.to_json(), "z0": [0.5, 0.0], "T": 4.0,
+           "dt": 2e-3, "stride": 300}
+    path = tmp_path / "once.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 0
+    assert len(calls) == 1
+    lines = [json.loads(s) for s in out.splitlines()]
+    # the reported path ends exactly at the detected cycle time
+    assert lines[-2]["t"] == lines[-1]["cycle"]["time"]
+    assert abs(lines[-1]["cycle"]["time"] - math.pi) < 1e-6
+
+
+def _strict(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, schedule",
+    [
+        (["kernel", "--z", "[NaN, 0]", "--w", "1"], None),
+        (["kernel", "--z", "1", "--w", "Infinity"], None),
+        (["evolve", "--T", "1.0"], {"generators": [[[[NaN, 0], [0, 0]],
+                                                     [[0, 0], [-1, 0]]]],
+                                    "constant": [1.0]}),
+        (["evolve", "--T", "1.0"], {"generators": [[[[1, 0], [0, 0]],
+                                                     [[0, 0], [-1, 0]]]],
+                                    "constant": [NaN]}),
+        (["evolve", "--T", "1.0"], {"generators": [[[[1, 0], [0, 0]],
+                                                     [[0, 0], [-1, 0]]]],
+                                    "samples": [[0.0, 1.0], [NaN, 1.0]]}),
+        (["evolve", "--T", "Infinity"], {"generators": [[[[1, 0], [0, 0]],
+                                                         [[0, 0], [-1, 0]]]],
+                                         "constant": [1.0]}),
+    ],
+)
+def test_non_finite_input_exits_two(tmp_path, capsys, argv, schedule):
+    if schedule is not None:
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"schedule": schedule, "z0": 0.5}))
+        argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "ValueError"
+    assert err.strip() != ""
 
 
 def test_evolve_flag_overrides_config(tmp_path, capsys):

@@ -15,6 +15,7 @@ from kphase import (
     SymmetryViolation,
     UnsupportedFamily,
     block_split,
+    clip_trajectory,
     cp1,
     evolve_unitary,
     expectation,
@@ -73,6 +74,12 @@ def test_schedule_hermitizes_and_rejects():
     assert np.array_equal(H, H.conj().T)
     with pytest.raises(SymmetryViolation):
         HamiltonianSchedule.constant([SX + 0.01j * np.eye(2)], [1.0])
+    with pytest.raises(ValueError):
+        HamiltonianSchedule.constant([SX * np.nan], [1.0])
+    with pytest.raises(ValueError):
+        HamiltonianSchedule.constant([SX], [np.inf])
+    with pytest.raises(ValueError):
+        HamiltonianSchedule.from_samples([SX], [[0.0, 1.0], [np.nan, 1.0]])
 
 
 def test_schedule_strength_and_json():
@@ -235,6 +242,34 @@ def test_trajectory_symmetry_preserved_sp_families(rng):
         sched = HamiltonianSchedule.constant([H], [0.5])
         traj = trajectory(spec, np.zeros((2, 2)), sched, 1.0, 1e-3)
         assert traj.cross_check_error < 1e-8
+
+
+def test_trajectory_guard_names_first_failing_time(rng):
+    spec = ManifoldSpec(Family.CI, 2)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    # a generic generator does not preserve the symmetric chart
+    sched = HamiltonianSchedule.constant([(h + h.conj().T) / 2.0], [1.0])
+    with pytest.raises(SymmetryViolation, match=r"at t = 0\.001$"):
+        trajectory(spec, np.zeros((2, 2)), sched, 1.0, 1e-3)
+
+
+def test_clip_trajectory_ends_at_cycle_time():
+    spec = cp1()
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    traj = trajectory(spec, 0.7, sched, 2.0 * math.pi, 1e-3)
+    info = find_cycle(traj)
+    cyc = clip_trajectory(traj, sched, info.time)
+    k = len(cyc.times) - 1
+    assert cyc.times[-1] == info.time
+    assert traj.times[k - 1] < info.time <= traj.times[k]
+    assert np.array_equal(cyc.times[:-1], traj.times[:k])
+    assert np.array_equal(cyc.points[:-1], traj.points[:k])
+    assert np.array_equal(cyc.unitaries[:-1], traj.unitaries[:k])
+    assert cyc.points.shape == (k + 1, 1, 1)
+    assert cyc.unitaries.shape == (k + 1, 2, 2)
+    assert cyc.cross_check_error < 1e-9
+    exact = 0.7 * np.exp(2j * info.time)
+    assert abs(cyc.points[-1, 0, 0] - exact) < 1e-9
 
 
 def test_expectation_values(rng):

@@ -18,6 +18,7 @@ from kphase import (
     projective_distance,
     random_point,
     validate_point,
+    validate_points,
 )
 
 ALL_SPECS = [
@@ -77,6 +78,39 @@ def test_validate_symmetry_enforced():
     assert q.entries[0, 0] == 0.0
     with pytest.raises(SymmetryViolation):
         validate_point(skew, np.array([[0, 0.3], [0.3, 0]], complex))
+
+
+def test_validate_rejects_non_finite():
+    for spec in ALL_SPECS:
+        z = np.zeros(spec.point_shape, complex)
+        z[0, -1] = np.nan
+        with pytest.raises(ValueError):
+            validate_point(spec, z)
+    with pytest.raises(ValueError):
+        validate_point(cp1(compact=False), complex(np.inf, 0.0))
+
+
+def test_stack_checker_matches_validate_point(rng):
+    ci = ManifoldSpec(Family.CI, 2)
+    inf_row = np.zeros((1, 1), complex)
+    inf_row[0, 0] = np.inf
+    cases = (
+        (ci, np.array([[0.1, 0.2], [0.4, 0.3]], complex), SymmetryViolation),
+        (cp1(compact=False), np.array([[1.2]], complex), OutsideDomain),
+        (ManifoldSpec(Family.BDI, 2, compact=False),
+         np.array([[0.7, 0.7j]]), OutsideDomain),
+        (cp1(), inf_row, ValueError),
+    )
+    for spec, bad, kind in cases:
+        with pytest.raises(kind) as single:
+            validate_point(spec, bad)
+        good = [random_point(spec, rng, 0.5).entries for _ in range(4)]
+        stack = np.stack(good[:2] + [bad] + good[2:])
+        with pytest.raises(kind) as stacked:
+            validate_points(spec, stack)
+        assert str(stacked.value) == str(single.value)
+        assert np.array_equal(validate_points(spec, np.stack(good)),
+                              np.stack(good))
 
 
 def test_spec_mismatch_on_foreign_point():
