@@ -37,13 +37,13 @@ from .errors import (
     SymmetryViolation,
     UnsupportedFamily,
 )
+from .geometry import gradient_stack
 from .manifolds import (
     Family,
     ManifoldSpec,
     PointMatrix,
-    kernel,
+    distance_stack,
     point_faults,
-    projective_distance,
     raise_first_fault,
     validate_point,
 )
@@ -245,13 +245,14 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
 
     The derivative of the fractional-linear action along exp(-iHt):
     ``-i (C^T + Z D^T - A^T Z - Z B^T Z)`` with ``A, B, C, D`` the blocks
-    of ``H``.
+    of ``H``.  Stacks of ``H`` and ``Z`` give a stack of derivatives.
     """
-    a, b, c, d = block_split(H, spec)
+    # The blocks of H^T are A^T, C^T, B^T, D^T, in block_split's order.
+    a_t, c_t, b_t, d_t = block_split(np.asarray(H).swapaxes(-1, -2), spec)
     z = Z.entries if isinstance(Z, PointMatrix) else np.asarray(Z, dtype=complex)
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
-    return -1j * (c.T + z @ d.T - a.T @ z - z @ b.T @ z)
+    return -1j * (c_t + z @ d_t - a_t @ z - z @ b_t @ z)
 
 
 def _polar(Y: np.ndarray) -> np.ndarray:
@@ -428,52 +429,33 @@ def _chart_path(spec, times, us, zs) -> Trajectory:
 def expectation(spec: ManifoldSpec, level: int, Z, H) -> float:
     """Coherent expectation value of a Hermitian generator at a chart point.
 
-    Differentiates the log of the weighted kernel cocycle along the
-    one-parameter flow exp(-isH) by a central difference (step 1e-5):
-    ``i d/ds [ level * ( ln det(A_s^T + Z B_s^T) + ln K(Z_s, conj(Z))
-    - ln K(Z, conj(Z)) ) ]``.  The imaginary part must cancel below 1e-8.
+    The derivative ``i d/ds`` at ``s = 0`` of the weighted kernel cocycle
+    ``level * (ln det(A_s^T + Z B_s^T) + ln K(Z_s, conj(Z)))`` along the
+    flow ``exp(-isH)``, in closed form:
+    ``E = level * (tr a + tr(Z b^T)) + i s sum(G * dZ/dt)`` with ``a, b``
+    the top blocks of ``H``, ``s = +1`` on compact and ``-1`` on
+    bounded-domain specs, ``G`` the gradient of ``geometry.gradient_stack``
+    and ``dZ/dt`` the :func:`riccati_rhs`.  The one-point case of
+    :func:`expectation_stack`.
     """
-    zp = validate_point(spec, Z)
-    H = _hermitize(H)
-    step = 1e-5
-    k00 = np.log(kernel(spec, zp, zp))
-
-    def log_term(s: float) -> complex:
-        U = expm_hermitian_generator(H, s)
-        det, zs = _chart_images(spec, U, zp.entries)
-        if abs(det) < CHART_EDGE_TOL:
-            raise ChartOverflow("flow left the chart during differentiation")
-        zs = validate_point(spec, zs, symmetry_tol=1e-9)
-        return level * (np.log(det) + np.log(kernel(spec, zs, zp)) - k00)
-
-    value = 1j * (log_term(step) - log_term(-step)) / (2.0 * step)
-    if abs(value.imag) > 1e-8:
-        raise NonRealExpectation(
-            f"imaginary part {value.imag:.3e} exceeds tolerance"
-        )
-    return float(value.real)
+    z = validate_point(spec, Z).entries
+    return float(expectation_stack(spec, level, z, _hermitize(H)))
 
 
-def expm_hermitian_generator(H: np.ndarray, s: float) -> np.ndarray:
-    """exp(-i s H) for Hermitian H, by eigendecomposition (2x2 closed form)."""
-    if H.shape == (2, 2):
-        c0 = (H[0, 0] + H[1, 1]) / 2.0
-        v = np.array([H[0, 1].real + 0j, -H[0, 1].imag + 0j, (H[0, 0] - H[1, 1]) / 2.0])
-        r = math.sqrt(float(np.sum(np.abs(v) ** 2)))
-        phase = np.exp(-1j * c0 * s)
-        if r < 1e-300:
-            return phase * np.eye(2)
-        cos_part = math.cos(r * s)
-        sin_part = math.sin(r * s) / r
-        sigma_dot = np.array(
-            [
-                [v[2], v[0] - 1j * v[1]],
-                [v[0] + 1j * v[1], -v[2]],
-            ]
-        )
-        return phase * (cos_part * np.eye(2) - 1j * sin_part * sigma_dot)
-    w, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(-1j * s * w)) @ vecs.conj().T
+def expectation_stack(spec: ManifoldSpec, level: int, z, H) -> np.ndarray:
+    """:func:`expectation` on a chart array and a Hermitian matrix, or on
+    stacks of them, that already passed their checks.  The imaginary part
+    must cancel below 1e-8 on every row."""
+    a, b, _, _ = block_split(H, spec)
+    sign = 1.0 if spec.compact else -1.0
+    flow = np.sum(gradient_stack(spec, level, z) * riccati_rhs(spec, H, z),
+                  axis=(-2, -1))
+    value = level * (np.trace(a, axis1=-2, axis2=-1)
+                     + np.sum(z * b, axis=(-2, -1))) + 1j * sign * flow
+    worst = float(np.max(np.abs(value.imag)))
+    if worst > 1e-8:
+        raise NonRealExpectation(f"imaginary part {worst:.3e} exceeds tolerance")
+    return value.real
 
 
 @dataclass(frozen=True)
@@ -487,11 +469,7 @@ class CycleInfo:
 
 def ray_distances(traj: Trajectory) -> np.ndarray:
     """Projective distance of every sample from the starting point."""
-    z0 = traj.point(0)
-    return np.array(
-        [projective_distance(traj.spec, traj.point(k), z0)
-         for k in range(len(traj.times))]
-    )
+    return distance_stack(traj.spec, traj.points, traj.points[0])
 
 
 def is_stationary(traj: Trajectory, tol: float = STATIONARY_TOL) -> bool:

@@ -1,10 +1,15 @@
-"""Kahler potential, metric, and connection built from kernel evaluations.
+"""Kahler potential, metric, and connection of the line bundle at a level.
 
-Everything here reduces to evaluating ``ln K(z, conj(z))`` at displaced
-points.  Derivatives are taken by central finite differences along a fixed
-coordinate basis of the chart's tangent space, so no family needs its own
-closed-form geometry.  The potential carries an overall sign that makes the
-metric positive definite on both the compact and bounded-domain forms.
+The potential is ``F = s * level * ln K(z, conj(z))`` with ``s = +1`` on
+compact and ``-1`` on bounded-domain specs, the sign that makes the metric
+positive definite on both.  Its holomorphic gradient has a closed form,
+evaluated on a single point or a whole ``(n, rows, cols)`` stack by
+:func:`gradient_stack`: a matrix ``G`` with ``dF`` along an increment ``D``
+equal to ``sum(G * D)``, so no coordinate basis is needed.  For AIII, CI
+and DIII ``G = level * conj((I + s Z Z^dag)^-1 Z)``; for BDI
+``G = s * level * (2 z conj(z z^T) + 2 s conj(z)) / K(z, conj(z))``.  The
+connection one-form is ``Im sum(G * dZ)``.  The metric, off every hot
+path, is still taken by central finite differences of the potential.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from .manifolds import (
     ManifoldSpec,
     PointMatrix,
     kernel,
+    kernel_stack,
     validate_point,
-    validate_points,
 )
 
-GRADIENT_STEP = 1e-6
 METRIC_STEP = 1e-4
 
 
@@ -117,46 +121,40 @@ def _potential_raw(spec: ManifoldSpec, level: int, arr: np.ndarray) -> float:
         ) from exc
 
 
-def gradient(
-    spec: ManifoldSpec, level: int, z, step: float = GRADIENT_STEP
-) -> np.ndarray:
+def gradient_stack(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
+    """Closed-form holomorphic gradient ``G`` of the potential (see the
+    module docstring) at one chart array or a stack of them, which must
+    already have passed the chart rules."""
+    sign = 1.0 if spec.compact else -1.0
+    if spec.family is Family.BDI:
+        zz = z @ z.swapaxes(-1, -2)
+        k = kernel_stack(spec, z, z).real[..., None, None]
+        return sign * level * (2.0 * z * zz.conj() + 2.0 * sign * z.conj()) / k
+    gram = z @ z.conj().swapaxes(-1, -2)
+    return level * np.linalg.solve(np.eye(z.shape[-2]) + sign * gram, z).conj()
+
+
+def gradient(spec: ManifoldSpec, level: int, z) -> np.ndarray:
     """Holomorphic partials of the potential along the coordinate basis.
 
-    Central differences along the real and imaginary axes of each basis
-    direction combine as ``(d/dx - i d/dy) / 2``.  The whole stencil is
-    checked against the chart at once.
+    The one-point case of :func:`gradient_stack`, paired with each matrix
+    of :func:`coordinate_basis`.
     """
-    zp = validate_point(spec, z)
-    basis = np.array(coordinate_basis(spec))
-    shifts = np.array([step, -step, 1j * step, -1j * step])
-    stencil = zp.entries + shifts[None, :, None, None] * basis[:, None]
-    try:
-        points = validate_points(spec, stencil.reshape(-1, *zp.entries.shape))
-        f = [potential(spec, level, PointMatrix(p, spec)) for p in points]
-    except OutsideDomain as exc:
-        raise BoundaryTooClose(
-            "finite-difference stencil crosses the domain boundary"
-        ) from exc
-    out = np.empty(spec.complex_dimension, dtype=complex)
-    for mu in range(len(out)):
-        fx = (f[4 * mu] - f[4 * mu + 1]) / (2.0 * step)
-        fy = (f[4 * mu + 2] - f[4 * mu + 3]) / (2.0 * step)
-        out[mu] = (fx - 1j * fy) / 2.0
-    return out
+    g = gradient_stack(spec, level, validate_point(spec, z).entries)
+    return np.array([np.sum(g * b) for b in coordinate_basis(spec)])
 
 
-def connection_eval(
-    spec: ManifoldSpec, level: int, z, delta, step: float = GRADIENT_STEP
-) -> float:
+def connection_eval(spec: ManifoldSpec, level: int, z, delta) -> float:
     """Connection one-form paired with a tangent increment.
 
-    Returns ``Im`` of the holomorphic gradient contracted with the
-    components of ``delta``.  Integrating this along a closed loop yields
-    the loop's geometric phase at the given level.
+    Returns ``Im sum(G * delta)`` for the holomorphic gradient ``G`` at
+    ``z``; the increment must already respect the family's linear
+    symmetry.  Integrating this along a closed loop yields the loop's
+    geometric phase at the given level.
     """
-    grad = gradient(spec, level, z, step=step)
-    comps = tangent_components(spec, delta)
-    return float(np.imag(np.dot(grad, comps)))
+    g = gradient_stack(spec, level, validate_point(spec, z).entries)
+    d = np.reshape(np.asarray(delta, dtype=complex), spec.point_shape)
+    return float(np.imag(np.sum(g * d)))
 
 
 def _mixed_stencil(

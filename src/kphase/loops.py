@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import Family, ManifoldSpec, validate_point
+from .manifolds import Family, ManifoldSpec, PointMatrix, validate_points
 
 
 def latitude_circle(spec: ManifoldSpec, radius: float, samples: int):
@@ -22,14 +22,18 @@ def latitude_circle(spec: ManifoldSpec, radius: float, samples: int):
         raise ValueError("need at least 3 samples")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    rows, cols = spec.point_shape
-    points = []
-    for k in range(samples + 1):
-        angle = 2.0 * np.pi * (k % samples) / samples
-        z = np.zeros((rows, cols), dtype=complex)
-        z[0, 0] = radius * np.exp(1j * angle)
-        points.append(validate_point(spec, z))
-    return points
+    z = np.zeros((samples + 1,) + spec.point_shape, dtype=complex)
+    z[:, 0, 0] = radius * np.exp(1j * _angles(samples))
+    return _points(spec, z)
+
+
+def _angles(samples: int) -> np.ndarray:
+    """``samples + 1`` uniform angles on [0, 2 pi); the last one is 0."""
+    return 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
+
+
+def _points(spec: ManifoldSpec, z: np.ndarray) -> list[PointMatrix]:
+    return [PointMatrix(p, spec) for p in validate_points(spec, z)]
 
 
 def fourier_loop(
@@ -64,12 +68,9 @@ def fourier_loop(
         if total > 0:
             shrink = 0.4 / max(total, 0.4)
             coeffs = [c * shrink for c in coeffs]
-    points = []
-    for k in range(samples + 1):
-        t = 2.0 * np.pi * (k % samples) / samples
-        z = np.zeros((rows, cols), dtype=complex)
-        for m in range(1, modes + 1):
-            z = z + coeffs[2 * (m - 1)] * np.cos(m * t)
-            z = z + coeffs[2 * m - 1] * np.sin(m * t)
-        points.append(validate_point(spec, z))
-    return points
+    t = _angles(samples)[:, None, None]
+    z = np.zeros((samples + 1, rows, cols), dtype=complex)
+    for m in range(1, modes + 1):
+        z = z + coeffs[2 * (m - 1)] * np.cos(m * t)
+        z = z + coeffs[2 * m - 1] * np.sin(m * t)
+    return _points(spec, z)

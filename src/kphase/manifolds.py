@@ -8,8 +8,10 @@ point; non-compact families accept only the strict interior of the bounded
 domain (``I - Z Z^dag > 0``, with a quadratic analogue for BDI).
 
 Kernels are holomorphic in their first argument and antiholomorphic in the
-second.  All downstream geometry (potential, metric, connection, phases) is
-built from these kernel evaluations alone.
+second.  :func:`kernel_stack` and :func:`distance_stack` evaluate them on
+whole ``(n, rows, cols)`` stacks of points that already passed the chart
+rules; :func:`kernel` and :func:`projective_distance` are their validated
+one-pair cases.
 """
 
 from __future__ import annotations
@@ -111,7 +113,15 @@ class PointMatrix:
 
 
 def as_chart_array(spec: ManifoldSpec, z) -> np.ndarray:
-    """Coerce scalars / nested lists / arrays to the chart's matrix shape."""
+    """Coerce scalars / nested lists / arrays to the chart's matrix shape.
+
+    A ``PointMatrix`` of the same spec gives its own entries; one of
+    another spec raises ``SpecMismatch``.
+    """
+    if isinstance(z, PointMatrix):
+        if z.spec is not spec and z.spec != spec:
+            raise SpecMismatch("point was validated against a different spec")
+        return z.entries
     arr = np.asarray(z, dtype=complex)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -140,11 +150,10 @@ def validate_point(
     ------
     DimensionMismatch, ValueError, SymmetryViolation, OutsideDomain
     """
+    arr = as_chart_array(spec, z)
     if isinstance(z, PointMatrix):
-        if z.spec is not spec and z.spec != spec:
-            raise SpecMismatch("point was validated against a different spec")
         return z
-    arr = validate_points(spec, as_chart_array(spec, z)[None], symmetry_tol)
+    arr = validate_points(spec, arr[None], symmetry_tol)
     return PointMatrix(arr[0], spec)
 
 
@@ -220,13 +229,31 @@ def raise_first_fault(faults, times=None) -> None:
         raise kind(message(k) + where)
 
 
-def _det(m: np.ndarray) -> complex:
-    n = m.shape[0]
+def _det(m: np.ndarray):
+    """Determinant of one square matrix or of a stack of them."""
+    n = m.shape[-1]
     if n == 1:
-        return complex(m[0, 0])
+        return m[..., 0, 0]
     if n == 2:
-        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    return complex(np.linalg.det(m))
+        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.linalg.det(m)
+
+
+def kernel_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
+    """:func:`kernel` on chart arrays that already passed the chart rules.
+
+    ``z`` and ``w`` are single points or ``(n, rows, cols)`` stacks, which
+    broadcast against each other; the result has their leading shape.
+    """
+    sign = 1.0 if spec.compact else -1.0
+    w_dag = w.conj().swapaxes(-1, -2)
+    if spec.family is Family.BDI:
+        zz = (z @ z.swapaxes(-1, -2))[..., 0, 0]
+        ww = (w @ w.swapaxes(-1, -2))[..., 0, 0]
+        zw = (z @ w_dag)[..., 0, 0]
+        return 1.0 + zz * np.conj(ww) + sign * 2.0 * zw
+    p = spec.point_shape[0]
+    return _det(np.eye(p) + sign * (z @ w_dag))
 
 
 def kernel(spec: ManifoldSpec, z, w) -> complex:
@@ -235,7 +262,8 @@ def kernel(spec: ManifoldSpec, z, w) -> complex:
     Determinant families use ``det(I +/- Z W^dag)`` on the ``p x p`` side,
     with ``+`` for compact and ``-`` for non-compact specs.  BDI uses the
     quadratic vector formula
-    ``1 + (z.z)(conj(w.w)) +/- 2 (z . conj(w))``.
+    ``1 + (z.z)(conj(w.w)) +/- 2 (z . conj(w))``.  The one-pair case of
+    :func:`kernel_stack`.
 
     Parameters
     ----------
@@ -250,15 +278,7 @@ def kernel(spec: ManifoldSpec, z, w) -> complex:
     """
     zp = validate_point(spec, z)
     wp = validate_point(spec, w)
-    a, b = zp.entries, wp.entries
-    sign = 1.0 if spec.compact else -1.0
-    if spec.family is Family.BDI:
-        zz = complex((a @ a.T).item())
-        ww = complex((b @ b.T).item())
-        zw = complex((a @ b.conj().T).item())
-        return 1.0 + zz * np.conj(ww) + sign * 2.0 * zw
-    p = spec.point_shape[0]
-    return _det(np.eye(p) + sign * (a @ b.conj().T))
+    return complex(kernel_stack(spec, zp.entries, wp.entries))
 
 
 def _check_single_level(level) -> int:
@@ -288,11 +308,25 @@ def projective_distance(spec: ManifoldSpec, z, w) -> float:
 
     Compact specs use ``arccos`` of the clamped level-one overlap modulus;
     non-compact specs, where the overlap modulus is >= 1, use ``arccosh``.
+    The one-pair case of :func:`distance_stack`.
     """
-    mag = abs(normalized_overlap(spec, 1, z, w))
+    zp = validate_point(spec, z)
+    wp = validate_point(spec, w)
+    return float(distance_stack(spec, zp.entries, wp.entries))
+
+
+def distance_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
+    """:func:`projective_distance` on chart arrays that already passed the
+    chart rules; ``z`` and ``w`` broadcast as in :func:`kernel_stack`."""
+    norm = np.sqrt(kernel_stack(spec, z, z).real * kernel_stack(spec, w, w).real)
+    k = kernel_stack(spec, z, w)
+    # Dividing each part by the real norm keeps the modulus of a scalar
+    # complex division; numpy's complex division rounds differently, and
+    # near a zero distance arccos magnifies such last-bit changes ~1e8-fold.
+    mag = np.hypot(k.real / norm, k.imag / norm)
     if spec.compact:
-        return math.acos(min(1.0, mag))
-    return math.acosh(max(1.0, mag))
+        return np.arccos(np.minimum(1.0, mag))
+    return np.arccosh(np.maximum(1.0, mag))
 
 
 def flag_minor_kernel(weights, m) -> complex:
@@ -325,7 +359,7 @@ def flag_minor_kernel(weights, m) -> complex:
     for j, wj in enumerate(weights, start=1):
         if wj == 0:
             continue
-        minor = _det(mat[n - j :, n - j :])
+        minor = complex(_det(mat[n - j :, n - j :]))
         if abs(minor) < KERNEL_ZERO_TOL:
             raise SingularMinor(f"order-{j} corner minor vanishes")
         out *= minor**wj

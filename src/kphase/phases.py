@@ -6,19 +6,24 @@ separate: the exact two-point fan formula built from kernel arguments
 integral of the connection along a sampled loop
 (:func:`line_integral_phase`).  :func:`stokes_compare` confronts them.
 
+Both phases of a path are classical and act on its whole
+``(n, rows, cols)`` stack at once.  With ``G_k`` the closed-form gradient
+of ``geometry.gradient_stack`` at sample ``k``, the geometric phase is the
+trapezoid ``gamma = 1/2 sum_k Im sum((G_k + G_{k+1}) * (Z_{k+1} - Z_k))``
+over the closed loop, and the dynamical phase ``beta`` is the trapezoid
+integral of ``dynamics.expectation_stack`` over the sample times.
+
 Angles wrap to the half-open interval (-pi, pi].
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSchedule, Trajectory
-from .dynamics import expectation as _expectation
+from .dynamics import HamiltonianSchedule, Trajectory, expectation_stack
 from .errors import (
     BranchCut,
     DimensionMismatch,
@@ -27,13 +32,16 @@ from .errors import (
     NotClosed,
     ScheduleGap,
 )
-from .geometry import GRADIENT_STEP, gradient, tangent_components
+from .geometry import gradient_stack
 from .manifolds import (
     KERNEL_ZERO_TOL,
     ManifoldSpec,
-    kernel,
-    projective_distance,
+    as_chart_array,
+    distance_stack,
+    kernel_stack,
+    raise_first_fault,
     validate_point,
+    validate_points,
 )
 
 CONSISTENCY_TOL = 1e-6
@@ -125,17 +133,28 @@ def triangle_phase(spec: ManifoldSpec, level: int, z, w) -> float:
 
     Half the principal argument of the kernel ratio, scaled by the level:
     ``level/2 * Arg(K(w, conj(z)) / K(z, conj(w)))``.  Antisymmetric under
-    swapping the two vertices.
+    swapping the two vertices.  The one-pair case of :func:`triangle_stack`.
     """
     zp = validate_point(spec, z)
     wp = validate_point(spec, w)
-    k_zw = kernel(spec, zp, wp)
-    k_wz = kernel(spec, wp, zp)
-    if abs(k_zw) < KERNEL_ZERO_TOL or abs(k_wz) < KERNEL_ZERO_TOL:
-        raise KernelZero("kernel vanishes between triangle vertices")
-    arg = cmath.phase(k_wz / k_zw)
-    if math.pi - abs(arg) < BRANCH_TOL:
-        raise BranchCut("triangle kernel ratio sits on the branch cut")
+    return float(triangle_stack(spec, level, zp.entries[None], wp.entries[None])[0])
+
+
+def triangle_stack(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
+    """:func:`triangle_phase` of each pair of rows of two validated stacks.
+
+    Raises ``KernelZero`` or ``BranchCut`` for the first offending pair.
+    """
+    k_zw = kernel_stack(spec, z, w)
+    k_wz = kernel_stack(spec, w, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = np.angle(k_wz / k_zw)
+    raise_first_fault([
+        ((np.abs(k_zw) >= KERNEL_ZERO_TOL) & (np.abs(k_wz) >= KERNEL_ZERO_TOL),
+         KernelZero, lambda k: "kernel vanishes between triangle vertices"),
+        (~(math.pi - np.abs(arg) < BRANCH_TOL), BranchCut,
+         lambda k: "triangle kernel ratio sits on the branch cut"),
+    ])
     return level * arg / 2.0
 
 
@@ -146,26 +165,25 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
     the end to measure a closed loop.  Spokes to the origin cancel in
     pairs, leaving the symplectic area of the fan surface.
     """
-    pts = [validate_point(spec, v) for v in vertices]
-    if len(pts) < 2:
+    z = _point_stack(spec, vertices)
+    if len(z) < 2:
         raise DimensionMismatch("a polygon fan needs at least two vertices")
-    return sum(
-        triangle_phase(spec, level, a, b) for a, b in zip(pts[:-1], pts[1:])
-    )
+    return float(np.sum(triangle_stack(spec, level, z[:-1], z[1:])))
 
 
-def _as_points(spec: ManifoldSpec, loop) -> list:
+def _point_stack(spec: ManifoldSpec, loop) -> np.ndarray:
+    """The chart arrays of a trajectory, a validated stack, or a point
+    sequence validated once as a stack."""
     if isinstance(loop, Trajectory):
-        return [loop.point(k) for k in range(len(loop.times))]
-    return [validate_point(spec, v) for v in loop]
+        return loop.points
+    if isinstance(loop, np.ndarray) and loop.ndim == 3:
+        return validate_points(spec, loop)
+    rows = np.array([as_chart_array(spec, v) for v in loop], dtype=complex)
+    return validate_points(spec, rows.reshape((-1,) + spec.point_shape))
 
 
 def line_integral_phase(
-    spec: ManifoldSpec,
-    level: int,
-    loop,
-    cyclicity_tol: float = 1e-6,
-    step: float = GRADIENT_STEP,
+    spec: ManifoldSpec, level: int, loop, cyclicity_tol: float = 1e-6
 ) -> float:
     """Trapezoid integral of the connection one-form along a closed loop.
 
@@ -174,31 +192,18 @@ def line_integral_phase(
     remaining gap is closed by one extra straight segment.  The raw
     (unwrapped) value is returned.
     """
-    pts = _as_points(spec, loop)
-    if len(pts) < 2:
+    z = _point_stack(spec, loop)
+    if len(z) < 2:
         raise DimensionMismatch("a loop needs at least two samples")
-    closure = projective_distance(spec, pts[0], pts[-1])
+    closure = float(distance_stack(spec, z[0], z[-1]))
     if closure > cyclicity_tol:
         raise NotClosed(
             f"loop endpoints differ by {closure:.3e} "
             f"(tolerance {cyclicity_tol:.3e})"
         )
-    grads = [gradient(spec, level, p, step=step) for p in pts]
-    entries = [p.entries for p in pts]
-    total = 0.0
-    for k in range(len(pts) - 1):
-        delta = tangent_components(spec, entries[k + 1] - entries[k])
-        total += 0.5 * (
-            float(np.imag(np.dot(grads[k], delta)))
-            + float(np.imag(np.dot(grads[k + 1], delta)))
-        )
-    delta = tangent_components(spec, entries[0] - entries[-1])
-    if np.any(delta != 0.0):
-        total += 0.5 * (
-            float(np.imag(np.dot(grads[-1], delta)))
-            + float(np.imag(np.dot(grads[0], delta)))
-        )
-    return total
+    z = np.concatenate([z, z[:1]])
+    g = gradient_stack(spec, level, z)
+    return 0.5 * float(np.sum(np.imag((g[:-1] + g[1:]) * np.diff(z, axis=0))))
 
 
 def dynamical_phase(
@@ -212,18 +217,11 @@ def dynamical_phase(
     if len(times) != len(traj.points) or len(times) < 2:
         raise GridMismatch("trajectory times and points do not align")
     try:
-        energies = [
-            _expectation(spec, level, traj.point(k), schedule(t))
-            for k, t in enumerate(times)
-        ]
+        hs = np.array([schedule(t) for t in times])
     except ScheduleGap as exc:
         raise GridMismatch("schedule does not cover the trajectory span") from exc
-    total = 0.0
-    for k in range(len(times) - 1):
-        total += (times[k + 1] - times[k]) * 0.5 * (
-            energies[k] + energies[k + 1]
-        )
-    return float(total)
+    energies = expectation_stack(spec, level, traj.points, hs)
+    return float(np.sum(np.diff(times) * 0.5 * (energies[:-1] + energies[1:])))
 
 
 @dataclass(frozen=True)
@@ -252,17 +250,11 @@ def stokes_compare(
     the branch cut, the loop is resampled at double density (chart
     midpoints) up to ``max_refinements`` times before giving up.
     """
-    pts = _as_points(spec, loop)
-    if len(pts) < 2:
-        raise DimensionMismatch("a loop needs at least two samples")
-    if projective_distance(spec, pts[0], pts[-1]) > cyclicity_tol:
-        raise NotClosed("loop endpoints differ beyond the tolerance")
-    line_value = line_integral_phase(
-        spec, level, pts, cyclicity_tol=cyclicity_tol
-    )
-    closed = pts
-    if not np.array_equal(closed[0].entries, closed[-1].entries):
-        closed = closed + [closed[0]]
+    z = _point_stack(spec, loop)
+    line_value = line_integral_phase(spec, level, z, cyclicity_tol=cyclicity_tol)
+    closed = z
+    if not np.array_equal(closed[0], closed[-1]):
+        closed = np.concatenate([closed, closed[:1]])
     for attempt in range(max_refinements + 1):
         try:
             fan_value = polygon_phase(spec, level, closed)
@@ -270,16 +262,12 @@ def stokes_compare(
         except BranchCut:
             if attempt == max_refinements:
                 raise
-            refined = []
-            for a, b in zip(closed[:-1], closed[1:]):
-                refined.append(a)
-                refined.append(
-                    validate_point(spec, (a.entries + b.entries) / 2.0)
-                )
-            refined.append(closed[-1])
+            refined = np.empty((2 * len(closed) - 1,) + closed.shape[1:], complex)
+            refined[::2] = closed
+            refined[1::2] = validate_points(spec, (closed[:-1] + closed[1:]) / 2.0)
             closed = refined
     return StokesReport(
         line_integral=line_value,
         polygon_fan=fan_value,
-        samples=len(pts),
+        samples=len(z),
     )

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import kphase.cli
+import kphase.dynamics
+import kphase.geometry
+import kphase.manifolds
+import kphase.phases
 from kphase import HamiltonianSchedule, cp1, triangle_phase
 from kphase.cli import main
 
@@ -127,6 +131,35 @@ def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):
     # the reported path ends exactly at the detected cycle time
     assert lines[-2]["t"] == lines[-1]["cycle"]["time"]
     assert abs(lines[-1]["cycle"]["time"] - math.pi) < 1e-6
+
+
+def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
+    """The kernel and the potential run a fixed number of times per evolve,
+    however many samples the path has."""
+    counts = {"kernel": 0, "potential": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        fn = getattr(kphase.manifolds if name == "kernel" else kphase.geometry,
+                     name)
+        for mod in (kphase.manifolds, kphase.geometry, kphase.dynamics,
+                    kphase.phases, kphase.cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    sched = HamiltonianSchedule.constant([SX, SZ], [0.6, 0.8])
+    cfg = {"schedule": sched.to_json(), "z0": [0.3, 0.1], "T": 3.5,
+           "dt": 2e-3, "level": 2, "stride": 500}
+    path = tmp_path / "batched.json"
+    path.write_text(json.dumps(cfg))
+    rc, _, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 0
+    assert counts["kernel"] <= 10
+    assert counts["potential"] <= 10
 
 
 def _strict(name):

@@ -19,16 +19,19 @@ from kphase import (
     cp1,
     evolve_unitary,
     expectation,
-    expm_hermitian_generator,
     find_cycle,
     is_stationary,
     mobius_act,
+    projective_distance,
     random_point,
     ray_distances,
     riccati_rhs,
     trajectory,
     validate_point,
 )
+from kphase.dynamics import expectation_stack
+
+from finite_difference import expm_hermitian_generator, fd_expectation
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], complex)
@@ -199,6 +202,61 @@ def test_expm_matches_eigh(rng):
         w, v = np.linalg.eigh(h)
         ref = (v * np.exp(-0.7j * w)) @ v.conj().T
         assert np.max(np.abs(expm_hermitian_generator(h, 0.7) - ref)) < 1e-12
+
+
+def _defining_generator(rng, spec):
+    """A Hermitian generator acting on ``spec``'s chart.  Compact charts
+    get a general one; bounded domains one of the compact subgroup,
+    block diagonal, whose flow keeps the domain."""
+    p = spec.p
+    if spec.family is Family.AIII:
+        n = p + spec.q
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (h + h.conj().T) / 2.0
+        if not spec.compact:
+            h[:p, p:] = 0.0
+            h[p:, :p] = 0.0
+        return h
+    h = sp_compatible_generator(rng, p, spec.family)
+    if not spec.compact:
+        h[:p, p:] = 0.0
+        h[p:, :p] = 0.0
+    return h
+
+
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(family, p, q, compact)
+    for compact in (True, False)
+    for family, p, q in ((Family.AIII, 3, 2), (Family.AIII, 1, 1),
+                         (Family.CI, 2, 1), (Family.DIII, 3, 1))
+], ids=str)
+def test_expectation_closed_form_matches_cocycle_difference(spec, rng):
+    for level in (1, 2):
+        for _ in range(3):
+            H = _defining_generator(rng, spec)
+            z = random_point(spec, rng, scale=0.4)
+            got = expectation(spec, level, z, H)
+            assert abs(got - fd_expectation(spec, level, z, H)) < 1e-8
+
+
+def test_expectation_stack_matches_pointwise(rng):
+    spec = ManifoldSpec(Family.CI, 2)
+    hs = np.array([_defining_generator(rng, spec) for _ in range(4)])
+    zs = np.array([random_point(spec, rng, 0.4).entries for _ in range(4)])
+    stacked = expectation_stack(spec, 2, zs, hs)
+    for value, z, H in zip(stacked, zs, hs):
+        assert abs(value - expectation(spec, 2, z, H)) < 1e-13
+
+
+def test_ray_distances_match_pairwise():
+    spec = ManifoldSpec(Family.AIII, 2, 1)
+    H = np.diag([1.0, -1.0, 0.5]).astype(complex)
+    H[0, 2] = H[2, 0] = 0.3
+    traj = trajectory(spec, [[0.2], [0.1j]], HamiltonianSchedule.constant(
+        [H], [1.0]), 3.0, 1e-2)
+    loop = [projective_distance(spec, traj.point(k), traj.point(0))
+            for k in range(len(traj.times))]
+    assert np.array_equal(ray_distances(traj), loop)
 
 
 def test_trajectory_cross_check_small():

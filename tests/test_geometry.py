@@ -19,6 +19,19 @@ from kphase import (
     tangent_components,
 )
 
+from finite_difference import fd_gradient
+
+FAMILY_SPECS = [
+    spec
+    for compact in (True, False)
+    for spec in (
+        ManifoldSpec(Family.AIII, 3, 2, compact),
+        ManifoldSpec(Family.CI, 2, 1, compact),
+        ManifoldSpec(Family.DIII, 3, 1, compact),
+        ManifoldSpec(Family.BDI, 3, 1, compact),
+    )
+]
+
 
 def test_coordinate_basis_counts():
     for spec in (
@@ -78,6 +91,15 @@ def test_gradient_cp1_closed_form(rng):
             g = gradient(spec, level, z)
             expected = level * np.conj(z) / (1.0 + abs(z) ** 2)
             assert abs(g[0] - expected) < 1e-8
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=str)
+def test_gradient_closed_form_matches_central_differences(spec, rng):
+    for level in (1, 3):
+        for _ in range(3):
+            z = random_point(spec, rng, scale=0.5)
+            assert np.max(np.abs(
+                gradient(spec, level, z) - fd_gradient(spec, level, z))) < 1e-8
 
 
 def test_gradient_vanishes_at_origin():

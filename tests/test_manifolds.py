@@ -20,6 +20,7 @@ from kphase import (
     validate_point,
     validate_points,
 )
+from kphase.manifolds import distance_stack, kernel_stack
 
 ALL_SPECS = [
     ManifoldSpec(Family.AIII, 1, 1, True),
@@ -156,6 +157,23 @@ def test_kernel_hermiticity_all_families(rng):
             assert abs(a - np.conj(b)) < 1e-12
             assert kernel(spec, z, z).real > 0.0
             assert abs(kernel(spec, z, z).imag) < 1e-12
+
+
+def test_kernel_stack_matches_pairwise_kernel(rng):
+    for spec in ALL_SPECS:
+        z = np.array([random_point(spec, rng, 0.4).entries for _ in range(6)])
+        w = np.array([random_point(spec, rng, 0.4).entries for _ in range(6)])
+        stacked = kernel_stack(spec, z, w)
+        pairwise = np.array([kernel(spec, a, b) for a, b in zip(z, w)])
+        assert stacked.shape == (6,)
+        assert np.max(np.abs(stacked - pairwise)) < 1e-14
+        # a single point broadcasts against the stack
+        to_first = kernel_stack(spec, z, w[0])
+        assert np.max(np.abs(
+            to_first - [kernel(spec, a, w[0]) for a in z])) < 1e-14
+        dist = distance_stack(spec, z, w[0])
+        assert np.max(np.abs(
+            dist - [projective_distance(spec, a, w[0]) for a in z])) < 1e-14
 
 
 def test_bdi_kernel_formula(rng):

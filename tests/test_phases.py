@@ -6,14 +6,18 @@ import pytest
 from kphase import (
     BranchCut,
     DimensionMismatch,
+    Family,
+    ManifoldSpec,
     GridMismatch,
     HamiltonianSchedule,
     KernelZero,
     NotClosed,
     PhaseReport,
     assemble_report,
+    connection_eval,
     cp1,
     dynamical_phase,
+    fourier_loop,
     latitude_circle,
     line_integral_phase,
     polygon_phase,
@@ -105,6 +109,45 @@ def test_polygon_open_fan_telescopes(rng):
     total = polygon_phase(spec, 1, pts)
     split = polygon_phase(spec, 1, pts[:3]) + polygon_phase(spec, 1, pts[2:])
     assert total == pytest.approx(split, abs=1e-12)
+
+
+LOOP_SPECS = [
+    cp1(),
+    ManifoldSpec(Family.AIII, 2, 2),
+    ManifoldSpec(Family.CI, 2, compact=False),
+    ManifoldSpec(Family.DIII, 3),
+    ManifoldSpec(Family.BDI, 3, compact=False),
+]
+
+
+def test_polygon_phase_matches_triangle_loop(rng):
+    for spec in LOOP_SPECS:
+        loop = fourier_loop(spec, rng, 60, scale=0.3)
+        fan = sum(triangle_phase(spec, 2, a, b)
+                  for a, b in zip(loop[:-1], loop[1:]))
+        assert polygon_phase(spec, 2, loop) == pytest.approx(fan, abs=1e-12)
+
+
+def test_polygon_phase_raises_for_first_offending_triangle():
+    spec = cp1()
+    # (1, -1) has a vanishing kernel; (2, -0.5 + 1e-6 i) sits on the cut
+    with pytest.raises(KernelZero):
+        polygon_phase(spec, 1, [0.5, 1.0, -1.0, 2.0, -0.5 + 1e-6j])
+    with pytest.raises(BranchCut):
+        polygon_phase(spec, 1, [0.5, 2.0, -0.5 + 1e-6j, 1.0, -1.0])
+
+
+def test_line_integral_matches_connection_loop(rng):
+    for spec in LOOP_SPECS:
+        loop = fourier_loop(spec, rng, 60, scale=0.3)
+        pts = [p.entries for p in loop]
+        ref = sum(
+            0.5 * (connection_eval(spec, 2, a, b - a)
+                   + connection_eval(spec, 2, b, b - a))
+            for a, b in zip(pts[:-1], pts[1:])
+        )
+        got = line_integral_phase(spec, 2, loop)
+        assert got == pytest.approx(ref, abs=1e-12)
 
 
 def test_polygon_closed_ngon_approaches_latitude_area():
