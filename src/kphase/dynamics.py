@@ -1,12 +1,15 @@
 """Classical coherent-parameter flow under time-dependent linear Hamiltonians.
 
 Every integration here takes the same fixed-size RK4 step, ``_rk4_step``,
-and projects a linear state back onto its polar factor every
-``REUNITARIZE_EVERY`` steps.  :func:`propagate` runs that step alone for
-the defining-representation unitary (:func:`evolve_unitary`) and for
-spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory`
-advances the unitary U(t) and a direct Riccati integration of the chart
-variable side by side with the same stage Hamiltonians; after the loop the
+in blocks of ``REUNITARIZE_EVERY`` steps that each evaluate the schedule
+once, at their half-step times.  An RK4 step of i dY/dt = H(t) Y is a
+matrix fixed by the schedule, so ``_rk4_step`` on the identity gives a
+block's step matrices; the state advances by one product per step and is
+projected onto its polar factor at the block end.  :func:`propagate` runs
+this for the defining-representation unitary (:func:`evolve_unitary`) and
+for spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory`
+also advances, as an independent route, a Riccati integration of the chart
+variable on the same stage Hamiltonians.  After the loop the
 fractional-linear (Mobius) action maps the whole stack of unitaries onto
 the chart at once, and the chart rules and the cross-check between the two
 routes run on whole arrays.  Hamiltonians are supplied as schedules: fixed
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -79,8 +81,9 @@ class HamiltonianSchedule:
 
     Build with :meth:`constant` or :meth:`from_samples`.  Calling the
     schedule at a time returns the assembled Hermitian matrix
-    ``sum_j a_j(t) G_j``; evaluation outside the sampled span raises
-    ``ScheduleGap``.  A constant schedule covers every time.
+    ``sum_j a_j(t) G_j``, the one-point case of :meth:`at`; evaluation
+    outside the sampled span raises ``ScheduleGap``.  A constant schedule
+    covers every time.
     """
 
     generators: tuple[np.ndarray, ...]
@@ -125,25 +128,27 @@ class HamiltonianSchedule:
     def is_constant(self) -> bool:
         return self.times is None
 
-    def coefficients_at(self, t: float) -> np.ndarray:
-        if self.times is None:
-            return self.coefficients
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+    def at(self, times) -> np.ndarray:
+        """The assembled matrices at each of ``times``, as an ``(m, d, d)``
+        stack: one interpolation per generator over all the times."""
+        ts = np.asarray(times, dtype=float).reshape(-1)
+        if self._constant_matrix is not None:
+            return np.broadcast_to(self._constant_matrix,
+                                   ts.shape + self._constant_matrix.shape)
+        lo, hi = self.times[0], self.times[-1]
+        outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
+        if np.any(outside):
             raise ScheduleGap(
-                f"time {t} outside the sampled span "
-                f"[{self.times[0]}, {self.times[-1]}]"
+                f"time {ts[np.argmax(outside)]} outside the sampled span "
+                f"[{lo}, {hi}]"
             )
-        return np.array(
-            [
-                np.interp(t, self.times, self.coefficients[:, j])
-                for j in range(self.coefficients.shape[1])
-            ]
+        coeffs = np.stack(
+            [np.interp(ts, self.times, c) for c in self.coefficients.T], axis=-1
         )
+        return _assemble(self.generators, coeffs)
 
     def __call__(self, t: float) -> np.ndarray:
-        if self._constant_matrix is not None:
-            return self._constant_matrix
-        return _assemble(self.generators, self.coefficients_at(t))
+        return self.at(t)[0]
 
     def strength(self) -> float:
         """Upper bound on max-norm of the assembled matrix over the span."""
@@ -176,9 +181,11 @@ class HamiltonianSchedule:
 
 
 def _assemble(generators, coefficients) -> np.ndarray:
+    """``sum_j a_j G_j``, summed in generator order, for one coefficient
+    row or for each of a stack of rows."""
     out = np.zeros_like(generators[0])
-    for a, g in zip(coefficients, generators):
-        out = out + a * g
+    for j, g in enumerate(generators):
+        out = out + coefficients[..., j, None, None] * g
     return out
 
 
@@ -247,11 +254,16 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     ``-i (C^T + Z D^T - A^T Z - Z B^T Z)`` with ``A, B, C, D`` the blocks
     of ``H``.  Stacks of ``H`` and ``Z`` give a stack of derivatives.
     """
-    # The blocks of H^T are A^T, C^T, B^T, D^T, in block_split's order.
-    a_t, c_t, b_t, d_t = block_split(np.asarray(H).swapaxes(-1, -2), spec)
     z = Z.entries if isinstance(Z, PointMatrix) else np.asarray(Z, dtype=complex)
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
+    return _riccati_rhs(block_split(np.asarray(H).swapaxes(-1, -2), spec), z)
+
+
+def _riccati_rhs(blocks, z: np.ndarray) -> np.ndarray:
+    """:func:`riccati_rhs` on the blocks of ``H^T``: ``A^T, C^T, B^T, D^T``
+    in ``block_split``'s order."""
+    a_t, c_t, b_t, d_t = blocks
     return -1j * (c_t + z @ d_t - a_t @ z - z @ b_t @ z)
 
 
@@ -276,15 +288,39 @@ def _rk4_step(rhs, y, H1, H2, H3, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _linear_step(schedule: HamiltonianSchedule, Y, t: float, h: float, k: int):
-    """Step ``k`` of i dY/dt = H(t) Y from time t, re-projected onto its
-    polar factor every ``REUNITARIZE_EVERY`` steps.  Returns the new state
-    and the stage Hamiltonians."""
-    stages = (schedule(t), schedule(t + h / 2.0), schedule(t + h))
-    Y = _rk4_step(_linear_rhs, Y, *stages, h)
-    if (k + 1) % REUNITARIZE_EVERY == 0:
-        Y = _polar(Y)
-    return Y, stages
+def _blocks(n: int):
+    """Step ranges ``[k0, k1)`` that end at each re-projection."""
+    return [(k0, min(k0 + REUNITARIZE_EVERY, n))
+            for k0 in range(0, n, REUNITARIZE_EVERY)]
+
+
+def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
+            k1: int):
+    """Stacks of H at the start, middle and end of steps ``k0 .. k1 - 1``
+    from ``t0``, from one evaluation at the ``2 (k1 - k0) + 1`` half-step
+    times, so a step's end is not evaluated again as the next start."""
+    hs = schedule.at(t0 + (h / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
+    return hs[:-1:2], hs[1::2], hs[2::2]
+
+
+def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k1: int):
+    """RK4 steps of i dY/dt = H(t) Y from ``Y`` on the stage stacks, written
+    to the rows of ``out``.  ``_rk4_step`` on the identity gives the steps'
+    matrices.  The last row is step ``k1``; it is re-projected when
+    ``REUNITARIZE_EVERY`` divides ``k1``."""
+    for P, row in zip(_rk4_step(_linear_rhs, np.eye(len(Y)), *stages, h), out):
+        Y = np.matmul(P, Y, out=row)
+    if k1 % REUNITARIZE_EVERY == 0:
+        out[-1] = _polar(out[-1])
+
+
+def _riccati_advance(spec: ManifoldSpec, z: np.ndarray, out: np.ndarray,
+                     stages, h: float):
+    """RK4 steps of the chart variable from ``z`` on the stage stacks,
+    written to the rows of ``out``; the stacks are split into blocks once."""
+    split = (zip(*block_split(H.swapaxes(-1, -2), spec)) for H in stages)
+    for row, blocks in zip(out, zip(*split)):
+        z = row[...] = _rk4_step(_riccati_rhs, z, *blocks, h)
 
 
 def _grid(t0: float, t1: float, dt: float):
@@ -307,8 +343,9 @@ def propagate(
     n, h = _grid(t0, t1, dt)
     states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
     states[0] = Y0
-    for k in range(n):
-        states[k + 1], _ = _linear_step(schedule, states[k], t0 + k * h, h, k)
+    for k0, k1 in _blocks(n):
+        _advance(states[k0], states[k0 + 1:k1 + 1],
+                 _stages(schedule, t0, h, k0, k1), h, k1)
     return np.linspace(t0, t1, n + 1), states
 
 
@@ -356,12 +393,13 @@ def trajectory(
 ) -> Trajectory:
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
-    One fused loop advances the unitary and the Riccati variable with the
-    same RK4 steps and stage Hamiltonians.  After the loop the Mobius map
-    takes the whole stack of unitaries to ``points`` with one batched
-    solve, and the guards run on whole arrays: the first failing step
-    raises ``ChartOverflow``, ``SymmetryViolation``, ``OutsideDomain`` or
-    ``CrossCheckFailure``, naming its time.
+    Each block of ``REUNITARIZE_EVERY`` steps advances the Riccati variable
+    and then the unitary with the same stage Hamiltonians; a block whose
+    Riccati variable diverges ends at the first diverged step.  After the
+    loop the Mobius map takes the whole stack of unitaries to ``points``
+    with one batched solve, and the guards run on whole arrays: the first
+    failing step raises ``ChartOverflow``, ``SymmetryViolation``,
+    ``OutsideDomain`` or ``CrossCheckFailure``, naming its time.
     """
     if schedule.dim != defining_dimension(spec):
         raise DimensionMismatch(
@@ -374,14 +412,20 @@ def trajectory(
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
     us[0], zs[0] = np.eye(schedule.dim), z0
-    rhs = partial(riccati_rhs, spec)
-    for k in range(n):
-        us[k + 1], stages = _linear_step(schedule, us[k], k * h, h, k)
-        zs[k + 1] = _rk4_step(rhs, zs[k], *stages, h)
-        if _diverged(zs[k + 1]):
+    for k0, k1 in _blocks(n):
+        stages = _stages(schedule, 0.0, h, k0, k1)
+        # Steps after a diverged one may overflow: the block ends at the
+        # first diverged step, and the unitary is advanced only that far.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _riccati_advance(spec, zs[k0], zs[k0 + 1:k1 + 1], stages, h)
+            diverged = np.flatnonzero(_diverged(zs[k0 + 1:k1 + 1]))
+        if len(diverged):
+            k1 = k0 + 1 + int(diverged[0])
+        _advance(us[k0], us[k0 + 1:k1 + 1], stages, h, k1)
+        if len(diverged):
             break
-    m = k + 2
-    return _chart_path(spec, np.linspace(0.0, T, n + 1)[:m], us[:m], zs[:m])
+    return _chart_path(spec, np.linspace(0.0, T, n + 1)[:k1 + 1],
+                       us[:k1 + 1], zs[:k1 + 1])
 
 
 def clip_trajectory(
@@ -393,16 +437,19 @@ def clip_trajectory(
     if not 0 <= k < len(traj.times) - 1:
         raise ValueError("the clip time must lie inside the trajectory span")
     t = float(traj.times[k])
-    U, stages = _linear_step(schedule, traj.unitaries[k], t, t_end - t, k)
-    z = _rk4_step(partial(riccati_rhs, traj.spec), traj.riccati[k], *stages,
-                  t_end - t)
+    h = t_end - t
+    us, zs = traj.unitaries[: k + 2].copy(), traj.riccati[: k + 2].copy()
+    stages = _stages(schedule, t, h, 0, 1)
+    _advance(us[k], us[k + 1:], stages, h, k + 1)
+    _riccati_advance(traj.spec, zs[k], zs[k + 1:], stages, h)
     return _chart_path(traj.spec, np.append(traj.times[: k + 1], t_end),
-                       np.append(traj.unitaries[: k + 1], [U], axis=0),
-                       np.append(traj.riccati[: k + 1], [z], axis=0))
+                       us, zs)
 
 
-def _diverged(z: np.ndarray) -> bool:
-    return not np.max(np.abs(z)) <= RICCATI_BOUND  # NaN counts as diverged
+def _diverged(z: np.ndarray) -> np.ndarray:
+    """Which chart arrays of a stack (or the one array) lie beyond
+    ``RICCATI_BOUND``; NaN counts as diverged."""
+    return ~(np.max(np.abs(z), axis=(-2, -1)) <= RICCATI_BOUND)
 
 
 def _chart_path(spec, times, us, zs) -> Trajectory:
@@ -414,7 +461,7 @@ def _chart_path(spec, times, us, zs) -> Trajectory:
     points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
     points[0] = zs[0]
     err = np.max(np.abs(points - zs), axis=(1, 2))
-    bounded = np.arange(len(times)) < len(times) - _diverged(zs[-1])
+    bounded = np.arange(len(times)) < len(times) - int(_diverged(zs[-1]))
     raise_first_fault([
         (bounded, ChartOverflow, lambda k: "Riccati variable diverged"),
         (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,

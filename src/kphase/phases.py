@@ -165,7 +165,11 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
     the end to measure a closed loop.  Spokes to the origin cancel in
     pairs, leaving the symplectic area of the fan surface.
     """
-    z = _point_stack(spec, vertices)
+    return _polygon_phase(spec, level, _point_stack(spec, vertices))
+
+
+def _polygon_phase(spec: ManifoldSpec, level: int, z: np.ndarray) -> float:
+    """:func:`polygon_phase` on a validated stack."""
     if len(z) < 2:
         raise DimensionMismatch("a polygon fan needs at least two vertices")
     return float(np.sum(triangle_stack(spec, level, z[:-1], z[1:])))
@@ -192,7 +196,13 @@ def line_integral_phase(
     remaining gap is closed by one extra straight segment.  The raw
     (unwrapped) value is returned.
     """
-    z = _point_stack(spec, loop)
+    return _line_integral_phase(spec, level, _point_stack(spec, loop),
+                                cyclicity_tol)
+
+
+def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
+                         cyclicity_tol: float) -> float:
+    """:func:`line_integral_phase` on a validated stack."""
     if len(z) < 2:
         raise DimensionMismatch("a loop needs at least two samples")
     closure = float(distance_stack(spec, z[0], z[-1]))
@@ -217,7 +227,7 @@ def dynamical_phase(
     if len(times) != len(traj.points) or len(times) < 2:
         raise GridMismatch("trajectory times and points do not align")
     try:
-        hs = np.array([schedule(t) for t in times])
+        hs = schedule.at(times)
     except ScheduleGap as exc:
         raise GridMismatch("schedule does not cover the trajectory span") from exc
     energies = expectation_stack(spec, level, traj.points, hs)
@@ -248,16 +258,17 @@ def stokes_compare(
 
     Both are evaluated on the same closed loop.  If a fan triangle lands on
     the branch cut, the loop is resampled at double density (chart
-    midpoints) up to ``max_refinements`` times before giving up.
+    midpoints) up to ``max_refinements`` times before giving up.  The
+    loop is validated once; only new midpoints are validated again.
     """
     z = _point_stack(spec, loop)
-    line_value = line_integral_phase(spec, level, z, cyclicity_tol=cyclicity_tol)
+    line_value = _line_integral_phase(spec, level, z, cyclicity_tol)
     closed = z
     if not np.array_equal(closed[0], closed[-1]):
         closed = np.concatenate([closed, closed[:1]])
     for attempt in range(max_refinements + 1):
         try:
-            fan_value = polygon_phase(spec, level, closed)
+            fan_value = _polygon_phase(spec, level, closed)
             break
         except BranchCut:
             if attempt == max_refinements:

@@ -170,20 +170,12 @@ def quantum_phases(
             f"final ray overlap {abs(overlap):.12f} below cyclicity tolerance"
         )
     alpha = math.atan2(overlap.imag, overlap.real)
-    times = traj.times
-    energies = np.array(
-        [
-            float(np.real(np.vdot(psi, schedule(t) @ psi)))
-            for t, psi in zip(times, traj.states)
-        ]
-    )
-    beta = 0.0
-    for k in range(len(times) - 1):
-        beta += (times[k + 1] - times[k]) * 0.5 * (
-            energies[k] + energies[k + 1]
-        )
+    times, states = traj.times, traj.states
+    energies = np.einsum("ki,kij,kj->k", states.conj(),
+                         schedule.at(times), states).real
+    beta = float(np.sum(np.diff(times) * 0.5 * (energies[:-1] + energies[1:])))
     gamma = wrap_angle(alpha - beta)
-    return alpha, float(beta), gamma
+    return alpha, beta, gamma
 
 
 def _overlap_polynomial(psi: np.ndarray, n: int) -> np.ndarray:

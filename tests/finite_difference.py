@@ -1,9 +1,11 @@
-"""Finite-difference references for the closed-form Kahler geometry.
+"""Step-by-step references for the closed forms and the block stepper.
 
 These are the stencils the library used before its closed forms: the
 central-difference holomorphic gradient of the potential and the
-central-difference derivative of the weighted kernel cocycle.  Tests
-compare the closed forms against them.
+central-difference derivative of the weighted kernel cocycle.  The
+per-step RK4 loop is the integration ``dynamics`` ran before it stepped
+whole re-projection blocks as arrays.  Tests compare the library against
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from kphase import (
     potential,
     validate_point,
 )
-from kphase.dynamics import _chart_images
+from kphase.dynamics import (
+    REUNITARIZE_EVERY,
+    _chart_images,
+    _linear_rhs,
+    _polar,
+    _rk4_step,
+    riccati_rhs,
+)
 
 
 def expm_hermitian_generator(H: np.ndarray, s: float) -> np.ndarray:
@@ -71,3 +80,25 @@ def fd_expectation(spec, level: int, Z, H, step: float = 1e-5) -> float:
     value = 1j * (log_term(step) - log_term(-step)) / (2.0 * step)
     assert abs(value.imag) < 1e-8
     return float(value.real)
+
+
+def stepwise_run(schedule, Y0, t0: float, h: float, n: int, k0: int = 0,
+                 spec=None, z0=None):
+    """``n`` RK4 steps of size ``h`` from ``t0``, one call per step and
+    stage: ``Y`` under i dY/dt = H(t) Y, re-projected onto its polar factor
+    after each step count ``k0 + k + 1`` that ``REUNITARIZE_EVERY``
+    divides, and with ``spec`` and ``z0`` the Riccati variable on the same
+    stage Hamiltonians.  Returns the two stacks of states (``None`` for a
+    route not run)."""
+    ys, zs = [np.asarray(Y0, dtype=complex)], None
+    if spec is not None:
+        zs = [np.asarray(z0, dtype=complex)]
+    for k in range(n):
+        t = t0 + k * h
+        stages = (schedule(t), schedule(t + h / 2.0), schedule(t + h))
+        Y = _rk4_step(_linear_rhs, ys[-1], *stages, h)
+        ys.append(_polar(Y) if (k0 + k + 1) % REUNITARIZE_EVERY == 0 else Y)
+        if zs is not None:
+            zs.append(_rk4_step(lambda H, z: riccati_rhs(spec, H, z), zs[-1],
+                                *stages, h))
+    return np.array(ys), None if zs is None else np.array(zs)

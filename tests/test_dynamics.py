@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from kphase import (
     is_stationary,
     mobius_act,
     projective_distance,
+    propagate,
     random_point,
     ray_distances,
     riccati_rhs,
@@ -31,7 +33,11 @@ from kphase import (
 )
 from kphase.dynamics import expectation_stack
 
-from finite_difference import expm_hermitian_generator, fd_expectation
+from finite_difference import (
+    expm_hermitian_generator,
+    fd_expectation,
+    stepwise_run,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], complex)
@@ -285,6 +291,19 @@ def test_trajectory_chart_overflow_on_divergence():
         trajectory(spec, 1000.0, sched, 1.0, 0.1)
 
 
+def test_trajectory_divergence_in_later_block_ends_there():
+    spec = cp1()
+    # a sudden strong field at step 70 sends the Riccati variable off the
+    # chart; the later steps of its block would overflow the unitary
+    sched = HamiltonianSchedule.from_samples(
+        [SX], [[0.0, 0.0], [0.7049, 0.0], [0.705, 1e6], [5.0, 1e6]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartOverflow,
+                           match=r"Riccati variable diverged at t = 0\.71$"):
+            trajectory(spec, 0.0, sched, 5.0, 1e-2)
+
+
 def test_trajectory_pole_crossing_breaks_cross_check():
     spec = cp1()
     sched = HamiltonianSchedule.constant([SX], [1.0])
@@ -328,6 +347,81 @@ def test_clip_trajectory_ends_at_cycle_time():
     assert cyc.cross_check_error < 1e-9
     exact = 0.7 * np.exp(2j * info.time)
     assert abs(cyc.points[-1, 0, 0] - exact) < 1e-9
+
+
+def _hermitian(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("spec", [ManifoldSpec(Family.AIII, 2, 1), cp1()],
+                         ids=["AIII(2,1)", "CP1"])
+def test_block_stepping_matches_stepwise_reference(spec, rng):
+    d = spec.p + spec.q
+    gens = [_hermitian(rng, d) for _ in range(2)]
+    sched = HamiltonianSchedule.from_samples(
+        gens, [[0.0, 0.5, 0.2], [0.6, -0.3, 0.7], [1.5, 0.4, -0.5]])
+    z0 = 0.2 * random_point(spec, rng).entries
+    n, h = 137, 0.01  # not a multiple of the re-projection period
+    ref_u, ref_z = stepwise_run(sched, np.eye(d), 0.0, h, n, spec=spec, z0=z0)
+
+    _, states = propagate(sched, np.eye(d), 0.0, n * h, h)
+    assert np.max(np.abs(states - ref_u)) <= 1e-12
+    col = ref_u[0][:, :1]
+    _, cols = propagate(sched, col, 0.0, n * h, h)
+    assert np.max(np.abs(cols - stepwise_run(sched, col, 0.0, h, n)[0])) <= 1e-12
+
+    traj = trajectory(spec, z0, sched, n * h, h)
+    assert np.max(np.abs(traj.unitaries - ref_u)) <= 1e-12
+    assert np.max(np.abs(traj.riccati - ref_z)) <= 1e-12
+
+    # The partial step from sample 49 ends a re-projection period.
+    t_end = 49.5 * h
+    clip_u, clip_z = stepwise_run(sched, ref_u[49], traj.times[49],
+                                  t_end - traj.times[49], 1, k0=49,
+                                  spec=spec, z0=ref_z[49])
+    cyc = clip_trajectory(traj, sched, t_end)
+    assert len(cyc.times) == 51
+    assert np.max(np.abs(cyc.unitaries[-1] - clip_u[-1])) <= 1e-12
+    assert np.max(np.abs(cyc.riccati[-1] - clip_z[-1])) <= 1e-12
+
+
+def test_schedule_at_matches_pointwise_calls():
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 1.0, 0.5], [1.0, -0.5, 2.0], [3.0, 0.25, -1.0]])
+    ts = np.concatenate([np.linspace(0.0, 3.0, 17), [1.0, -5e-13, 3.0 + 5e-13]])
+    stack = sched.at(ts)
+    assert stack.shape == (len(ts), 2, 2)
+    assert np.array_equal(stack, np.stack([sched(t) for t in ts]))
+    assert np.array_equal(sched.at([1.0])[0], -0.5 * SX + 2.0 * SZ)
+    for outside in ([0.5, 3.1], [-1e-9]):
+        with pytest.raises(ScheduleGap):
+            sched.at(outside)
+    const = HamiltonianSchedule.constant([SX, SZ], [0.3, -0.7])
+    assert np.array_equal(const.at(ts), np.stack([const(t) for t in ts]))
+
+
+def test_trajectory_evaluates_schedule_once_per_block(monkeypatch):
+    calls = {"call": 0, "at": 0}
+    call, at = HamiltonianSchedule.__call__, HamiltonianSchedule.at
+
+    def counted_call(self, t):
+        calls["call"] += 1
+        return call(self, t)
+
+    def counted_at(self, times):
+        calls["at"] += 1
+        return at(self, times)
+
+    monkeypatch.setattr(HamiltonianSchedule, "__call__", counted_call)
+    monkeypatch.setattr(HamiltonianSchedule, "at", counted_at)
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 0.4, 0.9], [1.0, 0.6, 0.7]])
+    traj = trajectory(cp1(), 0.2, sched, 1.0, 1e-3)
+    n = len(traj.times) - 1
+    assert n == 1000
+    assert calls["call"] == 0
+    assert calls["at"] <= math.ceil(n / 50)
 
 
 def test_expectation_values(rng):
