@@ -47,6 +47,7 @@ from .manifolds import (
     Family,
     ManifoldSpec,
     cp1,
+    distance_stack,
     kernel,
     projective_distance,
     validate_point,
@@ -66,7 +67,7 @@ from .serialize import (
     vector_from_json,
 )
 from .su2 import (
-    bloch_projection,
+    bloch_projection_stack,
     coherent_vector,
     map_schedule,
     quantum_phases,
@@ -312,23 +313,19 @@ def run_oracle_compare(config: dict) -> list[str]:
     T = float(_require(config, "T"))
     dt = float(config.get("dt", 1e-3))
     stride = max(1, int(config.get("stride", 10)))
-    traj = trajectory(spec, z0, schedule, T, dt)
     sched_j = map_schedule(schedule, j)
     psi0 = coherent_vector(j, complex(z0.entries[0, 0]))
+    traj = trajectory(spec, z0, schedule, T, dt)
     straj = schrodinger_evolve(psi0, sched_j, T, dt)
     ks = _strided(len(traj.times), stride)
-    guess = None
-    max_dist = 0.0
-    for k in ks:
-        guess = bloch_projection(straj.states[k], j, initial=guess)
-        d = projective_distance(spec, [[guess]], traj.point(k))
-        max_dist = max(max_dist, d)
+    labels = bloch_projection_stack(straj.states[ks], j)
+    dists = distance_stack(spec, labels[:, None, None], traj.points[ks])
     return [
         _dumps(
             {
                 "cross_check_error": float(traj.cross_check_error),
                 "j": j,
-                "max_projection_distance": max_dist,
+                "max_projection_distance": float(np.max(dists)),
                 "samples": len(ks),
             }
         )

@@ -9,7 +9,11 @@ projected onto its polar factor at the block end.  :func:`propagate` runs
 this for the defining-representation unitary (:func:`evolve_unitary`) and
 for spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory`
 also advances, as an independent route, a Riccati integration of the chart
-variable on the same stage Hamiltonians.  After the loop the
+variable on the same stage Hamiltonians.  That equation is quadratic in
+the chart variable, so it keeps one RK4 step per step; stepping it through
+U or the Mobius map instead would make the cross-check compare a route with
+itself.  On 1 x 1 chart points (CP1, its dual and CI(1)) it steps Python
+complex scalars rather than 1 x 1 arrays.  After the loop the
 fractional-linear (Mobius) action maps the whole stack of unitaries onto
 the chart at once, and the chart rules and the cross-check between the two
 routes run on whole arrays.  Hamiltonians are supplied as schedules: fixed
@@ -317,10 +321,33 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k1: int):
 def _riccati_advance(spec: ManifoldSpec, z: np.ndarray, out: np.ndarray,
                      stages, h: float):
     """RK4 steps of the chart variable from ``z`` on the stage stacks,
-    written to the rows of ``out``; the stacks are split into blocks once."""
+    written to the rows of ``out``.
+
+    The route stays one ``_rk4_step`` per step on the Riccati equation,
+    independent of the unitary and the Mobius map, so that the two can
+    check each other.  A 1 x 1 chart point steps as a Python complex on the
+    entries of ``-i H^T``, taken from each stage stack with one ``tolist``;
+    a matrix chart point splits the stacks into blocks once.
+    """
+    if z.shape == (1, 1):
+        gs = [(-1j * H.swapaxes(-1, -2)).tolist() for H in stages]
+        y, ys = complex(z[0, 0]), []
+        for g1, g2, g3 in zip(*gs):
+            y = _rk4_step(_scalar_riccati_rhs, y, g1, g2, g3, h)
+            ys.append(y)
+        out[:, 0, 0] = ys
+        return
     split = (zip(*block_split(H.swapaxes(-1, -2), spec)) for H in stages)
     for row, blocks in zip(out, zip(*split)):
         z = row[...] = _rk4_step(_riccati_rhs, z, *blocks, h)
+
+
+def _scalar_riccati_rhs(g, y: complex) -> complex:
+    """:func:`riccati_rhs` of a 1 x 1 chart variable, given ``-i H^T`` as
+    nested lists.  The terms follow ``_riccati_rhs`` in order, so both
+    paths round alike."""
+    (a, c), (b, d) = g
+    return c + y * d - a * y - y * b * y
 
 
 def _grid(t0: float, t1: float, dt: float):

@@ -69,31 +69,6 @@ def coordinate_basis(spec: ManifoldSpec) -> list[np.ndarray]:
     return out
 
 
-def tangent_components(spec: ManifoldSpec, delta) -> np.ndarray:
-    """Coefficients of a chart increment along ``coordinate_basis(spec)``.
-
-    The increment must already respect the family's linear symmetry; for CI
-    and DIII the upper triangle determines the coefficients.
-    """
-    arr = np.asarray(delta, dtype=complex)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim == 1:
-        arr = arr.reshape(spec.point_shape)
-    if arr.shape != spec.point_shape:
-        arr = arr.reshape(spec.point_shape)
-    if spec.family in (Family.AIII, Family.BDI):
-        return arr.reshape(-1).copy()
-    n = spec.point_shape[0]
-    if spec.family is Family.CI:
-        diag = [arr[i, i] for i in range(n)]
-        off = [arr[i, j] for i in range(n) for j in range(i + 1, n)]
-        return np.asarray(diag + off, dtype=complex)
-    return np.asarray(
-        [arr[i, j] for i in range(n) for j in range(i + 1, n)], dtype=complex
-    )
-
-
 def potential(spec: ManifoldSpec, level: int, z) -> float:
     """Scalar potential ``sign * level * ln K(z, conj(z))``.
 

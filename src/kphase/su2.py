@@ -7,7 +7,10 @@ c0 I + c . sigma promotes to ``c0 (2j) I + 2 c . J``; at j = 1/2 this is
 the identity map, and the coherent expectation of the promoted generator
 matches the chart-side cocycle formula at level 2j.  States evolve with the
 same propagator as the chart's defining-representation unitary
-(``dynamics.propagate``), applied to a column vector.
+(``dynamics.propagate``), applied to a column vector.  The Bloch projection
+back to the chart runs its Newton iteration on a whole stack of states at
+once (:func:`bloch_projection_stack`); :func:`bloch_projection` is its
+one-row case.  Spins are bounded by ``MAX_TWO_J``.
 """
 
 from __future__ import annotations
@@ -28,10 +31,16 @@ from .errors import (
 from .phases import wrap_angle
 
 
+# Largest accepted 2j.  The spin-j propagator holds stacks of about a
+# hundred (2j+1) x (2j+1) matrices per re-projection block, 7 MB at this
+# size; the oracle is an exact check for small spins.
+MAX_TWO_J = 64
+
+
 def _two_j(j) -> int:
     n = 2.0 * float(j)
-    if abs(n - round(n)) > 1e-9 or round(n) < 1:
-        raise InvalidSpin("2j must be a positive integer")
+    if not 0.5 <= n < MAX_TWO_J + 0.5 or abs(n - round(n)) > 1e-9:
+        raise InvalidSpin(f"2j must be an integer from 1 to {MAX_TWO_J}")
     return int(round(n))
 
 
@@ -178,85 +187,144 @@ def quantum_phases(
     return alpha, beta, gamma
 
 
-def _overlap_polynomial(psi: np.ndarray, n: int) -> np.ndarray:
-    # Highest power first, as numpy.polyval expects.
-    return np.array(
-        [math.sqrt(math.comb(n, k)) * psi[k] for k in range(n, -1, -1)],
-        dtype=complex,
-    )
-
-
 def bloch_projection(
     psi,
     j,
     initial: complex | None = None,
     coherence_tol: float = 1e-6,
 ) -> complex:
-    """Chart label of the coherent ray closest to a state.
+    """Chart label of the coherent ray closest to a state: the one-row case
+    of :func:`bloch_projection_stack`, seeded from ``initial`` alone when
+    it is given (when tracking a trajectory)."""
+    psi = np.asarray(psi, dtype=complex).reshape(1, -1)
+    seeds = None if initial is None else [initial]
+    return complex(bloch_projection_stack(psi, j, seeds, coherence_tol)[0])
+
+
+def bloch_projection_stack(
+    states,
+    j,
+    initial=None,
+    coherence_tol: float = 1e-6,
+) -> np.ndarray:
+    """Chart labels of the coherent rays closest to each row of ``states``.
 
     Maximizes the coherent overlap magnitude.  Spin 1/2 reduces to the
     ratio of the two components; higher spins run Newton iteration on the
-    overlap stationarity condition, seeded from the leading component
-    ratios (or from ``initial`` when tracking a trajectory).  A state
-    farther than ``coherence_tol`` from every coherent ray is rejected.
+    overlap stationarity condition, on all rows at once, each row stopping
+    on its own convergence test or after 60 iterations.  Each row is seeded
+    from its own leading component ratios and a fixed grid, whichever has
+    the best overlap, or from its entry of ``initial`` alone when given.
+    The first row at the chart's point at infinity raises
+    ``ChartOverflow``, and the first row farther than ``coherence_tol``
+    from every coherent ray raises ``NotCoherent``.
     """
     n = _two_j(j)
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if len(psi) != n + 1:
+    psi = np.asarray(states, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != n + 1:
         raise DimensionMismatch("state dimension does not match 2j + 1")
-    psi = psi / float(np.linalg.norm(psi))
+    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
     if n == 1:
-        if abs(psi[0]) < 1e-12 * abs(psi[1]):
-            raise ChartOverflow("ray sits at the chart's point at infinity")
-        return complex(psi[1] / psi[0])
-
-    poly = _overlap_polynomial(psi, n)
-    dpoly = np.polyder(poly)
-    ddpoly = np.polyder(dpoly)
-
-    def quality(w: complex) -> float:
-        return abs(np.polyval(poly, w)) ** 2 / (1.0 + abs(w) ** 2) ** n
-
-    seeds = []
-    if initial is not None:
-        seeds.append(complex(np.conj(initial)))
-    else:
-        if abs(psi[0]) >= abs(psi[n]) and abs(psi[0]) > 1e-14:
-            seeds.append(complex(np.conj(psi[1] / (psi[0] * math.sqrt(n)))))
-        if abs(psi[n]) > 1e-14 and abs(psi[n - 1]) > 1e-14 * abs(psi[n]):
-            seeds.append(
-                complex(np.conj(math.sqrt(n) * psi[n] / psi[n - 1]))
+        pole = np.abs(psi[:, 0]) < 1e-12 * np.abs(psi[:, 1])
+        if np.any(pole):
+            raise ChartOverflow(
+                "ray sits at the chart's point at infinity "
+                f"(row {np.argmax(pole)})"
             )
-        seeds.extend(
-            r * np.exp(2j * math.pi * a / 8.0)
-            for r in (0.0, 0.5, 1.0, 2.0)
-            for a in range(8)
-        )
-    w = max(seeds, key=quality)
+        return psi[:, 1] / psi[:, 0]
 
+    # Overlap polynomial in conj(z), highest power first, and its first and
+    # second derivatives padded with leading zeros to the same length.
+    polys = np.zeros((3,) + psi.shape, dtype=complex)
+    poly = polys[0]
+    poly[:] = psi[:, ::-1] * np.sqrt([math.comb(n, k)
+                                      for k in range(n, -1, -1)])
+    polys[1, :, 1:] = poly[:, :-1] * np.arange(n, 0, -1)
+    polys[2, :, 2:] = polys[1, :, 1:-1] * np.arange(n - 1, 0, -1)
+    if initial is None:
+        w = _best_seeds(psi, poly, n)
+    else:
+        w = np.conj(np.broadcast_to(np.asarray(initial, dtype=complex),
+                                    len(psi)))
+
+    # Newton iteration on the rows still moving: ``rows`` indexes them,
+    # ``wr`` and ``ps`` hold their iterates and polynomials.
+    rows, wr, ps = np.arange(len(w)), w.copy(), polys
     for _ in range(60):
-        pw = np.polyval(poly, w)
-        dpw = np.polyval(dpoly, w)
-        ddpw = np.polyval(ddpoly, w)
-        s = 1.0 + abs(w) ** 2
-        phi = dpw * s - n * np.conj(w) * pw
-        scale = max(1.0, abs(dpw) * s + n * abs(w) * abs(pw))
-        if abs(phi) < 1e-13 * scale:
-            break
-        phi_w = ddpw * s + np.conj(w) * dpw - n * np.conj(w) * dpw
-        phi_wbar = dpw * w - n * pw
-        denom = abs(phi_w) ** 2 - abs(phi_wbar) ** 2
-        if abs(denom) < 1e-30 * scale * scale:
-            break
+        pw, dpw, ddpw = _polyval(ps, wr)
+        cw = np.conj(wr)
+        s = 1.0 + np.abs(wr) ** 2
+        phi = dpw * s - n * cw * pw
+        scale = np.fmax(1.0, np.abs(dpw) * s + n * np.abs(wr) * np.abs(pw))
+        phi_w = ddpw * s + cw * dpw - n * cw * dpw
+        phi_wbar = dpw * wr - n * pw
+        denom = np.abs(phi_w) ** 2 - np.abs(phi_wbar) ** 2
+        go = ~((np.abs(phi) < 1e-13 * scale)
+               | (np.abs(denom) < 1e-30 * scale * scale))
+        if not go.all():
+            w[rows] = wr
+            rows, wr, phi, phi_w, phi_wbar, denom = (
+                x[go] for x in (rows, wr, phi, phi_w, phi_wbar, denom))
+            ps = ps[:, go]
+            if not len(rows):
+                break
         delta = (-phi * np.conj(phi_w) + np.conj(phi) * phi_wbar) / denom
-        if abs(delta) > 1.0:
-            delta = delta / abs(delta)
-        w = w + delta
+        size = np.abs(delta)
+        np.divide(delta, size, out=delta, where=size > 1.0)
+        wr = wr + delta
+    w[rows] = wr
 
-    overlap_sq = quality(w)
-    residual = math.acos(min(1.0, math.sqrt(max(0.0, overlap_sq))))
-    if residual > coherence_tol:
+    overlap_sq = _quality(poly, w, n)
+    # fmax maps a NaN overlap to 0, so a NaN row counts as incoherent.
+    residual = np.arccos(np.minimum(1.0, np.sqrt(np.fmax(0.0, overlap_sq))))
+    far = residual > coherence_tol
+    if np.any(far):
+        k = int(np.argmax(far))
         raise NotCoherent(
-            f"distance to the nearest coherent ray is {residual:.3e}"
+            f"distance to the nearest coherent ray is {residual[k]:.3e} "
+            f"(row {k})"
         )
-    return complex(np.conj(w))
+    return np.conj(w)
+
+
+def _polyval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row's polynomial (highest power first) at that row's ``w``,
+    by Horner's rule as ``numpy.polyval``."""
+    out = np.zeros(coeffs.shape[:-1], dtype=complex)
+    for k in range(coeffs.shape[-1]):
+        out = out * w + coeffs[..., k]
+    return out
+
+
+def _quality(poly: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """Squared coherent overlap of each row with the ray at ``conj(w)``."""
+    return np.abs(_polyval(poly, w)) ** 2 / (1.0 + np.abs(w) ** 2) ** n
+
+
+def _best_seeds(psi: np.ndarray, poly: np.ndarray, n: int) -> np.ndarray:
+    """Newton seed of each row: of its top component ratio, its bottom
+    component ratio and a 32-point grid, in this order, the first with the
+    best overlap.  The best is kept while scanning, one candidate at a
+    time."""
+    top, bottom = np.abs(psi[:, 0]), np.abs(psi[:, n])
+    first = np.zeros(len(psi), dtype=complex)
+    last = np.zeros(len(psi), dtype=complex)
+    top_ok = (top >= bottom) & (top > 1e-14)
+    np.divide(psi[:, 1], psi[:, 0] * math.sqrt(n), out=first, where=top_ok)
+    bottom_ok = (bottom > 1e-14) & (np.abs(psi[:, n - 1]) > 1e-14 * bottom)
+    np.divide(math.sqrt(n) * psi[:, n], psi[:, n - 1], out=last,
+              where=bottom_ok)
+    best = np.zeros(len(psi), dtype=complex)
+    best_q = np.full(len(psi), -np.inf)
+
+    def consider(w, ok=True):
+        q = _quality(poly, w, n)
+        better = ok & (q > best_q)
+        best[better], best_q[better] = w[better], q[better]
+
+    consider(np.conj(first), top_ok)
+    consider(np.conj(last), bottom_ok)
+    for r in (0.0, 0.5, 1.0, 2.0):
+        for a in range(8):
+            consider(np.full(len(psi), r * np.exp(2j * math.pi * a / 8.0)))
+    return best

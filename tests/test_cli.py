@@ -11,6 +11,7 @@ import kphase.dynamics
 import kphase.geometry
 import kphase.manifolds
 import kphase.phases
+import kphase.su2
 from kphase import HamiltonianSchedule, cp1, triangle_phase
 from kphase.cli import main
 
@@ -278,6 +279,53 @@ def test_oracle_compare(tmp_path, capsys):
     assert rep["j"] == 0.5
     assert rep["cross_check_error"] < 1e-8
     assert rep["max_projection_distance"] < 1e-6
+
+
+def test_oracle_compare_projects_in_one_batch(tmp_path, capsys, monkeypatch):
+    """One oracle-compare projects every strided sample in one batch: no
+    per-sample Bloch projection or projective distance."""
+    counts = {"bloch_projection": 0, "projective_distance": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in counts:
+        fn = getattr(kphase.su2 if name == "bloch_projection"
+                     else kphase.manifolds, name)
+        for mod in (kphase.su2, kphase.manifolds, kphase.dynamics, kphase.cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    sched = HamiltonianSchedule.constant([SX, SZ], [0.6, 0.8])
+    cfg = {"schedule": sched.to_json(), "z0": [0.3, 0.1], "T": 2.0,
+           "dt": 1e-3, "stride": 10, "j": 1.5}
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, ["oracle-compare", "--config", str(path)])
+    assert rc == 0
+    assert json.loads(out)["samples"] == 201
+    assert counts == {"bloch_projection": 0, "projective_distance": 0}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("oracle-compare", {"j": 1e6}),
+    ("oracle-compare", {"j": 32.5}),
+    ("evolve", {"oracle": True, "level": 10**6, "z0": [1.0, 0.0],
+                "T": math.pi, "dt": 2e-3, "stride": 500}),
+])
+def test_oracle_spin_size_exits_two(tmp_path, capsys, command, extra):
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    cfg = {"schedule": sched.to_json(), "T": 1.0, "dt": 1e-2, **extra}
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out.splitlines()[-1], parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "InvalidSpin"
+    assert err.strip() != ""
 
 
 def test_sweep_preserves_order_and_reports_errors(tmp_path, capsys):

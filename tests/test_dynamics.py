@@ -31,7 +31,7 @@ from kphase import (
     trajectory,
     validate_point,
 )
-from kphase.dynamics import expectation_stack
+from kphase.dynamics import defining_dimension, expectation_stack
 
 from finite_difference import (
     expm_hermitian_generator,
@@ -349,16 +349,15 @@ def test_clip_trajectory_ends_at_cycle_time():
     assert abs(cyc.points[-1, 0, 0] - exact) < 1e-9
 
 
-def _hermitian(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (a + a.conj().T) / 2.0
-
-
-@pytest.mark.parametrize("spec", [ManifoldSpec(Family.AIII, 2, 1), cp1()],
-                         ids=["AIII(2,1)", "CP1"])
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(Family.AIII, 2, 1), cp1(), cp1(compact=False),
+    ManifoldSpec(Family.CI, 1), ManifoldSpec(Family.DIII, 3),
+], ids=["AIII(2,1)", "CP1", "CP1-noncompact", "CI(1)", "DIII(3)"])
 def test_block_stepping_matches_stepwise_reference(spec, rng):
-    d = spec.p + spec.q
-    gens = [_hermitian(rng, d) for _ in range(2)]
+    # 1 x 1 chart points (CP1, its dual, CI(1)) take the scalar Riccati
+    # path, the others the matrix path; the reference steps matrices.
+    d = defining_dimension(spec)
+    gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = HamiltonianSchedule.from_samples(
         gens, [[0.0, 0.5, 0.2], [0.6, -0.3, 0.7], [1.5, 0.4, -0.5]])
     z0 = 0.2 * random_point(spec, rng).entries

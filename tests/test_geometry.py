@@ -16,7 +16,6 @@ from kphase import (
     potential,
     random_point,
     sample,
-    tangent_components,
 )
 
 from finite_difference import fd_gradient
@@ -52,22 +51,6 @@ def test_basis_symmetry_classes():
         assert np.array_equal(b, b.T)
     for b in coordinate_basis(ManifoldSpec(Family.DIII, 3)):
         assert np.array_equal(b, -b.T)
-
-
-def test_tangent_components_invert_basis(rng):
-    for spec in (
-        ManifoldSpec(Family.AIII, 2, 2),
-        ManifoldSpec(Family.CI, 2),
-        ManifoldSpec(Family.DIII, 3),
-        ManifoldSpec(Family.BDI, 3),
-    ):
-        basis = coordinate_basis(spec)
-        coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(
-            len(basis)
-        )
-        delta = sum(c * b for c, b in zip(coeffs, basis))
-        back = tangent_components(spec, delta)
-        assert np.allclose(back, coeffs, atol=1e-14)
 
 
 def test_potential_values():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kphase import (
     ChartOverflow,
@@ -11,6 +12,7 @@ from kphase import (
     NotCoherent,
     NotCyclic,
     bloch_projection,
+    bloch_projection_stack,
     coherent_vector,
     map_schedule,
     map_to_spin,
@@ -185,3 +187,55 @@ def test_bloch_projection_phase_invariance(rng):
     z = -0.7 + 0.25j
     psi = coherent_vector(j, z) * np.exp(0.77j)
     assert abs(bloch_projection(psi, j) - z) < 1e-8
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
+def test_bloch_projection_stack_matches_warm_started_loop(j):
+    # a criterion-4 style path: random piecewise-linear field from the pole
+    rng = np.random.default_rng(3)
+    knots = np.round(np.arange(201) * 0.05, 10)
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SY, SZ],
+        np.column_stack([knots, rng.uniform(-0.6, 0.6, size=(201, 3))]))
+    states = schrodinger_evolve(coherent_vector(j, 0.0),
+                                map_schedule(sched, j), 10.0, 1e-2).states
+    guess, loop = None, []
+    for psi in states:
+        guess = bloch_projection(psi, j, initial=guess)
+        loop.append(guess)
+    stacked = bloch_projection_stack(states, j)
+    assert stacked.shape == (len(states),)
+    assert np.max(np.abs(stacked - np.array(loop))) <= 1e-10
+
+    # rows 5 and 9 at the chart's point at infinity (spin 1/2) or on a
+    # non-coherent ray (higher spins): the first of them is reported
+    bad = states.copy()
+    bad[[5, 9]] = 0.0
+    bad[[5, 9], 1] = 1.0
+    error = ChartOverflow if j == 0.5 else NotCoherent
+    with pytest.raises(error, match=r"\(row 5\)$"):
+        bloch_projection_stack(bad, j)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    two_j=st.integers(1, 6),
+    rows=st.lists(
+        st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5),
+                  st.floats(-math.pi, math.pi)),
+        min_size=1, max_size=6),
+)
+def test_bloch_projection_stack_round_trips_coherent_rows(two_j, rows):
+    j = two_j / 2.0
+    zs = np.array([complex(x, y) for x, y, _ in rows])
+    states = np.array([coherent_vector(j, z) * np.exp(1j * phase)
+                       for z, (_, _, phase) in zip(zs, rows)])
+    back = bloch_projection_stack(states, j)
+    assert np.all(np.abs(back - zs) <= 1e-7 * np.maximum(1.0, np.abs(zs)))
+
+
+def test_spin_size_is_bounded():
+    assert spin_operators(32).dimension == 65
+    for j in (32.5, 1e6, math.inf, math.nan):
+        with pytest.raises(InvalidSpin):
+            coherent_vector(j, 0.0)
