@@ -122,6 +122,26 @@ def _require(config: dict, key: str):
     return config[key]
 
 
+def _count(config: dict, key: str, default: int) -> int:
+    """An integer config entry of at least 1; a float must be integral."""
+    value = config.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key!r} must be an integer of at least 1, "
+                         f"got {value!r}")
+    return value
+
+
+def _tolerance(config: dict, key: str, default: float) -> float:
+    """A finite, non-negative float config entry."""
+    value = float(config.get(key, default))
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{key!r} must be finite and non-negative, "
+                         f"got {value!r}")
+    return value
+
+
 def run_kernel(config: dict) -> list[str]:
     spec = _spec_from(config)
     z = validate_point(spec, _point_value(_require(config, "z")))
@@ -132,7 +152,7 @@ def run_kernel(config: dict) -> list[str]:
 
 def run_triangle(config: dict) -> list[str]:
     spec = _spec_from(config)
-    level = int(config.get("level", 1))
+    level = _count(config, "level", 1)
     z = _point_value(_require(config, "z"))
     w = _point_value(_require(config, "w"))
     g = triangle_phase(spec, level, z, w)
@@ -164,15 +184,17 @@ def _strided(n: int, stride: int) -> list[int]:
 
 def run_evolve(config: dict) -> list[str]:
     spec = _spec_from(config)
-    level = int(config.get("level", 1))
+    level = _count(config, "level", 1)
     schedule = HamiltonianSchedule.from_json(_require(config, "schedule"))
     z0 = validate_point(spec, _point_value(config.get("z0", 0.0)))
     T = float(_require(config, "T"))
     dt = float(config.get("dt", 1e-3))
-    stride = max(1, int(config.get("stride", 1)))
-    cyclicity_tol = float(config.get("cyclicity_tol", 1e-4))
+    stride = _count(config, "stride", 1)
+    cyclicity_tol = _tolerance(config, "cyclicity_tol", 1e-4)
     if schedule.strength() == 0.0:
         raise NoCycleFound("a zero Hamiltonian generates no cycle")
+    oracle = (_oracle_start(spec, level, schedule, z0)
+              if config.get("oracle") else None)
     cyc, info = _evolve_cycle(spec, z0, schedule, T, dt)
     beta = dynamical_phase(spec, level, cyc, schedule)
     gamma = line_integral_phase(spec, level, cyc, cyclicity_tol=cyclicity_tol)
@@ -194,14 +216,15 @@ def run_evolve(config: dict) -> list[str]:
         },
         "report": report.to_json(),
     }
-    if config.get("oracle"):
-        summary.update(_oracle_block(spec, level, schedule, z0, cyc, dt,
-                                     beta, gamma))
+    if oracle is not None:
+        summary.update(_oracle_block(*oracle, cyc, dt, beta, gamma))
     lines.append(_dumps(summary))
     return lines
 
 
-def _oracle_block(spec, level, schedule, z0, cyc, dt, beta, gamma) -> dict:
+def _oracle_start(spec, level, schedule, z0):
+    """The oracle's spin-j schedule and start state, built before the chart
+    pipeline runs so that an unsupported chart or spin fails first."""
     if (
         spec.family is not Family.AIII
         or spec.p != 1
@@ -212,8 +235,11 @@ def _oracle_block(spec, level, schedule, z0, cyc, dt, beta, gamma) -> dict:
             "the quantum oracle runs on the compact rank-one chart only"
         )
     j = level / 2.0
-    sched_j = map_schedule(schedule, j)
-    psi0 = coherent_vector(j, complex(z0.entries[0, 0]))
+    return (map_schedule(schedule, j),
+            coherent_vector(j, complex(z0.entries[0, 0])))
+
+
+def _oracle_block(sched_j, psi0, cyc, dt, beta, gamma) -> dict:
     straj = schrodinger_evolve(psi0, sched_j, float(cyc.times[-1]), dt)
     alpha, beta_q, gamma_q = quantum_phases(straj, sched_j)
     overlap = abs(complex(np.vdot(straj.states[0], straj.states[-1])))
@@ -254,9 +280,9 @@ def _build_loop(spec, loop_cfg: dict):
 
 def run_stokes(config: dict) -> list[str]:
     spec = _spec_from(config)
-    level = int(config.get("level", 1))
+    level = _count(config, "level", 1)
     loop = _build_loop(spec, config.get("loop", {}))
-    cyclicity_tol = float(config.get("cyclicity_tol", 1e-6))
+    cyclicity_tol = _tolerance(config, "cyclicity_tol", 1e-6)
     rep = stokes_compare(spec, level, loop, cyclicity_tol=cyclicity_tol)
     return [
         _dumps(
@@ -312,7 +338,7 @@ def run_oracle_compare(config: dict) -> list[str]:
     z0 = validate_point(spec, _point_value(config.get("z0", 0.0)))
     T = float(_require(config, "T"))
     dt = float(config.get("dt", 1e-3))
-    stride = max(1, int(config.get("stride", 10)))
+    stride = _count(config, "stride", 10)
     sched_j = map_schedule(schedule, j)
     psi0 = coherent_vector(j, complex(z0.entries[0, 0]))
     traj = trajectory(spec, z0, schedule, T, dt)

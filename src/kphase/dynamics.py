@@ -12,8 +12,10 @@ also advances, as an independent route, a Riccati integration of the chart
 variable on the same stage Hamiltonians.  That equation is quadratic in
 the chart variable, so it keeps one RK4 step per step; stepping it through
 U or the Mobius map instead would make the cross-check compare a route with
-itself.  On 1 x 1 chart points (CP1, its dual and CI(1)) it steps Python
-complex scalars rather than 1 x 1 arrays.  After the loop the
+itself.  On p x q chart points each block forms its stage operators
+``N = -i [[C^T, -A^T], [D^T, -B^T]]`` once, and a stage costs two matmuls,
+``G = N [I; Z]`` and ``G[:p] + Z G[p:]``; on 1 x 1 chart points (CP1, its
+dual and CI(1)) it steps Python complex scalars.  After the loop the
 fractional-linear (Mobius) action maps the whole stack of unitaries onto
 the chart at once, and the chart rules and the cross-check between the two
 routes run on whole arrays.  Hamiltonians are supplied as schedules: fixed
@@ -318,16 +320,20 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k1: int):
         out[-1] = _polar(out[-1])
 
 
-def _riccati_advance(spec: ManifoldSpec, z: np.ndarray, out: np.ndarray,
-                     stages, h: float):
+def _riccati_advance(z: np.ndarray, out: np.ndarray, stages, h: float):
     """RK4 steps of the chart variable from ``z`` on the stage stacks,
     written to the rows of ``out``.
 
     The route stays one ``_rk4_step`` per step on the Riccati equation,
     independent of the unitary and the Mobius map, so that the two can
     check each other.  A 1 x 1 chart point steps as a Python complex on the
-    entries of ``-i H^T``, taken from each stage stack with one ``tolist``;
-    a matrix chart point splits the stacks into blocks once.
+    entries of ``-i H^T``, taken from each stage stack with one ``tolist``.
+    A p x q chart point turns each stage stack once into the operators
+    ``N = -i [[C^T, -A^T], [D^T, -B^T]]`` (``A, B, C, D`` the blocks of H):
+    ``G = N [I; Z]`` stacks ``-i (C^T - A^T Z)`` on ``-i (D^T - B^T Z)``,
+    so the right-hand side ``G[:p] + Z G[p:]`` costs two matmuls per stage,
+    with ``[I; Z]`` one buffer refilled per stage.  The operators hold only
+    H, so the route still reads no unitary.
     """
     if z.shape == (1, 1):
         gs = [(-1j * H.swapaxes(-1, -2)).tolist() for H in stages]
@@ -337,9 +343,20 @@ def _riccati_advance(spec: ManifoldSpec, z: np.ndarray, out: np.ndarray,
             ys.append(y)
         out[:, 0, 0] = ys
         return
-    split = (zip(*block_split(H.swapaxes(-1, -2), spec)) for H in stages)
-    for row, blocks in zip(out, zip(*split)):
-        z = row[...] = _rk4_step(_riccati_rhs, z, *blocks, h)
+    p, q = z.shape
+    column = np.empty((q + p, q), dtype=complex)
+    column[:q] = np.eye(q)
+
+    def rhs(n: np.ndarray, y: np.ndarray) -> np.ndarray:
+        column[q:] = y
+        g = n @ column
+        return g[:p] + y @ g[p:]
+
+    # N is -i H^T with its first p columns moved last and negated.
+    gs = [-1j * H.swapaxes(-1, -2) for H in stages]
+    ops = [np.concatenate((g[..., p:], -g[..., :p]), axis=-1) for g in gs]
+    for row, n1, n2, n3 in zip(out, *ops):
+        z = row[...] = _rk4_step(rhs, z, n1, n2, n3, h)
 
 
 def _scalar_riccati_rhs(g, y: complex) -> complex:
@@ -444,7 +461,7 @@ def trajectory(
         # Steps after a diverged one may overflow: the block ends at the
         # first diverged step, and the unitary is advanced only that far.
         with np.errstate(over="ignore", invalid="ignore"):
-            _riccati_advance(spec, zs[k0], zs[k0 + 1:k1 + 1], stages, h)
+            _riccati_advance(zs[k0], zs[k0 + 1:k1 + 1], stages, h)
             diverged = np.flatnonzero(_diverged(zs[k0 + 1:k1 + 1]))
         if len(diverged):
             k1 = k0 + 1 + int(diverged[0])
@@ -468,7 +485,7 @@ def clip_trajectory(
     us, zs = traj.unitaries[: k + 2].copy(), traj.riccati[: k + 2].copy()
     stages = _stages(schedule, t, h, 0, 1)
     _advance(us[k], us[k + 1:], stages, h, k + 1)
-    _riccati_advance(traj.spec, zs[k], zs[k + 1:], stages, h)
+    _riccati_advance(zs[k], zs[k + 1:], stages, h)
     return _chart_path(traj.spec, np.append(traj.times[: k + 1], t_end),
                        us, zs)
 

@@ -13,7 +13,7 @@ from kphase import (
     Family,
     HamiltonianSchedule,
     ManifoldSpec,
-    bloch_projection,
+    bloch_projection_stack,
     coherent_vector,
     cp1,
     dynamical_phase,
@@ -35,6 +35,7 @@ from kphase import (
     triangle_phase,
     wrap_angle,
 )
+from kphase.manifolds import distance_stack
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -145,12 +146,10 @@ def test_criterion_4():
     for j in (0.5, 1.0, 1.5):
         sj = map_schedule(sched, j)
         straj = schrodinger_evolve(coherent_vector(j, 0.0), sj, 10.0, 1e-3)
-        guess = None
-        worst = 0.0
-        for k in range(len(traj.times)):
-            guess = bloch_projection(straj.states[k], j, initial=guess)
-            d = projective_distance(SPEC, [[guess]], traj.points[k])
-            worst = max(worst, d)
+        labels = bloch_projection_stack(straj.states, j)
+        dists = distance_stack(SPEC, labels[:, None, None], traj.points)
+        assert len(dists) == len(traj.times)
+        worst = float(np.max(dists))
         assert worst < 1e-6
 
 

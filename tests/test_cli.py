@@ -328,6 +328,66 @@ def test_oracle_spin_size_exits_two(tmp_path, capsys, command, extra):
     assert err.strip() != ""
 
 
+@pytest.mark.parametrize("manifold, gens, z0, level, error", [
+    ({"family": "AIII", "p": 1, "q": 1, "compact": False}, [SZ], 0.0, 1,
+     "UnsupportedFamily"),
+    ({"family": "AIII", "p": 2, "q": 1}, [np.diag([1.0, 0.0, -1.0])],
+     [[[0.0, 0.0]], [[0.0, 0.0]]], 1, "UnsupportedFamily"),
+    ({"family": "AIII", "p": 1, "q": 1}, [SZ], 0.0, 200, "InvalidSpin"),
+], ids=["CP1-noncompact", "AIII(2,1)", "level-200"])
+def test_evolve_oracle_checks_precede_integration(tmp_path, capsys,
+                                                  monkeypatch, manifold,
+                                                  gens, z0, level, error):
+    def never(*args, **kwargs):
+        raise AssertionError("the chart was integrated")
+
+    monkeypatch.setattr(kphase.cli, "trajectory", never)
+    sched = HamiltonianSchedule.constant(gens, [1.0])
+    cfg = {"manifold": manifold, "schedule": sched.to_json(), "z0": z0,
+           "T": 1.0, "dt": 1e-2, "level": level, "oracle": True}
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == error
+    assert err.strip() != ""
+
+
+_MALFORMED_SCHEDULE = {"generators": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
+                       "constant": [1.0]}
+
+
+@pytest.mark.parametrize("command, entries", [
+    ("evolve", '"level": 1e400'),
+    ("evolve", '"stride": 1e400'),
+    ("evolve", '"level": 0'),
+    ("evolve", '"level": -2'),
+    ("evolve", '"level": 1.5'),
+    ("evolve", '"cyclicity_tol": NaN'),
+    ("evolve", '"cyclicity_tol": -1e-4'),
+    ("triangle", '"level": 1e400, "z": 0.5, "w": 0.25'),
+    ("stokes", '"level": 1.5'),
+    ("stokes", '"cyclicity_tol": NaN'),
+    ("oracle-compare", '"stride": 0'),
+    ("oracle-compare", '"stride": 1e400'),
+])
+def test_malformed_config_numbers_exit_two(tmp_path, capsys, command,
+                                           entries):
+    # Raw JSON text: 1e400 reads as infinity, which json.dumps cannot write.
+    base = json.dumps({"schedule": _MALFORMED_SCHEDULE, "z0": 0.5,
+                       "T": 1.0, "dt": 1e-2})
+    path = tmp_path / "malformed.json"
+    path.write_text(base[:-1] + ", " + entries + "}")
+    rc, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "ValueError"
+    assert err.strip() != ""
+
+
 def test_sweep_preserves_order_and_reports_errors(tmp_path, capsys):
     configs = [
         {"z": 1.0, "w": [0.0, 1.0]},

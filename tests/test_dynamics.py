@@ -31,7 +31,13 @@ from kphase import (
     trajectory,
     validate_point,
 )
-from kphase.dynamics import defining_dimension, expectation_stack
+import kphase.dynamics
+from kphase.dynamics import (
+    _riccati_advance,
+    _stages,
+    defining_dimension,
+    expectation_stack,
+)
 
 from finite_difference import (
     expm_hermitian_generator,
@@ -352,10 +358,18 @@ def test_clip_trajectory_ends_at_cycle_time():
 @pytest.mark.parametrize("spec", [
     ManifoldSpec(Family.AIII, 2, 1), cp1(), cp1(compact=False),
     ManifoldSpec(Family.CI, 1), ManifoldSpec(Family.DIII, 3),
-], ids=["AIII(2,1)", "CP1", "CP1-noncompact", "CI(1)", "DIII(3)"])
+    ManifoldSpec(Family.AIII, 3, 2),
+    ManifoldSpec(Family.AIII, 2, 2, compact=False),
+    ManifoldSpec(Family.CI, 2, compact=False),
+    ManifoldSpec(Family.DIII, 3, compact=False),
+], ids=["AIII(2,1)", "CP1", "CP1-noncompact", "CI(1)", "DIII(3)",
+        "AIII(3,2)", "AIII(2,2)-noncompact", "CI(2)-noncompact",
+        "DIII(3)-noncompact"])
 def test_block_stepping_matches_stepwise_reference(spec, rng):
     # 1 x 1 chart points (CP1, its dual, CI(1)) take the scalar Riccati
-    # path, the others the matrix path; the reference steps matrices.
+    # path, the others the matrix path of block operators.  AIII(2,1) and
+    # AIII(3,2) have p > q, where splitting the operator at q instead of p
+    # still fits the shapes.  The reference steps riccati_rhs per stage.
     d = defining_dimension(spec)
     gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = HamiltonianSchedule.from_samples(
@@ -383,6 +397,33 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert len(cyc.times) == 51
     assert np.max(np.abs(cyc.unitaries[-1] - clip_u[-1])) <= 1e-12
     assert np.max(np.abs(cyc.riccati[-1] - clip_z[-1])) <= 1e-12
+
+
+def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):
+    """The matrix Riccati route makes one ``_rk4_step`` call per step from
+    the chart point and the stage stacks alone: it takes no unitary, and the
+    Mobius map is never called.  Its values are checked against the
+    stepwise reference in test_block_stepping_matches_stepwise_reference."""
+    spec = ManifoldSpec(Family.AIII, 3, 2)
+    step, calls = kphase.dynamics._rk4_step, []
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return step(*args)
+
+    def no_mobius(*args):
+        raise AssertionError("the Riccati route used the Mobius map")
+
+    monkeypatch.setattr(kphase.dynamics, "_rk4_step", counted)
+    monkeypatch.setattr(kphase.dynamics, "_chart_images", no_mobius)
+    sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
+                                         [1.0])
+    z0 = 0.2 * random_point(spec, rng).entries
+    n, h = 7, 0.01
+    out = np.empty((n,) + z0.shape, dtype=complex)
+    _riccati_advance(z0, out, _stages(sched, 0.0, h, 0, n), h)
+    assert calls == [(3, 2)] * n
+    assert np.all(np.isfinite(out))
 
 
 def test_schedule_at_matches_pointwise_calls():
