@@ -122,14 +122,24 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _count(config: dict, key: str, default: int) -> int:
-    """An integer config entry of at least 1; a float must be integral."""
+def _integer(config: dict, key: str, default: int, least: int) -> int:
+    """An integer config entry of at least ``least``; a float must be
+    integral."""
     value = config.get(key, default)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key!r} must be an integer of at least 1, "
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key!r} must be an integer of at least {least}, "
                          f"got {value!r}")
+    return value
+
+
+def _count(config: dict, key: str, default: int) -> int:
+    """An integer config entry from 1 to 2**53, past which ``float(value)``
+    stops being exact."""
+    value = _integer(config, key, default, 1)
+    if value > 2**53:
+        raise ValueError(f"{key!r} must be at most 2**53, got {value!r}")
     return value
 
 
@@ -254,27 +264,26 @@ def _oracle_block(sched_j, psi0, cyc, dt, beta, gamma) -> dict:
 
 
 def _build_loop(spec, loop_cfg: dict):
+    """A generated loop as its validated stack, or the raw values of a
+    ``points`` loop, which ``stokes_compare`` validates as one stack."""
     kind = loop_cfg.get("kind", "latitude")
     if kind == "latitude":
         return latitude_circle(
             spec,
             radius=float(loop_cfg.get("radius", 1.0)),
-            samples=int(loop_cfg.get("samples", 256)),
+            samples=_count(loop_cfg, "samples", 256),
         )
     if kind == "fourier":
-        rng = np.random.default_rng(int(loop_cfg.get("seed", 0)))
+        rng = np.random.default_rng(_integer(loop_cfg, "seed", 0, 0))
         return fourier_loop(
             spec,
             rng,
-            samples=int(loop_cfg.get("samples", 256)),
-            modes=int(loop_cfg.get("modes", 3)),
+            samples=_count(loop_cfg, "samples", 256),
+            modes=_count(loop_cfg, "modes", 3),
             scale=float(loop_cfg.get("scale", 0.5)),
         )
     if kind == "points":
-        return [
-            validate_point(spec, _point_value(v))
-            for v in loop_cfg.get("points", [])
-        ]
+        return [_point_value(v) for v in loop_cfg.get("points", [])]
     raise ValueError(f"unknown loop kind {kind!r}")
 
 

@@ -26,10 +26,6 @@ class SpecMismatch(KPhaseError):
     """Two points (or a point and an operation) carry different specs."""
 
 
-class SingularMinor(KPhaseError):
-    """A corner minor with a positive weight vanishes."""
-
-
 class BoundaryTooClose(KPhaseError):
     """Finite-difference stencil would step outside the domain."""
 

@@ -1,22 +1,24 @@
 """Closed test loops in chart coordinates.
 
-Both factories return point lists whose final entry repeats the first one
-exactly, so downstream phase integrals see a closed path without any
-cyclicity slack.
+Both factories return one validated ``(samples + 1, rows, cols)`` complex
+stack whose final row repeats the first one exactly, so downstream phase
+integrals see a closed path without any cyclicity slack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import Family, ManifoldSpec, PointMatrix, validate_points
+from .manifolds import Family, ManifoldSpec, validate_points
 
 
-def latitude_circle(spec: ManifoldSpec, radius: float, samples: int):
+def latitude_circle(
+    spec: ManifoldSpec, radius: float, samples: int
+) -> np.ndarray:
     """Circle of constant chart radius, sampled uniformly with closure.
 
-    Returns ``samples + 1`` points; the duplicate endpoint reuses the
-    first point's float values bit for bit.
+    Returns the validated ``(samples + 1, rows, cols)`` stack; the
+    duplicate endpoint reuses the first point's float values bit for bit.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
@@ -24,16 +26,12 @@ def latitude_circle(spec: ManifoldSpec, radius: float, samples: int):
         raise ValueError("radius must be positive")
     z = np.zeros((samples + 1,) + spec.point_shape, dtype=complex)
     z[:, 0, 0] = radius * np.exp(1j * _angles(samples))
-    return _points(spec, z)
+    return validate_points(spec, z)
 
 
 def _angles(samples: int) -> np.ndarray:
     """``samples + 1`` uniform angles on [0, 2 pi); the last one is 0."""
     return 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
-
-
-def _points(spec: ManifoldSpec, z: np.ndarray) -> list[PointMatrix]:
-    return [PointMatrix(p, spec) for p in validate_points(spec, z)]
 
 
 def fourier_loop(
@@ -42,12 +40,14 @@ def fourier_loop(
     samples: int,
     modes: int = 3,
     scale: float = 0.5,
-):
+) -> np.ndarray:
     """Smooth random closed loop built from a low-order Fourier series.
 
     Coefficient matrices are drawn from ``rng``, symmetrized to the
     family's chart symmetry, and damped by mode number.  Non-compact
     charts get an extra overall contraction to stay inside the domain.
+    Returns the validated ``(samples + 1, rows, cols)`` stack, closed as
+    in :func:`latitude_circle`.
     """
     if samples < 3:
         raise ValueError("need at least 3 samples")
@@ -73,4 +73,4 @@ def fourier_loop(
     for m in range(1, modes + 1):
         z = z + coeffs[2 * (m - 1)] * np.cos(m * t)
         z = z + coeffs[2 * m - 1] * np.sin(m * t)
-    return _points(spec, z)
+    return validate_points(spec, z)

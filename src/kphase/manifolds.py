@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     OutsideDomain,
-    SingularMinor,
     SpecMismatch,
     SymmetryViolation,
 )
@@ -327,43 +326,6 @@ def distance_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     if spec.compact:
         return np.arccos(np.minimum(1.0, mag))
     return np.arccosh(np.maximum(1.0, mag))
-
-
-def flag_minor_kernel(weights, m) -> complex:
-    """Product of powered lower-right corner minors of a square matrix.
-
-    For an ``n x n`` matrix ``M`` and a weight vector of length ``n - 1``,
-    returns ``prod_j det(M[n-j:, n-j:]) ** weights[j-1]``.  With
-    ``M = U(z1)^dag U(z2)`` built from upper-unipotent ``U``, the order-one
-    corner reproduces the rank-one AIII kernel ``1 + conj(z1) z2``.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``M`` is not square of size ``len(weights) + 1``.
-    SingularMinor
-        If a minor carrying a positive weight vanishes.
-    """
-    mat = np.asarray(m, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch("minor kernel needs a square matrix")
-    n = mat.shape[0]
-    weights = [int(x) for x in weights]
-    if len(weights) != n - 1:
-        raise DimensionMismatch(
-            f"need {n - 1} weights for an {n} x {n} matrix, got {len(weights)}"
-        )
-    if any(x < 0 for x in weights) or not any(x > 0 for x in weights):
-        raise ValueError("weights must be non-negative with at least one positive")
-    out = 1.0 + 0.0j
-    for j, wj in enumerate(weights, start=1):
-        if wj == 0:
-            continue
-        minor = complex(_det(mat[n - j :, n - j :]))
-        if abs(minor) < KERNEL_ZERO_TOL:
-            raise SingularMinor(f"order-{j} corner minor vanishes")
-        out *= minor**wj
-    return out
 
 
 def random_point(

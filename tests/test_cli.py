@@ -163,6 +163,25 @@ def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
     assert counts["potential"] <= 10
 
 
+def test_stokes_builds_no_point_objects(capsys, monkeypatch):
+    """A generated stokes loop stays one array from the factory to the
+    phases: no PointMatrix per sample."""
+    built = []
+    post_init = kphase.manifolds.PointMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(kphase.manifolds.PointMatrix, "__post_init__",
+                        counted)
+    rc, _, _ = run_cli(capsys, ["stokes", "--kind", "fourier", "--family",
+                                "CI", "--p", "2", "--non-compact",
+                                "--samples", "1000", "--seed", "7"])
+    assert rc == 0
+    assert len(built) == 0
+
+
 def _strict(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -368,8 +387,14 @@ _MALFORMED_SCHEDULE = {"generators": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
     ("evolve", '"cyclicity_tol": NaN'),
     ("evolve", '"cyclicity_tol": -1e-4'),
     ("triangle", '"level": 1e400, "z": 0.5, "w": 0.25'),
+    pytest.param("evolve", '"level": 1' + "0" * 400, id="evolve-level-10**400"),
+    pytest.param("evolve", '"level": 1' + "0" * 30, id="evolve-level-10**30"),
     ("stokes", '"level": 1.5'),
     ("stokes", '"cyclicity_tol": NaN'),
+    ("stokes", '"loop": {"samples": 1e400}'),
+    ("stokes", '"loop": {"samples": 600.7}'),
+    ("stokes", '"loop": {"kind": "fourier", "modes": 1e400}'),
+    ("stokes", '"loop": {"kind": "fourier", "seed": 1e400}'),
     ("oracle-compare", '"stride": 0'),
     ("oracle-compare", '"stride": 1e400'),
 ])

@@ -8,11 +8,9 @@ from kphase import (
     Family,
     ManifoldSpec,
     OutsideDomain,
-    SingularMinor,
     SpecMismatch,
     SymmetryViolation,
     cp1,
-    flag_minor_kernel,
     kernel,
     normalized_overlap,
     projective_distance,
@@ -231,34 +229,6 @@ def test_projective_distance_symmetry(rng):
         assert projective_distance(spec, z, w) == pytest.approx(
             projective_distance(spec, w, z), abs=1e-12
         )
-
-
-def test_flag_minor_kernel_corner_calibration(rng):
-    # With unipotent frames the order-one corner minor reproduces the
-    # rank-one kernel, so weight vectors power it the same way.
-    z1, z2 = 0.3 + 0.2j, -0.1 + 0.5j
-    u1 = np.array([[1.0, z1], [0.0, 1.0]], complex)
-    u2 = np.array([[1.0, z2], [0.0, 1.0]], complex)
-    m = u1.conj().T @ u2
-    val = flag_minor_kernel([3], m)
-    ref = kernel(cp1(), z2, z1) ** 3
-    assert val == pytest.approx(ref, abs=1e-12)
-
-
-def test_flag_minor_kernel_singular():
-    m = np.array([[1.0, 0.0], [0.0, 0.0]], complex)
-    with pytest.raises(SingularMinor):
-        flag_minor_kernel([1], m)
-
-
-def test_flag_minor_kernel_weight_validation():
-    m = np.eye(3, dtype=complex)
-    with pytest.raises(ValueError):
-        flag_minor_kernel([0, 0], m)
-    with pytest.raises(ValueError):
-        flag_minor_kernel([-1, 2], m)
-    with pytest.raises(DimensionMismatch):
-        flag_minor_kernel([1], m)
 
 
 def test_random_point_stays_interior(rng):

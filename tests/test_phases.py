@@ -12,7 +12,9 @@ from kphase import (
     HamiltonianSchedule,
     KernelZero,
     NotClosed,
+    OutsideDomain,
     PhaseReport,
+    SymmetryViolation,
     assemble_report,
     connection_eval,
     cp1,
@@ -24,6 +26,7 @@ from kphase import (
     stokes_compare,
     trajectory,
     triangle_phase,
+    validate_points,
     wrap_angle,
 )
 
@@ -120,6 +123,27 @@ LOOP_SPECS = [
 ]
 
 
+def test_loop_factories_return_closed_validated_stacks(rng):
+    for spec in LOOP_SPECS:
+        loops = [fourier_loop(spec, rng, 40)]
+        if spec.family is Family.DIII:
+            # a latitude circle moves a diagonal entry, which a
+            # skew-symmetric chart forbids
+            with pytest.raises(SymmetryViolation):
+                latitude_circle(spec, 0.5, 40)
+        else:
+            loops.append(latitude_circle(spec, 0.5, 40))
+        if not spec.compact:
+            for radius in (1.0, 1.5):
+                with pytest.raises(OutsideDomain):
+                    latitude_circle(spec, radius, 40)
+        for z in loops:
+            assert isinstance(z, np.ndarray)
+            assert z.shape == (41,) + spec.point_shape
+            assert np.array_equal(z[0], z[-1])
+            assert np.array_equal(validate_points(spec, z), z)
+
+
 def test_polygon_phase_matches_triangle_loop(rng):
     for spec in LOOP_SPECS:
         loop = fourier_loop(spec, rng, 60, scale=0.3)
@@ -140,7 +164,7 @@ def test_polygon_phase_raises_for_first_offending_triangle():
 def test_line_integral_matches_connection_loop(rng):
     for spec in LOOP_SPECS:
         loop = fourier_loop(spec, rng, 60, scale=0.3)
-        pts = [p.entries for p in loop]
+        pts = list(loop)
         ref = sum(
             0.5 * (connection_eval(spec, 2, a, b - a)
                    + connection_eval(spec, 2, b, b - a))
