@@ -61,6 +61,7 @@ from .phases import (
     wrap_angle,
 )
 from .serialize import (
+    _integer,
     matrix_from_json,
     matrix_to_json,
     spec_from_json,
@@ -108,30 +109,15 @@ def _point_value(value):
 
 
 def _spec_from(config: dict) -> ManifoldSpec:
-    m = config.get("manifold")
-    if m is None:
+    if "manifold" not in config:
         return cp1()
-    if isinstance(m, ManifoldSpec):
-        return m
-    return spec_from_json(m)
+    return spec_from_json(config["manifold"])
 
 
 def _require(config: dict, key: str):
     if key not in config:
         raise ValueError(f"missing required config entry {key!r}")
     return config[key]
-
-
-def _integer(config: dict, key: str, default: int, least: int) -> int:
-    """An integer config entry of at least ``least``; a float must be
-    integral."""
-    value = config.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int or value < least:
-        raise ValueError(f"{key!r} must be an integer of at least {least}, "
-                         f"got {value!r}")
-    return value
 
 
 def _count(config: dict, key: str, default: int) -> int:
@@ -143,9 +129,19 @@ def _count(config: dict, key: str, default: int) -> int:
     return value
 
 
+def _real(config: dict, key: str, default: float | None = None) -> float:
+    """A JSON number config entry as a float; one without a default is
+    required."""
+    value = (_require(config, key) if default is None
+             else config.get(key, default))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _tolerance(config: dict, key: str, default: float) -> float:
     """A finite, non-negative float config entry."""
-    value = float(config.get(key, default))
+    value = _real(config, key, default)
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{key!r} must be finite and non-negative, "
                          f"got {value!r}")
@@ -197,14 +193,16 @@ def run_evolve(config: dict) -> list[str]:
     level = _count(config, "level", 1)
     schedule = HamiltonianSchedule.from_json(_require(config, "schedule"))
     z0 = validate_point(spec, _point_value(config.get("z0", 0.0)))
-    T = float(_require(config, "T"))
-    dt = float(config.get("dt", 1e-3))
+    T = _real(config, "T")
+    dt = _real(config, "dt", 1e-3)
     stride = _count(config, "stride", 1)
     cyclicity_tol = _tolerance(config, "cyclicity_tol", 1e-4)
+    oracle = config.get("oracle", False)
+    if type(oracle) is not bool:
+        raise ValueError(f"'oracle' must be true or false, got {oracle!r}")
     if schedule.strength() == 0.0:
         raise NoCycleFound("a zero Hamiltonian generates no cycle")
-    oracle = (_oracle_start(spec, level, schedule, z0)
-              if config.get("oracle") else None)
+    oracle = _oracle_start(spec, level, schedule, z0) if oracle else None
     cyc, info = _evolve_cycle(spec, z0, schedule, T, dt)
     beta = dynamical_phase(spec, level, cyc, schedule)
     gamma = line_integral_phase(spec, level, cyc, cyclicity_tol=cyclicity_tol)
@@ -266,11 +264,13 @@ def _oracle_block(sched_j, psi0, cyc, dt, beta, gamma) -> dict:
 def _build_loop(spec, loop_cfg: dict):
     """A generated loop as its validated stack, or the raw values of a
     ``points`` loop, which ``stokes_compare`` validates as one stack."""
+    if not isinstance(loop_cfg, dict):
+        raise ValueError(f"'loop' must be a JSON object, got {loop_cfg!r}")
     kind = loop_cfg.get("kind", "latitude")
     if kind == "latitude":
         return latitude_circle(
             spec,
-            radius=float(loop_cfg.get("radius", 1.0)),
+            radius=_real(loop_cfg, "radius", 1.0),
             samples=_count(loop_cfg, "samples", 256),
         )
     if kind == "fourier":
@@ -280,7 +280,7 @@ def _build_loop(spec, loop_cfg: dict):
             rng,
             samples=_count(loop_cfg, "samples", 256),
             modes=_count(loop_cfg, "modes", 3),
-            scale=float(loop_cfg.get("scale", 0.5)),
+            scale=_real(loop_cfg, "scale", 0.5),
         )
     if kind == "points":
         return [_point_value(v) for v in loop_cfg.get("points", [])]
@@ -341,15 +341,14 @@ def run_poincare(config: dict) -> list[str]:
 
 
 def run_oracle_compare(config: dict) -> list[str]:
-    j = float(config.get("j", 0.5))
+    j = _real(config, "j", 0.5)
     spec = cp1()
     schedule = HamiltonianSchedule.from_json(_require(config, "schedule"))
     z0 = validate_point(spec, _point_value(config.get("z0", 0.0)))
-    T = float(_require(config, "T"))
-    dt = float(config.get("dt", 1e-3))
+    T = _real(config, "T")
+    dt = _real(config, "dt", 1e-3)
     stride = _count(config, "stride", 10)
-    sched_j = map_schedule(schedule, j)
-    psi0 = coherent_vector(j, complex(z0.entries[0, 0]))
+    sched_j, psi0 = _oracle_start(spec, 2.0 * j, schedule, z0)
     traj = trajectory(spec, z0, schedule, T, dt)
     straj = schrodinger_evolve(psi0, sched_j, T, dt)
     ks = _strided(len(traj.times), stride)
@@ -384,32 +383,35 @@ def _exit_code_for(exc: Exception):
         return 4
     if isinstance(exc, KPhaseError):
         return 2
-    if isinstance(exc, (ValueError, KeyError, TypeError, OSError)):
+    if isinstance(exc, (ValueError, KeyError, TypeError, OSError,
+                        OverflowError, MemoryError)):
         return 2
     return None
 
 
-def _error_lines(exc: Exception, code: int):
-    payload = {
-        "error": {
-            "exit_code": code,
-            "message": str(exc),
-            "type": type(exc).__name__,
-        }
-    }
-    return [_dumps(payload)], f"kphase: {type(exc).__name__}: {exc}\n"
-
-
-def _sweep_worker(item):
-    name, config = item
+def _guarded(run, *args):
+    """``run(*args)`` as ``(exit code, stdout lines, stderr text)``.  An
+    expected failure becomes its exit code and one JSON error object; any
+    other exception propagates."""
     try:
-        return 0, _RUNNERS[name](config), ""
+        return 0, run(*args), ""
     except Exception as exc:
         code = _exit_code_for(exc)
         if code is None:
             raise
-        lines, err = _error_lines(exc, code)
-        return code, lines, err
+        payload = {
+            "error": {
+                "exit_code": code,
+                "message": str(exc),
+                "type": type(exc).__name__,
+            }
+        }
+        return code, [_dumps(payload)], f"kphase: {type(exc).__name__}: {exc}\n"
+
+
+def _sweep_worker(item):
+    name, config = item
+    return _guarded(_RUNNERS[name], config)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -422,27 +424,24 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _run_sweep(name: str, args) -> int:
+def _results(args) -> list:
+    """The ``(exit code, stdout lines, stderr text)`` of each run, in the
+    order of the sweep file, or of the one run without ``--sweep``."""
+    if not getattr(args, "sweep", None):
+        return [_guarded(_RUNNERS[args.command], _gather_config(args))]
     with open(args.sweep) as f:
         configs = json.load(f)
     if not isinstance(configs, list):
         raise ValueError("sweep file must hold a JSON array of configs")
+    if not all(isinstance(c, dict) for c in configs):
+        raise ValueError("every sweep entry must be a JSON object")
     base = _gather_config(args)
-    items = [(name, _merge(base, c)) for c in configs]
+    items = [(args.command, _merge(base, c)) for c in configs]
     if len(items) <= 1:
-        results = [_sweep_worker(item) for item in items]
-    else:
-        workers = min(len(items), os.cpu_count() or 1)
-        with multiprocessing.Pool(processes=workers) as pool:
-            results = pool.map(_sweep_worker, items)
-    exit_code = 0
-    for code, lines, err in results:
-        for line in lines:
-            print(line)
-        if err:
-            sys.stderr.write(err)
-        exit_code = max(exit_code, code)
-    return exit_code
+        return [_sweep_worker(item) for item in items]
+    workers = min(len(items), os.cpu_count() or 1)
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(_sweep_worker, items)
 
 
 def _add_common(sp, manifold: bool = True):
@@ -559,6 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overlay(cfg: dict, key: str, flags: dict) -> None:
+    """Lay the flags that were given over the config object at ``key``.  A
+    non-object there is left for its reader to reject."""
+    flags = {k: v for k, v in flags.items() if v is not None}
+    section = cfg.get(key, {})
+    if flags and isinstance(section, dict):
+        cfg[key] = {**section, **flags}
+
+
 def _gather_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
@@ -566,34 +574,18 @@ def _gather_config(args) -> dict:
             cfg = json.load(f)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    manifold = cfg.get("manifold")
-    manifold = dict(manifold) if isinstance(manifold, dict) else {}
-    touched = "manifold" in cfg
-    for key in ("family", "p", "q"):
-        value = getattr(args, key, None)
-        if value is not None:
-            manifold[key] = value
-            touched = True
+    manifold = {key: getattr(args, key, None) for key in ("family", "p", "q")}
     if getattr(args, "non_compact", None):
         manifold["compact"] = False
-        touched = True
-    if touched:
-        cfg["manifold"] = manifold
+    _overlay(cfg, "manifold", manifold)
     for key in ("level", "z", "w", "z0", "T", "dt", "stride", "oracle",
                 "j", "cyclicity_tol"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    loop = cfg.get("loop")
-    loop = dict(loop) if isinstance(loop, dict) else {}
-    loop_touched = "loop" in cfg
-    for key in ("kind", "radius", "samples", "seed", "modes", "scale"):
-        value = getattr(args, key, None)
-        if value is not None:
-            loop[key] = value
-            loop_touched = True
-    if loop_touched:
-        cfg["loop"] = loop
+    _overlay(cfg, "loop", {key: getattr(args, key, None) for key in
+                           ("kind", "radius", "samples", "seed", "modes",
+                            "scale")})
     if getattr(args, "quotients", None):
         cfg.setdefault("quotients", [])
         cfg["quotients"] = list(cfg["quotients"]) + list(args.quotients)
@@ -605,22 +597,17 @@ def _gather_config(args) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    name = args.command
-    try:
-        if getattr(args, "sweep", None):
-            return _run_sweep(name, args)
-        for line in _RUNNERS[name](_gather_config(args)):
-            print(line)
-        return 0
-    except Exception as exc:
-        code = _exit_code_for(exc)
-        if code is None:
-            raise
-        lines, err = _error_lines(exc, code)
+    code, results, err = _guarded(_results, args)
+    if code:
+        results = [(code, results, err)]
+    exit_code = 0
+    for code, lines, err in results:
         for line in lines:
             print(line)
-        sys.stderr.write(err)
-        return code
+        if err:
+            sys.stderr.write(err)
+        exit_code = max(exit_code, code)
+    return exit_code
 
 
 if __name__ == "__main__":

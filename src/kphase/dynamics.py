@@ -263,13 +263,7 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     z = Z.entries if isinstance(Z, PointMatrix) else np.asarray(Z, dtype=complex)
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
-    return _riccati_rhs(block_split(np.asarray(H).swapaxes(-1, -2), spec), z)
-
-
-def _riccati_rhs(blocks, z: np.ndarray) -> np.ndarray:
-    """:func:`riccati_rhs` on the blocks of ``H^T``: ``A^T, C^T, B^T, D^T``
-    in ``block_split``'s order."""
-    a_t, c_t, b_t, d_t = blocks
+    a_t, c_t, b_t, d_t = block_split(np.asarray(H).swapaxes(-1, -2), spec)
     return -1j * (c_t + z @ d_t - a_t @ z - z @ b_t @ z)
 
 
@@ -361,7 +355,7 @@ def _riccati_advance(z: np.ndarray, out: np.ndarray, stages, h: float):
 
 def _scalar_riccati_rhs(g, y: complex) -> complex:
     """:func:`riccati_rhs` of a 1 x 1 chart variable, given ``-i H^T`` as
-    nested lists.  The terms follow ``_riccati_rhs`` in order, so both
+    nested lists.  The terms follow ``riccati_rhs`` in order, so both
     paths round alike."""
     (a, c), (b, d) = g
     return c + y * d - a * y - y * b * y

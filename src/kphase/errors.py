@@ -26,10 +26,6 @@ class SpecMismatch(KPhaseError):
     """Two points (or a point and an operation) carry different specs."""
 
 
-class BoundaryTooClose(KPhaseError):
-    """Finite-difference stencil would step outside the domain."""
-
-
 class KernelZero(KPhaseError):
     """A kernel value vanishes where a ratio or logarithm needs it."""
 

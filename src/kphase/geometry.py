@@ -8,28 +8,30 @@ evaluated on a single point or a whole ``(n, rows, cols)`` stack by
 equal to ``sum(G * D)``, so no coordinate basis is needed.  For AIII, CI
 and DIII ``G = level * conj((I + s Z Z^dag)^-1 Z)``; for BDI
 ``G = s * level * (2 z conj(z z^T) + 2 s conj(z)) / K(z, conj(z))``.  The
-connection one-form is ``Im sum(G * dZ)``.  The metric, off every hot
-path, is still taken by central finite differences of the potential.
+connection one-form is ``Im sum(G * dZ)``.
+
+The metric is closed form too.  Along basis matrices ``B_mu`` it is
+``level * tr(P^-1 B_mu Q^-1 B_nu^dag)`` for AIII, CI and DIII, with
+``P = I + s Z Z^dag`` and ``Q = I + s Z^dag Z``; for BDI it is
+``s * level * (K_mu,nu / K - K_mu conj(K_nu) / K^2)`` with the kernel's
+partials ``K_mu = 2 z_mu conj(z z^T) + 2 s conj(z_mu)`` and
+``K_mu,nu = 4 z_mu conj(z_nu) + 2 s delta_mu,nu``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryTooClose, KernelZero, OutsideDomain
+from .errors import KernelZero, OutsideDomain
 from .manifolds import (
     Family,
     ManifoldSpec,
-    PointMatrix,
     kernel,
     kernel_stack,
     validate_point,
 )
-
-METRIC_STEP = 1e-4
 
 
 def coordinate_basis(spec: ManifoldSpec) -> list[np.ndarray]:
@@ -87,15 +89,6 @@ def potential(spec: ManifoldSpec, level: int, z) -> float:
     return sign * level * math.log(val)
 
 
-def _potential_raw(spec: ManifoldSpec, level: int, arr: np.ndarray) -> float:
-    try:
-        return potential(spec, level, arr)
-    except OutsideDomain as exc:
-        raise BoundaryTooClose(
-            "finite-difference stencil crosses the domain boundary"
-        ) from exc
-
-
 def gradient_stack(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
     """Closed-form holomorphic gradient ``G`` of the potential (see the
     module docstring) at one chart array or a stack of them, which must
@@ -132,81 +125,24 @@ def connection_eval(spec: ManifoldSpec, level: int, z, delta) -> float:
     return float(np.imag(np.sum(g * d)))
 
 
-def _mixed_stencil(
-    spec: ManifoldSpec, level: int, base: np.ndarray, a, b, h: float
-) -> float:
-    fpp = _potential_raw(spec, level, base + h * (a + b))
-    fpm = _potential_raw(spec, level, base + h * (a - b))
-    fmp = _potential_raw(spec, level, base + h * (b - a))
-    fmm = _potential_raw(spec, level, base - h * (a + b))
-    return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-
-
-def metric(
-    spec: ManifoldSpec, level: int, z, step: float = METRIC_STEP
-) -> np.ndarray:
+def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
     """Hermitian metric matrix ``d^2 F / dz_mu d conj(z_nu)`` at a point.
 
-    Assembled from four-point mixed stencils along pairs of basis
-    directions and their quarter-turn rotations.
+    The closed form of the module docstring, paired with each pair of
+    matrices of :func:`coordinate_basis`.
     """
-    zp = validate_point(spec, z)
-    base = zp.entries
-    basis = coordinate_basis(spec)
-    dim = len(basis)
-    out = np.empty((dim, dim), dtype=complex)
-    for mu in range(dim):
-        for nu in range(dim):
-            bm, bn = basis[mu], basis[nu]
-            dxx = _mixed_stencil(spec, level, base, bm, bn, step)
-            dyy = _mixed_stencil(spec, level, base, 1j * bm, 1j * bn, step)
-            dxy = _mixed_stencil(spec, level, base, bm, 1j * bn, step)
-            dyx = _mixed_stencil(spec, level, base, 1j * bm, bn, step)
-            out[mu, nu] = (dxx + dyy + 1j * (dxy - dyx)) / 4.0
+    z = validate_point(spec, z).entries
+    b = np.array(coordinate_basis(spec))
+    sign = 1.0 if spec.compact else -1.0
+    if spec.family is Family.BDI:
+        v, bv = z[0], b[:, 0]
+        k = float(kernel_stack(spec, z, z).real)
+        k_mu = bv @ (2.0 * v * np.conj(v @ v) + 2.0 * sign * v.conj())
+        zb = bv @ v
+        k_mn = 4.0 * np.outer(zb, zb.conj()) + 2.0 * sign * (bv @ bv.conj().T)
+        out = sign * level * (k_mn / k - np.outer(k_mu, k_mu.conj()) / k**2)
+    else:
+        p_inv = np.linalg.inv(np.eye(z.shape[0]) + sign * (z @ z.conj().T))
+        q_inv = np.linalg.inv(np.eye(z.shape[1]) + sign * (z.conj().T @ z))
+        out = level * np.einsum("mij,nij->mn", p_inv @ b @ q_inv, b.conj())
     return (out + out.conj().T) / 2.0
-
-
-@dataclass(frozen=True)
-class PositivityReport:
-    """Outcome of a metric positivity probe at one point."""
-
-    ok: bool
-    min_eigenvalue: float
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def positivity_check(
-    spec: ManifoldSpec, level: int, z, step: float = METRIC_STEP
-) -> PositivityReport:
-    """Check that the sampled metric is positive definite at a point."""
-    g = metric(spec, level, z, step=step)
-    g = (g + g.conj().T) / 2.0
-    lo = float(np.min(np.linalg.eigvalsh(g)))
-    return PositivityReport(ok=lo > 0.0, min_eigenvalue=lo)
-
-
-@dataclass(frozen=True)
-class KahlerSample:
-    """Potential and metric evaluated together at one point.
-
-    ``sign`` records the potential's overall orientation: ``+1`` on compact
-    specs, ``-1`` on bounded domains.
-    """
-
-    point: PointMatrix
-    potential: float
-    metric: np.ndarray
-    sign: int
-
-
-def sample(spec: ManifoldSpec, level: int, z) -> KahlerSample:
-    """Evaluate potential and metric at one validated point."""
-    zp = validate_point(spec, z)
-    return KahlerSample(
-        point=zp,
-        potential=potential(spec, level, zp),
-        metric=metric(spec, level, zp),
-        sign=1 if spec.compact else -1,
-    )

@@ -60,11 +60,32 @@ def spec_to_json(spec: ManifoldSpec) -> dict:
     }
 
 
+def _integer(config: dict, key: str, default: int, least: int) -> int:
+    """An integer config entry of at least ``least``; a float must be
+    integral."""
+    value = config.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < least:
+        raise ValueError(f"{key!r} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return value
+
+
 def spec_from_json(data: dict) -> ManifoldSpec:
-    """Decode {family, p, q, compact}; q and compact default to 1 and true."""
+    """Decode {family, p, q, compact}; q and compact default to 1 and true.
+
+    ``p`` and ``q`` must be integers (an integral float is accepted) and
+    ``compact`` a boolean; anything else raises ``ValueError``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"'manifold' must be a JSON object, got {data!r}")
+    compact = data.get("compact", True)
+    if type(compact) is not bool:
+        raise ValueError(f"'compact' must be true or false, got {compact!r}")
     return ManifoldSpec(
         family=Family(data["family"]),
-        p=int(data["p"]),
-        q=int(data.get("q", 1)),
-        compact=bool(data.get("compact", True)),
+        p=_integer(data, "p", None, 1),
+        q=_integer(data, "q", 1, 1),
+        compact=compact,
     )

@@ -1,8 +1,9 @@
 """Step-by-step references for the closed forms and the block stepper.
 
 These are the stencils the library used before its closed forms: the
-central-difference holomorphic gradient of the potential and the
-central-difference derivative of the weighted kernel cocycle.  The
+central-difference holomorphic gradient of the potential, the four-point
+mixed stencil of its metric (:func:`fd_metric`) and the central-difference
+derivative of the weighted kernel cocycle.  The
 per-step RK4 loop is the integration ``dynamics`` ran before it stepped
 whole re-projection blocks as arrays.  Tests compare the library against
 them.
@@ -64,6 +65,35 @@ def fd_gradient(spec, level: int, z, step: float = 1e-6) -> np.ndarray:
         fy = (f[2] - f[3]) / (2.0 * step)
         out.append((fx - 1j * fy) / 2.0)
     return np.array(out)
+
+
+def _mixed_stencil(spec, level: int, base: np.ndarray, a, b,
+                   h: float) -> float:
+    fpp = potential(spec, level, base + h * (a + b))
+    fpm = potential(spec, level, base + h * (a - b))
+    fmp = potential(spec, level, base + h * (b - a))
+    fmm = potential(spec, level, base - h * (a + b))
+    return (fpp - fpm - fmp + fmm) / (4.0 * h * h)
+
+
+def fd_metric(spec, level: int, z, step: float = 1e-4) -> np.ndarray:
+    """Hermitian metric matrix ``d^2 F / dz_mu d conj(z_nu)`` from
+    four-point mixed stencils along pairs of basis directions and their
+    quarter-turn rotations."""
+    zp = validate_point(spec, z)
+    base = zp.entries
+    basis = coordinate_basis(spec)
+    dim = len(basis)
+    out = np.empty((dim, dim), dtype=complex)
+    for mu in range(dim):
+        for nu in range(dim):
+            bm, bn = basis[mu], basis[nu]
+            dxx = _mixed_stencil(spec, level, base, bm, bn, step)
+            dyy = _mixed_stencil(spec, level, base, 1j * bm, 1j * bn, step)
+            dxy = _mixed_stencil(spec, level, base, bm, 1j * bn, step)
+            dyx = _mixed_stencil(spec, level, base, 1j * bm, bn, step)
+            out[mu, nu] = (dxx + dyy + 1j * (dxy - dyx)) / 4.0
+    return (out + out.conj().T) / 2.0
 
 
 def fd_expectation(spec, level: int, Z, H, step: float = 1e-5) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kphase.cli
 import kphase.dynamics
@@ -14,6 +17,7 @@ import kphase.phases
 import kphase.su2
 from kphase import HamiltonianSchedule, cp1, triangle_phase
 from kphase.cli import main
+from kphase.serialize import matrix_to_json
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -397,6 +401,20 @@ _MALFORMED_SCHEDULE = {"generators": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
     ("stokes", '"loop": {"kind": "fourier", "seed": 1e400}'),
     ("oracle-compare", '"stride": 0'),
     ("oracle-compare", '"stride": 1e400'),
+    ("kernel", '"manifold": {"family": "AIII", "p": 1, "compact": "false"}, '
+               '"z": 0.5, "w": 0.2'),
+    ("kernel", '"manifold": {"family": "AIII", "p": 1e400}, "z": 0.5, '
+               '"w": 0.2'),
+    ("kernel", '"manifold": {"family": "AIII", "p": 2.7}, "z": 0.5, '
+               '"w": 0.2'),
+    ("kernel", '"manifold": {"family": "AIII", "p": 1, "q": true}, '
+               '"z": 0.5, "w": 0.2'),
+    ("evolve", '"oracle": "no"'),
+    ("stokes", '"loop": []'),
+    ("stokes", '"loop": "fourier"'),
+    ("stokes", '"loop": {"radius": "0.5"}'),
+    ("stokes", '"cyclicity_tol": true'),
+    ("oracle-compare", '"j": "1.5"'),
 ])
 def test_malformed_config_numbers_exit_two(tmp_path, capsys, command,
                                            entries):
@@ -411,6 +429,119 @@ def test_malformed_config_numbers_exit_two(tmp_path, capsys, command,
     assert payload["exit_code"] == 2
     assert payload["type"] == "ValueError"
     assert err.strip() != ""
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, entries, error", [
+    # Both stacks exceed the address space, so allocation fails at once.
+    ("stokes", '"loop": {"samples": 4503599627370496}', "MemoryError"),
+    ("evolve", '"T": 1e12, "dt": 1e-3', "MemoryError"),
+    # Integers that no float holds.
+    ("stokes", '"loop": {"radius": ' + _HUGE + "}", "OverflowError"),
+    ("evolve", '"T": ' + _HUGE, "OverflowError"),
+    ("kernel", '"z": ' + _HUGE + ', "w": 0', "OverflowError"),
+], ids=["stokes-samples-2**52", "evolve-T-1e12", "stokes-radius-10**400",
+        "evolve-T-10**400", "kernel-z-10**400"])
+def test_oversized_request_exits_two(tmp_path, capsys, command, entries,
+                                     error):
+    base = json.dumps({"schedule": _MALFORMED_SCHEDULE, "z0": 0.5,
+                       "T": 1.0})
+    path = tmp_path / "huge.json"
+    path.write_text(base[:-1] + ", " + entries + "}")
+    rc, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == error
+    assert err.strip() != ""
+
+
+def test_sweep_entry_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps([{"z": 1.0, "w": 0.0}, 3]))
+    rc, out, err = run_cli(capsys, ["kernel", "--sweep", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload == {"exit_code": 2, "type": "ValueError",
+                       "message": "every sweep entry must be a JSON object"}
+    assert err.strip() != ""
+
+
+_BAD = [1e400, -1e400, 10**400, NaN, 0, -1, 2.7, "2", True, None, [], {}]
+_BAD_COUNT = _BAD + [2**60]
+
+
+@st.composite
+def _configs(draw):
+    """A config for kernel, triangle or stokes whose every entry is valid
+    and bounded, or one time in ten malformed."""
+
+    def entry(value, bad=_BAD):
+        # Hypothesis favours the ends of a range, so a middle value keeps
+        # the malformed share near one in ten.
+        if draw(st.integers(0, 9)) == 5:
+            return draw(st.sampled_from(bad))
+        return value
+
+    family = draw(st.sampled_from(["AIII", "CI", "DIII", "BDI"]))
+    p = draw(st.integers(2 if family == "DIII" else 1, 3))
+    q = draw(st.integers(1, p)) if family == "AIII" else 1
+    shape = {"AIII": (p, q), "BDI": (1, p)}.get(family, (p, p))
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def point():
+        a = rng.uniform(-0.25, 0.25, shape) + 1j * rng.uniform(-0.25, 0.25,
+                                                               shape)
+        if family == "CI":
+            a = a + a.T
+        elif family == "DIII":
+            a = a - a.T
+        return matrix_to_json(a / 2.0)
+
+    manifold = {"family": entry(family), "p": entry(p, _BAD_COUNT),
+                "q": entry(q, _BAD_COUNT),
+                "compact": entry(draw(st.booleans()))}
+    loop = draw(st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["latitude", "fourier"]),
+        "samples": st.integers(3, 2000),
+        "modes": st.integers(1, 4),
+        "seed": st.integers(0, 2**32),
+        "scale": st.floats(0.0, 1.0),
+        "radius": st.floats(0.01, 2.0),
+    }))
+    loop = {key: entry(value, _BAD_COUNT if key in ("samples", "modes")
+                       else _BAD) for key, value in loop.items()}
+    return {"manifold": entry(manifold),
+            "level": entry(draw(st.integers(1, 5)), _BAD_COUNT),
+            "z": entry(point()), "w": entry(point()),
+            "cyclicity_tol": entry(draw(st.floats(0.0, 1.0))),
+            "loop": entry(loop)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(command=st.sampled_from(["kernel", "triangle", "stokes"]),
+       config=_configs())
+def test_fuzzed_configs_end_in_strict_json(tmp_path_factory, command,
+                                           config):
+    # json.dumps writes the non-finite values as NaN and Infinity, which
+    # the config reader decodes as it does 1e400.
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(path)])
+    assert rc in (0, 2, 3, 4)
+    rows = [json.loads(line, parse_constant=_strict)
+            for line in out.getvalue().splitlines()]
+    if rc:
+        assert len(rows) == 1 and list(rows[0]) == ["error"]
+        assert rows[0]["error"]["exit_code"] == rc
+        assert err.getvalue() != ""
+    else:
+        assert rows and all("error" not in row for row in rows)
 
 
 def test_sweep_preserves_order_and_reports_errors(tmp_path, capsys):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kphase import (
-    BoundaryTooClose,
     Family,
     ManifoldSpec,
     connection_eval,
@@ -12,13 +11,11 @@ from kphase import (
     cp1,
     gradient,
     metric,
-    positivity_check,
     potential,
     random_point,
-    sample,
 )
 
-from finite_difference import fd_gradient
+from finite_difference import fd_gradient, fd_metric
 
 FAMILY_SPECS = [
     spec
@@ -119,15 +116,26 @@ def test_metric_positive_definite(rng):
         ManifoldSpec(Family.BDI, 3, compact=False),
     ):
         z = random_point(spec, rng, scale=0.3)
-        report = positivity_check(spec, 1, z)
-        assert report
-        assert report.min_eigenvalue > 0.0
+        assert np.min(np.linalg.eigvalsh(metric(spec, 1, z))) > 0.0
 
 
-def test_metric_near_boundary_raises():
-    nc = cp1(compact=False)
-    with pytest.raises(BoundaryTooClose):
-        metric(nc, 1, 0.99995)
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=str)
+def test_metric_closed_form_matches_stencil(spec, rng):
+    for level in (1, 3):
+        for _ in range(3):
+            z = random_point(spec, rng, scale=0.3)
+            h = metric(spec, level, z)
+            gap = np.max(np.abs(h - fd_metric(spec, level, z)))
+            assert gap < 1e-5 * np.max(np.abs(h))
+
+
+def test_metric_disk_near_boundary():
+    # Closer to the boundary than the step of fd_metric, 1e-4.
+    r = 0.99995
+    for level in (1, 3):
+        h = metric(cp1(compact=False), level, r)
+        assert h.shape == (1, 1)
+        assert h[0, 0] == pytest.approx(level / (1.0 - r * r) ** 2, rel=1e-9)
 
 
 def test_connection_eval_linearity(rng):
@@ -139,12 +147,3 @@ def test_connection_eval_linearity(rng):
     b = connection_eval(spec, 1, z, d2)
     both = connection_eval(spec, 1, z, d1 + d2)
     assert both == pytest.approx(a + b, abs=1e-8)
-
-
-def test_sample_bundle():
-    s = sample(cp1(), 2, 0.5)
-    assert s.sign == 1
-    assert s.potential == pytest.approx(2.0 * math.log(1.25), abs=1e-12)
-    assert s.metric.shape == (1, 1)
-    s_nc = sample(cp1(compact=False), 2, 0.5)
-    assert s_nc.sign == -1
