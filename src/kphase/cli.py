@@ -62,6 +62,7 @@ from .phases import (
 )
 from .serialize import (
     _integer,
+    _is_number,
     matrix_from_json,
     matrix_to_json,
     spec_from_json,
@@ -90,15 +91,14 @@ def _dumps(obj) -> str:
 
 
 def _point_value(value):
-    """Accept a number, a [re, im] pair, a pair list, or a nested matrix."""
+    """Accept a number, a [re, im] pair, a pair list, or a nested matrix;
+    a string (a command-line flag) is read as JSON first."""
     if isinstance(value, str):
         value = json.loads(value)
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if isinstance(value, list) and value:
-        if len(value) == 2 and all(
-            isinstance(x, (int, float)) for x in value
-        ):
+        if len(value) == 2 and all(_is_number(x) for x in value):
             return complex(value[0], value[1])
         first = value[0]
         if isinstance(first, list) and first and isinstance(first[0], list):
@@ -134,7 +134,7 @@ def _real(config: dict, key: str, default: float | None = None) -> float:
     required."""
     value = (_require(config, key) if default is None
              else config.get(key, default))
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{key!r} must be a number, got {value!r}")
     return float(value)
 

@@ -1,25 +1,31 @@
 """Classical coherent-parameter flow under time-dependent linear Hamiltonians.
 
 Every integration here takes the same fixed-size RK4 step, ``_rk4_step``,
-in blocks of ``REUNITARIZE_EVERY`` steps that each evaluate the schedule
-once, at their half-step times.  An RK4 step of i dY/dt = H(t) Y is a
-matrix fixed by the schedule, so ``_rk4_step`` on the identity gives a
-block's step matrices; the state advances by one product per step and is
-projected onto its polar factor at the block end.  :func:`propagate` runs
-this for the defining-representation unitary (:func:`evolve_unitary`) and
-for spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory`
-also advances, as an independent route, a Riccati integration of the chart
-variable on the same stage Hamiltonians.  That equation is quadratic in
-the chart variable, so it keeps one RK4 step per step; stepping it through
-U or the Mobius map instead would make the cross-check compare a route with
-itself.  On p x q chart points each block forms its stage operators
-``N = -i [[C^T, -A^T], [D^T, -B^T]]`` once, and a stage costs two matmuls,
-``G = N [I; Z]`` and ``G[:p] + Z G[p:]``; on 1 x 1 chart points (CP1, its
-dual and CI(1)) it steps Python complex scalars.  After the loop the
-fractional-linear (Mobius) action maps the whole stack of unitaries onto
-the chart at once, and the chart rules and the cross-check between the two
-routes run on whole arrays.  Hamiltonians are supplied as schedules: fixed
-Hermitian generators with piecewise-linear time coefficients.
+and projects the state onto its polar factor after every
+``REUNITARIZE_EVERY`` steps, one re-projection period.  It runs in chunks
+of whole periods, sized by ``CHUNK_ENTRIES`` (``_blocks``), that each
+evaluate the schedule once, at their half-step times.  An RK4 step of
+i dY/dt = H(t) Y is a matrix fixed by the schedule, so ``_rk4_step`` on
+the identity gives a chunk's step matrices.  Batched products then advance
+all the chunk's periods together (``_advance``): pairwise products give
+each period's whole product, one product per period carries the state
+across it, and one product per in-period position writes the rows of
+every period at once.  :func:`propagate` runs this for the
+defining-representation unitary (:func:`evolve_unitary`) and for spin-j
+state vectors (``su2.schrodinger_evolve``).  :func:`trajectory` also
+advances, as an independent route, a Riccati integration of the chart
+variable on the same stage Hamiltonians, one period at a time.  That
+equation is quadratic in the chart variable, so it keeps one RK4 step per
+step; stepping it through U or the Mobius map instead would make the
+cross-check compare a route with itself.  On p x q chart points each
+period forms its stage operators ``N = -i [[C^T, -A^T], [D^T, -B^T]]``
+once, and a stage costs two matmuls, ``G = N [I; Z]`` and
+``G[:p] + Z G[p:]``; on 1 x 1 chart points (CP1, its dual and CI(1)) it
+steps Python complex scalars.  After the loop the fractional-linear
+(Mobius) action maps the whole stack of unitaries onto the chart at once,
+and the chart rules and the cross-check between the two routes run on
+whole arrays.  Hamiltonians are supplied as schedules: fixed Hermitian
+generators with piecewise-linear time coefficients.
 
 Chart orientation: the point z = 0 labels the reference (top) weight ray,
 and a 2 x 2 unitary with blocks a, b, c, d moves the scalar coordinate as
@@ -60,6 +66,8 @@ from .serialize import matrix_from_json, matrix_to_json
 HERMITICITY_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-6
 REUNITARIZE_EVERY = 50
+# Entries of one chunk's stack of step matrices (see ``_blocks``).
+CHUNK_ENTRIES = 2 ** 12
 # Symmetry slack of Mobius images along a trajectory, the chart size at
 # which the Riccati variable counts as diverged, and the smallest
 # |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
@@ -288,10 +296,14 @@ def _rk4_step(rhs, y, H1, H2, H3, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _blocks(n: int):
-    """Step ranges ``[k0, k1)`` that end at each re-projection."""
-    return [(k0, min(k0 + REUNITARIZE_EVERY, n))
-            for k0 in range(0, n, REUNITARIZE_EVERY)]
+def _blocks(n: int, d: int):
+    """Step ranges ``[k0, k1)`` of the chunks that advance ``d x d`` step
+    matrices: each chunk is a whole number of re-projection periods, as
+    many as keep its stack of step matrices within ``CHUNK_ENTRIES``
+    entries and at least one, and only the last chunk may end short."""
+    size = REUNITARIZE_EVERY * max(
+        1, CHUNK_ENTRIES // (REUNITARIZE_EVERY * d * d))
+    return [(k0, min(k0 + size, n)) for k0 in range(0, n, size)]
 
 
 def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
@@ -303,15 +315,56 @@ def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
     return hs[:-1:2], hs[1::2], hs[2::2]
 
 
-def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k1: int):
-    """RK4 steps of i dY/dt = H(t) Y from ``Y`` on the stage stacks, written
-    to the rows of ``out``.  ``_rk4_step`` on the identity gives the steps'
-    matrices.  The last row is step ``k1``; it is re-projected when
-    ``REUNITARIZE_EVERY`` divides ``k1``."""
-    for P, row in zip(_rk4_step(_linear_rhs, np.eye(len(Y)), *stages, h), out):
-        Y = np.matmul(P, Y, out=row)
-    if k1 % REUNITARIZE_EVERY == 0:
+def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k0: int):
+    """RK4 steps ``k0 .. k0 + len(out) - 1`` of i dY/dt = H(t) Y from
+    ``Y`` on the leading rows of the stage stacks, written to the rows of
+    ``out``.
+
+    ``_rk4_step`` on the identity gives the steps' matrices.  They are
+    grouped by re-projection period, the steps between multiples of
+    ``REUNITARIZE_EVERY``, with identities padding the first and last
+    periods to full length.  Pairwise products give every period's whole
+    product at once; one product per period carries the state across it,
+    re-projected onto its polar factor at each multiple; then one batched
+    product per in-period position advances every period from its starting
+    state, writing the rows.
+    """
+    period, n, d = REUNITARIZE_EVERY, len(out), len(Y)
+    lead = k0 % period
+    m = -(-(lead + n) // period)
+    steps = _rk4_step(_linear_rhs, np.eye(d), *(H[:n] for H in stages), h)
+    if lead or (lead + n) % period:
+        eye = np.eye(d)
+        steps = np.concatenate((np.broadcast_to(eye, (lead, d, d)), steps,
+                                np.broadcast_to(eye, (m * period - lead - n,
+                                                      d, d))))
+    steps = steps.reshape(m, period, d, d)
+    starts = np.empty((m,) + Y.shape, dtype=complex)
+    starts[0] = Y
+    if m > 1:
+        for p, whole in enumerate(_period_products(steps[:-1]), 1):
+            starts[p] = _polar(whole @ starts[p - 1])
+    rows = np.empty((m, period) + Y.shape, dtype=complex)
+    state = starts
+    for P, row in zip(steps.swapaxes(0, 1), rows.swapaxes(0, 1)):
+        state = np.matmul(P, state, out=row)
+    out[:] = rows.reshape((m * period,) + Y.shape)[lead:lead + n]
+    out[period - 1 - lead::period][:m - 1] = starts[1:]
+    if (k0 + n) % period == 0:
         out[-1] = _polar(out[-1])
+
+
+def _period_products(steps: np.ndarray) -> np.ndarray:
+    """Each period's product of its step matrices, later steps on the
+    left: the periods are padded in front with identities to a power of
+    two and halved by one batched product per level."""
+    m, period, d, _ = steps.shape
+    width = 1 << (period - 1).bit_length()
+    prods = np.concatenate(
+        (np.broadcast_to(np.eye(d), (m, width - period, d, d)), steps), axis=1)
+    while prods.shape[1] > 1:
+        prods = prods[:, 1::2] @ prods[:, ::2]
+    return prods[:, 0]
 
 
 def _riccati_advance(z: np.ndarray, out: np.ndarray, stages, h: float):
@@ -381,9 +434,9 @@ def propagate(
     n, h = _grid(t0, t1, dt)
     states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
     states[0] = Y0
-    for k0, k1 in _blocks(n):
+    for k0, k1 in _blocks(n, schedule.dim):
         _advance(states[k0], states[k0 + 1:k1 + 1],
-                 _stages(schedule, t0, h, k0, k1), h, k1)
+                 _stages(schedule, t0, h, k0, k1), h, k0)
     return np.linspace(t0, t1, n + 1), states
 
 
@@ -431,9 +484,10 @@ def trajectory(
 ) -> Trajectory:
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
-    Each block of ``REUNITARIZE_EVERY`` steps advances the Riccati variable
-    and then the unitary with the same stage Hamiltonians; a block whose
-    Riccati variable diverges ends at the first diverged step.  After the
+    Each chunk advances the Riccati variable one re-projection period at a
+    time and then the unitary, with the same stage Hamiltonians; a chunk
+    whose Riccati variable diverges ends at the first diverged step, and
+    the unitary is advanced only that far.  After the
     loop the Mobius map takes the whole stack of unitaries to ``points``
     with one batched solve, and the guards run on whole arrays: the first
     failing step raises ``ChartOverflow``, ``SymmetryViolation``,
@@ -450,16 +504,20 @@ def trajectory(
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
     us[0], zs[0] = np.eye(schedule.dim), z0
-    for k0, k1 in _blocks(n):
+    for k0, k1 in _blocks(n, schedule.dim):
         stages = _stages(schedule, 0.0, h, k0, k1)
-        # Steps after a diverged one may overflow: the block ends at the
+        # Steps after a diverged one may overflow: the chunk ends at the
         # first diverged step, and the unitary is advanced only that far.
         with np.errstate(over="ignore", invalid="ignore"):
-            _riccati_advance(zs[k0], zs[k0 + 1:k1 + 1], stages, h)
-            diverged = np.flatnonzero(_diverged(zs[k0 + 1:k1 + 1]))
-        if len(diverged):
-            k1 = k0 + 1 + int(diverged[0])
-        _advance(us[k0], us[k0 + 1:k1 + 1], stages, h, k1)
+            for j0 in range(k0, k1, REUNITARIZE_EVERY):
+                j1 = min(j0 + REUNITARIZE_EVERY, k1)
+                _riccati_advance(zs[j0], zs[j0 + 1:j1 + 1],
+                                 [H[j0 - k0:j1 - k0] for H in stages], h)
+                diverged = np.flatnonzero(_diverged(zs[j0 + 1:j1 + 1]))
+                if len(diverged):
+                    k1 = j0 + 1 + int(diverged[0])
+                    break
+        _advance(us[k0], us[k0 + 1:k1 + 1], stages, h, k0)
         if len(diverged):
             break
     return _chart_path(spec, np.linspace(0.0, T, n + 1)[:k1 + 1],
@@ -478,7 +536,7 @@ def clip_trajectory(
     h = t_end - t
     us, zs = traj.unitaries[: k + 2].copy(), traj.riccati[: k + 2].copy()
     stages = _stages(schedule, t, h, 0, 1)
-    _advance(us[k], us[k + 1:], stages, h, k + 1)
+    _advance(us[k], us[k + 1:], stages, h, k)
     _riccati_advance(zs[k], zs[k + 1:], stages, h)
     return _chart_path(traj.spec, np.append(traj.times[: k + 1], t_end),
                        us, zs)

@@ -26,13 +26,26 @@ def matrix_to_json(m) -> list:
     ]
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _pairs(data, ndim: int, message: str) -> np.ndarray:
+    """Nested lists ``ndim`` deep, the last level ``[real, imag]`` pairs of
+    JSON numbers, as a float array.  numpy would read a string or a bool
+    as a number, so either raises ``ValueError``."""
+    arr = np.asarray(data, dtype=object)
+    if arr.ndim != ndim or arr.shape[-1] != 2:
+        raise DimensionMismatch(message)
+    if not all(_is_number(x) for x in arr.flat):
+        raise ValueError(f"{message}; every entry must be a JSON number")
+    return arr.astype(float)
+
+
 def matrix_from_json(data) -> np.ndarray:
     """Decode nested [real, imag] pairs back into a complex matrix."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise DimensionMismatch(
-            "matrix JSON must be rows of [real, imag] pairs"
-        )
+    arr = _pairs(data, 3, "matrix JSON must be rows of [real, imag] pairs")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -44,9 +57,7 @@ def vector_to_json(v) -> list:
 
 def vector_from_json(data) -> np.ndarray:
     """Decode a flat list of [real, imag] pairs into a complex vector."""
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DimensionMismatch("vector JSON must be [real, imag] pairs")
+    arr = _pairs(data, 2, "vector JSON must be [real, imag] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 

@@ -32,7 +32,7 @@ from .phases import wrap_angle
 
 
 # Largest accepted 2j.  The spin-j propagator holds stacks of about a
-# hundred (2j+1) x (2j+1) matrices per re-projection block, 7 MB at this
+# hundred (2j+1) x (2j+1) matrices per one-period chunk, 7 MB at this
 # size; the oracle is an exact check for small spins.
 MAX_TWO_J = 64
 

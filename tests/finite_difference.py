@@ -1,12 +1,12 @@
-"""Step-by-step references for the closed forms and the block stepper.
+"""Step-by-step references for the closed forms and the chunked stepper.
 
 These are the stencils the library used before its closed forms: the
 central-difference holomorphic gradient of the potential, the four-point
 mixed stencil of its metric (:func:`fd_metric`) and the central-difference
-derivative of the weighted kernel cocycle.  The
-per-step RK4 loop is the integration ``dynamics`` ran before it stepped
-whole re-projection blocks as arrays.  Tests compare the library against
-them.
+derivative of the weighted kernel cocycle.  The per-step RK4 loop
+(:func:`stepwise_run`) is the integration ``dynamics`` ran before it
+advanced whole chunks of re-projection periods with batched products.
+Tests compare the library against them.
 """
 
 from __future__ import annotations

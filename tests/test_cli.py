@@ -415,6 +415,10 @@ _MALFORMED_SCHEDULE = {"generators": [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]],
     ("stokes", '"loop": {"radius": "0.5"}'),
     ("stokes", '"cyclicity_tol": true'),
     ("oracle-compare", '"j": "1.5"'),
+    # Points take JSON numbers only, at every level.
+    ("kernel", '"z": true, "w": 0'),
+    ("kernel", '"z": [[["0.5", 0]]], "w": 0'),
+    ("kernel", '"z": [[[true, 0]]], "w": 0'),
 ])
 def test_malformed_config_numbers_exit_two(tmp_path, capsys, command,
                                            entries):
@@ -429,6 +433,20 @@ def test_malformed_config_numbers_exit_two(tmp_path, capsys, command,
     assert payload["exit_code"] == 2
     assert payload["type"] == "ValueError"
     assert err.strip() != ""
+
+
+@pytest.mark.parametrize("z, rc", [
+    ("true", 2), ("[true, 0]", 2), ('[[0.5, "0"]]', 2),
+    ("0.5", 0), ("[0.5, 0.1]", 0), ("[[0.5, 0.1]]", 0),
+])
+def test_point_flags_read_as_json_numbers(capsys, z, rc):
+    code, out, _ = run_cli(capsys, ["kernel", "--z", z, "--w", "0"])
+    assert code == rc
+    row = json.loads(out, parse_constant=_strict)
+    if rc:
+        assert row["error"]["type"] == "ValueError"
+    else:
+        assert row == {"im": 0.0, "re": 1.0}
 
 
 _HUGE = "1" + "0" * 400
@@ -473,17 +491,46 @@ _BAD = [1e400, -1e400, 10**400, NaN, 0, -1, 2.7, "2", True, None, [], {}]
 _BAD_COUNT = _BAD + [2**60]
 
 
+def _entry(draw, value, bad=_BAD):
+    """``value``, or one time in ten a malformed entry from ``bad``."""
+    # Hypothesis favours the ends of a range, so a middle value keeps the
+    # malformed share near one in ten.
+    if draw(st.integers(0, 9)) == 5:
+        return draw(st.sampled_from(bad))
+    return value
+
+
+def _chart_point(rng, family, shape):
+    a = rng.uniform(-0.25, 0.25, shape) + 1j * rng.uniform(-0.25, 0.25, shape)
+    if family == "CI":
+        a = a + a.T
+    elif family == "DIII":
+        a = a - a.T
+    return matrix_to_json(a / 2.0)
+
+
+def _chart_generator(rng, family, p, q):
+    """A Hermitian defining-representation generator, an integer diagonal
+    plus a small random part, that keeps the CI or DIII chart symmetry:
+    blocks [[P, S], [S^dagger, -P^T]] with S symmetric (CI) or skew
+    (DIII)."""
+    n = p + q if family == "AIII" else 2 * p
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = np.diag(rng.integers(-2, 3, n)) + 0.1 * (a + a.conj().T)
+    if family != "AIII":
+        s = h[:p, p:]
+        s = s + s.T if family == "CI" else s - s.T
+        h = np.block([[h[:p, :p], s], [s.conj().T, -h[:p, :p].T]])
+    return matrix_to_json(h)
+
+
 @st.composite
 def _configs(draw):
     """A config for kernel, triangle or stokes whose every entry is valid
     and bounded, or one time in ten malformed."""
 
     def entry(value, bad=_BAD):
-        # Hypothesis favours the ends of a range, so a middle value keeps
-        # the malformed share near one in ten.
-        if draw(st.integers(0, 9)) == 5:
-            return draw(st.sampled_from(bad))
-        return value
+        return _entry(draw, value, bad)
 
     family = draw(st.sampled_from(["AIII", "CI", "DIII", "BDI"]))
     p = draw(st.integers(2 if family == "DIII" else 1, 3))
@@ -491,15 +538,6 @@ def _configs(draw):
     shape = {"AIII": (p, q), "BDI": (1, p)}.get(family, (p, p))
 
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def point():
-        a = rng.uniform(-0.25, 0.25, shape) + 1j * rng.uniform(-0.25, 0.25,
-                                                               shape)
-        if family == "CI":
-            a = a + a.T
-        elif family == "DIII":
-            a = a - a.T
-        return matrix_to_json(a / 2.0)
 
     manifold = {"family": entry(family), "p": entry(p, _BAD_COUNT),
                 "q": entry(q, _BAD_COUNT),
@@ -516,9 +554,85 @@ def _configs(draw):
                        else _BAD) for key, value in loop.items()}
     return {"manifold": entry(manifold),
             "level": entry(draw(st.integers(1, 5)), _BAD_COUNT),
-            "z": entry(point()), "w": entry(point()),
+            "z": entry(_chart_point(rng, family, shape)),
+            "w": entry(_chart_point(rng, family, shape)),
             "cyclicity_tol": entry(draw(st.floats(0.0, 1.0))),
             "loop": entry(loop)}
+
+
+@st.composite
+def _integrating_configs(draw, command):
+    """A config for evolve or oracle-compare whose every entry is valid
+    and bounded, or one time in ten malformed.  A valid span has T <= 7
+    and dt >= 1e-2, at most 700 steps; its schedule is constant or sampled
+    over [0, 7].  The config is malformed as a whole (the schedule, the
+    manifold) where the kernel fuzz already malforms its parts."""
+
+    def entry(value, bad=_BAD):
+        return _entry(draw, value, bad)
+
+    if command == "oracle-compare":
+        family, p, q = "AIII", 1, 1
+    else:
+        family = draw(st.sampled_from(["AIII", "CI", "DIII"]))
+        p = draw(st.integers(2 if family == "DIII" else 1, 3))
+        q = draw(st.integers(1, p)) if family == "AIII" else 1
+    shape = (p, q) if family == "AIII" else (p, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    gens = [_chart_generator(rng, family, p, q)
+            for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        schedule = {"generators": gens,
+                    "constant": rng.uniform(-1, 1, len(gens)).tolist()}
+    else:
+        knots = draw(st.integers(2, 8))
+        schedule = {"generators": gens, "samples": np.column_stack(
+            [np.linspace(0.0, 7.0, knots),
+             rng.uniform(-1, 1, (knots, len(gens)))]).tolist()}
+    config = {"schedule": entry(schedule),
+              "z0": entry(_chart_point(rng, family, shape)),
+              "T": entry(draw(st.floats(0.1, 7.0))),
+              "dt": entry(draw(st.floats(1e-2, 0.05))),
+              "stride": entry(draw(st.integers(1, 50)), _BAD_COUNT)}
+    if command == "oracle-compare":
+        config["j"] = entry(draw(st.sampled_from([0.5, 1.0, 1.5, 2.0])))
+        return config
+    manifold = {"family": family, "p": p, "q": q}
+    config.update({"manifold": entry(manifold),
+                   "level": entry(draw(st.integers(1, 5)), _BAD_COUNT),
+                   "oracle": entry(draw(st.booleans())),
+                   "cyclicity_tol": entry(draw(st.floats(0.0, 1.0)))})
+    return config
+
+
+def _run_config_file(path, argv, data):
+    """Write ``data`` as JSON to ``path``, run ``main(argv)`` and return
+    its exit code, stdout rows as strict JSON, and stderr."""
+    # json.dumps writes the non-finite values as NaN and Infinity, which
+    # the config reader decodes as it does 1e400.
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    rows = [json.loads(line, parse_constant=_strict)
+            for line in out.getvalue().splitlines()]
+    return rc, rows, err.getvalue()
+
+
+def _check_config_run(tmp_path_factory, command, config):
+    """One run ends in exit 0 with result rows, or in exit 2, 3 or 4 with
+    one error object."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    rc, rows, err = _run_config_file(path, [command, "--config", str(path)],
+                                     config)
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert len(rows) == 1 and list(rows[0]) == ["error"]
+        assert rows[0]["error"]["exit_code"] == rc
+        assert err != ""
+    else:
+        assert rows and all("error" not in row for row in rows)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -526,22 +640,42 @@ def _configs(draw):
        config=_configs())
 def test_fuzzed_configs_end_in_strict_json(tmp_path_factory, command,
                                            config):
-    # json.dumps writes the non-finite values as NaN and Infinity, which
-    # the config reader decodes as it does 1e400.
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(config))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([command, "--config", str(path)])
+    _check_config_run(tmp_path_factory, command, config)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(command=st.sampled_from(["evolve", "oracle-compare"]), data=st.data())
+def test_fuzzed_integrating_configs_end_in_strict_json(tmp_path_factory,
+                                                       command, data):
+    _check_config_run(tmp_path_factory, command,
+                      data.draw(_integrating_configs(command)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(command=st.sampled_from(["kernel", "triangle", "stokes", "evolve",
+                                "oracle-compare"]),
+       data=st.data())
+def test_fuzzed_sweeps_end_in_strict_json(tmp_path_factory, command, data):
+    # One to three configs of one command, each one time in ten replaced
+    # by a malformed entry; a sweep entry that is no config fails it all.
+    configs = (_configs() if command in ("kernel", "triangle", "stokes")
+               else _integrating_configs(command))
+    sweep = [_entry(data.draw, config)
+             for config in data.draw(st.lists(configs, min_size=1,
+                                              max_size=3))]
+    path = tmp_path_factory.getbasetemp() / "sweep.json"
+    rc, rows, err = _run_config_file(path, [command, "--sweep", str(path)],
+                                     sweep)
     assert rc in (0, 2, 3, 4)
-    rows = [json.loads(line, parse_constant=_strict)
-            for line in out.getvalue().splitlines()]
-    if rc:
-        assert len(rows) == 1 and list(rows[0]) == ["error"]
-        assert rows[0]["error"]["exit_code"] == rc
-        assert err.getvalue() != ""
+    errors = [row for row in rows if "error" in row]
+    assert all(list(row) == ["error"] for row in errors)
+    codes = [row["error"]["exit_code"] for row in errors]
+    assert max(codes, default=0) == rc
+    assert (err != "") == bool(codes)
+    if all(isinstance(c, dict) for c in sweep):
+        assert len(codes) <= len(sweep)
     else:
-        assert rows and all("error" not in row for row in rows)
+        assert codes == [2] and len(rows) == 1
 
 
 def test_sweep_preserves_order_and_reports_errors(tmp_path, capsys):

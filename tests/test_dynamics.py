@@ -399,6 +399,75 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert np.max(np.abs(cyc.riccati[-1] - clip_z[-1])) <= 1e-12
 
 
+@pytest.mark.parametrize("spec, gens, n", [
+    (cp1(), [SZ, SX], 2137),
+    (ManifoldSpec(Family.DIII, 3, compact=False), None, 237),
+], ids=["CP1", "DIII(3)-noncompact"])
+def test_chunked_stepping_matches_stepwise_reference(spec, gens, n, rng):
+    # More than two chunks, the last one ending 37 steps into a period.
+    d = defining_dimension(spec)
+    chunks = kphase.dynamics._blocks(n, d)
+    assert len(chunks) > 2 and chunks[-1][1] == n and n % 50 == 37
+    if gens is None:
+        gens = [_defining_generator(rng, spec) for _ in range(2)]
+    h = 4e-3
+    sched = HamiltonianSchedule.from_samples(
+        gens, [[0.0, 1.0, 0.2], [n * h / 2, 0.6, 0.3], [n * h, 1.2, -0.1]])
+    z0 = 0.2 * random_point(spec, rng).entries
+    ref_u, ref_z = stepwise_run(sched, np.eye(d), 0.0, h, n, spec=spec, z0=z0)
+
+    traj = trajectory(spec, z0, sched, n * h, h)
+    assert np.max(np.abs(traj.unitaries - ref_u)) <= 1e-12
+    assert np.max(np.abs(traj.riccati - ref_z)) <= 1e-12
+    col = ref_u[0][:, 1:2]
+    _, cols = propagate(sched, col, 0.0, n * h, h)
+    assert np.max(np.abs(cols - stepwise_run(sched, col, 0.0, h, n)[0])) <= 1e-12
+
+
+def test_divergence_in_later_chunk_advances_unitary_that_far(monkeypatch):
+    # A sudden strong field in the third chunk of 1000 steps sends the
+    # Riccati variable off the chart at step 2071.
+    spec, h = cp1(), 1e-3
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 0.0, 0.5], [2.0699, 0.0, 0.5], [2.07, 1e6, 0.5],
+                   [5.0, 1e6, 0.5]])
+    seen = {}
+
+    def capture(spec, times, us, zs):
+        seen.update(times=times, us=us, zs=zs)
+        raise ChartOverflow("captured")
+
+    monkeypatch.setattr(kphase.dynamics, "_chart_path", capture)
+    with pytest.raises(ChartOverflow, match="captured"):
+        trajectory(spec, 0.2, sched, 5.0, h)
+    k = len(seen["times"]) - 1
+    assert k == 2071
+    assert seen["us"].shape == (k + 1, 2, 2) and seen["zs"].shape == (k + 1, 1, 1)
+    assert abs(seen["zs"][-1, 0, 0]) > kphase.dynamics.RICCATI_BOUND
+    assert np.all(np.abs(seen["zs"][:-1]) <= kphase.dynamics.RICCATI_BOUND)
+    ref_u, ref_z = stepwise_run(sched, np.eye(2), 0.0, h, k, spec=spec,
+                                z0=np.array([[0.2]]))
+    assert np.max(np.abs(seen["us"][:k] - ref_u[:k])) <= 1e-12
+    assert np.max(np.abs(seen["zs"][:k] - ref_z[:k])) <= 1e-12
+    assert np.all(np.isfinite(seen["us"]))
+
+
+def test_trajectory_reprojects_every_period(monkeypatch):
+    """Chunked stepping re-projects the unitary at the same step counts as
+    the per-step loop: once per ``REUNITARIZE_EVERY`` steps."""
+    polar, calls = kphase.dynamics._polar, []
+
+    def counted(Y):
+        calls.append(Y.shape)
+        return polar(Y)
+
+    monkeypatch.setattr(kphase.dynamics, "_polar", counted)
+    sched = HamiltonianSchedule.constant([SX, SZ], [0.3, 0.9])
+    traj = trajectory(cp1(), 0.2, sched, 10.0, 1e-3)
+    assert len(traj.times) == 10_001
+    assert calls == [(2, 2)] * 200
+
+
 def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):
     """The matrix Riccati route makes one ``_rk4_step`` call per step from
     the chart point and the stage stacks alone: it takes no unitary, and the
