@@ -435,6 +435,35 @@ def test_malformed_config_numbers_exit_two(tmp_path, capsys, command,
     assert err.strip() != ""
 
 
+_GENERATOR = _MALFORMED_SCHEDULE["generators"][0]
+
+
+@pytest.mark.parametrize("command", ["evolve", "oracle-compare"])
+@pytest.mark.parametrize("schedule, entry", [
+    (2.7, "'schedule' must be a JSON object"),
+    ([{"generators": [_GENERATOR], "constant": [1.0]}],
+     "'schedule' must be a JSON object"),
+    ({"generators": 2, "constant": [1.0]}, "'generators' of 'schedule'"),
+    ({"generators": [], "constant": []}, "'generators' of 'schedule'"),
+    ({"constant": [1.0]}, "'generators' of 'schedule'"),
+    ({"generators": [_GENERATOR]}, "exactly one of 'constant' and 'samples'"),
+    ({"generators": [_GENERATOR], "constant": [1.0],
+      "samples": [[0.0, 1.0]]}, "exactly one of 'constant' and 'samples'"),
+], ids=["number", "list", "generators-number", "generators-empty",
+        "generators-missing", "neither-kind", "both-kinds"])
+def test_malformed_schedule_exits_two_naming_the_entry(
+        tmp_path, capsys, command, schedule, entry):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"schedule": schedule, "z0": 0.5, "T": 1.0,
+                                "dt": 1e-2}))
+    rc, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["type"] == "ValueError"
+    assert entry in payload["message"]
+    assert err.strip() != ""
+
+
 @pytest.mark.parametrize("z, rc", [
     ("true", 2), ("[true, 0]", 2), ('[[0.5, "0"]]', 2),
     ("0.5", 0), ("[0.5, 0.1]", 0), ("[[0.5, 0.1]]", 0),

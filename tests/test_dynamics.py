@@ -34,6 +34,7 @@ from kphase import (
 import kphase.dynamics
 from kphase.dynamics import (
     _riccati_advance,
+    _rk4_step,
     _stages,
     defining_dimension,
     expectation_stack,
@@ -367,9 +368,11 @@ def test_clip_trajectory_ends_at_cycle_time():
         "DIII(3)-noncompact"])
 def test_block_stepping_matches_stepwise_reference(spec, rng):
     # 1 x 1 chart points (CP1, its dual, CI(1)) take the scalar Riccati
-    # path, the others the matrix path of block operators.  AIII(2,1) and
-    # AIII(3,2) have p > q, where splitting the operator at q instead of p
-    # still fits the shapes.  The reference steps riccati_rhs per stage.
+    # path, the others the matrix path of half-step operators.  AIII(2,1)
+    # and AIII(3,2) have p > q, where splitting the operator at q instead
+    # of p still fits the shapes (p < q is in
+    # test_matrix_riccati_route_on_wide_arrays).  The reference steps
+    # riccati_rhs per stage.
     d = defining_dimension(spec)
     gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = HamiltonianSchedule.from_samples(
@@ -469,21 +472,15 @@ def test_trajectory_reprojects_every_period(monkeypatch):
 
 
 def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):
-    """The matrix Riccati route makes one ``_rk4_step`` call per step from
-    the chart point and the stage stacks alone: it takes no unitary, and the
-    Mobius map is never called.  Its values are checked against the
-    stepwise reference in test_block_stepping_matches_stepwise_reference."""
+    """The matrix Riccati route steps from the chart point and the stage
+    stacks alone: it takes no unitary, the Mobius map is never called, and
+    its rows match the stepwise reference one by one, which a skipped or
+    repeated step, or any other input, would break."""
     spec = ManifoldSpec(Family.AIII, 3, 2)
-    step, calls = kphase.dynamics._rk4_step, []
-
-    def counted(*args):
-        calls.append(args[1].shape)
-        return step(*args)
 
     def no_mobius(*args):
         raise AssertionError("the Riccati route used the Mobius map")
 
-    monkeypatch.setattr(kphase.dynamics, "_rk4_step", counted)
     monkeypatch.setattr(kphase.dynamics, "_chart_images", no_mobius)
     sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
                                          [1.0])
@@ -491,8 +488,33 @@ def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):
     n, h = 7, 0.01
     out = np.empty((n,) + z0.shape, dtype=complex)
     _riccati_advance(z0, out, _stages(sched, 0.0, h, 0, n), h)
-    assert calls == [(3, 2)] * n
     assert np.all(np.isfinite(out))
+    _, ref = stepwise_run(sched, np.eye(5), 0.0, h, n, spec=spec, z0=z0)
+    assert np.max(np.abs(out - ref[1:])) <= 1e-12
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 3)])
+def test_matrix_riccati_route_on_wide_arrays(p, q, rng):
+    """AIII charts have p >= q, so no chart point is wider than tall; the
+    route's buffers must still fit p < q.  The reference steps the Riccati
+    equation written out on the blocks of H split at p."""
+    def rhs(H, z):
+        a, b, c, d = H[:p, :p], H[:p, p:], H[p:, :p], H[p:, p:]
+        return -1j * (c.T + z @ d.T - a.T @ z - z @ b.T @ z)
+
+    n, h = 137, 0.01
+    gens = [rng.standard_normal((p + q, p + q))
+            + 1j * rng.standard_normal((p + q, p + q)) for _ in range(2)]
+    sched = HamiltonianSchedule.from_samples(
+        [(g + g.conj().T) / 2.0 for g in gens],
+        [[0.0, 0.5, 0.2], [0.6, -0.3, 0.7], [1.5, 0.4, -0.5]])
+    z = 0.2 * (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
+    out = np.empty((n, p, q), dtype=complex)
+    _riccati_advance(z, out, _stages(sched, 0.0, h, 0, n), h)
+    for k, row in enumerate(out):
+        t = k * h
+        z = _rk4_step(rhs, z, sched(t), sched(t + h / 2.0), sched(t + h), h)
+        assert np.max(np.abs(row - z)) <= 1e-12
 
 
 def test_schedule_at_matches_pointwise_calls():
