@@ -1,26 +1,31 @@
 """Classical coherent-parameter flow under time-dependent linear Hamiltonians.
 
-Every integration here takes fixed-size classical RK4 steps and projects
-the state onto its polar factor after every ``REUNITARIZE_EVERY`` steps,
-one re-projection period.  It runs in chunks of whole periods, sized by
-``CHUNK_ENTRIES`` (``_blocks``), that each evaluate the schedule once, at
-their half-step times.  An RK4 step of i dY/dt = H(t) Y is a matrix fixed
-by the schedule, so ``_rk4_step`` on the identity gives a chunk's step
-matrices.  Batched products then advance all the chunk's periods together
-(``_advance``): pairwise products give each period's whole product, one
-product per period carries the state across it, and one product per
-in-period position writes the rows of every period at once.
-:func:`propagate` runs this for the defining-representation unitary
+The linear flow i dY/dt = H(t) Y of a unitary or a state vector is taken
+in one of two ways, chosen from the schedule.  A constant schedule's flow
+is exp(-iH(t - t0)): one ``eigh`` of H gives every row in closed form from
+the span start (``_exact_rows``), so no step is taken and no re-projection
+is needed.  A sampled schedule takes fixed-size classical RK4 steps and
+projects the state onto its polar factor after every ``REUNITARIZE_EVERY``
+steps, one re-projection period.  Both run in chunks of whole periods,
+sized by ``CHUNK_ENTRIES`` (``_blocks``).  On the RK4 path each chunk
+evaluates the schedule once, at its half-step times, and forms its step
+matrices from the pre-scaled stages in three batched products
+(``_step_matrices``).  Batched products then advance all the chunk's
+periods together (``_advance``): pairwise products give each period's
+whole product, one product per period carries the state across it, and
+one product per in-period position writes the rows of every period at
+once.  :func:`propagate` runs this for the defining-representation unitary
 (:func:`evolve_unitary`) and for spin-j state vectors
 (``su2.schrodinger_evolve``).  :func:`trajectory` also advances, as an
-independent route, a Riccati integration of the chart variable on the same
-stage Hamiltonians, one period at a time.  That equation is quadratic in
-the chart variable, so it keeps one RK4 step per step; stepping it through
-U or the Mobius map instead would make the cross-check compare a route
-with itself.  On p x q chart points each period forms its half-step
-operators ``N = -i (h/2) [[C^T, -A^T], [D^T, -B^T]]`` once and steps in
-place, in buffers allocated once (``_riccati_advance``); on 1 x 1 chart
-points (CP1, its dual and CI(1)) it steps Python complex scalars through
+independent route, a Riccati integration of the chart variable on the
+RK4 stage Hamiltonians, one period at a time, for constant schedules too.
+That equation is quadratic in the chart variable, so it keeps one RK4 step
+per step; stepping it through U or the Mobius map instead would make the
+cross-check compare a route with itself.  On p x q chart points each
+period forms its half-step operators
+``N = -i (h/2) [[C^T, -A^T], [D^T, -B^T]]`` once and steps in place, in
+buffers allocated once (``_riccati_advance``); on 1 x 1 chart points (CP1,
+its dual and CI(1)) it steps Python complex scalars through
 ``_rk4_step``.  After the loop the fractional-linear (Mobius) action maps
 the whole stack of unitaries onto the chart at once, and the chart rules
 and the cross-check between the two routes run on whole arrays.
@@ -294,10 +299,6 @@ def _polar(Y: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _linear_rhs(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return -1j * (H @ Y)
-
-
 def _rk4_step(rhs, y, H1, H2, H3, h):
     """Classical RK4 step of dy/dt = rhs(H(t), y) given H at the start,
     middle and end of the step."""
@@ -332,7 +333,7 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k0: int):
     ``Y`` on the leading rows of the stage stacks, written to the rows of
     ``out``.
 
-    ``_rk4_step`` on the identity gives the steps' matrices.  They are
+    ``_step_matrices`` gives the steps' matrices.  They are
     grouped by re-projection period, the steps between multiples of
     ``REUNITARIZE_EVERY``, with identities padding the first and last
     periods to full length.  Pairwise products give every period's whole
@@ -344,7 +345,7 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k0: int):
     period, n, d = REUNITARIZE_EVERY, len(out), len(Y)
     lead = k0 % period
     m = -(-(lead + n) // period)
-    steps = _rk4_step(_linear_rhs, np.eye(d), *(H[:n] for H in stages), h)
+    steps = _step_matrices(stages, h, n)
     if lead or (lead + n) % period:
         eye = np.eye(d)
         steps = np.concatenate((np.broadcast_to(eye, (lead, d, d)), steps,
@@ -366,6 +367,32 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k0: int):
         out[-1] = _polar(out[-1])
 
 
+def _step_matrices(stages, h: float, n: int) -> np.ndarray:
+    """RK4 step matrices of i dY/dt = H(t) Y on the leading ``n`` rows of
+    the stage stacks, from three batched products.
+
+    With the pre-scaled stages ``a1 = -i (h/2) H1``, ``a2 = -i (h/2) H2``
+    and ``a3 = -i h H3``, the RK4 increments of the identity are
+    ``h k1 = 2 a1``, ``h k2 = 2 C``, ``h k3 = 2 E`` and ``h k4 = F`` with
+    ``C = a2 (I + a1)``, ``E = a2 (I + C)`` and ``F = a3 (I + 2 E)``, so a
+    step is ``I + a1/3 + 2 (C + E)/3 + F/6``.
+    """
+    eye = np.eye(stages[0].shape[-1])
+    H1, H2, H3 = (H[:n] for H in stages)
+    b = (-0.5j * h) * H1
+    b += eye
+    a2 = (-0.5j * h) * H2
+    c = a2 @ b
+    e = a2 @ (c + eye)
+    f = ((-1j * h) * H3) @ (2.0 * e + eye)
+    c += e
+    c *= 2.0 / 3.0
+    c += f / 6.0
+    c += b / 3.0
+    c += (2.0 / 3.0) * eye
+    return c
+
+
 def _period_products(steps: np.ndarray) -> np.ndarray:
     """Each period's product of its step matrices, later steps on the
     left: the periods are padded in front with identities to a power of
@@ -377,6 +404,23 @@ def _period_products(steps: np.ndarray) -> np.ndarray:
     while prods.shape[1] > 1:
         prods = prods[:, 1::2] @ prods[:, ::2]
     return prods[:, 0]
+
+
+def _exact_rows(schedule: HamiltonianSchedule, Y0: np.ndarray):
+    """The closed-form flow of a constant schedule from ``Y0``: one
+    ``eigh`` of its matrix ``H = V diag(lam) V^dagger`` gives the function
+    ``rows(elapsed, out)`` that writes
+    ``Y(t0 + s) = V diag(exp(-i lam s)) V^dagger Y0`` for each ``s`` of
+    ``elapsed`` into the rows of ``out``.  Every row is taken from the
+    span start, so rounding does not accumulate from row to row."""
+    lam, v = np.linalg.eigh(schedule._constant_matrix)
+    coeffs = v.conj().T @ Y0
+
+    def rows(elapsed: np.ndarray, out: np.ndarray) -> None:
+        phases = np.exp(-1j * np.multiply.outer(elapsed, lam))
+        np.matmul(v, phases[..., None] * coeffs, out=out)
+
+    return rows
 
 
 def _riccati_advance(z: np.ndarray, out: np.ndarray, stages, h: float):
@@ -471,15 +515,24 @@ def propagate(
     schedule: HamiltonianSchedule, Y0, t0: float, t1: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate i dY/dt = H(t) Y over [t0, t1] from a square matrix or a
-    column ``Y0``; returns the grid times and the stack of states."""
+    column ``Y0``; returns the grid times and the stack of states.
+
+    A constant schedule takes every row in closed form from ``Y0``
+    (``_exact_rows``); a sampled one takes RK4 steps with re-projection
+    (``_advance``).  Both run chunk by chunk (``_blocks``)."""
     if not schedule.covers(t0, t1):
         raise ScheduleGap("schedule does not cover the integration span")
     n, h = _grid(t0, t1, dt)
     states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
     states[0] = Y0
-    for k0, k1 in _blocks(n, schedule.dim):
-        _advance(states[k0], states[k0 + 1:k1 + 1],
-                 _stages(schedule, t0, h, k0, k1), h, k0)
+    if schedule.is_constant:
+        rows = _exact_rows(schedule, states[0])
+        for k0, k1 in _blocks(n, schedule.dim):
+            rows(h * np.arange(k0 + 1, k1 + 1), states[k0 + 1:k1 + 1])
+    else:
+        for k0, k1 in _blocks(n, schedule.dim):
+            _advance(states[k0], states[k0 + 1:k1 + 1],
+                     _stages(schedule, t0, h, k0, k1), h, k0)
     return np.linspace(t0, t1, n + 1), states
 
 
@@ -487,9 +540,9 @@ def evolve_unitary(
     schedule: HamiltonianSchedule, t0: float, t1: float, dt: float
 ) -> np.ndarray:
     """Integrate i dU/dt = H(t) U from the identity over [t0, t1], by
-    :func:`propagate`; the result is exactly re-unitarized at the end."""
+    :func:`propagate`; an RK4 result is exactly re-unitarized at the end."""
     _, states = propagate(schedule, np.eye(schedule.dim), t0, t1, dt)
-    return _polar(states[-1])
+    return states[-1] if schedule.is_constant else _polar(states[-1])
 
 
 @dataclass
@@ -528,12 +581,12 @@ def trajectory(
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
     Each chunk advances the Riccati variable one re-projection period at a
-    time and then the unitary, with the same stage Hamiltonians; a chunk
-    whose Riccati variable diverges ends at the first diverged step, and
-    the unitary is advanced only that far.  After the
-    loop the Mobius map takes the whole stack of unitaries to ``points``
-    with one batched solve, and the guards run on whole arrays: the first
-    failing step raises ``ChartOverflow``, ``SymmetryViolation``,
+    time and then the unitary, in closed form for a constant schedule and
+    on the same stage Hamiltonians otherwise; a chunk whose Riccati
+    variable diverges ends at the first diverged step, and the unitary is
+    advanced only that far.  After the loop the Mobius map takes the whole
+    stack of unitaries to ``points`` with one batched solve, and the guards
+    run on whole arrays: the first failing step raises ``ChartOverflow``, ``SymmetryViolation``,
     ``OutsideDomain`` or ``CrossCheckFailure``, naming its time.
     """
     if schedule.dim != defining_dimension(spec):
@@ -547,6 +600,7 @@ def trajectory(
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
     us[0], zs[0] = np.eye(schedule.dim), z0
+    exact = _exact_rows(schedule, us[0]) if schedule.is_constant else None
     for k0, k1 in _blocks(n, schedule.dim):
         stages = _stages(schedule, 0.0, h, k0, k1)
         # Steps after a diverged one may overflow: the chunk ends at the
@@ -560,7 +614,10 @@ def trajectory(
                 if len(diverged):
                     k1 = j0 + 1 + int(diverged[0])
                     break
-        _advance(us[k0], us[k0 + 1:k1 + 1], stages, h, k0)
+        if exact is None:
+            _advance(us[k0], us[k0 + 1:k1 + 1], stages, h, k0)
+        else:
+            exact(h * np.arange(k0 + 1, k1 + 1), us[k0 + 1:k1 + 1])
         if len(diverged):
             break
     return _chart_path(spec, np.linspace(0.0, T, n + 1)[:k1 + 1],
@@ -570,8 +627,15 @@ def trajectory(
 def clip_trajectory(
     traj: Trajectory, schedule: HamiltonianSchedule, t_end: float
 ) -> Trajectory:
-    """The samples of a trajectory before ``t_end`` plus one partial RK4
-    step on both routes that ends exactly at ``t_end``."""
+    """The samples of a trajectory before ``t_end`` plus one row at
+    ``t_end``: a partial RK4 step of the Riccati variable, and of the
+    unitary too unless the schedule is constant, where the unitary at
+    ``t_end`` is taken in closed form.
+
+    The kept rows already passed the guards; the Mobius map and the guards
+    run on the new row alone, and the kept rows' cross-check gap is
+    re-read from their points.
+    """
     k = int(np.searchsorted(traj.times, t_end)) - 1
     if not 0 <= k < len(traj.times) - 1:
         raise ValueError("the clip time must lie inside the trajectory span")
@@ -579,10 +643,19 @@ def clip_trajectory(
     h = t_end - t
     us, zs = traj.unitaries[: k + 2].copy(), traj.riccati[: k + 2].copy()
     stages = _stages(schedule, t, h, 0, 1)
-    _advance(us[k], us[k + 1:], stages, h, k)
+    if schedule.is_constant:
+        _exact_rows(schedule, us[0])(np.array([t_end - traj.times[0]]),
+                                     us[k + 1:])
+    else:
+        _advance(us[k], us[k + 1:], stages, h, k)
     _riccati_advance(zs[k], zs[k + 1:], stages, h)
-    return _chart_path(traj.spec, np.append(traj.times[: k + 1], t_end),
-                       us, zs)
+    times = np.append(traj.times[: k + 1], t_end)
+    point, err = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
+                             zs[k + 1:], zs[0])
+    kept = traj.points[: k + 1]
+    gap = max(float(np.max(np.abs(kept - zs[: k + 1]))), float(err[0]))
+    return Trajectory(traj.spec, times, np.concatenate((kept, point)), us,
+                      gap, zs)
 
 
 def _diverged(z: np.ndarray) -> np.ndarray:
@@ -592,13 +665,22 @@ def _diverged(z: np.ndarray) -> np.ndarray:
 
 
 def _chart_path(spec, times, us, zs) -> Trajectory:
-    """Mobius images of the unitaries ``us`` with every guard run on the
+    """The trajectory of the unitaries ``us`` and the Riccati rows ``zs``
+    from the start point ``zs[0]``: row 0 is the start point itself, and
+    the later rows are their Mobius images, checked by ``_chart_rows``."""
+    images, err = _chart_rows(spec, times[1:], us[1:], zs[1:], zs[0])
+    return Trajectory(spec, times, np.concatenate((zs[:1], images)), us,
+                      float(np.max(err)), zs)
+
+
+def _chart_rows(spec, times, us, zs, z0):
+    """Mobius images of ``z0`` under the unitaries ``us`` and their
+    entrywise gaps to the Riccati rows ``zs``, with every guard run on the
     arrays.  A step that trips several guards reports the first of:
     Riccati divergence (only the last step can diverge), the chart edge,
     the chart rules, the cross-check."""
-    det, images = _chart_images(spec, us, zs[0])
+    det, images = _chart_images(spec, us, z0)
     points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
-    points[0] = zs[0]
     err = np.max(np.abs(points - zs), axis=(1, 2))
     bounded = np.arange(len(times)) < len(times) - int(_diverged(zs[-1]))
     raise_first_fault([
@@ -609,7 +691,7 @@ def _chart_path(spec, times, us, zs) -> Trajectory:
         (err <= CROSS_CHECK_TOL, CrossCheckFailure,
          lambda k: f"Mobius and Riccati paths disagree by {err[k]:.3e}"),
     ], times)
-    return Trajectory(spec, times, points, us, float(np.max(err)), zs)
+    return points, err
 
 
 def expectation(spec: ManifoldSpec, level: int, Z, H) -> float:

@@ -2,7 +2,10 @@
 
 Both factories return one validated ``(samples + 1, rows, cols)`` complex
 stack whose final row repeats the first one exactly, so downstream phase
-integrals see a closed path without any cyclicity slack.
+integrals see a closed path without any cyclicity slack.  Both bound the
+work they accept before they allocate anything: at most ``MAX_ENTRIES``
+entries in ``samples x rows x cols`` and at most ``MAX_MODES`` Fourier
+modes.
 """
 
 from __future__ import annotations
@@ -10,6 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 from .manifolds import Family, ManifoldSpec, validate_points
+
+# A 2**22-entry stack is 64 MB of complex values before validation copies
+# it; each Fourier mode costs a Python-level pass over the stack.
+MAX_ENTRIES = 2 ** 22
+MAX_MODES = 4096
+
+
+def _check_size(spec: ManifoldSpec, samples: int, modes: int = 1) -> None:
+    if samples < 3:
+        raise ValueError("need at least 3 samples")
+    rows, cols = spec.point_shape
+    if samples * rows * cols > MAX_ENTRIES:
+        raise ValueError(
+            f"samples x rows x cols must be at most {MAX_ENTRIES}, got "
+            f"{samples} x {rows} x {cols}")
+    if modes > MAX_MODES:
+        raise ValueError(f"modes must be at most {MAX_MODES}, got {modes}")
 
 
 def latitude_circle(
@@ -20,12 +40,12 @@ def latitude_circle(
     Returns the validated ``(samples + 1, rows, cols)`` stack; the
     duplicate endpoint reuses the first point's float values bit for bit.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
+    _check_size(spec, samples)
     if radius <= 0:
         raise ValueError("radius must be positive")
+    t = _angles(samples)
     z = np.zeros((samples + 1,) + spec.point_shape, dtype=complex)
-    z[:, 0, 0] = radius * np.exp(1j * _angles(samples))
+    z[:, 0, 0] = radius * np.exp(1j * t)
     return validate_points(spec, z)
 
 
@@ -49,8 +69,7 @@ def fourier_loop(
     Returns the validated ``(samples + 1, rows, cols)`` stack, closed as
     in :func:`latitude_circle`.
     """
-    if samples < 3:
-        raise ValueError("need at least 3 samples")
+    _check_size(spec, samples, modes)
     rows, cols = spec.point_shape
     coeffs = []
     for m in range(1, modes + 1):

@@ -7,7 +7,9 @@ c0 I + c . sigma promotes to ``c0 (2j) I + 2 c . J``; at j = 1/2 this is
 the identity map, and the coherent expectation of the promoted generator
 matches the chart-side cocycle formula at level 2j.  States evolve with the
 same propagator as the chart's defining-representation unitary
-(``dynamics.propagate``), applied to a column vector.  The Bloch projection
+(``dynamics.propagate``), applied to a column vector in the
+(2j+1)-dimensional space: in closed form for a constant schedule, by RK4
+for a sampled one, never through the 2 x 2 unitary.  The Bloch projection
 back to the chart runs its Newton iteration on a whole stack of states at
 once (:func:`bloch_projection_stack`); :func:`bloch_projection` is its
 one-row case.  Spins are bounded by ``MAX_TWO_J``.
@@ -31,7 +33,7 @@ from .errors import (
 from .phases import wrap_angle
 
 
-# Largest accepted 2j.  The spin-j propagator holds stacks of about a
+# Largest accepted 2j.  The spin-j RK4 propagator holds stacks of about a
 # hundred (2j+1) x (2j+1) matrices per one-period chunk, 7 MB at this
 # size; the oracle is an exact check for small spins.
 MAX_TWO_J = 64
@@ -147,9 +149,10 @@ def schrodinger_evolve(
 ) -> StateTrajectory:
     """Integrate i dpsi/dt = H(t) psi over [0, T].
 
-    The state runs as a d x 1 column through ``dynamics.propagate``: the
-    same RK4 step and re-projection rule as the defining-representation
-    unitary, where the polar factor of a column is its normalisation.
+    The state runs as a d x 1 column through ``dynamics.propagate``, the
+    propagator of the defining-representation unitary: closed form for a
+    constant schedule, and otherwise the same RK4 step and re-projection
+    rule, where the polar factor of a column is its normalisation.
     """
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))

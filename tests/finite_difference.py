@@ -5,7 +5,8 @@ central-difference holomorphic gradient of the potential, the four-point
 mixed stencil of its metric (:func:`fd_metric`) and the central-difference
 derivative of the weighted kernel cocycle.  The per-step RK4 loop
 (:func:`stepwise_run`) is the integration ``dynamics`` ran before it
-advanced whole chunks of re-projection periods with batched products.
+advanced whole chunks of re-projection periods with batched products; for
+sampled schedules ``dynamics`` still takes the same steps.
 Tests compare the library against them.
 """
 
@@ -24,7 +25,6 @@ from kphase import (
 from kphase.dynamics import (
     REUNITARIZE_EVERY,
     _chart_images,
-    _linear_rhs,
     _polar,
     _rk4_step,
     riccati_rhs,
@@ -110,6 +110,10 @@ def fd_expectation(spec, level: int, Z, H, step: float = 1e-5) -> float:
     value = 1j * (log_term(step) - log_term(-step)) / (2.0 * step)
     assert abs(value.imag) < 1e-8
     return float(value.real)
+
+
+def _linear_rhs(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    return -1j * (H @ Y)
 
 
 def stepwise_run(schedule, Y0, t0: float, h: float, n: int, k0: int = 0,

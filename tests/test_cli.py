@@ -482,14 +482,18 @@ _HUGE = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("command, entries, error", [
-    # Both stacks exceed the address space, so allocation fails at once.
-    ("stokes", '"loop": {"samples": 4503599627370496}', "MemoryError"),
+    # Loop sizes past their caps are refused before any allocation.
+    ("stokes", '"loop": {"samples": 4503599627370496}', "ValueError"),
+    ("stokes", '"loop": {"samples": 4194305}', "ValueError"),
+    ("stokes", '"loop": {"kind": "fourier", "modes": 4097}', "ValueError"),
+    # The stack exceeds the address space, so allocation fails at once.
     ("evolve", '"T": 1e12, "dt": 1e-3', "MemoryError"),
     # Integers that no float holds.
     ("stokes", '"loop": {"radius": ' + _HUGE + "}", "OverflowError"),
     ("evolve", '"T": ' + _HUGE, "OverflowError"),
     ("kernel", '"z": ' + _HUGE + ', "w": 0', "OverflowError"),
-], ids=["stokes-samples-2**52", "evolve-T-1e12", "stokes-radius-10**400",
+], ids=["stokes-samples-2**52", "stokes-samples-past-cap",
+        "stokes-modes-past-cap", "evolve-T-1e12", "stokes-radius-10**400",
         "evolve-T-10**400", "kernel-z-10**400"])
 def test_oversized_request_exits_two(tmp_path, capsys, command, entries,
                                      error):

@@ -356,6 +356,45 @@ def test_clip_trajectory_ends_at_cycle_time():
     assert abs(cyc.points[-1, 0, 0] - exact) < 1e-9
 
 
+@pytest.mark.parametrize("constant", [True, False], ids=["constant",
+                                                          "sampled"])
+def test_clip_checks_new_row_like_whole_path(constant, rng):
+    """The clip maps and checks only its new row, yet gives the points and
+    cross-check error of ``_chart_path`` on all the clipped rows, bit for
+    bit."""
+    spec = ManifoldSpec(Family.CI, 2)
+    gens = [_defining_generator(rng, spec) for _ in range(2)]
+    sched = (HamiltonianSchedule.constant(gens, [0.4, 0.3]) if constant else
+             HamiltonianSchedule.from_samples(
+                 gens, [[0.0, 0.4, 0.3], [1.0, -0.2, 0.5]]))
+    traj = trajectory(spec, 0.2 * random_point(spec, rng).entries, sched,
+                      1.0, 2e-3)
+    cyc = clip_trajectory(traj, sched, 0.6789)
+    ref = kphase.dynamics._chart_path(spec, cyc.times, cyc.unitaries,
+                                      cyc.riccati)
+    assert len(cyc.times) == 341
+    assert np.array_equal(cyc.points, ref.points)
+    assert cyc.cross_check_error == ref.cross_check_error
+
+
+def test_clip_guard_on_new_row_names_clip_time(monkeypatch):
+    """A guard that only the new row trips still raises, at t_end.  The
+    RK4 phase error of the Riccati route grows along the precession, so
+    a cross-check tolerance between the kept rows' gap and the new row's
+    gap trips on the new row alone."""
+    spec = cp1()
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    traj = trajectory(spec, 0.7, sched, 3.0, 2e-2)
+    t_end = 2.9876
+    cyc = clip_trajectory(traj, sched, t_end)
+    gaps = np.abs(cyc.points - cyc.riccati)[:, 0, 0]
+    assert gaps[-1] > np.max(gaps[:-1])
+    monkeypatch.setattr(kphase.dynamics, "CROSS_CHECK_TOL",
+                        (gaps[-1] + np.max(gaps[:-1])) / 2.0)
+    with pytest.raises(CrossCheckFailure, match=r"at t = 2\.9876$"):
+        clip_trajectory(traj, sched, t_end)
+
+
 @pytest.mark.parametrize("spec", [
     ManifoldSpec(Family.AIII, 2, 1), cp1(), cp1(compact=False),
     ManifoldSpec(Family.CI, 1), ManifoldSpec(Family.DIII, 3),
@@ -456,8 +495,9 @@ def test_divergence_in_later_chunk_advances_unitary_that_far(monkeypatch):
 
 
 def test_trajectory_reprojects_every_period(monkeypatch):
-    """Chunked stepping re-projects the unitary at the same step counts as
-    the per-step loop: once per ``REUNITARIZE_EVERY`` steps."""
+    """Chunked RK4 stepping of a sampled schedule re-projects the unitary
+    at the same step counts as the per-step loop: once per
+    ``REUNITARIZE_EVERY`` steps."""
     polar, calls = kphase.dynamics._polar, []
 
     def counted(Y):
@@ -465,10 +505,112 @@ def test_trajectory_reprojects_every_period(monkeypatch):
         return polar(Y)
 
     monkeypatch.setattr(kphase.dynamics, "_polar", counted)
-    sched = HamiltonianSchedule.constant([SX, SZ], [0.3, 0.9])
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 0.3, 0.9], [10.0, 0.5, 0.7]])
     traj = trajectory(cp1(), 0.2, sched, 10.0, 1e-3)
     assert len(traj.times) == 10_001
     assert calls == [(2, 2)] * 200
+
+
+def test_constant_schedule_takes_no_steps(monkeypatch, rng):
+    """A constant schedule's unitary comes in closed form: no step
+    matrices, no period products and no re-projection."""
+    def refuse(*args):
+        raise AssertionError("the constant path stepped or re-projected")
+
+    for name in ("_polar", "_step_matrices", "_period_products", "_advance"):
+        monkeypatch.setattr(kphase.dynamics, name, refuse)
+    spec = ManifoldSpec(Family.AIII, 2, 1)
+    sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
+                                         [1.0])
+    traj = trajectory(spec, 0.2 * random_point(spec, rng).entries, sched,
+                      1.0, 1e-3)
+    clip_trajectory(traj, sched, 0.4567)
+    propagate(sched, np.eye(3)[:, :1], 0.0, 1.0, 1e-3)
+    evolve_unitary(sched, 0.0, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("d, t0, n", [(2, 0.0, 2137), (3, -1.3, 1237),
+                                      (5, 0.7, 163)])
+def test_constant_propagate_matches_exponential(d, t0, n, rng):
+    """Every row of a constant schedule's flow is exp(-iH(t - t0)) Y0, for
+    square and column starts, over several chunks with a short last one."""
+    (a0, a1), *_, (b0, b1) = kphase.dynamics._blocks(n, d)
+    assert b1 == n and b1 - b0 < a1 - a0
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = (h + h.conj().T) / 2.0
+    sched = HamiltonianSchedule.constant([H], [0.8])
+    for Y0 in (_haar(rng, d), _haar(rng, d)[:, :1]):
+        times, states = propagate(sched, Y0, t0, t0 + n * 4e-3, 4e-3)
+        assert len(times) == n + 1 and np.array_equal(states[0], Y0)
+        ref = np.array([expm_hermitian_generator(0.8 * H, t - t0) @ Y0
+                        for t in times])
+        assert np.max(np.abs(states - ref)) <= 1e-12
+
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_constant_trajectory_and_clip_match_exponential(rng):
+    spec = ManifoldSpec(Family.CI, 2)
+    H = sp_compatible_generator(rng, 2, Family.CI)
+    sched = HamiltonianSchedule.constant([H], [0.5])
+    traj = trajectory(spec, 0.2 * random_point(spec, rng).entries, sched,
+                      3.0, 2e-3)
+    ref = np.array([expm_hermitian_generator(0.5 * H, t) for t in traj.times])
+    assert np.max(np.abs(traj.unitaries - ref)) <= 1e-12
+    t_end = 2.3456789
+    cyc = clip_trajectory(traj, sched, t_end)
+    assert cyc.times[-1] == t_end
+    exact = expm_hermitian_generator(0.5 * H, t_end)
+    assert np.max(np.abs(cyc.unitaries[-1] - exact)) <= 1e-12
+
+
+def test_constant_flow_stays_unitary_over_many_steps():
+    sched = HamiltonianSchedule.constant([SX, SY, SZ], [0.3, -0.8, 1.1])
+    _, us = propagate(sched, np.eye(2), 0.0, 10.0, 1e-3)
+    assert len(us) == 10_001
+    drift = us.conj().swapaxes(1, 2) @ us - np.eye(2)
+    assert np.max(np.linalg.norm(drift, 2, axis=(1, 2))) <= 1e-13
+
+
+def test_constant_flow_stays_symplectic(rng):
+    """On H = [[P, S], [S^dagger, -P^T]] with S symmetric the flow keeps
+    U^T J U = J; RK4 step matrices missed it by 6.3e-7 here."""
+    H = sp_compatible_generator(rng, 2, Family.CI)
+    J = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+    sched = HamiltonianSchedule.constant([H], [1.0])
+    _, us = propagate(sched, np.eye(4), 0.0, 3.0, 0.05)
+    assert len(us) == 61
+    assert np.max(np.abs(us[-1].T @ J @ us[-1] - J)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ci_drift_is_not_reported_as_symmetry_violation(seed):
+    """The CI(2) compact evolve generator (spectrum +-1, +-2 tilted by a
+    symplectic rotation of norm 0.3) at dt = 0.04.  RK4 step matrices
+    drifted off the symmetric chart by about 1.6e-9 here, which the path
+    guard reported as invalid input; the coarse grid may still fail the
+    cross-check, whose RK4 Riccati route is off by about 1e-6."""
+    rng = np.random.default_rng([seed, 1])
+    # The draws of the AIII(3,2) call that precedes it in the workload.
+    rng.standard_normal((2, 5, 5)), rng.random((2, 3, 2))
+    K = sp_compatible_generator(rng, 2, Family.CI)
+    K = K / np.linalg.norm(K, 2)
+    V = expm_hermitian_generator(K, 0.3)
+    H = V @ np.diag([1.0, 2.0, -1.0, -2.0]) @ V.conj().T
+    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    z0 = 0.3 * (b + b.T) / np.linalg.norm(b + b.T, 2)
+    sched = HamiltonianSchedule.constant([(H + H.conj().T) / 2.0], [1.0])
+    try:
+        traj = trajectory(ManifoldSpec(Family.CI, 2), z0, sched,
+                          2.04 * math.pi, 0.04)
+    except CrossCheckFailure:
+        return
+    assert traj.cross_check_error <= 1e-6
 
 
 def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):

@@ -144,6 +144,41 @@ def test_loop_factories_return_closed_validated_stacks(rng):
             assert np.array_equal(validate_points(spec, z), z)
 
 
+class _Allocating(Exception):
+    """Raised in place of the first allocation a loop factory makes."""
+
+
+def _refuse_allocation(samples):
+    raise _Allocating
+
+
+@pytest.mark.parametrize("factory", ["latitude", "fourier"])
+def test_loop_sample_cap(factory, monkeypatch, rng):
+    """samples x rows x cols is capped at 2**22: at the cap the factory
+    goes on to allocate, one past it the check refuses first."""
+    import kphase.loops
+
+    monkeypatch.setattr(kphase.loops, "_angles", _refuse_allocation)
+    spec = ManifoldSpec(Family.AIII, 2, 2)
+    build = {"latitude": lambda n: latitude_circle(spec, 0.5, n),
+             "fourier": lambda n: fourier_loop(spec, rng, n)}[factory]
+    assert kphase.loops.MAX_ENTRIES == 2**22
+    with pytest.raises(_Allocating):
+        build(2**22 // 4)
+    with pytest.raises(ValueError, match="at most 4194304, got 1048577 x"):
+        build(2**22 // 4 + 1)
+
+
+def test_loop_mode_cap(rng):
+    import kphase.loops
+
+    assert kphase.loops.MAX_MODES == 4096
+    z = fourier_loop(cp1(), rng, 8, modes=4096, scale=1e-3)
+    assert z.shape == (9, 1, 1)
+    with pytest.raises(ValueError, match="modes must be at most 4096"):
+        fourier_loop(cp1(), rng, 8, modes=4097)
+
+
 def test_polygon_phase_matches_triangle_loop(rng):
     for spec in LOOP_SPECS:
         loop = fourier_loop(spec, rng, 60, scale=0.3)
