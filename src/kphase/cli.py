@@ -27,8 +27,8 @@ from .dynamics import (
     STATIONARY_TOL,
     CycleInfo,
     HamiltonianSchedule,
-    _find_cycle,
     clip_trajectory,
+    find_cycle,
     ray_distances,
     trajectory,
 )
@@ -46,11 +46,10 @@ from .loops import fourier_loop, latitude_circle
 from .manifolds import (
     Family,
     ManifoldSpec,
+    _distance,
     cp1,
-    distance_stack,
     kernel,
-    projective_distance,
-    validate_point,
+    validate_points,
 )
 from .phases import (
     assemble_report,
@@ -69,7 +68,7 @@ from .serialize import (
     vector_from_json,
 )
 from .su2 import (
-    bloch_projection_stack,
+    bloch_projection,
     coherent_vector,
     map_schedule,
     quantum_phases,
@@ -150,8 +149,8 @@ def _tolerance(config: dict, key: str, default: float) -> float:
 
 def run_kernel(config: dict) -> list[str]:
     spec = _spec_from(config)
-    z = validate_point(spec, _point_value(_require(config, "z")))
-    w = validate_point(spec, _point_value(_require(config, "w")))
+    z = _point_value(_require(config, "z"))
+    w = _point_value(_require(config, "w"))
     value = kernel(spec, z, w)
     return [_dumps({"im": float(value.imag), "re": float(value.real)})]
 
@@ -174,7 +173,7 @@ def _evolve_cycle(spec, z0, schedule, T, dt):
         info = CycleInfo(len(traj.times) - 1, float(traj.times[-1]),
                          float(np.max(d)))
         return traj, info
-    info = _find_cycle(traj.times, d, None)
+    info = find_cycle(traj.times, d)
     if abs(info.time - T) > 1e-12:
         traj = clip_trajectory(traj, schedule, info.time)
     return traj, info
@@ -192,7 +191,7 @@ def run_evolve(config: dict) -> list[str]:
     spec = _spec_from(config)
     level = _count(config, "level", 1)
     schedule = HamiltonianSchedule.from_json(_require(config, "schedule"))
-    z0 = validate_point(spec, _point_value(config.get("z0", 0.0)))
+    z0 = validate_points(spec, _point_value(config.get("z0", 0.0)))
     T = _real(config, "T")
     dt = _real(config, "dt", 1e-3)
     stride = _count(config, "stride", 1)
@@ -206,7 +205,7 @@ def run_evolve(config: dict) -> list[str]:
     cyc, info = _evolve_cycle(spec, z0, schedule, T, dt)
     beta = dynamical_phase(spec, level, cyc, schedule)
     gamma = line_integral_phase(spec, level, cyc, cyclicity_tol=cyclicity_tol)
-    residual = projective_distance(spec, cyc.point(0), cyc.final_point)
+    residual = _distance(spec, cyc.points[0], cyc.points[-1])
     report = assemble_report(
         beta + gamma, beta, gamma, residual, method="chart-line-integral"
     )
@@ -244,7 +243,7 @@ def _oracle_start(spec, level, schedule, z0):
         )
     j = level / 2.0
     return (map_schedule(schedule, j),
-            coherent_vector(j, complex(z0.entries[0, 0])))
+            coherent_vector(j, complex(z0[0, 0])))
 
 
 def _oracle_block(sched_j, psi0, cyc, dt, beta, gamma) -> dict:
@@ -344,7 +343,7 @@ def run_oracle_compare(config: dict) -> list[str]:
     j = _real(config, "j", 0.5)
     spec = cp1()
     schedule = HamiltonianSchedule.from_json(_require(config, "schedule"))
-    z0 = validate_point(spec, _point_value(config.get("z0", 0.0)))
+    z0 = validate_points(spec, _point_value(config.get("z0", 0.0)))
     T = _real(config, "T")
     dt = _real(config, "dt", 1e-3)
     stride = _count(config, "stride", 10)
@@ -352,8 +351,8 @@ def run_oracle_compare(config: dict) -> list[str]:
     traj = trajectory(spec, z0, schedule, T, dt)
     straj = schrodinger_evolve(psi0, sched_j, T, dt)
     ks = _strided(len(traj.times), stride)
-    labels = bloch_projection_stack(straj.states[ks], j)
-    dists = distance_stack(spec, labels[:, None, None], traj.points[ks])
+    labels = bloch_projection(straj.states[ks], j)
+    dists = _distance(spec, labels[:, None, None], traj.points[ks])
     return [
         _dumps(
             {

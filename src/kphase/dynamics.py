@@ -15,8 +15,7 @@ periods together (``_advance``): pairwise products give each period's
 whole product, one product per period carries the state across it, and
 one product per in-period position writes the rows of every period at
 once.  :func:`propagate` runs this for the defining-representation unitary
-(:func:`evolve_unitary`) and for spin-j state vectors
-(``su2.schrodinger_evolve``).  :func:`trajectory` also advances, as an
+and for spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory` also advances, as an
 independent route, a Riccati integration of the chart variable on the
 RK4 stage Hamiltonians, one period at a time, for constant schedules too.
 That equation is quadratic in the chart variable, so it keeps one RK4 step
@@ -56,15 +55,15 @@ from .errors import (
     SymmetryViolation,
     UnsupportedFamily,
 )
-from .geometry import gradient_stack
+from .geometry import _gradient
 from .manifolds import (
     Family,
     ManifoldSpec,
-    PointMatrix,
-    distance_stack,
+    _distance,
+    as_chart_array,
     point_faults,
     raise_first_fault,
-    validate_point,
+    validate_points,
 )
 from .serialize import matrix_from_json, matrix_to_json
 
@@ -82,16 +81,21 @@ CHART_EDGE_TOL = 1e-12
 STATIONARY_TOL = 1e-9
 
 
-def _hermitize(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _hermitize(m, tol: float = HERMITICITY_TOL,
+               stack: bool = False) -> np.ndarray:
+    """A Hermitian matrix, or with ``stack`` a stack of them, checked and
+    projected onto its Hermitian part."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if (arr.ndim < 2 or arr.ndim > 2 and not stack
+            or arr.shape[-1] != arr.shape[-2]):
         raise DimensionMismatch("generators must be square matrices")
     if not np.all(np.isfinite(arr)):
         raise ValueError("generator entries must be finite")
-    residual = float(np.max(np.abs(arr - arr.conj().T)))
+    adjoint = arr.conj().swapaxes(-1, -2)
+    residual = float(np.max(np.abs(arr - adjoint)))
     if residual > tol:
         raise SymmetryViolation(f"generator is not Hermitian (by {residual:.3e})")
-    return (arr + arr.conj().T) / 2.0
+    return (arr + adjoint) / 2.0
 
 
 @dataclass(frozen=True)
@@ -262,22 +266,6 @@ def _chart_images(spec: ManifoldSpec, U, z: np.ndarray):
     return det, np.linalg.solve(den, num)
 
 
-def mobius_act(
-    spec: ManifoldSpec, U, Z, symmetry_tol: float = 1e-12
-) -> PointMatrix:
-    """Fractional-linear chart action of a defining-representation matrix.
-
-    With blocks ``A, B, C, D`` the image is
-    ``(A^T + Z B^T)^{-1} (C^T + Z D^T)``, the matrix extension of the
-    scalar rule ``z -> (c + d z)/(a + b z)``.  Composing actions multiplies
-    the matrices: ``act(U2, act(U1, Z)) == act(U2 @ U1, Z)``.
-    """
-    det, out = _chart_images(spec, U, validate_point(spec, Z).entries)
-    if abs(det) < CHART_EDGE_TOL:
-        raise ChartOverflow("orbit left the coordinate chart")
-    return validate_point(spec, out, symmetry_tol=symmetry_tol)
-
-
 def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     """Time derivative of the chart point under a Hermitian generator.
 
@@ -285,7 +273,7 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     ``-i (C^T + Z D^T - A^T Z - Z B^T Z)`` with ``A, B, C, D`` the blocks
     of ``H``.  Stacks of ``H`` and ``Z`` give a stack of derivatives.
     """
-    z = Z.entries if isinstance(Z, PointMatrix) else np.asarray(Z, dtype=complex)
+    z = np.asarray(Z, dtype=complex)
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
     a_t, c_t, b_t, d_t = block_split(np.asarray(H).swapaxes(-1, -2), spec)
@@ -536,15 +524,6 @@ def propagate(
     return np.linspace(t0, t1, n + 1), states
 
 
-def evolve_unitary(
-    schedule: HamiltonianSchedule, t0: float, t1: float, dt: float
-) -> np.ndarray:
-    """Integrate i dU/dt = H(t) U from the identity over [t0, t1], by
-    :func:`propagate`; an RK4 result is exactly re-unitarized at the end."""
-    _, states = propagate(schedule, np.eye(schedule.dim), t0, t1, dt)
-    return states[-1] if schedule.is_constant else _polar(states[-1])
-
-
 @dataclass
 class Trajectory:
     """Sampled chart evolution, stored as arrays whose rows follow ``times``.
@@ -553,7 +532,7 @@ class Trajectory:
     ``(n+1, d, d)`` unitaries behind it and ``riccati`` the independent
     Riccati path; ``cross_check_error`` is the largest entrywise gap
     between the two paths.  The rows of ``points`` passed the chart rules
-    when the trajectory was built; :meth:`point` does not check them again.
+    when the trajectory was built.
     """
 
     spec: ManifoldSpec
@@ -562,13 +541,6 @@ class Trajectory:
     unitaries: np.ndarray | None
     cross_check_error: float
     riccati: np.ndarray | None = None
-
-    @property
-    def final_point(self) -> PointMatrix:
-        return self.point(-1)
-
-    def point(self, k: int) -> PointMatrix:
-        return PointMatrix(self.points[k], self.spec)
 
 
 def trajectory(
@@ -595,7 +567,7 @@ def trajectory(
         )
     if not schedule.covers(0.0, T):
         raise ScheduleGap("schedule does not cover [0, T]")
-    z0 = validate_point(spec, Z0).entries
+    z0 = validate_points(spec, as_chart_array(spec, Z0))
     n, h = _grid(0.0, T, dt)
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
@@ -694,7 +666,7 @@ def _chart_rows(spec, times, us, zs, z0):
     return points, err
 
 
-def expectation(spec: ManifoldSpec, level: int, Z, H) -> float:
+def expectation(spec: ManifoldSpec, level: int, Z, H):
     """Coherent expectation value of a Hermitian generator at a chart point.
 
     The derivative ``i d/ds`` at ``s = 0`` of the weighted kernel cocycle
@@ -702,21 +674,21 @@ def expectation(spec: ManifoldSpec, level: int, Z, H) -> float:
     flow ``exp(-isH)``, in closed form:
     ``E = level * (tr a + tr(Z b^T)) + i s sum(G * dZ/dt)`` with ``a, b``
     the top blocks of ``H``, ``s = +1`` on compact and ``-1`` on
-    bounded-domain specs, ``G`` the gradient of ``geometry.gradient_stack``
-    and ``dZ/dt`` the :func:`riccati_rhs`.  The one-point case of
-    :func:`expectation_stack`.
+    bounded-domain specs, ``G`` the gradient of ``geometry.gradient`` and
+    ``dZ/dt`` the :func:`riccati_rhs`.  ``Z`` is one point or a stack and
+    ``H`` one Hermitian matrix or a stack, checked here; their leading axes
+    broadcast.  The imaginary part must cancel below 1e-8 on every row.
     """
-    z = validate_point(spec, Z).entries
-    return float(expectation_stack(spec, level, z, _hermitize(H)))
+    z = validate_points(spec, Z)
+    return _expectation(spec, level, z, _hermitize(H, stack=True))
 
 
-def expectation_stack(spec: ManifoldSpec, level: int, z, H) -> np.ndarray:
-    """:func:`expectation` on a chart array and a Hermitian matrix, or on
-    stacks of them, that already passed their checks.  The imaginary part
-    must cancel below 1e-8 on every row."""
+def _expectation(spec: ManifoldSpec, level: int, z, H) -> np.ndarray:
+    """:func:`expectation` on chart arrays and Hermitian matrices that
+    already passed their checks."""
     a, b, _, _ = block_split(H, spec)
     sign = 1.0 if spec.compact else -1.0
-    flow = np.sum(gradient_stack(spec, level, z) * riccati_rhs(spec, H, z),
+    flow = np.sum(_gradient(spec, level, z) * riccati_rhs(spec, H, z),
                   axis=(-2, -1))
     value = level * (np.trace(a, axis1=-2, axis2=-1)
                      + np.sum(z * b, axis=(-2, -1))) + 1j * sign * flow
@@ -737,16 +709,12 @@ class CycleInfo:
 
 def ray_distances(traj: Trajectory) -> np.ndarray:
     """Projective distance of every sample from the starting point."""
-    return distance_stack(traj.spec, traj.points, traj.points[0])
+    return _distance(traj.spec, traj.points, traj.points[0])
 
 
-def is_stationary(traj: Trajectory, tol: float = STATIONARY_TOL) -> bool:
-    """True when the whole trajectory stays on the starting ray."""
-    return float(np.max(ray_distances(traj))) < tol
-
-
-def find_cycle(traj: Trajectory, tol: float | None = None) -> CycleInfo:
-    """Locate the first return to the starting ray.
+def find_cycle(times, distances, tol: float | None = None) -> CycleInfo:
+    """Locate the first return to the starting ray from the sample times
+    and their :func:`ray_distances`.
 
     Scans for the first sample beyond the initial escape whose projective
     distance to the start drops below ``tol`` (default: five times the
@@ -754,11 +722,7 @@ def find_cycle(traj: Trajectory, tol: float | None = None) -> CycleInfo:
     return time by a parabola through the squared distances.  A trajectory
     that never leaves the start ray returns index 1 immediately.
     """
-    return _find_cycle(traj.times, ray_distances(traj), tol)
-
-
-def _find_cycle(times, d, tol: float | None) -> CycleInfo:
-    """:func:`find_cycle` on sample times and their ray distances."""
+    d = distances
     n = len(d) - 1
     if n < 1:
         raise NoCycleFound("trajectory has no steps")

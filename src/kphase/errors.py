@@ -22,10 +22,6 @@ class OutsideDomain(KPhaseError):
     """Point lies on or outside the boundary of a bounded-domain chart."""
 
 
-class SpecMismatch(KPhaseError):
-    """Two points (or a point and an operation) carry different specs."""
-
-
 class KernelZero(KPhaseError):
     """A kernel value vanishes where a ratio or logarithm needs it."""
 

@@ -3,9 +3,10 @@
 The potential is ``F = s * level * ln K(z, conj(z))`` with ``s = +1`` on
 compact and ``-1`` on bounded-domain specs, the sign that makes the metric
 positive definite on both.  Its holomorphic gradient has a closed form,
-evaluated on a single point or a whole ``(n, rows, cols)`` stack by
-:func:`gradient_stack`: a matrix ``G`` with ``dF`` along an increment ``D``
-equal to ``sum(G * D)``, so no coordinate basis is needed.  For AIII, CI
+evaluated on one point or a stack of points by :func:`gradient`: a matrix
+``G`` with ``dF`` along an increment ``D`` equal to ``sum(G * D)``, so no
+coordinate basis is needed; the component along a basis matrix ``B_mu`` is
+``sum(G * B_mu)``.  For AIII, CI
 and DIII ``G = level * conj((I + s Z Z^dag)^-1 Z)``; for BDI
 ``G = s * level * (2 z conj(z z^T) + 2 s conj(z)) / K(z, conj(z))``.  The
 connection one-form is ``Im sum(G * dZ)``.
@@ -20,17 +21,15 @@ partials ``K_mu = 2 z_mu conj(z z^T) + 2 s conj(z_mu)`` and
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import KernelZero, OutsideDomain
 from .manifolds import (
     Family,
     ManifoldSpec,
-    kernel,
-    kernel_stack,
-    validate_point,
+    _kernel,
+    as_chart_array,
+    validate_points,
 )
 
 
@@ -71,58 +70,40 @@ def coordinate_basis(spec: ManifoldSpec) -> list[np.ndarray]:
     return out
 
 
-def potential(spec: ManifoldSpec, level: int, z) -> float:
+def potential(spec: ManifoldSpec, level: int, z):
     """Scalar potential ``sign * level * ln K(z, conj(z))``.
 
     The sign is ``+1`` for compact specs and ``-1`` for bounded domains, so
     the induced metric is positive definite in both cases.  The diagonal
-    kernel value must be real and strictly positive.
+    kernel value must be real and strictly positive.  ``z`` is one point
+    or a stack, validated here.
     """
-    zp = validate_point(spec, z)
-    k = kernel(spec, zp, zp)
-    if abs(k) < 1e-300:
+    z = validate_points(spec, z)
+    k = _kernel(spec, z, z)
+    if np.any(np.abs(k) < 1e-300):
         raise KernelZero("diagonal kernel vanished")
-    val = float(np.real(k))
-    if val <= 0.0:
+    if np.any(k.real <= 0.0):
         raise OutsideDomain("diagonal kernel is not positive")
     sign = 1.0 if spec.compact else -1.0
-    return sign * level * math.log(val)
-
-
-def gradient_stack(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
-    """Closed-form holomorphic gradient ``G`` of the potential (see the
-    module docstring) at one chart array or a stack of them, which must
-    already have passed the chart rules."""
-    sign = 1.0 if spec.compact else -1.0
-    if spec.family is Family.BDI:
-        zz = z @ z.swapaxes(-1, -2)
-        k = kernel_stack(spec, z, z).real[..., None, None]
-        return sign * level * (2.0 * z * zz.conj() + 2.0 * sign * z.conj()) / k
-    gram = z @ z.conj().swapaxes(-1, -2)
-    return level * np.linalg.solve(np.eye(z.shape[-2]) + sign * gram, z).conj()
+    return sign * level * np.log(k.real)
 
 
 def gradient(spec: ManifoldSpec, level: int, z) -> np.ndarray:
-    """Holomorphic partials of the potential along the coordinate basis.
-
-    The one-point case of :func:`gradient_stack`, paired with each matrix
-    of :func:`coordinate_basis`.
-    """
-    g = gradient_stack(spec, level, validate_point(spec, z).entries)
-    return np.array([np.sum(g * b) for b in coordinate_basis(spec)])
+    """Closed-form holomorphic gradient ``G`` of the potential (see the
+    module docstring) at one point or at each of a stack, validated here."""
+    return _gradient(spec, level, validate_points(spec, z))
 
 
-def connection_eval(spec: ManifoldSpec, level: int, z, delta) -> float:
-    """Connection one-form paired with a tangent increment.
-
-    Returns ``Im sum(G * delta)`` for the holomorphic gradient ``G`` at
-    ``z``; the increment must already respect the family's linear
-    symmetry.  Integrating this along a closed loop yields the loop's
-    geometric phase at the given level.
-    """
-    g = gradient_stack(spec, level, validate_point(spec, z).entries)
-    d = np.reshape(np.asarray(delta, dtype=complex), spec.point_shape)
-    return float(np.imag(np.sum(g * d)))
+def _gradient(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
+    """:func:`gradient` on chart arrays that already passed the chart
+    rules."""
+    sign = 1.0 if spec.compact else -1.0
+    if spec.family is Family.BDI:
+        zz = z @ z.swapaxes(-1, -2)
+        k = _kernel(spec, z, z).real[..., None, None]
+        return sign * level * (2.0 * z * zz.conj() + 2.0 * sign * z.conj()) / k
+    gram = z @ z.conj().swapaxes(-1, -2)
+    return level * np.linalg.solve(np.eye(z.shape[-2]) + sign * gram, z).conj()
 
 
 def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
@@ -131,12 +112,12 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
     The closed form of the module docstring, paired with each pair of
     matrices of :func:`coordinate_basis`.
     """
-    z = validate_point(spec, z).entries
+    z = validate_points(spec, as_chart_array(spec, z))
     b = np.array(coordinate_basis(spec))
     sign = 1.0 if spec.compact else -1.0
     if spec.family is Family.BDI:
         v, bv = z[0], b[:, 0]
-        k = float(kernel_stack(spec, z, z).real)
+        k = float(_kernel(spec, z, z).real)
         k_mu = bv @ (2.0 * v * np.conj(v @ v) + 2.0 * sign * v.conj())
         zb = bv @ v
         k_mn = 4.0 * np.outer(zb, zb.conj()) + 2.0 * sign * (bv @ bv.conj().T)

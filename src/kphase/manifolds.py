@@ -8,26 +8,21 @@ point; non-compact families accept only the strict interior of the bounded
 domain (``I - Z Z^dag > 0``, with a quadratic analogue for BDI).
 
 Kernels are holomorphic in their first argument and antiholomorphic in the
-second.  :func:`kernel_stack` and :func:`distance_stack` evaluate them on
-whole ``(n, rows, cols)`` stacks of points that already passed the chart
-rules; :func:`kernel` and :func:`projective_distance` are their validated
-one-pair cases.
+second.  Each quantity is one public function that takes one point or a
+stack of points with leading axes, validates its chart arguments once with
+:func:`validate_points`, and broadcasts in numpy's idiom; it then calls a
+private core (``_kernel``, ``_distance``) that package code holding
+validated arrays calls directly.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    OutsideDomain,
-    SpecMismatch,
-    SymmetryViolation,
-)
+from .errors import DimensionMismatch, OutsideDomain, SymmetryViolation
 
 SYMMETRY_TOL = 1e-12
 KERNEL_ZERO_TOL = 1e-12
@@ -100,27 +95,8 @@ def cp1(compact: bool = True) -> ManifoldSpec:
     return ManifoldSpec(Family.AIII, 1, 1, compact)
 
 
-@dataclass(frozen=True)
-class PointMatrix:
-    """A validated chart point: immutable entries plus the spec they obey."""
-
-    entries: np.ndarray
-    spec: ManifoldSpec
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-
 def as_chart_array(spec: ManifoldSpec, z) -> np.ndarray:
-    """Coerce scalars / nested lists / arrays to the chart's matrix shape.
-
-    A ``PointMatrix`` of the same spec gives its own entries; one of
-    another spec raises ``SpecMismatch``.
-    """
-    if isinstance(z, PointMatrix):
-        if z.spec is not spec and z.spec != spec:
-            raise SpecMismatch("point was validated against a different spec")
-        return z.entries
+    """Coerce scalars / nested lists / arrays to the chart's matrix shape."""
     arr = np.asarray(z, dtype=complex)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -138,35 +114,28 @@ def as_chart_array(spec: ManifoldSpec, z) -> np.ndarray:
     return arr
 
 
-def validate_point(
+def validate_points(
     spec: ManifoldSpec, z, symmetry_tol: float = SYMMETRY_TOL
-) -> PointMatrix:
-    """Validate a chart point and return it as an immutable ``PointMatrix``.
+) -> np.ndarray:
+    """Validate one chart point or a stack of them.
 
-    The one-point case of :func:`validate_points`.
+    An input of at most two dimensions is one point, coerced as by
+    :func:`as_chart_array`; a higher one is a stack whose last two axes
+    hold the points.  Raises for the earliest point that breaks a rule of
+    :func:`point_faults` and returns the points projected onto the
+    family's symmetry, in the shape of the (coerced) input.
 
     Raises
     ------
     DimensionMismatch, ValueError, SymmetryViolation, OutsideDomain
     """
-    arr = as_chart_array(spec, z)
-    if isinstance(z, PointMatrix):
-        return z
-    arr = validate_points(spec, arr[None], symmetry_tol)
-    return PointMatrix(arr[0], spec)
-
-
-def validate_points(
-    spec: ManifoldSpec, stack, symmetry_tol: float = SYMMETRY_TOL
-) -> np.ndarray:
-    """Validate a ``(n, rows, cols)`` stack of chart points at once.
-
-    Raises for the earliest row that breaks a rule of :func:`point_faults`
-    and returns the stack projected onto the family's symmetry.
-    """
-    arr, faults = point_faults(spec, stack, symmetry_tol)
+    arr = np.asarray(z, dtype=complex)
+    if arr.ndim <= 2:
+        arr = as_chart_array(spec, arr)
+    stack, faults = point_faults(spec, arr.reshape((-1,) + arr.shape[-2:]),
+                                 symmetry_tol)
     raise_first_fault(faults)
-    return arr
+    return stack.reshape(arr.shape)
 
 
 def point_faults(
@@ -238,12 +207,8 @@ def _det(m: np.ndarray):
     return np.linalg.det(m)
 
 
-def kernel_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
-    """:func:`kernel` on chart arrays that already passed the chart rules.
-
-    ``z`` and ``w`` are single points or ``(n, rows, cols)`` stacks, which
-    broadcast against each other; the result has their leading shape.
-    """
+def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
+    """:func:`kernel` on chart arrays that already passed the chart rules."""
     sign = 1.0 if spec.compact else -1.0
     w_dag = w.conj().swapaxes(-1, -2)
     if spec.family is Family.BDI:
@@ -255,29 +220,27 @@ def kernel_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     return _det(np.eye(p) + sign * (z @ w_dag))
 
 
-def kernel(spec: ManifoldSpec, z, w) -> complex:
+def kernel(spec: ManifoldSpec, z, w):
     """Evaluate the family kernel K(z, conj(w)).
 
     Determinant families use ``det(I +/- Z W^dag)`` on the ``p x p`` side,
     with ``+`` for compact and ``-`` for non-compact specs.  BDI uses the
     quadratic vector formula
-    ``1 + (z.z)(conj(w.w)) +/- 2 (z . conj(w))``.  The one-pair case of
-    :func:`kernel_stack`.
+    ``1 + (z.z)(conj(w.w)) +/- 2 (z . conj(w))``.
 
     Parameters
     ----------
     spec : ManifoldSpec
-    z, w : PointMatrix or array_like
-        Raw arrays are validated here against ``spec``.
+    z, w : array_like
+        Points or stacks of points, validated here against ``spec``; their
+        leading axes broadcast against each other.
 
     Returns
     -------
-    complex
+    complex or ndarray
         Hermitian in its arguments: ``K(w, conj(z)) == conj(K(z, conj(w)))``.
     """
-    zp = validate_point(spec, z)
-    wp = validate_point(spec, w)
-    return complex(kernel_stack(spec, zp.entries, wp.entries))
+    return _kernel(spec, validate_points(spec, z), validate_points(spec, w))
 
 
 def _check_single_level(level) -> int:
@@ -286,39 +249,36 @@ def _check_single_level(level) -> int:
     return int(level)
 
 
-def normalized_overlap(spec: ManifoldSpec, level: int, z, w) -> complex:
+def normalized_overlap(spec: ManifoldSpec, level: int, z, w):
     """Unit-normalized kernel ratio at a single positive integer level.
 
     Returns ``K(z, conj(w))^level / sqrt(K(z, conj(z))^level
     K(w, conj(w))^level)``, the overlap of the normalized state labelled by
     ``w`` with the one labelled by ``z`` (holomorphic in ``z``).  Its modulus
     is at most one for compact specs and at least one for non-compact ones,
-    with equality exactly on the diagonal.
+    with equality exactly on the diagonal.  Broadcasts as :func:`kernel`.
     """
     lam = _check_single_level(level)
-    kzw = kernel(spec, z, w)
-    kzz = float(np.real(kernel(spec, z, z)))
-    kww = float(np.real(kernel(spec, w, w)))
-    return kzw**lam / math.sqrt(kzz**lam * kww**lam)
+    z, w = validate_points(spec, z), validate_points(spec, w)
+    kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
+    return _kernel(spec, z, w) ** lam / np.sqrt(kzz**lam * kww**lam)
 
 
-def projective_distance(spec: ManifoldSpec, z, w) -> float:
+def projective_distance(spec: ManifoldSpec, z, w):
     """Chart-invariant separation of two rays, zero only on equal rays.
 
     Compact specs use ``arccos`` of the clamped level-one overlap modulus;
     non-compact specs, where the overlap modulus is >= 1, use ``arccosh``.
-    The one-pair case of :func:`distance_stack`.
+    Broadcasts as :func:`kernel`.
     """
-    zp = validate_point(spec, z)
-    wp = validate_point(spec, w)
-    return float(distance_stack(spec, zp.entries, wp.entries))
+    return _distance(spec, validate_points(spec, z), validate_points(spec, w))
 
 
-def distance_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
+def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     """:func:`projective_distance` on chart arrays that already passed the
-    chart rules; ``z`` and ``w`` broadcast as in :func:`kernel_stack`."""
-    norm = np.sqrt(kernel_stack(spec, z, z).real * kernel_stack(spec, w, w).real)
-    k = kernel_stack(spec, z, w)
+    chart rules."""
+    norm = np.sqrt(_kernel(spec, z, z).real * _kernel(spec, w, w).real)
+    k = _kernel(spec, z, w)
     # Dividing each part by the real norm keeps the modulus of a scalar
     # complex division; numpy's complex division rounds differently, and
     # near a zero distance arccos magnifies such last-bit changes ~1e8-fold.
@@ -326,28 +286,3 @@ def distance_stack(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     if spec.compact:
         return np.arccos(np.minimum(1.0, mag))
     return np.arccosh(np.maximum(1.0, mag))
-
-
-def random_point(
-    spec: ManifoldSpec, rng: np.random.Generator, scale: float = 1.0
-) -> PointMatrix:
-    """Draw a random valid chart point, staying safely interior when bounded."""
-    rows, cols = spec.point_shape
-    arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    arr *= scale / math.sqrt(2.0)
-    if spec.family is Family.CI:
-        arr = (arr + arr.T) / 2.0
-    elif spec.family is Family.DIII:
-        arr = (arr - arr.T) / 2.0
-    if not spec.compact:
-        if spec.family is Family.BDI:
-            norm = float(np.linalg.norm(arr))
-            arr *= 0.55 / max(1.0, norm / 0.9)
-            # 2 |z|^2 < 1 guarantees both interior inequalities.
-            if float(np.linalg.norm(arr)) ** 2 >= 0.5:
-                arr *= 0.6 / float(np.linalg.norm(arr))
-        else:
-            smax = float(np.linalg.svd(arr, compute_uv=False)[0])
-            if smax >= 0.9:
-                arr *= 0.9 / smax * rng.uniform(0.3, 0.95)
-    return validate_point(spec, arr)

@@ -8,10 +8,10 @@ integral of the connection along a sampled loop
 
 Both phases of a path are classical and act on its whole
 ``(n, rows, cols)`` stack at once.  With ``G_k`` the closed-form gradient
-of ``geometry.gradient_stack`` at sample ``k``, the geometric phase is the
+of ``geometry.gradient`` at sample ``k``, the geometric phase is the
 trapezoid ``gamma = 1/2 sum_k Im sum((G_k + G_{k+1}) * (Z_{k+1} - Z_k))``
 over the closed loop, and the dynamical phase ``beta`` is the trapezoid
-integral of ``dynamics.expectation_stack`` over the sample times.
+integral of ``dynamics.expectation`` over the sample times.
 
 Angles wrap to the half-open interval (-pi, pi].
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSchedule, Trajectory, expectation_stack
+from .dynamics import HamiltonianSchedule, Trajectory, _expectation
 from .errors import (
     BranchCut,
     DimensionMismatch,
@@ -32,15 +32,14 @@ from .errors import (
     NotClosed,
     ScheduleGap,
 )
-from .geometry import gradient_stack
+from .geometry import _gradient
 from .manifolds import (
     KERNEL_ZERO_TOL,
     ManifoldSpec,
+    _distance,
+    _kernel,
     as_chart_array,
-    distance_stack,
-    kernel_stack,
     raise_first_fault,
-    validate_point,
     validate_points,
 )
 
@@ -128,25 +127,24 @@ def assemble_report(
     )
 
 
-def triangle_phase(spec: ManifoldSpec, level: int, z, w) -> float:
+def triangle_phase(spec: ManifoldSpec, level: int, z, w):
     """Exact phase of the geodesic triangle with third vertex at the origin.
 
     Half the principal argument of the kernel ratio, scaled by the level:
     ``level/2 * Arg(K(w, conj(z)) / K(z, conj(w)))``.  Antisymmetric under
-    swapping the two vertices.  The one-pair case of :func:`triangle_stack`.
+    swapping the two vertices.  ``z`` and ``w`` are points or stacks,
+    validated here, that broadcast as in ``manifolds.kernel``; the first
+    offending pair raises ``KernelZero`` or ``BranchCut``.
     """
-    zp = validate_point(spec, z)
-    wp = validate_point(spec, w)
-    return float(triangle_stack(spec, level, zp.entries[None], wp.entries[None])[0])
+    return _triangle(spec, level, validate_points(spec, z),
+                     validate_points(spec, w))
 
 
-def triangle_stack(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
-    """:func:`triangle_phase` of each pair of rows of two validated stacks.
-
-    Raises ``KernelZero`` or ``BranchCut`` for the first offending pair.
-    """
-    k_zw = kernel_stack(spec, z, w)
-    k_wz = kernel_stack(spec, w, z)
+def _triangle(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
+    """:func:`triangle_phase` on chart arrays that already passed the
+    chart rules."""
+    k_zw = _kernel(spec, z, w)
+    k_wz = _kernel(spec, w, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.angle(k_wz / k_zw)
     raise_first_fault([
@@ -165,17 +163,17 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
     the end to measure a closed loop.  Spokes to the origin cancel in
     pairs, leaving the symplectic area of the fan surface.
     """
-    return _polygon_phase(spec, level, _point_stack(spec, vertices))
+    return _polygon_phase(spec, level, _loop_points(spec, vertices))
 
 
 def _polygon_phase(spec: ManifoldSpec, level: int, z: np.ndarray) -> float:
     """:func:`polygon_phase` on a validated stack."""
     if len(z) < 2:
         raise DimensionMismatch("a polygon fan needs at least two vertices")
-    return float(np.sum(triangle_stack(spec, level, z[:-1], z[1:])))
+    return float(np.sum(_triangle(spec, level, z[:-1], z[1:])))
 
 
-def _point_stack(spec: ManifoldSpec, loop) -> np.ndarray:
+def _loop_points(spec: ManifoldSpec, loop) -> np.ndarray:
     """The chart arrays of a trajectory, a validated stack, or a point
     sequence validated once as a stack."""
     if isinstance(loop, Trajectory):
@@ -196,7 +194,7 @@ def line_integral_phase(
     remaining gap is closed by one extra straight segment.  The raw
     (unwrapped) value is returned.
     """
-    return _line_integral_phase(spec, level, _point_stack(spec, loop),
+    return _line_integral_phase(spec, level, _loop_points(spec, loop),
                                 cyclicity_tol)
 
 
@@ -205,14 +203,14 @@ def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
     """:func:`line_integral_phase` on a validated stack."""
     if len(z) < 2:
         raise DimensionMismatch("a loop needs at least two samples")
-    closure = float(distance_stack(spec, z[0], z[-1]))
+    closure = float(_distance(spec, z[0], z[-1]))
     if closure > cyclicity_tol:
         raise NotClosed(
             f"loop endpoints differ by {closure:.3e} "
             f"(tolerance {cyclicity_tol:.3e})"
         )
     z = np.concatenate([z, z[:1]])
-    g = gradient_stack(spec, level, z)
+    g = _gradient(spec, level, z)
     return 0.5 * float(np.sum(np.imag((g[:-1] + g[1:]) * np.diff(z, axis=0))))
 
 
@@ -230,7 +228,7 @@ def dynamical_phase(
         hs = schedule.at(times)
     except ScheduleGap as exc:
         raise GridMismatch("schedule does not cover the trajectory span") from exc
-    energies = expectation_stack(spec, level, traj.points, hs)
+    energies = _expectation(spec, level, traj.points, hs)
     return float(np.sum(np.diff(times) * 0.5 * (energies[:-1] + energies[1:])))
 
 
@@ -261,7 +259,7 @@ def stokes_compare(
     midpoints) up to ``max_refinements`` times before giving up.  The
     loop is validated once; only new midpoints are validated again.
     """
-    z = _point_stack(spec, loop)
+    z = _loop_points(spec, loop)
     line_value = _line_integral_phase(spec, level, z, cyclicity_tol)
     closed = z
     if not np.array_equal(closed[0], closed[-1]):

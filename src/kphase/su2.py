@@ -10,9 +10,8 @@ same propagator as the chart's defining-representation unitary
 (``dynamics.propagate``), applied to a column vector in the
 (2j+1)-dimensional space: in closed form for a constant schedule, by RK4
 for a sampled one, never through the 2 x 2 unitary.  The Bloch projection
-back to the chart runs its Newton iteration on a whole stack of states at
-once (:func:`bloch_projection_stack`); :func:`bloch_projection` is its
-one-row case.  Spins are bounded by ``MAX_TWO_J``.
+back to the chart (:func:`bloch_projection`) runs its Newton iteration on a
+whole stack of states at once.  Spins are bounded by ``MAX_TWO_J``.
 """
 
 from __future__ import annotations
@@ -191,37 +190,27 @@ def quantum_phases(
 
 
 def bloch_projection(
-    psi,
-    j,
-    initial: complex | None = None,
-    coherence_tol: float = 1e-6,
-) -> complex:
-    """Chart label of the coherent ray closest to a state: the one-row case
-    of :func:`bloch_projection_stack`, seeded from ``initial`` alone when
-    it is given (when tracking a trajectory)."""
-    psi = np.asarray(psi, dtype=complex).reshape(1, -1)
-    seeds = None if initial is None else [initial]
-    return complex(bloch_projection_stack(psi, j, seeds, coherence_tol)[0])
-
-
-def bloch_projection_stack(
     states,
     j,
     initial=None,
     coherence_tol: float = 1e-6,
-) -> np.ndarray:
+):
     """Chart labels of the coherent rays closest to each row of ``states``.
 
+    A 1-D state gives one complex label, a stack of rows an array of them.
     Maximizes the coherent overlap magnitude.  Spin 1/2 reduces to the
     ratio of the two components; higher spins run Newton iteration on the
     overlap stationarity condition, on all rows at once, each row stopping
     on its own convergence test or after 60 iterations.  Each row is seeded
     from its own leading component ratios and a fixed grid, whichever has
-    the best overlap, or from its entry of ``initial`` alone when given.
-    The first row at the chart's point at infinity raises
-    ``ChartOverflow``, and the first row farther than ``coherence_tol``
-    from every coherent ray raises ``NotCoherent``.
+    the best overlap, or from its entry of ``initial`` alone when given
+    (when tracking a trajectory).  The first row at the chart's point at
+    infinity raises ``ChartOverflow``, and the first row farther than
+    ``coherence_tol`` from every coherent ray raises ``NotCoherent``.
     """
+    if np.ndim(states) == 1:
+        row = np.reshape(states, (1, -1))
+        return complex(bloch_projection(row, j, initial, coherence_tol)[0])
     n = _two_j(j)
     psi = np.asarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != n + 1:

@@ -3,7 +3,9 @@
 These are the stencils the library used before its closed forms: the
 central-difference holomorphic gradient of the potential, the four-point
 mixed stencil of its metric (:func:`fd_metric`) and the central-difference
-derivative of the weighted kernel cocycle.  The per-step RK4 loop
+derivative of the weighted kernel cocycle.  :func:`mobius_act` is the
+one-point chart action that tests compose, and :func:`random_point` draws
+valid chart points.  The per-step RK4 loop
 (:func:`stepwise_run`) is the integration ``dynamics`` ran before it
 advanced whole chunks of re-projection periods with batched products; for
 sampled schedules ``dynamics`` still takes the same steps.
@@ -17,12 +19,15 @@ import math
 import numpy as np
 
 from kphase import (
+    ChartOverflow,
+    Family,
     coordinate_basis,
     kernel,
     potential,
-    validate_point,
+    validate_points,
 )
 from kphase.dynamics import (
+    CHART_EDGE_TOL,
     REUNITARIZE_EVERY,
     _chart_images,
     _polar,
@@ -56,10 +61,10 @@ def expm_hermitian_generator(H: np.ndarray, s: float) -> np.ndarray:
 def fd_gradient(spec, level: int, z, step: float = 1e-6) -> np.ndarray:
     """Holomorphic partials along the coordinate basis by central
     differences: ``(d/dx - i d/dy) / 2`` of the potential."""
-    zp = validate_point(spec, z)
+    zp = validate_points(spec, z)
     out = []
     for b in coordinate_basis(spec):
-        f = [potential(spec, level, zp.entries + h * b)
+        f = [potential(spec, level, zp + h * b)
              for h in (step, -step, 1j * step, -1j * step)]
         fx = (f[0] - f[1]) / (2.0 * step)
         fy = (f[2] - f[3]) / (2.0 * step)
@@ -80,8 +85,7 @@ def fd_metric(spec, level: int, z, step: float = 1e-4) -> np.ndarray:
     """Hermitian metric matrix ``d^2 F / dz_mu d conj(z_nu)`` from
     four-point mixed stencils along pairs of basis directions and their
     quarter-turn rotations."""
-    zp = validate_point(spec, z)
-    base = zp.entries
+    base = validate_points(spec, z)
     basis = coordinate_basis(spec)
     dim = len(basis)
     out = np.empty((dim, dim), dtype=complex)
@@ -99,17 +103,55 @@ def fd_metric(spec, level: int, z, step: float = 1e-4) -> np.ndarray:
 def fd_expectation(spec, level: int, Z, H, step: float = 1e-5) -> float:
     """``i d/ds`` of ``level * (ln det(A_s^T + Z B_s^T) + ln K(Z_s, conj(Z))
     - ln K(Z, conj(Z)))`` along ``exp(-isH)`` by a central difference."""
-    zp = validate_point(spec, Z)
+    zp = validate_points(spec, Z)
     k00 = np.log(kernel(spec, zp, zp))
 
     def log_term(s: float) -> complex:
-        det, zs = _chart_images(spec, expm_hermitian_generator(H, s), zp.entries)
-        zs = validate_point(spec, zs, symmetry_tol=1e-9)
+        det, zs = _chart_images(spec, expm_hermitian_generator(H, s), zp)
+        zs = validate_points(spec, zs, symmetry_tol=1e-9)
         return level * (np.log(det) + np.log(kernel(spec, zs, zp)) - k00)
 
     value = 1j * (log_term(step) - log_term(-step)) / (2.0 * step)
     assert abs(value.imag) < 1e-8
     return float(value.real)
+
+
+def mobius_act(spec, U, Z, symmetry_tol: float = 1e-12) -> np.ndarray:
+    """Fractional-linear chart action of a defining-representation matrix.
+
+    With blocks ``A, B, C, D`` the image is
+    ``(A^T + Z B^T)^{-1} (C^T + Z D^T)``, the matrix extension of the
+    scalar rule ``z -> (c + d z)/(a + b z)``.  Composing actions multiplies
+    the matrices: ``act(U2, act(U1, Z)) == act(U2 @ U1, Z)``.
+    """
+    det, out = _chart_images(spec, U, validate_points(spec, Z))
+    if abs(det) < CHART_EDGE_TOL:
+        raise ChartOverflow("orbit left the coordinate chart")
+    return validate_points(spec, out, symmetry_tol=symmetry_tol)
+
+
+def random_point(spec, rng: np.random.Generator,
+                 scale: float = 1.0) -> np.ndarray:
+    """Draw a random valid chart point, staying safely interior when bounded."""
+    rows, cols = spec.point_shape
+    arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    arr *= scale / math.sqrt(2.0)
+    if spec.family is Family.CI:
+        arr = (arr + arr.T) / 2.0
+    elif spec.family is Family.DIII:
+        arr = (arr - arr.T) / 2.0
+    if not spec.compact:
+        if spec.family is Family.BDI:
+            norm = float(np.linalg.norm(arr))
+            arr *= 0.55 / max(1.0, norm / 0.9)
+            # 2 |z|^2 < 1 guarantees both interior inequalities.
+            if float(np.linalg.norm(arr)) ** 2 >= 0.5:
+                arr *= 0.6 / float(np.linalg.norm(arr))
+        else:
+            smax = float(np.linalg.svd(arr, compute_uv=False)[0])
+            if smax >= 0.9:
+                arr *= 0.9 / smax * rng.uniform(0.3, 0.95)
+    return validate_points(spec, arr)
 
 
 def _linear_rhs(H: np.ndarray, Y: np.ndarray) -> np.ndarray:

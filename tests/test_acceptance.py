@@ -13,7 +13,7 @@ from kphase import (
     Family,
     HamiltonianSchedule,
     ManifoldSpec,
-    bloch_projection_stack,
+    bloch_projection,
     coherent_vector,
     cp1,
     dynamical_phase,
@@ -27,7 +27,6 @@ from kphase import (
     poincare_quotient,
     projective_distance,
     quantum_phases,
-    random_point,
     schrodinger_evolve,
     stokes_compare,
     Trajectory,
@@ -35,7 +34,8 @@ from kphase import (
     triangle_phase,
     wrap_angle,
 )
-from kphase.manifolds import distance_stack
+
+from finite_difference import random_point
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -146,8 +146,8 @@ def test_criterion_4():
     for j in (0.5, 1.0, 1.5):
         sj = map_schedule(sched, j)
         straj = schrodinger_evolve(coherent_vector(j, 0.0), sj, 10.0, 1e-3)
-        labels = bloch_projection_stack(straj.states, j)
-        dists = distance_stack(SPEC, labels[:, None, None], traj.points)
+        labels = bloch_projection(straj.states, j)
+        dists = projective_distance(SPEC, labels[:, None, None], traj.points)
         assert len(dists) == len(traj.times)
         worst = float(np.max(dists))
         assert worst < 1e-6

@@ -139,9 +139,10 @@ def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):
 
 
 def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
-    """The kernel and the potential run a fixed number of times per evolve,
-    however many samples the path has."""
-    counts = {"kernel": 0, "potential": 0}
+    """The kernel and the gradient cores run a fixed number of times per
+    evolve, however many samples the path has, and the validating public
+    forms not at all."""
+    counts = {"kernel": 0, "_kernel": 0, "potential": 0, "_gradient": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -150,7 +151,7 @@ def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
         return counted
 
     for name in counts:
-        fn = getattr(kphase.manifolds if name == "kernel" else kphase.geometry,
+        fn = getattr(kphase.manifolds if "kernel" in name else kphase.geometry,
                      name)
         for mod in (kphase.manifolds, kphase.geometry, kphase.dynamics,
                     kphase.phases, kphase.cli):
@@ -163,27 +164,29 @@ def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(cfg))
     rc, _, _ = run_cli(capsys, ["evolve", "--config", str(path)])
     assert rc == 0
-    assert counts["kernel"] <= 10
-    assert counts["potential"] <= 10
+    assert counts["kernel"] == counts["potential"] == 0
+    assert 0 < counts["_kernel"] <= 10
+    assert 0 < counts["_gradient"] <= 10
 
 
-def test_stokes_builds_no_point_objects(capsys, monkeypatch):
+def test_stokes_validates_whole_stacks(capsys, monkeypatch):
     """A generated stokes loop stays one array from the factory to the
-    phases: no PointMatrix per sample."""
-    built = []
-    post_init = kphase.manifolds.PointMatrix.__post_init__
+    phases: every validation takes the whole stack, none a single
+    sample."""
+    sizes = []
+    validate = kphase.manifolds.validate_points
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(spec, z, *args, **kwargs):
+        sizes.append(np.shape(z)[:-2])
+        return validate(spec, z, *args, **kwargs)
 
-    monkeypatch.setattr(kphase.manifolds.PointMatrix, "__post_init__",
-                        counted)
+    for mod in (kphase.manifolds, kphase.loops, kphase.phases):
+        monkeypatch.setattr(mod, "validate_points", counted)
     rc, _, _ = run_cli(capsys, ["stokes", "--kind", "fourier", "--family",
                                 "CI", "--p", "2", "--non-compact",
                                 "--samples", "1000", "--seed", "7"])
     assert rc == 0
-    assert len(built) == 0
+    assert sizes and all(size == (1001,) for size in sizes)
 
 
 def _strict(name):
@@ -305,13 +308,16 @@ def test_oracle_compare(tmp_path, capsys):
 
 
 def test_oracle_compare_projects_in_one_batch(tmp_path, capsys, monkeypatch):
-    """One oracle-compare projects every strided sample in one batch: no
-    per-sample Bloch projection or projective distance."""
+    """One oracle-compare projects every strided sample in one batch: one
+    Bloch projection of the whole stack, and no call of the validating
+    projective distance."""
     counts = {"bloch_projection": 0, "projective_distance": 0}
+    rows = []
 
     def counting(name, fn):
         def counted(*args, **kwargs):
             counts[name] += 1
+            rows.append(len(args[0]))
             return fn(*args, **kwargs)
         return counted
 
@@ -329,7 +335,8 @@ def test_oracle_compare_projects_in_one_batch(tmp_path, capsys, monkeypatch):
     rc, out, _ = run_cli(capsys, ["oracle-compare", "--config", str(path)])
     assert rc == 0
     assert json.loads(out)["samples"] == 201
-    assert counts == {"bloch_projection": 0, "projective_distance": 0}
+    assert counts == {"bloch_projection": 1, "projective_distance": 0}
+    assert rows == [201]
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -18,31 +18,29 @@ from kphase import (
     block_split,
     clip_trajectory,
     cp1,
-    evolve_unitary,
     expectation,
     find_cycle,
-    is_stationary,
-    mobius_act,
     projective_distance,
     propagate,
-    random_point,
     ray_distances,
     riccati_rhs,
     trajectory,
-    validate_point,
+    validate_points,
 )
 import kphase.dynamics
 from kphase.dynamics import (
+    STATIONARY_TOL,
     _riccati_advance,
     _rk4_step,
     _stages,
     defining_dimension,
-    expectation_stack,
 )
 
 from finite_difference import (
     expm_hermitian_generator,
     fd_expectation,
+    mobius_act,
+    random_point,
     stepwise_run,
 )
 
@@ -129,7 +127,7 @@ def test_mobius_diagonal_flow():
     U = np.diag([np.exp(-1j * t), np.exp(1j * t)])
     z = 0.4 - 0.2j
     out = mobius_act(spec, U, z)
-    assert out.entries[0, 0] == pytest.approx(
+    assert out[0, 0] == pytest.approx(
         z * np.exp(2j * t), abs=1e-14
     )
 
@@ -138,8 +136,8 @@ def test_mobius_quarter_turn_reaches_unit_circle():
     spec = cp1()
     U = expm_hermitian_generator(SX, math.pi / 4.0)
     out = mobius_act(spec, U, 0.0)
-    assert abs(out.entries[0, 0]) == pytest.approx(1.0, abs=1e-12)
-    assert out.entries[0, 0] == pytest.approx(-1j, abs=1e-12)
+    assert abs(out[0, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert out[0, 0] == pytest.approx(-1j, abs=1e-12)
 
 
 def test_mobius_half_turn_overflows():
@@ -169,13 +167,13 @@ def test_mobius_left_action_composition(rng):
         z = random_point(spec, rng, scale=0.3)
         one = mobius_act(spec, U2, mobius_act(spec, U1, z), symmetry_tol=1e-9)
         two = mobius_act(spec, U2 @ U1, z, symmetry_tol=1e-9)
-        assert np.max(np.abs(one.entries - two.entries)) < 1e-10
+        assert np.max(np.abs(one - two)) < 1e-10
 
 
 def test_riccati_rhs_values():
     spec = cp1()
-    z = validate_point(spec, 0.5)
-    rz = riccati_rhs(spec, SZ, z.entries)
+    z = validate_points(spec, 0.5)
+    rz = riccati_rhs(spec, SZ, z)
     assert rz[0, 0] == pytest.approx(2j * 0.5, abs=1e-15)
     r0 = riccati_rhs(spec, SX, np.zeros((1, 1), complex))
     assert r0[0, 0] == pytest.approx(-1j, abs=1e-15)
@@ -189,22 +187,22 @@ def test_riccati_matches_mobius_derivative(rng):
     moved = mobius_act(
         spec, expm_hermitian_generator(H, eps), z, symmetry_tol=1e-9
     )
-    fd = (moved.entries - z.entries) / eps
-    rhs = riccati_rhs(spec, H, z.entries)
+    fd = (moved - z) / eps
+    rhs = riccati_rhs(spec, H, z)
     assert np.max(np.abs(fd - rhs)) < 1e-5
 
 
-def test_evolve_unitary_half_turn():
+def test_propagated_unitary_half_turn():
     sched = HamiltonianSchedule.constant([SX], [1.0])
-    U = evolve_unitary(sched, 0.0, math.pi, 1e-3)
+    U = propagate(sched, np.eye(2), 0.0, math.pi, 1e-3)[1][-1]
     assert np.max(np.abs(U + np.eye(2))) < 1e-9
 
 
-def test_evolve_unitary_stays_unitary():
+def test_propagated_unitary_stays_unitary():
     sched = HamiltonianSchedule.from_samples(
         [SX, SY], [[0.0, 1.0, 0.3], [10.0, -0.5, 1.2]]
     )
-    U = evolve_unitary(sched, 0.0, 10.0, 1e-3)
+    U = propagate(sched, np.eye(2), 0.0, 10.0, 1e-3)[1][-1]
     assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-12
 
 
@@ -255,10 +253,19 @@ def test_expectation_closed_form_matches_cocycle_difference(spec, rng):
 def test_expectation_stack_matches_pointwise(rng):
     spec = ManifoldSpec(Family.CI, 2)
     hs = np.array([_defining_generator(rng, spec) for _ in range(4)])
-    zs = np.array([random_point(spec, rng, 0.4).entries for _ in range(4)])
-    stacked = expectation_stack(spec, 2, zs, hs)
+    zs = np.array([random_point(spec, rng, 0.4) for _ in range(4)])
+    stacked = expectation(spec, 2, zs, hs)
+    assert stacked.shape == (4,)
     for value, z, H in zip(stacked, zs, hs):
         assert abs(value - expectation(spec, 2, z, H)) < 1e-13
+    # one generator broadcasts against the stack of points
+    shared = expectation(spec, 2, zs, hs[0])
+    for value, z in zip(shared, zs):
+        assert abs(value - expectation(spec, 2, z, hs[0])) < 1e-13
+    bad = hs.copy()
+    bad[2, 0, 1] += 1e-3
+    with pytest.raises(SymmetryViolation):
+        expectation(spec, 2, zs, bad)
 
 
 def test_ray_distances_match_pairwise():
@@ -267,7 +274,7 @@ def test_ray_distances_match_pairwise():
     H[0, 2] = H[2, 0] = 0.3
     traj = trajectory(spec, [[0.2], [0.1j]], HamiltonianSchedule.constant(
         [H], [1.0]), 3.0, 1e-2)
-    loop = [projective_distance(spec, traj.point(k), traj.point(0))
+    loop = [projective_distance(spec, traj.points[k], traj.points[0])
             for k in range(len(traj.times))]
     assert np.array_equal(ray_distances(traj), loop)
 
@@ -341,7 +348,7 @@ def test_clip_trajectory_ends_at_cycle_time():
     spec = cp1()
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     traj = trajectory(spec, 0.7, sched, 2.0 * math.pi, 1e-3)
-    info = find_cycle(traj)
+    info = find_cycle(traj.times, ray_distances(traj))
     cyc = clip_trajectory(traj, sched, info.time)
     k = len(cyc.times) - 1
     assert cyc.times[-1] == info.time
@@ -367,7 +374,7 @@ def test_clip_checks_new_row_like_whole_path(constant, rng):
     sched = (HamiltonianSchedule.constant(gens, [0.4, 0.3]) if constant else
              HamiltonianSchedule.from_samples(
                  gens, [[0.0, 0.4, 0.3], [1.0, -0.2, 0.5]]))
-    traj = trajectory(spec, 0.2 * random_point(spec, rng).entries, sched,
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
                       1.0, 2e-3)
     cyc = clip_trajectory(traj, sched, 0.6789)
     ref = kphase.dynamics._chart_path(spec, cyc.times, cyc.unitaries,
@@ -416,7 +423,7 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = HamiltonianSchedule.from_samples(
         gens, [[0.0, 0.5, 0.2], [0.6, -0.3, 0.7], [1.5, 0.4, -0.5]])
-    z0 = 0.2 * random_point(spec, rng).entries
+    z0 = 0.2 * random_point(spec, rng)
     n, h = 137, 0.01  # not a multiple of the re-projection period
     ref_u, ref_z = stepwise_run(sched, np.eye(d), 0.0, h, n, spec=spec, z0=z0)
 
@@ -455,7 +462,7 @@ def test_chunked_stepping_matches_stepwise_reference(spec, gens, n, rng):
     h = 4e-3
     sched = HamiltonianSchedule.from_samples(
         gens, [[0.0, 1.0, 0.2], [n * h / 2, 0.6, 0.3], [n * h, 1.2, -0.1]])
-    z0 = 0.2 * random_point(spec, rng).entries
+    z0 = 0.2 * random_point(spec, rng)
     ref_u, ref_z = stepwise_run(sched, np.eye(d), 0.0, h, n, spec=spec, z0=z0)
 
     traj = trajectory(spec, z0, sched, n * h, h)
@@ -523,11 +530,11 @@ def test_constant_schedule_takes_no_steps(monkeypatch, rng):
     spec = ManifoldSpec(Family.AIII, 2, 1)
     sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
                                          [1.0])
-    traj = trajectory(spec, 0.2 * random_point(spec, rng).entries, sched,
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
                       1.0, 1e-3)
     clip_trajectory(traj, sched, 0.4567)
     propagate(sched, np.eye(3)[:, :1], 0.0, 1.0, 1e-3)
-    evolve_unitary(sched, 0.0, 1.0, 1e-3)
+    propagate(sched, np.eye(3), 0.0, 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("d, t0, n", [(2, 0.0, 2137), (3, -1.3, 1237),
@@ -558,7 +565,7 @@ def test_constant_trajectory_and_clip_match_exponential(rng):
     spec = ManifoldSpec(Family.CI, 2)
     H = sp_compatible_generator(rng, 2, Family.CI)
     sched = HamiltonianSchedule.constant([H], [0.5])
-    traj = trajectory(spec, 0.2 * random_point(spec, rng).entries, sched,
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
                       3.0, 2e-3)
     ref = np.array([expm_hermitian_generator(0.5 * H, t) for t in traj.times])
     assert np.max(np.abs(traj.unitaries - ref)) <= 1e-12
@@ -626,7 +633,7 @@ def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):
     monkeypatch.setattr(kphase.dynamics, "_chart_images", no_mobius)
     sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
                                          [1.0])
-    z0 = 0.2 * random_point(spec, rng).entries
+    z0 = 0.2 * random_point(spec, rng)
     n, h = 7, 0.01
     out = np.empty((n,) + z0.shape, dtype=complex)
     _riccati_advance(z0, out, _stages(sched, 0.0, h, 0, n), h)
@@ -729,17 +736,17 @@ def test_cycle_detection_precession():
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     # ray period pi, integrate two periods
     traj = trajectory(spec, 0.7, sched, 2.0 * math.pi, 1e-3)
-    info = find_cycle(traj)
+    info = find_cycle(traj.times, ray_distances(traj))
     assert info.time == pytest.approx(math.pi, abs=1e-6)
-    assert not is_stationary(traj)
+    assert np.max(ray_distances(traj)) >= STATIONARY_TOL
 
 
 def test_cycle_stationary_returns_first_index():
     spec = cp1()
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     traj = trajectory(spec, 0.0, sched, 1.0, 1e-2)
-    assert is_stationary(traj)
-    info = find_cycle(traj)
+    assert np.max(ray_distances(traj)) < STATIONARY_TOL
+    info = find_cycle(traj.times, ray_distances(traj))
     assert info.index == 1
     assert info.time == pytest.approx(traj.times[1])
 
@@ -749,7 +756,7 @@ def test_cycle_not_found():
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     traj = trajectory(spec, 0.7, sched, 1.0, 1e-2)
     with pytest.raises(NoCycleFound):
-        find_cycle(traj)
+        find_cycle(traj.times, ray_distances(traj))
 
 
 def test_ray_distances_start_zero():

@@ -6,16 +6,14 @@ import pytest
 from kphase import (
     Family,
     ManifoldSpec,
-    connection_eval,
     coordinate_basis,
     cp1,
     gradient,
     metric,
     potential,
-    random_point,
 )
 
-from finite_difference import fd_gradient, fd_metric
+from finite_difference import fd_gradient, fd_metric, random_point
 
 FAMILY_SPECS = [
     spec
@@ -63,12 +61,17 @@ def test_potential_values():
     )
 
 
+def components(spec, G) -> np.ndarray:
+    """Basis components ``sum(G * B_mu)`` of a gradient matrix."""
+    return np.array([np.sum(G * b) for b in coordinate_basis(spec)])
+
+
 def test_gradient_cp1_closed_form(rng):
     spec = cp1()
     for level in (1, 2):
         for _ in range(10):
             z = complex(*rng.standard_normal(2)) * 0.7
-            g = gradient(spec, level, z)
+            g = components(spec, gradient(spec, level, z))
             expected = level * np.conj(z) / (1.0 + abs(z) ** 2)
             assert abs(g[0] - expected) < 1e-8
 
@@ -78,8 +81,8 @@ def test_gradient_closed_form_matches_central_differences(spec, rng):
     for level in (1, 3):
         for _ in range(3):
             z = random_point(spec, rng, scale=0.5)
-            assert np.max(np.abs(
-                gradient(spec, level, z) - fd_gradient(spec, level, z))) < 1e-8
+            assert np.max(np.abs(components(spec, gradient(spec, level, z))
+                                 - fd_gradient(spec, level, z))) < 1e-8
 
 
 def test_gradient_vanishes_at_origin():
@@ -138,12 +141,15 @@ def test_metric_disk_near_boundary():
         assert h[0, 0] == pytest.approx(level / (1.0 - r * r) ** 2, rel=1e-9)
 
 
-def test_connection_eval_linearity(rng):
-    spec = ManifoldSpec(Family.AIII, 2, 2)
-    z = random_point(spec, rng, scale=0.4)
-    d1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    d2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    a = connection_eval(spec, 1, z, d1)
-    b = connection_eval(spec, 1, z, d2)
-    both = connection_eval(spec, 1, z, d1 + d2)
-    assert both == pytest.approx(a + b, abs=1e-8)
+@pytest.mark.parametrize("spec", FAMILY_SPECS, ids=str)
+def test_gradient_and_potential_broadcast_over_stacks(spec, rng):
+    zs = np.array([[random_point(spec, rng, 0.4) for _ in range(3)]
+                   for _ in range(2)])
+    g = gradient(spec, 2, zs)
+    f = potential(spec, 2, zs)
+    assert g.shape == zs.shape and f.shape == (2, 3)
+    for i in range(2):
+        for k in range(3):
+            assert np.max(np.abs(g[i, k] - gradient(spec, 2, zs[i, k]))) < 1e-14
+            assert f[i, k] == pytest.approx(potential(spec, 2, zs[i, k]),
+                                            abs=1e-14)

@@ -8,17 +8,15 @@ from kphase import (
     Family,
     ManifoldSpec,
     OutsideDomain,
-    SpecMismatch,
     SymmetryViolation,
     cp1,
     kernel,
     normalized_overlap,
     projective_distance,
-    random_point,
-    validate_point,
     validate_points,
 )
-from kphase.manifolds import distance_stack, kernel_stack
+
+from finite_difference import random_point
 
 ALL_SPECS = [
     ManifoldSpec(Family.AIII, 1, 1, True),
@@ -54,29 +52,35 @@ def test_point_shapes():
 
 
 def test_validate_scalar_coercion():
-    p = validate_point(cp1(), 0.5 + 0.25j)
-    assert p.entries.shape == (1, 1)
-    assert p.entries[0, 0] == 0.5 + 0.25j
-    # entries are frozen
-    with pytest.raises(ValueError):
-        p.entries[0, 0] = 0.0
+    p = validate_points(cp1(), 0.5 + 0.25j)
+    assert p.shape == (1, 1)
+    assert p[0, 0] == 0.5 + 0.25j
+    bdi = ManifoldSpec(Family.BDI, 3)
+    assert validate_points(bdi, [0.1, 0.2, 0.3j]).shape == (1, 3)
+    column = ManifoldSpec(Family.AIII, 2, 1)
+    assert validate_points(column, [0.1, 0.2j]).shape == (2, 1)
+    # a higher-dimensional input is a stack, kept in its shape
+    stack = np.zeros((2, 3, 1, 3), complex)
+    assert validate_points(bdi, stack).shape == (2, 3, 1, 3)
+    with pytest.raises(DimensionMismatch):
+        validate_points(bdi, np.zeros((2, 3), complex))
 
 
 def test_validate_symmetry_enforced():
     spec = ManifoldSpec(Family.CI, 2)
     z = np.array([[0.1, 0.2], [0.2 + 5e-13, 0.3]], complex)
-    p = validate_point(spec, z)
-    assert np.array_equal(p.entries, p.entries.T)
+    p = validate_points(spec, z)
+    assert np.array_equal(p, p.T)
     z_bad = np.array([[0.1, 0.2], [0.4, 0.3]], complex)
     with pytest.raises(SymmetryViolation):
-        validate_point(spec, z_bad)
+        validate_points(spec, z_bad)
 
     skew = ManifoldSpec(Family.DIII, 2)
-    q = validate_point(skew, np.array([[0, 0.3], [-0.3, 0]], complex))
-    assert np.array_equal(q.entries, -q.entries.T)
-    assert q.entries[0, 0] == 0.0
+    q = validate_points(skew, np.array([[0, 0.3], [-0.3, 0]], complex))
+    assert np.array_equal(q, -q.T)
+    assert q[0, 0] == 0.0
     with pytest.raises(SymmetryViolation):
-        validate_point(skew, np.array([[0, 0.3], [0.3, 0]], complex))
+        validate_points(skew, np.array([[0, 0.3], [0.3, 0]], complex))
 
 
 def test_validate_rejects_non_finite():
@@ -84,12 +88,12 @@ def test_validate_rejects_non_finite():
         z = np.zeros(spec.point_shape, complex)
         z[0, -1] = np.nan
         with pytest.raises(ValueError):
-            validate_point(spec, z)
+            validate_points(spec, z)
     with pytest.raises(ValueError):
-        validate_point(cp1(compact=False), complex(np.inf, 0.0))
+        validate_points(cp1(compact=False), complex(np.inf, 0.0))
 
 
-def test_stack_checker_matches_validate_point(rng):
+def test_stack_checker_matches_single_point(rng):
     ci = ManifoldSpec(Family.CI, 2)
     inf_row = np.zeros((1, 1), complex)
     inf_row[0, 0] = np.inf
@@ -102,8 +106,8 @@ def test_stack_checker_matches_validate_point(rng):
     )
     for spec, bad, kind in cases:
         with pytest.raises(kind) as single:
-            validate_point(spec, bad)
-        good = [random_point(spec, rng, 0.5).entries for _ in range(4)]
+            validate_points(spec, bad)
+        good = [random_point(spec, rng, 0.5) for _ in range(4)]
         stack = np.stack(good[:2] + [bad] + good[2:])
         with pytest.raises(kind) as stacked:
             validate_points(spec, stack)
@@ -112,29 +116,23 @@ def test_stack_checker_matches_validate_point(rng):
                               np.stack(good))
 
 
-def test_spec_mismatch_on_foreign_point():
-    p = validate_point(cp1(), 0.5)
-    with pytest.raises(SpecMismatch):
-        validate_point(cp1(compact=False), p)
-
-
 def test_noncompact_domain():
     nc = cp1(compact=False)
-    validate_point(nc, 0.99)
+    validate_points(nc, 0.99)
     with pytest.raises(OutsideDomain):
-        validate_point(nc, 1.0)
+        validate_points(nc, 1.0)
     with pytest.raises(OutsideDomain):
-        validate_point(nc, 1.2)
+        validate_points(nc, 1.2)
 
 
 def test_bdi_noncompact_domain_needs_both_conditions():
     spec = ManifoldSpec(Family.BDI, 2, compact=False)
-    validate_point(spec, [0.3, 0.2j])
+    validate_points(spec, [0.3, 0.2j])
     # z.z small but norm too large: second condition must catch it
     z = np.array([0.7, 0.7j])
     assert abs(z @ z) < 1e-12
     with pytest.raises(OutsideDomain):
-        validate_point(spec, z)
+        validate_points(spec, z)
 
 
 def test_kernel_cp1_values():
@@ -157,27 +155,30 @@ def test_kernel_hermiticity_all_families(rng):
             assert abs(kernel(spec, z, z).imag) < 1e-12
 
 
-def test_kernel_stack_matches_pairwise_kernel(rng):
+def test_kernel_broadcasts_like_pairwise_calls(rng):
     for spec in ALL_SPECS:
-        z = np.array([random_point(spec, rng, 0.4).entries for _ in range(6)])
-        w = np.array([random_point(spec, rng, 0.4).entries for _ in range(6)])
-        stacked = kernel_stack(spec, z, w)
+        z = np.array([random_point(spec, rng, 0.4) for _ in range(6)])
+        w = np.array([random_point(spec, rng, 0.4) for _ in range(6)])
+        stacked = kernel(spec, z, w)
         pairwise = np.array([kernel(spec, a, b) for a, b in zip(z, w)])
         assert stacked.shape == (6,)
         assert np.max(np.abs(stacked - pairwise)) < 1e-14
         # a single point broadcasts against the stack
-        to_first = kernel_stack(spec, z, w[0])
+        to_first = kernel(spec, z, w[0])
         assert np.max(np.abs(
             to_first - [kernel(spec, a, w[0]) for a in z])) < 1e-14
-        dist = distance_stack(spec, z, w[0])
+        dist = projective_distance(spec, z, w[0])
         assert np.max(np.abs(
             dist - [projective_distance(spec, a, w[0]) for a in z])) < 1e-14
+        overlap = normalized_overlap(spec, 2, z, w)
+        assert np.max(np.abs(overlap - [normalized_overlap(spec, 2, a, b)
+                                        for a, b in zip(z, w)])) < 1e-14
 
 
 def test_bdi_kernel_formula(rng):
     spec = ManifoldSpec(Family.BDI, 3)
-    z = random_point(spec, rng).entries[0]
-    w = random_point(spec, rng).entries[0]
+    z = random_point(spec, rng)[0]
+    w = random_point(spec, rng)[0]
     expected = 1.0 + (z @ z) * np.conj(w @ w) + 2.0 * (z @ np.conj(w))
     assert kernel(spec, z, w) == pytest.approx(expected, abs=1e-14)
 
@@ -234,4 +235,4 @@ def test_projective_distance_symmetry(rng):
 def test_random_point_stays_interior(rng):
     for spec in ALL_SPECS:
         for _ in range(40):
-            validate_point(spec, random_point(spec, rng))
+            validate_points(spec, random_point(spec, rng))

@@ -12,7 +12,6 @@ from kphase import (
     NotCoherent,
     NotCyclic,
     bloch_projection,
-    bloch_projection_stack,
     coherent_vector,
     map_schedule,
     map_to_spin,
@@ -203,7 +202,7 @@ def test_bloch_projection_stack_matches_warm_started_loop(j):
     for psi in states:
         guess = bloch_projection(psi, j, initial=guess)
         loop.append(guess)
-    stacked = bloch_projection_stack(states, j)
+    stacked = bloch_projection(states, j)
     assert stacked.shape == (len(states),)
     assert np.max(np.abs(stacked - np.array(loop))) <= 1e-10
 
@@ -214,7 +213,7 @@ def test_bloch_projection_stack_matches_warm_started_loop(j):
     bad[[5, 9], 1] = 1.0
     error = ChartOverflow if j == 0.5 else NotCoherent
     with pytest.raises(error, match=r"\(row 5\)$"):
-        bloch_projection_stack(bad, j)
+        bloch_projection(bad, j)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -230,7 +229,7 @@ def test_bloch_projection_stack_round_trips_coherent_rows(two_j, rows):
     zs = np.array([complex(x, y) for x, y, _ in rows])
     states = np.array([coherent_vector(j, z) * np.exp(1j * phase)
                        for z, (_, _, phase) in zip(zs, rows)])
-    back = bloch_projection_stack(states, j)
+    back = bloch_projection(states, j)
     assert np.all(np.abs(back - zs) <= 1e-7 * np.maximum(1.0, np.abs(zs)))
 
 
