@@ -130,8 +130,10 @@ def assemble_report(
 def triangle_phase(spec: ManifoldSpec, level: int, z, w):
     """Exact phase of the geodesic triangle with third vertex at the origin.
 
-    Half the principal argument of the kernel ratio, scaled by the level:
-    ``level/2 * Arg(K(w, conj(z)) / K(z, conj(w)))``.  Antisymmetric under
+    Half the principal argument of the kernel ratio, scaled by the level
+    and by the sign ``s`` of the potential (+1 compact, -1 bounded domain):
+    ``s * level/2 * Arg(K(w, conj(z)) / K(z, conj(w)))``, so that a closed
+    fan equals the connection line integral on both.  Antisymmetric under
     swapping the two vertices.  ``z`` and ``w`` are points or stacks,
     validated here, that broadcast as in ``manifolds.kernel``; the first
     offending pair raises ``KernelZero`` or ``BranchCut``.
@@ -153,7 +155,7 @@ def _triangle(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
         (~(math.pi - np.abs(arg) < BRANCH_TOL), BranchCut,
          lambda k: "triangle kernel ratio sits on the branch cut"),
     ])
-    return level * arg / 2.0
+    return (1.0 if spec.compact else -1.0) * level * arg / 2.0
 
 
 def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
@@ -163,11 +165,7 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
     the end to measure a closed loop.  Spokes to the origin cancel in
     pairs, leaving the symplectic area of the fan surface.
     """
-    return _polygon_phase(spec, level, _loop_points(spec, vertices))
-
-
-def _polygon_phase(spec: ManifoldSpec, level: int, z: np.ndarray) -> float:
-    """:func:`polygon_phase` on a validated stack."""
+    z = _loop_points(spec, vertices)
     if len(z) < 2:
         raise DimensionMismatch("a polygon fan needs at least two vertices")
     return float(np.sum(_triangle(spec, level, z[:-1], z[1:])))
@@ -266,7 +264,8 @@ def stokes_compare(
         closed = np.concatenate([closed, closed[:1]])
     for attempt in range(max_refinements + 1):
         try:
-            fan_value = _polygon_phase(spec, level, closed)
+            fan_value = float(np.sum(_triangle(spec, level, closed[:-1],
+                                               closed[1:])))
             break
         except BranchCut:
             if attempt == max_refinements:

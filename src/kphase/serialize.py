@@ -86,11 +86,13 @@ def _integer(config: dict, key: str, default: int, least: int) -> int:
 def spec_from_json(data: dict) -> ManifoldSpec:
     """Decode {family, p, q, compact}; q and compact default to 1 and true.
 
-    ``p`` and ``q`` must be integers (an integral float is accepted) and
+    ``family`` is required.  ``p`` and ``q`` must be integers (an integral float is accepted) and
     ``compact`` a boolean; anything else raises ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"'manifold' must be a JSON object, got {data!r}")
+    if "family" not in data:
+        raise ValueError("'manifold' is missing its required entry 'family'")
     compact = data.get("compact", True)
     if type(compact) is not bool:
         raise ValueError(f"'compact' must be true or false, got {compact!r}")

@@ -32,9 +32,9 @@ from .errors import (
 from .phases import wrap_angle
 
 
-# Largest accepted 2j.  The spin-j RK4 propagator holds stacks of about a
-# hundred (2j+1) x (2j+1) matrices per one-period chunk, 7 MB at this
-# size; the oracle is an exact check for small spins.
+# Largest accepted 2j.  At this size (d = 65) a chunk of the spin-j RK4
+# propagator is one 50-step period: 50 step matrices of d x d, 3.4 MB; the
+# oracle is an exact check for small spins.
 MAX_TWO_J = 64
 
 
@@ -170,12 +170,14 @@ def quantum_phases(
 ) -> tuple[float, float, float]:
     """Total, dynamical, and geometric phase of a ray-cyclic evolution.
 
-    The total phase is the argument of the initial-final overlap, the
-    dynamical phase the trapezoid integral of the instantaneous energy, and
-    the geometric phase their wrapped difference.
+    The total phase alpha is defined by ``psi(T) = exp(-i alpha) psi(0)``,
+    the argument of ``<psi(T)|psi(0)>``; the dynamical phase is the
+    trapezoid integral of the instantaneous energy, and the geometric
+    phase their wrapped difference.  A trace shift H -> H + c I moves alpha
+    and beta by c T each and leaves gamma unchanged.
     """
     psi0 = traj.states[0]
-    overlap = complex(np.vdot(psi0, traj.states[-1]))
+    overlap = complex(np.vdot(traj.states[-1], psi0))
     if abs(overlap) < 1.0 - cyclicity_tol:
         raise NotCyclic(
             f"final ray overlap {abs(overlap):.12f} below cyclicity tolerance"

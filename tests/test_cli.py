@@ -115,6 +115,29 @@ def test_evolve_with_oracle(tmp_path, capsys):
     assert abs(summary["oracle_defect"]) < 1e-4
 
 
+def test_gamma_ignores_a_trace_shift(tmp_path, capsys):
+    """H -> H + c I moves alpha and beta by c T each and leaves gamma, on
+    the chart and on the oracle, which then agree: CP1, level 1,
+    H = diag(1 + c, c), z0 = 0.5, T = 2 pi."""
+    runs = []
+    for c in (0.0, 0.3):
+        sched = HamiltonianSchedule.constant(
+            [np.diag([1.0 + c, c]).astype(complex)], [1.0])
+        cfg = {"schedule": sched.to_json(), "z0": 0.5, "T": 2.0 * math.pi,
+               "dt": 1e-3, "stride": 10_000, "oracle": True, "level": 1}
+        path = tmp_path / f"shift-{c}.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+        assert rc == 0
+        runs.append(json.loads(out.splitlines()[-1]))
+    base, shifted = runs
+    for key in ("report", "oracle"):
+        moved = shifted[key]["gamma"] - base[key]["gamma"]
+        assert abs(math.remainder(moved, 2.0 * math.pi)) < 1e-9
+        assert shifted[key]["consistent"] is True
+    assert abs(shifted["oracle_defect"]) < 1e-6
+
+
 def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -258,6 +281,19 @@ def test_exit_code_two_outside_domain(capsys):
     assert payload["exit_code"] == 2
     assert payload["type"] == "OutsideDomain"
     assert payload["message"]
+    assert err.strip() != ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["stokes", "--non-compact"],
+    ["kernel", "--p", "2", "--z", "0", "--w", "0"],
+])
+def test_manifold_without_family_exits_two_naming_it(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    payload = json.loads(out)["error"]
+    assert payload["type"] == "ValueError"
+    assert "'family'" in payload["message"]
     assert err.strip() != ""
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from kphase import (
 )
 import kphase.dynamics
 from kphase.dynamics import (
+    CROSS_CHECK_TOL,
     STATIONARY_TOL,
     _riccati_advance,
     _rk4_step,
@@ -562,12 +564,29 @@ def _haar(rng, d):
 
 
 def test_constant_trajectory_and_clip_match_exponential(rng):
-    spec = ManifoldSpec(Family.CI, 2)
+    """A constant schedule's unitary is exp(-iHt) on every draw.  The
+    cross-check guard passes exactly when the Mobius images of those
+    unitaries stay within CROSS_CHECK_TOL of the stepwise Riccati path,
+    and otherwise names the first time they part: some draws reach
+    max |Z| of 13.5 or 36.9, where RK4 at dt = 2e-3 is off by 1e-6."""
+    spec, h, n = ManifoldSpec(Family.CI, 2), 2e-3, 1500
     H = sp_compatible_generator(rng, 2, Family.CI)
     sched = HamiltonianSchedule.constant([H], [0.5])
-    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
-                      3.0, 2e-3)
-    ref = np.array([expm_hermitian_generator(0.5 * H, t) for t in traj.times])
+    z0 = 0.2 * random_point(spec, rng)
+    times, us = propagate(sched, np.eye(4), 0.0, n * h, h)
+    ref = np.array([expm_hermitian_generator(0.5 * H, t) for t in times])
+    assert np.max(np.abs(us - ref)) <= 1e-12
+
+    _, ref_z = stepwise_run(sched, np.eye(4), 0.0, h, n, spec=spec, z0=z0)
+    gaps = np.array([np.max(np.abs(mobius_act(spec, U, z0, 1e-9) - z))
+                     for U, z in zip(ref, ref_z)])
+    parted = np.flatnonzero(gaps > CROSS_CHECK_TOL)
+    if len(parted):
+        where = re.escape(f"at t = {times[parted[0]]:.6g}")
+        with pytest.raises(CrossCheckFailure, match=where + "$"):
+            trajectory(spec, z0, sched, n * h, h)
+        return
+    traj = trajectory(spec, z0, sched, n * h, h)
     assert np.max(np.abs(traj.unitaries - ref)) <= 1e-12
     t_end = 2.3456789
     cyc = clip_trajectory(traj, sched, t_end)

@@ -280,3 +280,32 @@ def test_stokes_compare_branch_cut_refinement():
     assert abs(rep.difference) < 0.3
     with pytest.raises(BranchCut):
         polygon_phase(spec, 1, loop)
+
+
+BOUNDED_SPECS = [
+    ManifoldSpec(Family.AIII, 1, 1, compact=False),
+    ManifoldSpec(Family.AIII, 2, 1, compact=False),
+    ManifoldSpec(Family.AIII, 2, 2, compact=False),
+    ManifoldSpec(Family.CI, 2, compact=False),
+    ManifoldSpec(Family.DIII, 3, compact=False),
+    ManifoldSpec(Family.BDI, 3, compact=False),
+]
+
+
+@pytest.mark.parametrize("spec", BOUNDED_SPECS, ids=str)
+def test_fan_matches_line_integral_on_bounded_domains(spec, rng):
+    """The fan carries the potential's sign s = -1 on a bounded domain, as
+    the line integral does; with the compact sign it would be -line."""
+    rep = stokes_compare(spec, 1, fourier_loop(spec, rng, 1000))
+    assert abs(rep.difference) < 1e-4
+
+
+def test_disk_latitude_phases_match_closed_form():
+    """On the disk, F = -level ln(1 - |z|^2), so a circle of radius r
+    encloses the phase 2 pi level r^2 / (1 - r^2) by both routes."""
+    spec = cp1(compact=False)
+    for level in (1, 2):
+        want = 2.0 * math.pi * level * 0.25 / 0.75
+        rep = stokes_compare(spec, level, latitude_circle(spec, 0.5, 2000))
+        assert rep.line_integral == pytest.approx(want, abs=1e-4)
+        assert rep.polygon_fan == pytest.approx(want, abs=1e-4)

@@ -134,6 +134,18 @@ def test_quantum_phases_half_turn():
     assert abs(wrap_angle(gamma - math.pi)) < 1e-9
 
 
+def test_total_phase_sign_convention():
+    """alpha is defined by psi(T) = exp(-i alpha) psi(0): under H = c I the
+    state picks up exp(-i c T), so alpha = beta = c T and gamma = 0."""
+    sched = HamiltonianSchedule.constant([np.eye(2, dtype=complex)], [0.3])
+    traj = schrodinger_evolve(coherent_vector(0.5, 0.4 + 0.2j), sched, 2.0,
+                              1e-3)
+    alpha, beta, gamma = quantum_phases(traj, sched)
+    assert alpha == pytest.approx(0.6, abs=1e-12)
+    assert beta == pytest.approx(0.6, abs=1e-12)
+    assert abs(gamma) < 1e-12
+
+
 def test_quantum_phases_rejects_open_run():
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     psi0 = coherent_vector(0.5, 1.0)
