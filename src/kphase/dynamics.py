@@ -15,9 +15,10 @@ periods together (``_advance``): pairwise products give each period's
 whole product, one product per period carries the state across it, and
 one product per in-period position writes the rows of every period at
 once.  :func:`propagate` runs this for the defining-representation unitary
-and for spin-j state vectors (``su2.schrodinger_evolve``).  :func:`trajectory` also advances, as an
-independent route, a Riccati integration of the chart variable on the
-RK4 stage Hamiltonians, one period at a time, for constant schedules too.
+and for spin-j state vectors (``su2.schrodinger_evolve``).
+:func:`trajectory` also advances, as an independent route, a Riccati
+integration of the chart variable on the RK4 stage Hamiltonians, one
+period at a time, for constant schedules too.
 That equation is quadratic in the chart variable, so it keeps one RK4 step
 per step; stepping it through U or the Mobius map instead would make the
 cross-check compare a route with itself.  On p x q chart points each

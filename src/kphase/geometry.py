@@ -6,8 +6,8 @@ positive definite on both.  Its holomorphic gradient has a closed form,
 evaluated on one point or a stack of points by :func:`gradient`: a matrix
 ``G`` with ``dF`` along an increment ``D`` equal to ``sum(G * D)``, so no
 coordinate basis is needed; the component along a basis matrix ``B_mu`` is
-``sum(G * B_mu)``.  For AIII, CI
-and DIII ``G = level * conj((I + s Z Z^dag)^-1 Z)``; for BDI
+``sum(G * B_mu)``.  For AIII, CI and DIII
+``G = level * conj((I + s Z Z^dag)^-1 Z)``; for BDI
 ``G = s * level * (2 z conj(z z^T) + 2 s conj(z)) / K(z, conj(z))``.  The
 connection one-form is ``Im sum(G * dZ)``.
 

@@ -86,8 +86,9 @@ def _integer(config: dict, key: str, default: int, least: int) -> int:
 def spec_from_json(data: dict) -> ManifoldSpec:
     """Decode {family, p, q, compact}; q and compact default to 1 and true.
 
-    ``family`` is required.  ``p`` and ``q`` must be integers (an integral float is accepted) and
-    ``compact`` a boolean; anything else raises ``ValueError``.
+    ``family`` is required.  ``p`` and ``q`` must be integers (an integral
+    float is accepted) and ``compact`` a boolean; anything else raises
+    ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"'manifold' must be a JSON object, got {data!r}")
