@@ -3,21 +3,20 @@
 The linear flow i dY/dt = H(t) Y of a unitary or a state vector is taken
 in one of two ways, chosen from the schedule.  A constant schedule's flow
 is exp(-iH(t - t0)): one ``eigh`` of H gives every row in closed form from
-the span start (``_exact_rows``), so no step is taken and no re-projection
-is needed.  A sampled schedule takes fixed-size classical RK4 steps and
-projects the state onto its polar factor after every ``REUNITARIZE_EVERY``
-steps, one re-projection period.  Both run in chunks of whole periods,
-sized by ``CHUNK_ENTRIES`` (``_blocks``).  On the RK4 path each chunk
-evaluates the schedule once, at its half-step times, and forms its step
-matrices from the pre-scaled stages in three batched products
-(``_step_matrices``).  Batched products then advance all the chunk's
-periods together (``_advance``): pairwise products give each period's
-whole product, one product per period carries the state across it, and
-one product per in-period position writes the rows of every period at
-once.  :func:`propagate` runs this for the defining-representation unitary
-and for spin-j state vectors (``su2.schrodinger_evolve``).
-:func:`trajectory` also advances, as an independent route, a Riccati
-integration of the chart variable on the RK4 stage Hamiltonians, one
+the span start (``_exact_rows``).  A sampled schedule takes fixed-size
+fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
+group that H generates (unitary, and in Sp or SO* on CI or DIII
+generators), so the state needs no re-projection.  Both paths run in
+chunks of whole periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES``
+(``_blocks``).  On the Magnus path each chunk evaluates the schedule once,
+at its half-step times, and batched products advance all its periods
+together (``_advance``): pairwise products give each period's whole
+product, one product per period carries the state across it, and one
+product per in-period position writes the rows of every period at once.
+:func:`propagate` runs this for the defining-representation unitary and
+for spin-j state vectors (``su2.schrodinger_evolve``).
+:func:`trajectory` also advances, as an independent route, a classical RK4
+integration of the chart variable on the same stage Hamiltonians, one
 period at a time, for constant schedules too.
 That equation is quadratic in the chart variable, so it keeps one RK4 step
 per step; stepping it through U or the Mobius map instead would make the
@@ -70,7 +69,8 @@ from .serialize import matrix_from_json, matrix_to_json
 
 HERMITICITY_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-6
-REUNITARIZE_EVERY = 50
+# Steps per period of the two-level batched products (see ``_advance``).
+PERIOD = 50
 # Entries of one chunk's stack of step matrices (see ``_blocks``).
 CHUNK_ENTRIES = 2 ** 12
 # Symmetry slack of Mobius images along a trajectory, the chart size at
@@ -281,13 +281,6 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     return -1j * (c_t + z @ d_t - a_t @ z - z @ b_t @ z)
 
 
-def _polar(Y: np.ndarray) -> np.ndarray:
-    """Nearest matrix with orthonormal columns: the unitary polar factor of
-    a square matrix, the normalisation of a column."""
-    w, _, vh = np.linalg.svd(Y, full_matrices=False)
-    return w @ vh
-
-
 def _rk4_step(rhs, y, H1, H2, H3, h):
     """Classical RK4 step of dy/dt = rhs(H(t), y) given H at the start,
     middle and end of the step."""
@@ -300,11 +293,10 @@ def _rk4_step(rhs, y, H1, H2, H3, h):
 
 def _blocks(n: int, d: int):
     """Step ranges ``[k0, k1)`` of the chunks that advance ``d x d`` step
-    matrices: each chunk is a whole number of re-projection periods, as
-    many as keep its stack of step matrices within ``CHUNK_ENTRIES``
-    entries and at least one, and only the last chunk may end short."""
-    size = REUNITARIZE_EVERY * max(
-        1, CHUNK_ENTRIES // (REUNITARIZE_EVERY * d * d))
+    matrices: each chunk is a whole number of periods, as many as keep its
+    stack of step matrices within ``CHUNK_ENTRIES`` entries and at least
+    one, and only the last chunk may end short."""
+    size = PERIOD * max(1, CHUNK_ENTRIES // (PERIOD * d * d))
     return [(k0, min(k0 + size, n)) for k0 in range(0, n, size)]
 
 
@@ -317,69 +309,50 @@ def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
     return hs[:-1:2], hs[1::2], hs[2::2]
 
 
-def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float, k0: int):
-    """RK4 steps ``k0 .. k0 + len(out) - 1`` of i dY/dt = H(t) Y from
-    ``Y`` on the leading rows of the stage stacks, written to the rows of
-    ``out``.
+def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float):
+    """Magnus steps of i dY/dt = H(t) Y from ``Y`` on the leading rows of
+    the stage stacks, written to the rows of ``out``.
 
-    ``_step_matrices`` gives the steps' matrices.  They are
-    grouped by re-projection period, the steps between multiples of
-    ``REUNITARIZE_EVERY``, with identities padding the first and last
-    periods to full length.  Pairwise products give every period's whole
-    product at once; one product per period carries the state across it,
-    re-projected onto its polar factor at each multiple; then one batched
-    product per in-period position advances every period from its starting
-    state, writing the rows.
+    ``_step_matrices`` gives the steps' matrices.  They are grouped in
+    periods of ``PERIOD`` steps from this call's first step, with
+    identities padding the last period to full length.  Pairwise products
+    give every period's whole product at once; one product per period
+    carries the state across it; then one batched product per in-period
+    position advances every period from its starting state, writing the
+    rows.
     """
-    period, n, d = REUNITARIZE_EVERY, len(out), len(Y)
-    lead = k0 % period
-    m = -(-(lead + n) // period)
-    steps = _step_matrices(stages, h, n)
-    if lead or (lead + n) % period:
-        eye = np.eye(d)
-        steps = np.concatenate((np.broadcast_to(eye, (lead, d, d)), steps,
-                                np.broadcast_to(eye, (m * period - lead - n,
-                                                      d, d))))
-    steps = steps.reshape(m, period, d, d)
+    period, n, d = PERIOD, len(out), len(Y)
+    m = -(-n // period)
+    steps = np.concatenate((_step_matrices(stages, h, n), np.broadcast_to(
+        np.eye(d), (m * period - n, d, d)))).reshape(m, period, d, d)
     starts = np.empty((m,) + Y.shape, dtype=complex)
     starts[0] = Y
-    if m > 1:
-        for p, whole in enumerate(_period_products(steps[:-1]), 1):
-            starts[p] = _polar(whole @ starts[p - 1])
+    for p, whole in enumerate(_period_products(steps[:-1]), 1):
+        starts[p] = whole @ starts[p - 1]
     rows = np.empty((m, period) + Y.shape, dtype=complex)
     state = starts
     for P, row in zip(steps.swapaxes(0, 1), rows.swapaxes(0, 1)):
         state = np.matmul(P, state, out=row)
-    out[:] = rows.reshape((m * period,) + Y.shape)[lead:lead + n]
-    out[period - 1 - lead::period][:m - 1] = starts[1:]
-    if (k0 + n) % period == 0:
-        out[-1] = _polar(out[-1])
+    out[:] = rows.reshape((m * period,) + Y.shape)[:n]
 
 
 def _step_matrices(stages, h: float, n: int) -> np.ndarray:
-    """RK4 step matrices of i dY/dt = H(t) Y on the leading ``n`` rows of
-    the stage stacks, from three batched products.
-
-    With the pre-scaled stages ``a1 = -i (h/2) H1``, ``a2 = -i (h/2) H2``
-    and ``a3 = -i h H3``, the RK4 increments of the identity are
-    ``h k1 = 2 a1``, ``h k2 = 2 C``, ``h k3 = 2 E`` and ``h k4 = F`` with
-    ``C = a2 (I + a1)``, ``E = a2 (I + C)`` and ``F = a3 (I + 2 E)``, so a
-    step is ``I + a1/3 + 2 (C + E)/3 + F/6``.
+    """Fourth-order Magnus step matrices of i dY/dt = H(t) Y on the leading
+    ``n`` rows of the stage stacks: exp(-iK) with the Hermitian
+    ``K = (h/6) (H1 + 4 H2 + H3) + i (h^2/12) [H1, H3]``, where
+    ``[H1, H3] = X - X^dagger`` for ``X = H1 H3``, as its diagonal (2, 2)
+    Pade approximant ``(M + (i/2) K)^-1 (M - (i/2) K)``, ``M = I - K^2/12``.
+    K lies in the Lie algebra of the flow's group, and that approximant
+    maps the algebra of every quadratic group (U, Sp, SO*) into the group,
+    so each step keeps unitarity and the chart's structure up to rounding.
     """
-    eye = np.eye(stages[0].shape[-1])
     H1, H2, H3 = (H[:n] for H in stages)
-    b = (-0.5j * h) * H1
-    b += eye
-    a2 = (-0.5j * h) * H2
-    c = a2 @ b
-    e = a2 @ (c + eye)
-    f = ((-1j * h) * H3) @ (2.0 * e + eye)
-    c += e
-    c *= 2.0 / 3.0
-    c += f / 6.0
-    c += b / 3.0
-    c += (2.0 / 3.0) * eye
-    return c
+    x = H1 @ H3
+    k = (1j * h * h / 12.0) * (x - x.conj().swapaxes(-1, -2))
+    k += (h / 6.0) * (H1 + 4.0 * H2 + H3)
+    m = np.eye(len(x[0])) - (k @ k) / 12.0
+    k *= 0.5j
+    return np.linalg.solve(m + k, m - k)
 
 
 def _period_products(steps: np.ndarray) -> np.ndarray:
@@ -507,8 +480,8 @@ def propagate(
     column ``Y0``; returns the grid times and the stack of states.
 
     A constant schedule takes every row in closed form from ``Y0``
-    (``_exact_rows``); a sampled one takes RK4 steps with re-projection
-    (``_advance``).  Both run chunk by chunk (``_blocks``)."""
+    (``_exact_rows``); a sampled one takes Magnus steps (``_advance``).
+    Both run chunk by chunk (``_blocks``)."""
     if not schedule.covers(t0, t1):
         raise ScheduleGap("schedule does not cover the integration span")
     n, h = _grid(t0, t1, dt)
@@ -521,7 +494,7 @@ def propagate(
     else:
         for k0, k1 in _blocks(n, schedule.dim):
             _advance(states[k0], states[k0 + 1:k1 + 1],
-                     _stages(schedule, t0, h, k0, k1), h, k0)
+                     _stages(schedule, t0, h, k0, k1), h)
     return np.linspace(t0, t1, n + 1), states
 
 
@@ -553,9 +526,9 @@ def trajectory(
 ) -> Trajectory:
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
-    Each chunk advances the Riccati variable one re-projection period at a
-    time and then the unitary, in closed form for a constant schedule and
-    on the same stage Hamiltonians otherwise; a chunk whose Riccati
+    Each chunk advances the Riccati variable one period at a time and then
+    the unitary, in closed form for a constant schedule and on the same
+    stage Hamiltonians otherwise; a chunk whose Riccati
     variable diverges ends at the first diverged step, and the unitary is
     advanced only that far.  After the loop the Mobius map takes the whole
     stack of unitaries to ``points`` with one batched solve, and the guards
@@ -579,8 +552,8 @@ def trajectory(
         # Steps after a diverged one may overflow: the chunk ends at the
         # first diverged step, and the unitary is advanced only that far.
         with np.errstate(over="ignore", invalid="ignore"):
-            for j0 in range(k0, k1, REUNITARIZE_EVERY):
-                j1 = min(j0 + REUNITARIZE_EVERY, k1)
+            for j0 in range(k0, k1, PERIOD):
+                j1 = min(j0 + PERIOD, k1)
                 _riccati_advance(zs[j0], zs[j0 + 1:j1 + 1],
                                  [H[j0 - k0:j1 - k0] for H in stages], h)
                 diverged = np.flatnonzero(_diverged(zs[j0 + 1:j1 + 1]))
@@ -588,7 +561,7 @@ def trajectory(
                     k1 = j0 + 1 + int(diverged[0])
                     break
         if exact is None:
-            _advance(us[k0], us[k0 + 1:k1 + 1], stages, h, k0)
+            _advance(us[k0], us[k0 + 1:k1 + 1], stages, h)
         else:
             exact(h * np.arange(k0 + 1, k1 + 1), us[k0 + 1:k1 + 1])
         if len(diverged):
@@ -601,9 +574,9 @@ def clip_trajectory(
     traj: Trajectory, schedule: HamiltonianSchedule, t_end: float
 ) -> Trajectory:
     """The samples of a trajectory before ``t_end`` plus one row at
-    ``t_end``: a partial RK4 step of the Riccati variable, and of the
-    unitary too unless the schedule is constant, where the unitary at
-    ``t_end`` is taken in closed form.
+    ``t_end``: a partial RK4 step of the Riccati variable, and a partial
+    Magnus step of the unitary unless the schedule is constant, where the
+    unitary at ``t_end`` is taken in closed form.
 
     The kept rows already passed the guards; the Mobius map and the guards
     run on the new row alone, and the kept rows' cross-check gap is
@@ -620,7 +593,7 @@ def clip_trajectory(
         _exact_rows(schedule, us[0])(np.array([t_end - traj.times[0]]),
                                      us[k + 1:])
     else:
-        _advance(us[k], us[k + 1:], stages, h, k)
+        _advance(us[k], us[k + 1:], stages, h)
     _riccati_advance(zs[k], zs[k + 1:], stages, h)
     times = np.append(traj.times[: k + 1], t_end)
     point, err = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],

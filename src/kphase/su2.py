@@ -8,8 +8,9 @@ the identity map, and the coherent expectation of the promoted generator
 matches the chart-side cocycle formula at level 2j.  States evolve with the
 same propagator as the chart's defining-representation unitary
 (``dynamics.propagate``), applied to a column vector in the
-(2j+1)-dimensional space: in closed form for a constant schedule, by RK4
-for a sampled one, never through the 2 x 2 unitary.  The Bloch projection
+(2j+1)-dimensional space: in closed form for a constant schedule, by
+fourth-order Magnus steps for a sampled one, never through the 2 x 2
+unitary.  The Bloch projection
 back to the chart (:func:`bloch_projection`) runs its Newton iteration on a
 whole stack of states at once.  Spins are bounded by ``MAX_TWO_J``.
 """
@@ -32,7 +33,7 @@ from .errors import (
 from .phases import wrap_angle
 
 
-# Largest accepted 2j.  At this size (d = 65) a chunk of the spin-j RK4
+# Largest accepted 2j.  At this size (d = 65) a chunk of the spin-j Magnus
 # propagator is one 50-step period: 50 step matrices of d x d, 3.4 MB; the
 # oracle is an exact check for small spins.
 MAX_TWO_J = 64
@@ -150,8 +151,8 @@ def schrodinger_evolve(
 
     The state runs as a d x 1 column through ``dynamics.propagate``, the
     propagator of the defining-representation unitary: closed form for a
-    constant schedule, and otherwise the same RK4 step and re-projection
-    rule, where the polar factor of a column is its normalisation.
+    constant schedule, and otherwise the same Magnus steps, whose unitary
+    step matrices keep the state's norm without re-normalisation.
     """
     psi = np.asarray(psi0, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(psi))

@@ -5,11 +5,11 @@ central-difference holomorphic gradient of the potential, the four-point
 mixed stencil of its metric (:func:`fd_metric`) and the five-point
 derivative of the weighted kernel cocycle.  :func:`mobius_act` is the
 one-point chart action that tests compose, and :func:`random_point` draws
-valid chart points.  The per-step RK4 loop
-(:func:`stepwise_run`) is the integration ``dynamics`` ran before it
-advanced whole chunks of re-projection periods with batched products; for
-sampled schedules ``dynamics`` still takes the same steps.
-Tests compare the library against them.
+valid chart points.  The per-step loop (:func:`stepwise_run`) takes the
+Magnus steps that ``dynamics`` takes on sampled schedules, one at a time
+and by eigendecomposition, where ``dynamics`` forms whole chunks of them
+by batched solves and advances them by batched products.  Tests compare
+the library against them.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from kphase import (
 )
 from kphase.dynamics import (
     CHART_EDGE_TOL,
-    REUNITARIZE_EVERY,
     _chart_images,
-    _polar,
     _rk4_step,
     riccati_rhs,
 )
@@ -157,27 +155,32 @@ def random_point(spec, rng: np.random.Generator,
     return validate_points(spec, arr)
 
 
-def _linear_rhs(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    return -1j * (H @ Y)
+def stepwise_run(schedule, Y0, t0: float, h: float, n: int, spec=None,
+                 z0=None):
+    """``n`` fourth-order Magnus steps of size ``h`` from ``t0``, one call
+    per step and stage: ``Y`` under i dY/dt = H(t) Y, and with ``spec`` and
+    ``z0`` the RK4 Riccati variable on the same stage Hamiltonians.
+    Returns the two stacks of states (``None`` for a route not run).
 
-
-def stepwise_run(schedule, Y0, t0: float, h: float, n: int, k0: int = 0,
-                 spec=None, z0=None):
-    """``n`` RK4 steps of size ``h`` from ``t0``, one call per step and
-    stage: ``Y`` under i dY/dt = H(t) Y, re-projected onto its polar factor
-    after each step count ``k0 + k + 1`` that ``REUNITARIZE_EVERY``
-    divides, and with ``spec`` and ``z0`` the Riccati variable on the same
-    stage Hamiltonians.  Returns the two stacks of states (``None`` for a
-    route not run)."""
+    Each step is the (2, 2) Pade approximant of exp(-iK), with
+    ``K = (h/6) (H1 + 4 H2 + H3) + i (h^2/12) [H1, H3]``, taken eigenvalue
+    by eigenvalue on an ``eigh`` of K rather than by the library's batched
+    solve.  The exact exponential would differ from the library by the
+    approximant's phase error, w^5/720 per eigenvalue w of K: up to 4e-10
+    over 137 steps of h = 0.01 on the generators of the block test."""
     ys, zs = [np.asarray(Y0, dtype=complex)], None
     if spec is not None:
         zs = [np.asarray(z0, dtype=complex)]
     for k in range(n):
         t = t0 + k * h
-        stages = (schedule(t), schedule(t + h / 2.0), schedule(t + h))
-        Y = _rk4_step(_linear_rhs, ys[-1], *stages, h)
-        ys.append(_polar(Y) if (k0 + k + 1) % REUNITARIZE_EVERY == 0 else Y)
+        H1, H2, H3 = schedule(t), schedule(t + h / 2.0), schedule(t + h)
+        K = ((h / 6.0) * (H1 + 4.0 * H2 + H3)
+             + (1j * h * h / 12.0) * (H1 @ H3 - H3 @ H1))
+        w, v = np.linalg.eigh(K)
+        m = 1.0 - w * w / 12.0
+        pade = (v * ((m - 0.5j * w) / (m + 0.5j * w))) @ v.conj().T
+        ys.append(pade @ ys[-1])
         if zs is not None:
             zs.append(_rk4_step(lambda H, z: riccati_rhs(spec, H, z), zs[-1],
-                                *stages, h))
+                                H1, H2, H3, h))
     return np.array(ys), None if zs is None else np.array(zs)

@@ -115,6 +115,28 @@ def test_evolve_with_oracle(tmp_path, capsys):
     assert abs(summary["oracle_defect"]) < 1e-4
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_ci_evolve_is_not_invalid_input(tmp_path, seed):
+    """A two-knot sampled CI(2) schedule of a generator with blocks
+    [[P, S], [S^dagger, -P^T]], S symmetric, at dt = 0.05.  RK4 step
+    matrices left the symmetric chart within two steps, which ended in
+    exit 2; the Riccati route, still RK4, may fail the cross-check."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    P, S = (a + a.conj().T) / 2.0, (b + b.T) / 2.0
+    H = np.block([[P, S], [S.conj().T, -P.T]])
+    cfg = {"manifold": {"family": "CI", "p": 2},
+           "schedule": {"generators": [matrix_to_json(H)],
+                        "samples": [[0.0, 1.0], [5.0, 0.5]]},
+           "z0": matrix_to_json(np.array([[0.2, 0.1], [0.1, -0.3]])),
+           "T": 5.0, "dt": 0.05}
+    rc, rows, _ = _run_config_file(tmp_path / "ci.json",
+                                   ["evolve", "--config",
+                                    str(tmp_path / "ci.json")], cfg)
+    assert rc in (0, 4)
+    assert rows and (rc == 0) == ("error" not in rows[-1])
+
+
 def test_gamma_ignores_a_trace_shift(tmp_path, capsys):
     """H -> H + c I moves alpha and beta by c T each and leaves gamma, on
     the chart and on the oracle, which then agree: CP1, level 1,

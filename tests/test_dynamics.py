@@ -426,7 +426,7 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     sched = HamiltonianSchedule.from_samples(
         gens, [[0.0, 0.5, 0.2], [0.6, -0.3, 0.7], [1.5, 0.4, -0.5]])
     z0 = 0.2 * random_point(spec, rng)
-    n, h = 137, 0.01  # not a multiple of the re-projection period
+    n, h = 137, 0.01  # not a multiple of the batching period
     ref_u, ref_z = stepwise_run(sched, np.eye(d), 0.0, h, n, spec=spec, z0=z0)
 
     _, states = propagate(sched, np.eye(d), 0.0, n * h, h)
@@ -439,10 +439,9 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert np.max(np.abs(traj.unitaries - ref_u)) <= 1e-12
     assert np.max(np.abs(traj.riccati - ref_z)) <= 1e-12
 
-    # The partial step from sample 49 ends a re-projection period.
     t_end = 49.5 * h
     clip_u, clip_z = stepwise_run(sched, ref_u[49], traj.times[49],
-                                  t_end - traj.times[49], 1, k0=49,
+                                  t_end - traj.times[49], 1,
                                   spec=spec, z0=ref_z[49])
     cyc = clip_trajectory(traj, sched, t_end)
     assert len(cyc.times) == 51
@@ -503,31 +502,13 @@ def test_divergence_in_later_chunk_advances_unitary_that_far(monkeypatch):
     assert np.all(np.isfinite(seen["us"]))
 
 
-def test_trajectory_reprojects_every_period(monkeypatch):
-    """Chunked RK4 stepping of a sampled schedule re-projects the unitary
-    at the same step counts as the per-step loop: once per
-    ``REUNITARIZE_EVERY`` steps."""
-    polar, calls = kphase.dynamics._polar, []
-
-    def counted(Y):
-        calls.append(Y.shape)
-        return polar(Y)
-
-    monkeypatch.setattr(kphase.dynamics, "_polar", counted)
-    sched = HamiltonianSchedule.from_samples(
-        [SX, SZ], [[0.0, 0.3, 0.9], [10.0, 0.5, 0.7]])
-    traj = trajectory(cp1(), 0.2, sched, 10.0, 1e-3)
-    assert len(traj.times) == 10_001
-    assert calls == [(2, 2)] * 200
-
-
 def test_constant_schedule_takes_no_steps(monkeypatch, rng):
     """A constant schedule's unitary comes in closed form: no step
-    matrices, no period products and no re-projection."""
+    matrices and no period products."""
     def refuse(*args):
-        raise AssertionError("the constant path stepped or re-projected")
+        raise AssertionError("the constant path stepped")
 
-    for name in ("_polar", "_step_matrices", "_period_products", "_advance"):
+    for name in ("_step_matrices", "_period_products", "_advance"):
         monkeypatch.setattr(kphase.dynamics, name, refuse)
     spec = ManifoldSpec(Family.AIII, 2, 1)
     sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
@@ -612,6 +593,65 @@ def test_constant_flow_stays_symplectic(rng):
     _, us = propagate(sched, np.eye(4), 0.0, 3.0, 0.05)
     assert len(us) == 61
     assert np.max(np.abs(us[-1].T @ J @ us[-1] - J)) <= 1e-12
+
+
+def test_magnus_step_is_fourth_order():
+    """On a sampled schedule of two non-commuting generators the error of
+    U(1) falls sixteenfold per halving of the step, against a fine
+    exponential-midpoint product.  A wrong sign of the commutator term
+    leaves a second-order step, whose error falls fourfold."""
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 1.0, 0.5], [1.0, -1.0, 2.0]])
+    n = 80_000
+    w, v = np.linalg.eigh(sched.at((np.arange(n) + 0.5) / n))
+    ref = np.eye(2)
+    steps = (v * np.exp(-1j * w / n)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    for step in steps:
+        ref = step @ ref
+    errs = [np.max(np.abs(propagate(sched, np.eye(2), 0.0, 1.0, h)[1][-1]
+                          - ref)) for h in (0.1, 0.05, 0.025)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 14.0 <= coarse / fine <= 18.0
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05])
+def test_sampled_flow_stays_in_group(dt):
+    """On sampled schedules of generators [[P, S], [S^dagger, -P^T]] with
+    S symmetric every row of the flow is unitary and keeps U^T J U = J.
+    RK4 step matrices with a polar projection every 50 steps missed both
+    by up to 1.6e-5 at dt = 0.05."""
+    J = np.block([[np.zeros((2, 2)), np.eye(2)],
+                  [-np.eye(2), np.zeros((2, 2))]])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        gens = [sp_compatible_generator(rng, 2, Family.CI) for _ in range(2)]
+        sched = HamiltonianSchedule.from_samples(
+            gens, [[0.0, 1.0, 0.3], [4.0, -0.5, 0.8], [10.0, 0.7, -0.6]])
+        _, us = propagate(sched, np.eye(4), 0.0, 10.0, dt)
+        drift = us.conj().swapaxes(1, 2) @ us - np.eye(4)
+        assert np.max(np.linalg.norm(drift, 2, axis=(1, 2))) <= 1e-12
+        assert np.max(np.abs(us.swapaxes(1, 2) @ J @ us - J)) <= 1e-12
+
+
+def test_sampled_ci_flow_is_not_reported_as_symmetry_violation(monkeypatch):
+    """A two-knot sampled CI(2) schedule at dt = 0.05: RK4 step matrices
+    left the symmetric chart by 1.2e-9 to 2.4e-7 within two steps on all
+    ten seeds.  The Riccati route, still RK4, may fail the cross-check;
+    with that check off, the whole span passes the chart rules, or the
+    Riccati variable leaves the compact chart."""
+    spec = ManifoldSpec(Family.CI, 2)
+    z0 = np.array([[0.2, 0.1], [0.1, -0.3]])
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        sched = HamiltonianSchedule.from_samples(
+            [sp_compatible_generator(rng, 2, Family.CI)],
+            [[0.0, 1.0], [5.0, 0.5]])
+        for tol in (CROSS_CHECK_TOL, math.inf):
+            monkeypatch.setattr(kphase.dynamics, "CROSS_CHECK_TOL", tol)
+            try:
+                trajectory(spec, z0, sched, 5.0, 0.05)
+            except (CrossCheckFailure, ChartOverflow):
+                pass
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
