@@ -159,6 +159,15 @@ class HamiltonianSchedule:
         if self._constant_matrix is not None:
             return np.broadcast_to(self._constant_matrix,
                                    ts.shape + self._constant_matrix.shape)
+        return _assemble(self.generators, self._coefficients_at(ts))
+
+    def _coefficients_at(self, times) -> np.ndarray:
+        """The coefficients at each of ``times``, as an ``(m, generators)``
+        array: one interpolation per generator over all the times."""
+        ts = np.asarray(times, dtype=float).reshape(-1)
+        if self.times is None:
+            return np.broadcast_to(self.coefficients,
+                                   ts.shape + self.coefficients.shape)
         lo, hi = self.times[0], self.times[-1]
         outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
         if np.any(outside):
@@ -166,10 +175,9 @@ class HamiltonianSchedule:
                 f"time {ts[np.argmax(outside)]} outside the sampled span "
                 f"[{lo}, {hi}]"
             )
-        coeffs = np.stack(
+        return np.stack(
             [np.interp(ts, self.times, c) for c in self.coefficients.T], axis=-1
         )
-        return _assemble(self.generators, coeffs)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.at(t)[0]

@@ -10,9 +10,10 @@ same propagator as the chart's defining-representation unitary
 (``dynamics.propagate``), applied to a column vector in the
 (2j+1)-dimensional space: in closed form for a constant schedule, by
 fourth-order Magnus steps for a sampled one, never through the 2 x 2
-unitary.  The Bloch projection
-back to the chart (:func:`bloch_projection`) runs its Newton iteration on a
-whole stack of states at once.  Spins are bounded by ``MAX_TWO_J``.
+unitary.  The Bloch projection back to the chart (:func:`bloch_projection`)
+reads each label in closed form off the Bloch vector ``<J>``, as the
+stereographic image of its direction, on a whole stack of states at once.
+Spins are bounded by ``MAX_TWO_J``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     NotCoherent,
     NotCyclic,
 )
+from .manifolds import raise_first_fault
 from .phases import wrap_angle
 
 
@@ -59,9 +61,6 @@ class SpinRep:
     def __post_init__(self):
         for op in (self.j1, self.j2, self.j3):
             op.setflags(write=False)
-
-    def casimir(self) -> np.ndarray:
-        return self.j1 @ self.j1 + self.j2 @ self.j2 + self.j3 @ self.j3
 
 
 def spin_operators(j) -> SpinRep:
@@ -185,101 +184,67 @@ def quantum_phases(
         )
     alpha = math.atan2(overlap.imag, overlap.real)
     times, states = traj.times, traj.states
-    energies = np.einsum("ki,kij,kj->k", states.conj(),
-                         schedule.at(times), states).real
+    # One expectation per generator, so no d x d matrix per sample.
+    coeffs = schedule._coefficients_at(times)
+    energies = sum(
+        c * np.sum(states.conj() * (states @ g.T), axis=1).real
+        for c, g in zip(coeffs.T, schedule.generators)
+    )
     beta = float(np.sum(np.diff(times) * 0.5 * (energies[:-1] + energies[1:])))
     gamma = wrap_angle(alpha - beta)
     return alpha, beta, gamma
 
 
-def bloch_projection(
-    states,
-    j,
-    initial=None,
-    coherence_tol: float = 1e-6,
-):
-    """Chart labels of the coherent rays closest to each row of ``states``.
+def bloch_projection(states, j, coherence_tol: float = 1e-6):
+    """Chart labels of the coherent rays of each row of ``states``.
 
     A 1-D state gives one complex label, a stack of rows an array of them.
-    Maximizes the coherent overlap magnitude.  Spin 1/2 reduces to the
-    ratio of the two components; higher spins run Newton iteration on the
-    overlap stationarity condition, on all rows at once, each row stopping
-    on its own convergence test or after 60 iterations.  Each row is seeded
-    from its own leading component ratios and a fixed grid, whichever has
-    the best overlap, or from its entry of ``initial`` alone when given
-    (when tracking a trajectory).  The first row at the chart's point at
-    infinity raises ``ChartOverflow``, and the first row farther than
-    ``coherence_tol`` from every coherent ray raises ``NotCoherent``.
+    A spin-j coherent ray is labelled by the direction of its Bloch vector
+    ``v = <J>``, and the label is that direction's stereographic image,
+    read off in closed form on all rows at once:
+    ``<J3> = sum_k (j - k)|psi_k|^2``,
+    ``<J+> = sum_k sqrt((k + 1)(2j - k)) conj(psi_k) psi_{k+1}`` and
+    ``z = <J+> / (|v| + <J3>)`` on the upper hemisphere (``<J3> >= 0``),
+    ``z = (|v| - <J3>) / conj(<J+>)`` on the lower one.  The two agree,
+    since ``|<J+>|^2 = |v|^2 - <J3>^2``, and neither subtracts nearly equal
+    numbers.  The label is exact on a coherent row (at spin 1/2 it is
+    ``psi_1 / psi_0``), and on a row at distance eps from the coherent rays
+    it differs from the overlap maximiser by O(eps^2).  The first failing
+    row raises ``ChartOverflow`` if its label is infinite (``<J+> = 0`` and
+    ``<J3> < 0``, the chart's point at infinity), and otherwise
+    ``NotCoherent`` if its label's ray is farther than ``coherence_tol``,
+    as on rows with ``<J> = 0``.
     """
     if np.ndim(states) == 1:
         row = np.reshape(states, (1, -1))
-        return complex(bloch_projection(row, j, initial, coherence_tol)[0])
+        return complex(bloch_projection(row, j, coherence_tol)[0])
     n = _two_j(j)
     psi = np.asarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != n + 1:
         raise DimensionMismatch("state dimension does not match 2j + 1")
     psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-    if n == 1:
-        pole = np.abs(psi[:, 0]) < 1e-12 * np.abs(psi[:, 1])
-        if np.any(pole):
-            raise ChartOverflow(
-                "ray sits at the chart's point at infinity "
-                f"(row {np.argmax(pole)})"
-            )
-        return psi[:, 1] / psi[:, 0]
-
-    # Overlap polynomial in conj(z), highest power first, and its first and
-    # second derivatives padded with leading zeros to the same length.
-    polys = np.zeros((3,) + psi.shape, dtype=complex)
-    poly = polys[0]
-    poly[:] = psi[:, ::-1] * np.sqrt([math.comb(n, k)
-                                      for k in range(n, -1, -1)])
-    polys[1, :, 1:] = poly[:, :-1] * np.arange(n, 0, -1)
-    polys[2, :, 2:] = polys[1, :, 1:-1] * np.arange(n - 1, 0, -1)
-    if initial is None:
-        w = _best_seeds(psi, poly, n)
-    else:
-        w = np.conj(np.broadcast_to(np.asarray(initial, dtype=complex),
-                                    len(psi)))
-
-    # Newton iteration on the rows still moving: ``rows`` indexes them,
-    # ``wr`` and ``ps`` hold their iterates and polynomials.
-    rows, wr, ps = np.arange(len(w)), w.copy(), polys
-    for _ in range(60):
-        pw, dpw, ddpw = _polyval(ps, wr)
-        cw = np.conj(wr)
-        s = 1.0 + np.abs(wr) ** 2
-        phi = dpw * s - n * cw * pw
-        scale = np.fmax(1.0, np.abs(dpw) * s + n * np.abs(wr) * np.abs(pw))
-        phi_w = ddpw * s + cw * dpw - n * cw * dpw
-        phi_wbar = dpw * wr - n * pw
-        denom = np.abs(phi_w) ** 2 - np.abs(phi_wbar) ** 2
-        go = ~((np.abs(phi) < 1e-13 * scale)
-               | (np.abs(denom) < 1e-30 * scale * scale))
-        if not go.all():
-            w[rows] = wr
-            rows, wr, phi, phi_w, phi_wbar, denom = (
-                x[go] for x in (rows, wr, phi, phi_w, phi_wbar, denom))
-            ps = ps[:, go]
-            if not len(rows):
-                break
-        delta = (-phi * np.conj(phi_w) + np.conj(phi) * phi_wbar) / denom
-        size = np.abs(delta)
-        np.divide(delta, size, out=delta, where=size > 1.0)
-        wr = wr + delta
-    w[rows] = wr
-
-    overlap_sq = _quality(poly, w, n)
+    k = np.arange(n + 1)
+    j3 = np.abs(psi) ** 2 @ (n / 2.0 - k)
+    jplus = (psi[:, :-1].conj() * psi[:, 1:]) @ np.sqrt(k[1:] * (n - k[:-1]))
+    length = np.hypot(np.abs(jplus), j3)
+    # Poles, zero Bloch vectors and NaN rows divide by zero here; the fault
+    # masks below report them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.where(j3 >= 0.0, jplus / (length + j3),
+                     (length - j3) / np.conj(jplus))
+        # Overlap polynomial in conj(z), highest power first.
+        poly = psi[:, ::-1] * np.sqrt([math.comb(n, i) for i in k[::-1]])
+        overlap_sq = _quality(poly, np.conj(z), n)
     # fmax maps a NaN overlap to 0, so a NaN row counts as incoherent.
     residual = np.arccos(np.minimum(1.0, np.sqrt(np.fmax(0.0, overlap_sq))))
-    far = residual > coherence_tol
-    if np.any(far):
-        k = int(np.argmax(far))
-        raise NotCoherent(
-            f"distance to the nearest coherent ray is {residual[k]:.3e} "
-            f"(row {k})"
-        )
-    return np.conj(w)
+    raise_first_fault([
+        (~np.isinf(z), ChartOverflow,
+         lambda r: f"ray sits at the chart's point at infinity (row {r})"),
+        (residual <= coherence_tol, NotCoherent,
+         lambda r: "distance to the nearest coherent ray is "
+                   f"{residual[r]:.3e} (row {r})"),
+    ])
+    return z
 
 
 def _polyval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -294,32 +259,3 @@ def _polyval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _quality(poly: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """Squared coherent overlap of each row with the ray at ``conj(w)``."""
     return np.abs(_polyval(poly, w)) ** 2 / (1.0 + np.abs(w) ** 2) ** n
-
-
-def _best_seeds(psi: np.ndarray, poly: np.ndarray, n: int) -> np.ndarray:
-    """Newton seed of each row: of its top component ratio, its bottom
-    component ratio and a 32-point grid, in this order, the first with the
-    best overlap.  The best is kept while scanning, one candidate at a
-    time."""
-    top, bottom = np.abs(psi[:, 0]), np.abs(psi[:, n])
-    first = np.zeros(len(psi), dtype=complex)
-    last = np.zeros(len(psi), dtype=complex)
-    top_ok = (top >= bottom) & (top > 1e-14)
-    np.divide(psi[:, 1], psi[:, 0] * math.sqrt(n), out=first, where=top_ok)
-    bottom_ok = (bottom > 1e-14) & (np.abs(psi[:, n - 1]) > 1e-14 * bottom)
-    np.divide(math.sqrt(n) * psi[:, n], psi[:, n - 1], out=last,
-              where=bottom_ok)
-    best = np.zeros(len(psi), dtype=complex)
-    best_q = np.full(len(psi), -np.inf)
-
-    def consider(w, ok=True):
-        q = _quality(poly, w, n)
-        better = ok & (q > best_q)
-        best[better], best_q[better] = w[better], q[better]
-
-    consider(np.conj(first), top_ok)
-    consider(np.conj(last), bottom_ok)
-    for r in (0.0, 0.5, 1.0, 2.0):
-        for a in range(8):
-            consider(np.full(len(psi), r * np.exp(2j * math.pi * a / 8.0)))
-    return best

@@ -168,19 +168,28 @@ def test_quantum_phases_decomposition_random_axis(rng):
         assert abs(wrap_angle(alpha - beta - gamma)) < 1e-12
 
 
+def test_quantum_phases_sampled_beta_matches_assembled_energies(rng):
+    # beta sums per-generator expectations; the reference assembles H(t)
+    knots = np.linspace(0.0, 2.0, 9)
+    sched = map_schedule(HamiltonianSchedule.from_samples(
+        [SX, SY, SZ, np.eye(2, dtype=complex)],
+        np.column_stack([knots, rng.uniform(-1, 1, size=(9, 4))])), 1.5)
+    traj = schrodinger_evolve(coherent_vector(1.5, 0.3 - 0.2j), sched, 2.0,
+                              1e-2)
+    _, beta, _ = quantum_phases(traj, sched, cyclicity_tol=1.0)
+    psi = traj.states
+    energies = np.einsum("ki,kij,kj->k", psi.conj(), sched.at(traj.times),
+                         psi).real
+    reference = np.sum(np.diff(traj.times) * (energies[:-1] + energies[1:]))
+    assert beta == pytest.approx(0.5 * reference, abs=1e-12)
+
+
 def test_bloch_projection_round_trip(rng):
     for j in (0.5, 1.0, 1.5, 2.5):
         for _ in range(8):
             z = complex(*rng.standard_normal(2))
             back = bloch_projection(coherent_vector(j, z), j)
             assert abs(back - z) < 1e-7 * max(1.0, abs(z))
-
-
-def test_bloch_projection_warm_start(rng):
-    j = 1.5
-    z = 0.4 + 0.2j
-    w = bloch_projection(coherent_vector(j, z), j, initial=z + 0.01)
-    assert abs(w - z) < 1e-8
 
 
 def test_bloch_projection_rejects_incoherent():
@@ -193,6 +202,49 @@ def test_bloch_projection_pole_overflow():
         bloch_projection(np.array([0.0, 1.0], complex), 0.5)
 
 
+@pytest.mark.parametrize("j", [1.0, 1.5, 4.0])
+def test_bloch_projection_lowest_weight_overflows(j):
+    # the lowest-weight basis state is coherent, at the point at infinity
+    pole = np.zeros(int(2 * j) + 1, complex)
+    pole[-1] = 1.0
+    with pytest.raises(ChartOverflow, match=r"\(row 0\)$"):
+        bloch_projection(pole, j)
+
+
+def test_bloch_projection_near_coherent_rows_at_spin_32(rng):
+    # rows within eps of a coherent ray whose first component, about
+    # (1 + |z|^2)^-32, is far below eps
+    j, zs, rows = 32, [], []
+    for _ in range(200):
+        z = rng.uniform(0.75, 2.5) * np.exp(2j * math.pi * rng.uniform())
+        eps = rng.uniform(1e-8, 5e-7)
+        c = coherent_vector(j, z)
+        d = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+        d -= np.vdot(c, d) * c
+        rows.append(c + eps * d / np.linalg.norm(d))
+        zs.append(z)
+    states = np.array(rows)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    labels = bloch_projection(states, j)
+
+    def overlap(w, psi):
+        # renormalised, since (1 + |w|^2)^32 carries rounding of 1e-14
+        c = coherent_vector(j, w)
+        return abs(np.vdot(c / np.linalg.norm(c), psi))
+
+    for w, z, psi in zip(labels, zs, states):
+        assert overlap(w, psi) >= overlap(z, psi) - 1e-14
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 3.0, 8.0])
+def test_bloch_projection_round_trip_near_the_pole(j):
+    # both hemisphere branches are needed: one formula alone cancels here
+    for r in (1e2, 1e4):
+        for z in r * np.exp(2j * math.pi * np.arange(5) / 5):
+            back = bloch_projection(coherent_vector(j, z), j)
+            assert abs(back - z) <= 1e-12 * abs(z)
+
+
 def test_bloch_projection_phase_invariance(rng):
     j = 1.0
     z = -0.7 + 0.25j
@@ -201,7 +253,7 @@ def test_bloch_projection_phase_invariance(rng):
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 1.5, 2.0])
-def test_bloch_projection_stack_matches_warm_started_loop(j):
+def test_bloch_projection_stack_matches_row_by_row(j):
     # a criterion-4 style path: random piecewise-linear field from the pole
     rng = np.random.default_rng(3)
     knots = np.round(np.arange(201) * 0.05, 10)
@@ -210,10 +262,7 @@ def test_bloch_projection_stack_matches_warm_started_loop(j):
         np.column_stack([knots, rng.uniform(-0.6, 0.6, size=(201, 3))]))
     states = schrodinger_evolve(coherent_vector(j, 0.0),
                                 map_schedule(sched, j), 10.0, 1e-2).states
-    guess, loop = None, []
-    for psi in states:
-        guess = bloch_projection(psi, j, initial=guess)
-        loop.append(guess)
+    loop = [bloch_projection(psi, j) for psi in states]
     stacked = bloch_projection(states, j)
     assert stacked.shape == (len(states),)
     assert np.max(np.abs(stacked - np.array(loop))) <= 1e-10
