@@ -15,6 +15,7 @@ detected, 4 numerical cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -52,10 +53,12 @@ from .manifolds import (
     validate_points,
 )
 from .phases import (
+    MAX_REFINEMENTS,
+    _loop_points,
+    _stokes_compare,
     assemble_report,
     dynamical_phase,
     line_integral_phase,
-    stokes_compare,
     triangle_phase,
     wrap_angle,
 )
@@ -260,9 +263,9 @@ def _oracle_block(sched_j, psi0, cyc, dt, beta, gamma) -> dict:
     }
 
 
-def _build_loop(spec, loop_cfg: dict):
-    """A generated loop as its validated stack, or the raw values of a
-    ``points`` loop, which ``stokes_compare`` validates as one stack."""
+def _build_loop(spec, loop_cfg: dict) -> np.ndarray:
+    """The validated stack of a generated loop, or of a ``points`` loop
+    validated as one stack."""
     if not isinstance(loop_cfg, dict):
         raise ValueError(f"'loop' must be a JSON object, got {loop_cfg!r}")
     kind = loop_cfg.get("kind", "latitude")
@@ -282,7 +285,8 @@ def _build_loop(spec, loop_cfg: dict):
             scale=_real(loop_cfg, "scale", 0.5),
         )
     if kind == "points":
-        return [_point_value(v) for v in loop_cfg.get("points", [])]
+        return _loop_points(spec, [_point_value(v)
+                                   for v in loop_cfg.get("points", [])])
     raise ValueError(f"unknown loop kind {kind!r}")
 
 
@@ -291,7 +295,7 @@ def run_stokes(config: dict) -> list[str]:
     level = _count(config, "level", 1)
     loop = _build_loop(spec, config.get("loop", {}))
     cyclicity_tol = _tolerance(config, "cyclicity_tol", 1e-6)
-    rep = stokes_compare(spec, level, loop, cyclicity_tol=cyclicity_tol)
+    rep = _stokes_compare(spec, level, loop, cyclicity_tol, MAX_REFINEMENTS)
     return [
         _dumps(
             {
@@ -465,6 +469,7 @@ def _add_common(sp, manifold: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``kphase`` command line."""
     parser = argparse.ArgumentParser(
         prog="kphase",
         description=(
@@ -594,8 +599,14 @@ def _gather_config(args) -> dict:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` builds on its first call and then reuses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     code, results, err = _guarded(_results, args)
     if code:
         results = [(code, results, err)]

@@ -45,6 +45,7 @@ from .manifolds import (
 
 CONSISTENCY_TOL = 1e-6
 BRANCH_TOL = 1e-9
+MAX_REFINEMENTS = 3
 
 
 def wrap_angle(x: float) -> float:
@@ -133,10 +134,12 @@ def triangle_phase(spec: ManifoldSpec, level: int, z, w):
     Half the principal argument of the kernel ratio, scaled by the level
     and by the sign ``s`` of the potential (+1 compact, -1 bounded domain):
     ``s * level/2 * Arg(K(w, conj(z)) / K(z, conj(w)))``, so that a closed
-    fan equals the connection line integral on both.  Antisymmetric under
-    swapping the two vertices.  ``z`` and ``w`` are points or stacks,
-    validated here, that broadcast as in ``manifolds.kernel``; the first
-    offending pair raises ``KernelZero`` or ``BranchCut``.
+    fan equals the connection line integral on both.  One kernel is
+    evaluated per pair: the kernel is Hermitian, so the numerator is the
+    conjugate of the denominator.  Antisymmetric under swapping the two
+    vertices.  ``z`` and ``w`` are points or stacks, validated here, that
+    broadcast as in ``manifolds.kernel``; the first offending pair raises
+    ``KernelZero`` or ``BranchCut``.
     """
     return _triangle(spec, level, validate_points(spec, z),
                      validate_points(spec, w))
@@ -146,11 +149,11 @@ def _triangle(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
     """:func:`triangle_phase` on chart arrays that already passed the
     chart rules."""
     k_zw = _kernel(spec, z, w)
-    k_wz = _kernel(spec, w, z)
+    k_wz = np.conj(k_zw)
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = np.angle(k_wz / k_zw)
     raise_first_fault([
-        ((np.abs(k_zw) >= KERNEL_ZERO_TOL) & (np.abs(k_wz) >= KERNEL_ZERO_TOL),
+        (np.abs(k_zw) >= KERNEL_ZERO_TOL,
          KernelZero, lambda k: "kernel vanishes between triangle vertices"),
         (~(math.pi - np.abs(arg) < BRANCH_TOL), BranchCut,
          lambda k: "triangle kernel ratio sits on the branch cut"),
@@ -248,16 +251,24 @@ def stokes_compare(
     level: int,
     loop,
     cyclicity_tol: float = 1e-6,
-    max_refinements: int = 3,
+    max_refinements: int = MAX_REFINEMENTS,
 ) -> StokesReport:
     """Confront the connection line integral with the triangle-fan sum.
 
-    Both are evaluated on the same closed loop.  If a fan triangle lands on
-    the branch cut, the loop is resampled at double density (chart
-    midpoints) up to ``max_refinements`` times before giving up.  The
-    loop is validated once; only new midpoints are validated again.
+    Both are evaluated on the same closed loop, a trajectory, a point
+    stack or a point sequence, validated once here.  If a fan triangle
+    lands on the branch cut, the loop is resampled at double density
+    (chart midpoints) up to ``max_refinements`` times before giving up;
+    only the new midpoints are validated again.
     """
-    z = _loop_points(spec, loop)
+    return _stokes_compare(spec, level, _loop_points(spec, loop),
+                           cyclicity_tol, max_refinements)
+
+
+def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
+                    cyclicity_tol: float,
+                    max_refinements: int) -> StokesReport:
+    """:func:`stokes_compare` on a validated stack."""
     line_value = _line_integral_phase(spec, level, z, cyclicity_tol)
     closed = z
     if not np.array_equal(closed[0], closed[-1]):

@@ -257,5 +257,10 @@ def _polyval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _quality(poly: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Squared coherent overlap of each row with the ray at ``conj(w)``."""
-    return np.abs(_polyval(poly, w)) ** 2 / (1.0 + np.abs(w) ** 2) ** n
+    """Squared coherent overlap of each row with the ray at ``conj(w)``;
+    where ``|w| > 1``, the reversed polynomial at ``1/w`` gives the same
+    value without overflow, since ``p(w) = w^n q(1/w)``."""
+    flip = np.abs(w) > 1.0
+    u = np.divide(1.0, w, out=w.copy(), where=flip)
+    coeffs = np.where(flip[:, None], poly[:, ::-1], poly)
+    return np.abs(_polyval(coeffs, u)) ** 2 / (1.0 + np.abs(u) ** 2) ** n

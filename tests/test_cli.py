@@ -55,6 +55,44 @@ def test_module_invocation_matches_in_process():
     assert json.loads(proc.stdout) == {"im": -1.0, "re": 1.0}
 
 
+def test_reused_parser_keeps_no_state(capsys):
+    """``main`` parses with one parser per process: an append flag does not
+    accumulate across calls, and a usage error leaves the next call
+    unaffected."""
+    argv = ["poincare", "--min-orbit", "G2", "--min-orbit", "F4"]
+    rc, first, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert len(first.splitlines()) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["stokes", "--samples", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, second, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert second == first
+
+
+def test_build_parser_returns_a_new_parser():
+    assert kphase.cli.build_parser() is not kphase.cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import kphase.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "0\n"
+
+
 def test_triangle_matches_library(capsys):
     rc, out, _ = run_cli(capsys, ["triangle", "--z", "1", "--w", "[0, 1]"])
     assert rc == 0
@@ -214,9 +252,10 @@ def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
     assert 0 < counts["_gradient"] <= 10
 
 
-def test_stokes_validates_whole_stacks(capsys, monkeypatch):
-    """A generated stokes loop stays one array from the factory to the
-    phases: every validation takes the whole stack, none a single
+@pytest.mark.parametrize("kind", ["fourier", "points"])
+def test_stokes_validates_whole_stacks(capsys, monkeypatch, tmp_path, kind):
+    """A stokes loop stays one array from the factory to the phases: it is
+    validated exactly once, as the whole stack, and never sample by
     sample."""
     sizes = []
     validate = kphase.manifolds.validate_points
@@ -225,13 +264,22 @@ def test_stokes_validates_whole_stacks(capsys, monkeypatch):
         sizes.append(np.shape(z)[:-2])
         return validate(spec, z, *args, **kwargs)
 
-    for mod in (kphase.manifolds, kphase.loops, kphase.phases):
+    for mod in (kphase.manifolds, kphase.loops, kphase.phases, kphase.cli):
         monkeypatch.setattr(mod, "validate_points", counted)
-    rc, _, _ = run_cli(capsys, ["stokes", "--kind", "fourier", "--family",
-                                "CI", "--p", "2", "--non-compact",
-                                "--samples", "1000", "--seed", "7"])
+    argv = ["stokes", "--family", "CI", "--p", "2", "--non-compact"]
+    if kind == "fourier":
+        argv += ["--kind", "fourier", "--samples", "1000", "--seed", "7"]
+    else:
+        t = 2.0 * np.pi * np.arange(1001) / 1000
+        points = [[[[0.3 * math.cos(a), 0.1], [0.05, 0.0]],
+                   [[0.05, 0.0], [0.0, 0.3 * math.sin(a)]]] for a in t]
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps({"loop": {"kind": "points",
+                                               "points": points}}))
+        argv += ["--config", str(config)]
+    rc, _, _ = run_cli(capsys, argv)
     assert rc == 0
-    assert sizes and all(size == (1001,) for size in sizes)
+    assert sizes == [(1001,)]
 
 
 def _strict(name):

@@ -20,6 +20,7 @@ from kphase import (
     dynamical_phase,
     fourier_loop,
     gradient,
+    kernel,
     latitude_circle,
     line_integral_phase,
     polygon_phase,
@@ -98,6 +99,40 @@ def test_triangle_branch_cut():
     spec = cp1()
     with pytest.raises(BranchCut):
         triangle_phase(spec, 1, 2.0, -0.5 + 1e-6j)
+
+
+FAN_SPECS = [
+    ManifoldSpec(family, p, q, compact)
+    for family, p, q in ((Family.AIII, 3, 2), (Family.CI, 2, 1),
+                         (Family.DIII, 3, 1), (Family.BDI, 3, 1))
+    for compact in (True, False)
+]
+
+
+def _random_point(spec, rng):
+    """A chart point of norm below 3 on a compact chart, and below 1/2,
+    inside every bounded domain, on a non-compact one."""
+    raw = rng.standard_normal(spec.point_shape) + 1j * rng.standard_normal(
+        spec.point_shape)
+    if spec.family is Family.CI:
+        raw = raw + raw.T
+    elif spec.family is Family.DIII:
+        raw = raw - raw.T
+    bound = 3.0 if spec.compact else 0.5
+    return raw * (bound * rng.uniform() / np.linalg.norm(raw))
+
+
+@pytest.mark.parametrize("spec", FAN_SPECS, ids=str)
+def test_triangle_matches_two_kernel_ratio(spec, rng):
+    """The fan takes K(w, conj(z)) as conj(K(z, conj(w))); the ratio of two
+    separately evaluated kernels gives the same phase."""
+    s = 1.0 if spec.compact else -1.0
+    for _ in range(20):
+        z, w = _random_point(spec, rng), _random_point(spec, rng)
+        for level in (1, 3):
+            want = s * level / 2.0 * np.angle(kernel(spec, w, z)
+                                              / kernel(spec, z, w))
+            assert abs(triangle_phase(spec, level, z, w) - want) <= 1e-14
 
 
 def test_polygon_needs_two_vertices():

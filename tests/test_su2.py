@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,18 @@ def test_bloch_projection_round_trip_near_the_pole(j):
         for z in r * np.exp(2j * math.pi * np.arange(5) / 5):
             back = bloch_projection(coherent_vector(j, z), j)
             assert abs(back - z) <= 1e-12 * abs(z)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.5, 8.0, 32.0])
+def test_bloch_projection_round_trip_far_from_the_origin(j):
+    # at j = 32 and |z| past ~250, |p(w)|^2 and (1 + |w|^2)^(2j) overflow
+    # when formed separately; coherent_vector itself overflows at 1e8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (3e2, 1e3, 1e4):
+            for z in r * np.exp(2j * math.pi * (np.arange(5) + 0.5) / 5):
+                back = bloch_projection(coherent_vector(j, z), j)
+                assert abs(back - z) <= 1e-12 * abs(z)
 
 
 def test_bloch_projection_phase_invariance(rng):
