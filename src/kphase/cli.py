@@ -15,7 +15,6 @@ detected, 4 numerical cross-check failure.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import multiprocessing
@@ -53,7 +52,6 @@ from .manifolds import (
     validate_points,
 )
 from .phases import (
-    MAX_REFINEMENTS,
     _loop_points,
     _stokes_compare,
     assemble_report,
@@ -295,7 +293,7 @@ def run_stokes(config: dict) -> list[str]:
     level = _count(config, "level", 1)
     loop = _build_loop(spec, config.get("loop", {}))
     cyclicity_tol = _tolerance(config, "cyclicity_tol", 1e-6)
-    rep = _stokes_compare(spec, level, loop, cyclicity_tol, MAX_REFINEMENTS)
+    rep = _stokes_compare(spec, level, loop, cyclicity_tol)
     return [
         _dumps(
             {
@@ -469,7 +467,6 @@ def _add_common(sp, manifold: bool = True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``kphase`` command line."""
     parser = argparse.ArgumentParser(
         prog="kphase",
         description=(
@@ -599,14 +596,8 @@ def _gather_config(args) -> dict:
     return cfg
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` builds on its first call and then reuses."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     code, results, err = _guarded(_results, args)
     if code:
         results = [(code, results, err)]

@@ -45,7 +45,6 @@ from .manifolds import (
 
 CONSISTENCY_TOL = 1e-6
 BRANCH_TOL = 1e-9
-MAX_REFINEMENTS = 3
 
 
 def wrap_angle(x: float) -> float:
@@ -251,7 +250,7 @@ def stokes_compare(
     level: int,
     loop,
     cyclicity_tol: float = 1e-6,
-    max_refinements: int = MAX_REFINEMENTS,
+    max_refinements: int = 3,
 ) -> StokesReport:
     """Confront the connection line integral with the triangle-fan sum.
 
@@ -267,7 +266,7 @@ def stokes_compare(
 
 def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
                     cyclicity_tol: float,
-                    max_refinements: int) -> StokesReport:
+                    max_refinements: int = 3) -> StokesReport:
     """:func:`stokes_compare` on a validated stack."""
     line_value = _line_integral_phase(spec, level, z, cyclicity_tol)
     closed = z

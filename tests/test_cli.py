@@ -55,44 +55,6 @@ def test_module_invocation_matches_in_process():
     assert json.loads(proc.stdout) == {"im": -1.0, "re": 1.0}
 
 
-def test_reused_parser_keeps_no_state(capsys):
-    """``main`` parses with one parser per process: an append flag does not
-    accumulate across calls, and a usage error leaves the next call
-    unaffected."""
-    argv = ["poincare", "--min-orbit", "G2", "--min-orbit", "F4"]
-    rc, first, _ = run_cli(capsys, argv)
-    assert rc == 0
-    assert len(first.splitlines()) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["stokes", "--samples", "many"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    rc, second, _ = run_cli(capsys, argv)
-    assert rc == 0
-    assert second == first
-
-
-def test_build_parser_returns_a_new_parser():
-    assert kphase.cli.build_parser() is not kphase.cli.build_parser()
-
-
-def test_import_builds_no_parser():
-    probe = (
-        "import argparse\n"
-        "built = []\n"
-        "init = argparse.ArgumentParser.__init__\n"
-        "def counted(self, *args, **kwargs):\n"
-        "    built.append(1)\n"
-        "    init(self, *args, **kwargs)\n"
-        "argparse.ArgumentParser.__init__ = counted\n"
-        "import kphase.cli\n"
-        "print(len(built))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout == "0\n"
-
-
 def test_triangle_matches_library(capsys):
     rc, out, _ = run_cli(capsys, ["triangle", "--z", "1", "--w", "[0, 1]"])
     assert rc == 0
