@@ -171,9 +171,7 @@ def _evolve_cycle(spec, z0, schedule, T, dt):
     traj = trajectory(spec, z0, schedule, T, dt)
     d = ray_distances(traj)
     if float(np.max(d)) < STATIONARY_TOL:
-        info = CycleInfo(len(traj.times) - 1, float(traj.times[-1]),
-                         float(np.max(d)))
-        return traj, info
+        return traj, CycleInfo(len(traj.times) - 1, float(traj.times[-1]))
     info = find_cycle(traj.times, d)
     if abs(info.time - T) > 1e-12:
         traj = clip_trajectory(traj, schedule, info.time)
@@ -219,7 +217,7 @@ def run_evolve(config: dict) -> list[str]:
         "cross_check_error": float(cyc.cross_check_error),
         "cycle": {
             "index": info.index,
-            "residual": info.residual,
+            "residual": float(residual),
             "time": info.time,
         },
         "report": report.to_json(),

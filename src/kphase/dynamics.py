@@ -15,19 +15,22 @@ product, one product per period carries the state across it, and one
 product per in-period position writes the rows of every period at once.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
-:func:`trajectory` also advances, as an independent route, a classical RK4
-integration of the chart variable on the same stage Hamiltonians, one
-period at a time, for constant schedules too.
-That equation is quadratic in the chart variable, so it keeps one RK4 step
-per step; stepping it through U or the Mobius map instead would make the
-cross-check compare a route with itself.  On p x q chart points each
-period forms its half-step operators
-``N = -i (h/2) [[C^T, -A^T], [D^T, -B^T]]`` once and steps in place, in
-buffers allocated once (``_riccati_advance``); on 1 x 1 chart points (CP1,
-its dual and CI(1)) it steps Python complex scalars through
-``_rk4_step``.  After the loop the fractional-linear (Mobius) action maps
-the whole stack of unitaries onto the chart at once, and the chart rules
-and the cross-check between the two routes run on whole arrays.
+
+:func:`trajectory` maps each chunk's unitaries onto the chart by the
+fractional-linear (Mobius) action and checks the resulting rows P[k]
+against the chart's own equation of motion, the Riccati equation
+(:func:`riccati_rhs`).  From each row P[k] one classical RK4 step
+(``_rk4_step``) on the chunk's stage Hamiltonians gives R[k+1]; the step's
+defect e_k is the level-1 Kahler length of P[k+1] - R[k+1] at P[k+1],
+``sqrt(Re tr(d^dagger P^-1 d Q^-1))`` with ``P = I + s Z Z^dagger`` and
+``Q = I + s Z^dagger Z`` (s = +1 compact, -1 bounded domain).  The defect
+reads H and the rows but never U, so the two routes stay independent.
+The flow acts on the chart by isometries of this metric, so
+``cross_check_error``, the sum of the e_k, bounds how far the Mobius path
+has drifted from the Riccati flow in ray distance, up to RK4's own
+truncation error, in any chart.  The chart rules and the running sum are
+checked chunk by chunk, so a failing trajectory stops at its first
+failing chunk.
 Hamiltonians are supplied as schedules: fixed Hermitian generators with
 piecewise-linear time coefficients.
 
@@ -73,11 +76,9 @@ CROSS_CHECK_TOL = 1e-6
 PERIOD = 50
 # Entries of one chunk's stack of step matrices (see ``_blocks``).
 CHUNK_ENTRIES = 2 ** 12
-# Symmetry slack of Mobius images along a trajectory, the chart size at
-# which the Riccati variable counts as diverged, and the smallest
+# Symmetry slack of Mobius images along a trajectory, and the smallest
 # |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
 PATH_SYMMETRY_TOL = 1e-9
-RICCATI_BOUND = 1e8
 CHART_EDGE_TOL = 1e-12
 STATIONARY_TOL = 1e-9
 
@@ -393,84 +394,6 @@ def _exact_rows(schedule: HamiltonianSchedule, Y0: np.ndarray):
     return rows
 
 
-def _riccati_advance(z: np.ndarray, out: np.ndarray, stages, h: float):
-    """RK4 steps of the chart variable from ``z`` on the stage stacks,
-    written to the rows of ``out``.
-
-    The route stays classical RK4 on the Riccati equation, independent of
-    the unitary and the Mobius map, so that the two can check each other.
-    A 1 x 1 chart point steps as a Python complex on the entries of
-    ``-i H^T``, taken from each stage stack with one ``tolist``, through
-    ``_rk4_step``.
-
-    A p x q chart point turns each stage stack once into the half-step
-    operators ``N = -i (h/2) [[C^T, -A^T], [D^T, -B^T]]`` (``A, B, C, D``
-    the blocks of H): ``G = N [I; Z]`` stacks ``-i (h/2) (C^T - A^T Z)`` on
-    ``-i (h/2) (D^T - B^T Z)``, so ``K = G[:p] + Z G[p:]`` is the right-hand
-    side times h/2.  A stage input ``y + K`` (``y + 2 K`` for the last) is
-    written straight into the ``Z`` rows of the ``[I; Z]`` buffer; the four
-    increments fill one ``(4, p, q)`` buffer, and one product with the
-    weights ``(1, 2, 2, 1) / 3``, plus ``y``, is the next row.  This loop
-    writes the RK4 weights itself rather than calling ``_rk4_step``, which
-    allocates its stage sums and would copy each stage input into the
-    buffer: on the same operators that took about 29 us per 3 x 2 step
-    against 18 us here (``timeit`` of 50-step blocks, 2-core Xeon).  The
-    operators hold only H, so the route still reads no unitary.
-    """
-    if z.shape == (1, 1):
-        gs = [(-1j * H.swapaxes(-1, -2)).tolist() for H in stages]
-        y, ys = complex(z[0, 0]), []
-        for g1, g2, g3 in zip(*gs):
-            y = _rk4_step(_scalar_riccati_rhs, y, g1, g2, g3, h)
-            ys.append(y)
-        out[:, 0, 0] = ys
-        return
-    p, q = z.shape
-    column = np.empty((q + p, q), dtype=complex)
-    column[:q] = np.eye(q)
-    y_in = column[q:]
-    g = np.empty((p + q, q), dtype=complex)
-    g_top, g_bottom = g[:p], g[p:]
-    ks = np.empty((4, p, q), dtype=complex)
-    k1, k2, k3, k4 = ks
-    ks_flat = ks.reshape(4, p * q)
-    step_flat = np.empty(p * q, dtype=complex)
-    step = step_flat.reshape(p, q)
-    weights = np.array([1.0, 2.0, 2.0, 1.0], dtype=complex) / 3.0
-    # N is -i (h/2) H^T with its first p columns moved last and negated.
-    gs = [(-0.5j * h) * H.swapaxes(-1, -2) for H in stages]
-    ops = [np.concatenate((m[..., p:], -m[..., :p]), axis=-1) for m in gs]
-    y = z
-    for row, n1, n2, n3 in zip(out, *ops):
-        y_in[...] = y
-        np.dot(n1, column, out=g)
-        np.dot(y_in, g_bottom, out=k1)
-        k1 += g_top
-        np.add(y, k1, out=y_in)
-        np.dot(n2, column, out=g)
-        np.dot(y_in, g_bottom, out=k2)
-        k2 += g_top
-        np.add(y, k2, out=y_in)
-        np.dot(n2, column, out=g)
-        np.dot(y_in, g_bottom, out=k3)
-        k3 += g_top
-        np.add(k3, k3, out=y_in)
-        y_in += y
-        np.dot(n3, column, out=g)
-        np.dot(y_in, g_bottom, out=k4)
-        k4 += g_top
-        np.dot(weights, ks_flat, out=step_flat)
-        y = np.add(y, step, out=row)
-
-
-def _scalar_riccati_rhs(g, y: complex) -> complex:
-    """:func:`riccati_rhs` of a 1 x 1 chart variable, given ``-i H^T`` as
-    nested lists.  The terms follow ``riccati_rhs`` in order, so both
-    paths round alike."""
-    (a, c), (b, d) = g
-    return c + y * d - a * y - y * b * y
-
-
 def _grid(t0: float, t1: float, dt: float):
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -510,11 +433,12 @@ def propagate(
 class Trajectory:
     """Sampled chart evolution, stored as arrays whose rows follow ``times``.
 
-    ``points`` is the ``(n+1, rows, cols)`` Mobius path, ``unitaries`` the
-    ``(n+1, d, d)`` unitaries behind it and ``riccati`` the independent
-    Riccati path; ``cross_check_error`` is the largest entrywise gap
-    between the two paths.  The rows of ``points`` passed the chart rules
-    when the trajectory was built.
+    ``points`` is the ``(n+1, rows, cols)`` Mobius path and ``unitaries``
+    the ``(n+1, d, d)`` unitaries behind it.  ``defects`` holds the ``n``
+    per-step defects e_k of the rows against one RK4 step of the Riccati
+    equation (see the module docstring) and ``cross_check_error`` their
+    sum.  The rows of ``points`` passed the chart rules when the
+    trajectory was built.
     """
 
     spec: ManifoldSpec
@@ -522,7 +446,7 @@ class Trajectory:
     points: np.ndarray
     unitaries: np.ndarray | None
     cross_check_error: float
-    riccati: np.ndarray | None = None
+    defects: np.ndarray | None = None
 
 
 def trajectory(
@@ -534,14 +458,12 @@ def trajectory(
 ) -> Trajectory:
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
-    Each chunk advances the Riccati variable one period at a time and then
-    the unitary, in closed form for a constant schedule and on the same
-    stage Hamiltonians otherwise; a chunk whose Riccati
-    variable diverges ends at the first diverged step, and the unitary is
-    advanced only that far.  After the loop the Mobius map takes the whole
-    stack of unitaries to ``points`` with one batched solve, and the guards
-    run on whole arrays: the first failing step raises ``ChartOverflow``, ``SymmetryViolation``,
-    ``OutsideDomain`` or ``CrossCheckFailure``, naming its time.
+    Each chunk advances the unitary, in closed form for a constant
+    schedule and by Magnus steps otherwise, maps it onto the chart with
+    one batched solve and checks the new rows (``_chart_rows``).  The first
+    failing step raises ``ChartOverflow``, ``ValueError``,
+    ``SymmetryViolation``, ``OutsideDomain`` or ``CrossCheckFailure``,
+    naming its time; no later chunk is advanced.
     """
     if schedule.dim != defining_dimension(spec):
         raise DimensionMismatch(
@@ -551,101 +473,100 @@ def trajectory(
         raise ScheduleGap("schedule does not cover [0, T]")
     z0 = validate_points(spec, as_chart_array(spec, Z0))
     n, h = _grid(0.0, T, dt)
+    times = np.linspace(0.0, T, n + 1)
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
+    defects = np.empty(n)
     us[0], zs[0] = np.eye(schedule.dim), z0
     exact = _exact_rows(schedule, us[0]) if schedule.is_constant else None
     for k0, k1 in _blocks(n, schedule.dim):
         stages = _stages(schedule, 0.0, h, k0, k1)
-        # Steps after a diverged one may overflow: the chunk ends at the
-        # first diverged step, and the unitary is advanced only that far.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j0 in range(k0, k1, PERIOD):
-                j1 = min(j0 + PERIOD, k1)
-                _riccati_advance(zs[j0], zs[j0 + 1:j1 + 1],
-                                 [H[j0 - k0:j1 - k0] for H in stages], h)
-                diverged = np.flatnonzero(_diverged(zs[j0 + 1:j1 + 1]))
-                if len(diverged):
-                    k1 = j0 + 1 + int(diverged[0])
-                    break
         if exact is None:
             _advance(us[k0], us[k0 + 1:k1 + 1], stages, h)
         else:
             exact(h * np.arange(k0 + 1, k1 + 1), us[k0 + 1:k1 + 1])
-        if len(diverged):
-            break
-    return _chart_path(spec, np.linspace(0.0, T, n + 1)[:k1 + 1],
-                       us[:k1 + 1], zs[:k1 + 1])
+        zs[k0 + 1:k1 + 1], defects[k0:k1] = _chart_rows(
+            spec, times[k0 + 1:k1 + 1], us[k0 + 1:k1 + 1], z0, zs[k0],
+            stages, h, float(np.sum(defects[:k0])))
+    return Trajectory(spec, times, zs, us, float(np.sum(defects)), defects)
 
 
 def clip_trajectory(
     traj: Trajectory, schedule: HamiltonianSchedule, t_end: float
 ) -> Trajectory:
     """The samples of a trajectory before ``t_end`` plus one row at
-    ``t_end``: a partial RK4 step of the Riccati variable, and a partial
-    Magnus step of the unitary unless the schedule is constant, where the
-    unitary at ``t_end`` is taken in closed form.
+    ``t_end``: a partial Magnus step of the unitary, or on a constant
+    schedule the unitary at ``t_end`` in closed form.
 
-    The kept rows already passed the guards; the Mobius map and the guards
-    run on the new row alone, and the kept rows' cross-check gap is
-    re-read from their points.
+    The kept rows already passed the guards.  The Mobius map and the
+    guards run on the new row alone, whose defect is one partial RK4 step
+    from the last kept row; ``cross_check_error`` re-sums the kept rows'
+    defects and the new one.
     """
     k = int(np.searchsorted(traj.times, t_end)) - 1
     if not 0 <= k < len(traj.times) - 1:
         raise ValueError("the clip time must lie inside the trajectory span")
     t = float(traj.times[k])
     h = t_end - t
-    us, zs = traj.unitaries[: k + 2].copy(), traj.riccati[: k + 2].copy()
+    us = traj.unitaries[: k + 2].copy()
     stages = _stages(schedule, t, h, 0, 1)
     if schedule.is_constant:
         _exact_rows(schedule, us[0])(np.array([t_end - traj.times[0]]),
                                      us[k + 1:])
     else:
         _advance(us[k], us[k + 1:], stages, h)
-    _riccati_advance(zs[k], zs[k + 1:], stages, h)
     times = np.append(traj.times[: k + 1], t_end)
-    point, err = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
-                             zs[k + 1:], zs[0])
-    kept = traj.points[: k + 1]
-    gap = max(float(np.max(np.abs(kept - zs[: k + 1]))), float(err[0]))
-    return Trajectory(traj.spec, times, np.concatenate((kept, point)), us,
-                      gap, zs)
+    kept = traj.defects[:k]
+    point, defect = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
+                                traj.points[0], traj.points[k], stages, h,
+                                float(np.sum(kept)))
+    defects = np.concatenate((kept, defect))
+    return Trajectory(traj.spec, times,
+                      np.concatenate((traj.points[: k + 1], point)), us,
+                      float(np.sum(defects)), defects)
 
 
-def _diverged(z: np.ndarray) -> np.ndarray:
-    """Which chart arrays of a stack (or the one array) lie beyond
-    ``RICCATI_BOUND``; NaN counts as diverged."""
-    return ~(np.max(np.abs(z), axis=(-2, -1)) <= RICCATI_BOUND)
-
-
-def _chart_path(spec, times, us, zs) -> Trajectory:
-    """The trajectory of the unitaries ``us`` and the Riccati rows ``zs``
-    from the start point ``zs[0]``: row 0 is the start point itself, and
-    the later rows are their Mobius images, checked by ``_chart_rows``."""
-    images, err = _chart_rows(spec, times[1:], us[1:], zs[1:], zs[0])
-    return Trajectory(spec, times, np.concatenate((zs[:1], images)), us,
-                      float(np.max(err)), zs)
-
-
-def _chart_rows(spec, times, us, zs, z0):
-    """Mobius images of ``z0`` under the unitaries ``us`` and their
-    entrywise gaps to the Riccati rows ``zs``, with every guard run on the
-    arrays.  A step that trips several guards reports the first of:
-    Riccati divergence (only the last step can diverge), the chart edge,
-    the chart rules, the cross-check."""
+def _chart_rows(spec, times, us, z0, start, stages, h: float,
+                spent: float):
+    """Mobius images of ``z0`` under the unitaries ``us``, the rows after
+    the row ``start``, and their defects against one RK4 step of
+    :func:`riccati_rhs` each on the stage stacks, with every guard run on
+    the arrays.  ``spent`` is the sum of the earlier defects, and the
+    running sum must stay within ``CROSS_CHECK_TOL``; NaN fails.  A step
+    that trips several guards reports the first of: the chart edge, the
+    chart rules, the cross-check."""
     det, images = _chart_images(spec, us, z0)
     points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
-    err = np.max(np.abs(points - zs), axis=(1, 2))
-    bounded = np.arange(len(times)) < len(times) - int(_diverged(zs[-1]))
+    starts = np.concatenate((start[None], points[:-1]))
+    # Rows beyond the chart edge or off the chart may overflow here; the
+    # guards report those rows before their defects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), starts,
+                          *(H[:len(us)] for H in stages), h)
+        defects = _kahler_length(spec, points, points - steps)
+    drift = spent + np.cumsum(defects)
     raise_first_fault([
-        (bounded, ChartOverflow, lambda k: "Riccati variable diverged"),
         (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,
          lambda k: "orbit left the coordinate chart"),
         *faults,
-        (err <= CROSS_CHECK_TOL, CrossCheckFailure,
-         lambda k: f"Mobius and Riccati paths disagree by {err[k]:.3e}"),
+        (drift <= CROSS_CHECK_TOL, CrossCheckFailure,
+         lambda k: f"Mobius path drifts from the Riccati flow by "
+                   f"{drift[k]:.3e}"),
     ], times)
-    return points, err
+    return points, defects
+
+
+def _kahler_length(spec, z, dz) -> np.ndarray:
+    """Level-1 Kahler length ``sqrt(Re tr(dz^dagger P^-1 dz Q^-1))`` of
+    each of a stack of chart displacements ``dz`` at the points ``z``, with
+    ``P = I + s z z^dagger`` and ``Q = I + s z^dagger z``."""
+    sign = 1.0 if spec.compact else -1.0
+    z_dag = z.conj().swapaxes(-1, -2)
+    p = np.eye(z.shape[-2]) + sign * (z @ z_dag)
+    q = np.eye(z.shape[-1]) + sign * (z_dag @ z)
+    # y = Q^-1 (P^-1 dz)^dagger, the adjoint of P^-1 dz Q^-1.
+    y = np.linalg.solve(q, np.linalg.solve(p, dz).conj().swapaxes(-1, -2))
+    return np.sqrt(np.sum(dz * y.swapaxes(-1, -2), axis=(-2, -1)).real)
 
 
 def expectation(spec: ManifoldSpec, level: int, Z, H):
@@ -682,11 +603,11 @@ def _expectation(spec: ManifoldSpec, level: int, z, H) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CycleInfo:
-    """First return of a trajectory to its starting ray."""
+    """First return of a trajectory to its starting ray: the sample index
+    at or just after it and the refined return time."""
 
     index: int
     time: float
-    residual: float
 
 
 def ray_distances(traj: Trajectory) -> np.ndarray:
@@ -714,7 +635,7 @@ def find_cycle(times, distances, tol: float | None = None) -> CycleInfo:
     if d[1] < tol:
         first_out = next((k for k in range(1, n + 1) if d[k] >= tol), None)
         if first_out is None:
-            return CycleInfo(1, float(times[1]), float(d[1]))
+            return CycleInfo(1, float(times[1]))
         escape = first_out
     else:
         escape = 1
@@ -731,7 +652,7 @@ def find_cycle(times, distances, tol: float | None = None) -> CycleInfo:
     elif k_ret == n and n >= 2:
         t_star = _parabola_vertex(times, d, n - 1)
         t_star = min(max(t_star, float(times[n - 1])), float(times[n]))
-    return CycleInfo(k_ret, t_star, float(d[k_ret]))
+    return CycleInfo(k_ret, t_star)
 
 
 def _parabola_vertex(times, d, k: int) -> float:

@@ -45,6 +45,9 @@ from .manifolds import (
 
 CONSISTENCY_TOL = 1e-6
 BRANCH_TOL = 1e-9
+# Times a Stokes comparison doubles its loop when a fan triangle lands on
+# the branch cut.
+MAX_REFINEMENTS = 3
 
 
 def wrap_angle(x: float) -> float:
@@ -250,35 +253,33 @@ def stokes_compare(
     level: int,
     loop,
     cyclicity_tol: float = 1e-6,
-    max_refinements: int = 3,
 ) -> StokesReport:
     """Confront the connection line integral with the triangle-fan sum.
 
     Both are evaluated on the same closed loop, a trajectory, a point
     stack or a point sequence, validated once here.  If a fan triangle
     lands on the branch cut, the loop is resampled at double density
-    (chart midpoints) up to ``max_refinements`` times before giving up;
+    (chart midpoints) up to ``MAX_REFINEMENTS`` times before giving up;
     only the new midpoints are validated again.
     """
     return _stokes_compare(spec, level, _loop_points(spec, loop),
-                           cyclicity_tol, max_refinements)
+                           cyclicity_tol)
 
 
 def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
-                    cyclicity_tol: float,
-                    max_refinements: int = 3) -> StokesReport:
+                    cyclicity_tol: float) -> StokesReport:
     """:func:`stokes_compare` on a validated stack."""
     line_value = _line_integral_phase(spec, level, z, cyclicity_tol)
     closed = z
     if not np.array_equal(closed[0], closed[-1]):
         closed = np.concatenate([closed, closed[:1]])
-    for attempt in range(max_refinements + 1):
+    for attempt in range(MAX_REFINEMENTS + 1):
         try:
             fan_value = float(np.sum(_triangle(spec, level, closed[:-1],
                                                closed[1:])))
             break
         except BranchCut:
-            if attempt == max_refinements:
+            if attempt == MAX_REFINEMENTS:
                 raise
             refined = np.empty((2 * len(closed) - 1,) + closed.shape[1:], complex)
             refined[::2] = closed

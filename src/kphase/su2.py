@@ -83,15 +83,19 @@ def coherent_vector(j, z: complex) -> np.ndarray:
     """Unit coherent state labelled by a chart point of the sphere.
 
     Components ``sqrt(C(2j, k)) z^k / (1 + |z|^2)^j`` for k = 0 ... 2j;
-    z = 0 gives the reference (highest-weight) basis vector.
+    z = 0 gives the reference (highest-weight) basis vector.  Beyond the
+    unit circle they are formed as
+    ``sqrt(C(2j, k)) (z/|z|)^k |z|^(k - 2j) / (1 + |z|^-2)^j``, which
+    does not overflow for large |z|.
     """
     n = _two_j(j)
     z = complex(z)
-    norm = (1.0 + abs(z) ** 2) ** (n / 2.0)
-    return np.array(
-        [math.sqrt(math.comb(n, k)) * z**k for k in range(n + 1)],
-        dtype=complex,
-    ) / norm
+    k = np.arange(n + 1)
+    root = np.sqrt([float(math.comb(n, m)) for m in k])
+    r = abs(z)
+    if r <= 1.0:
+        return root * z**k / (1.0 + r * r) ** (n / 2.0)
+    return root * (z / r) ** k * r ** (k - n) / (1.0 + r**-2) ** (n / 2.0)
 
 
 _PAULI = (

@@ -4,8 +4,9 @@ These are the stencils the library used before its closed forms: the
 central-difference holomorphic gradient of the potential, the four-point
 mixed stencil of its metric (:func:`fd_metric`) and the five-point
 derivative of the weighted kernel cocycle.  :func:`mobius_act` is the
-one-point chart action that tests compose, and :func:`random_point` draws
-valid chart points.  The per-step loop (:func:`stepwise_run`) takes the
+one-point chart action that tests compose, :func:`metric_length` the
+length of a chart displacement in the public metric, and
+:func:`random_point` draws valid chart points.  The per-step loop (:func:`stepwise_run`) takes the
 Magnus steps that ``dynamics`` takes on sampled schedules, one at a time
 and by eigendecomposition, where ``dynamics`` forms whole chunks of them
 by batched solves and advances them by batched products.  Tests compare
@@ -23,6 +24,7 @@ from kphase import (
     Family,
     coordinate_basis,
     kernel,
+    metric,
     potential,
     validate_points,
 )
@@ -129,6 +131,16 @@ def mobius_act(spec, U, Z, symmetry_tol: float = 1e-12) -> np.ndarray:
     if abs(det) < CHART_EDGE_TOL:
         raise ChartOverflow("orbit left the coordinate chart")
     return validate_points(spec, out, symmetry_tol=symmetry_tol)
+
+
+def metric_length(spec, z, dz) -> float:
+    """Length of the chart displacement ``dz`` at ``z`` in the level-1
+    metric of ``geometry.metric``: ``dz`` written in the coordinate basis
+    by least squares, then ``sqrt(c g conj(c))``."""
+    basis = np.array(coordinate_basis(spec))
+    c = np.linalg.lstsq(basis.reshape(len(basis), -1).T, np.ravel(dz),
+                        rcond=None)[0]
+    return math.sqrt(float(np.real(c @ metric(spec, 1, z) @ c.conj())))
 
 
 def random_point(spec, rng: np.random.Generator,

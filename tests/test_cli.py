@@ -120,7 +120,7 @@ def test_sampled_ci_evolve_is_not_invalid_input(tmp_path, seed):
     """A two-knot sampled CI(2) schedule of a generator with blocks
     [[P, S], [S^dagger, -P^T]], S symmetric, at dt = 0.05.  RK4 step
     matrices left the symmetric chart within two steps, which ended in
-    exit 2; the Riccati route, still RK4, may fail the cross-check."""
+    exit 2; the cross-check's RK4 steps may fail at this step size."""
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     P, S = (a + a.conj().T) / 2.0, (b + b.T) / 2.0
@@ -327,6 +327,21 @@ def test_manifold_without_family_exits_two_naming_it(capsys, argv):
     assert payload["type"] == "ValueError"
     assert "'family'" in payload["message"]
     assert err.strip() != ""
+
+
+def test_cycle_and_report_give_one_residual(tmp_path, capsys):
+    """The cycle block and the report both give the clipped cycle's
+    closure distance; the return sample's own distance was 3.8e-4 here
+    while the report read 0.0."""
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    cfg = {"schedule": sched.to_json(), "z0": 0.7, "T": 7.0, "dt": 1e-3}
+    path = tmp_path / "precession.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["cycle"]["residual"] == summary["report"]["residual"]
+    assert summary["cycle"]["residual"] < 1e-9
 
 
 def test_exit_code_two_missing_argument(capsys):

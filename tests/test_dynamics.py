@@ -32,15 +32,14 @@ import kphase.dynamics
 from kphase.dynamics import (
     CROSS_CHECK_TOL,
     STATIONARY_TOL,
-    _riccati_advance,
     _rk4_step,
-    _stages,
     defining_dimension,
 )
 
 from finite_difference import (
     expm_hermitian_generator,
     fd_expectation,
+    metric_length,
     mobius_act,
     random_point,
     stepwise_run,
@@ -299,24 +298,36 @@ def test_trajectory_cross_check_failure_on_coarse_grid():
         trajectory(spec, 0.3, sched, 10.0, 0.5)
 
 
-def test_trajectory_chart_overflow_on_divergence():
+def test_trajectory_far_start_on_coarse_grid_fails_cross_check():
     spec = cp1()
     sched = HamiltonianSchedule.constant([SX], [1.0])
-    # far start plus coarse step sends the Riccati variable off the chart
-    with pytest.raises(ChartOverflow):
+    # far start plus coarse step: the first RK4 step from z = 1000 lands
+    # far from the Mobius image
+    with pytest.raises(CrossCheckFailure, match=r"at t = 0\.1$"):
         trajectory(spec, 1000.0, sched, 1.0, 0.1)
+
+
+def test_trajectory_accepts_start_beyond_1e8():
+    """Under sigma_z the orbit of z = 1e8 is a circle of that radius;
+    the defects are Kahler lengths, so the size of Z does not inflate
+    them."""
+    spec = cp1()
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    traj = trajectory(spec, 1e8, sched, 1.0, 1e-3)
+    assert traj.cross_check_error <= 1e-15
+    assert np.max(np.abs(traj.points[:, 0, 0]
+                         - 1e8 * np.exp(2j * traj.times))) <= 1e-6
 
 
 def test_trajectory_divergence_in_later_block_ends_there():
     spec = cp1()
-    # a sudden strong field at step 70 sends the Riccati variable off the
-    # chart; the later steps of its block would overflow the unitary
+    # a sudden strong field at step 70 sends the RK4 step from row 70 off
+    # the chart; the later steps of its chunk overflow without a warning
     sched = HamiltonianSchedule.from_samples(
         [SX], [[0.0, 0.0], [0.7049, 0.0], [0.705, 1e6], [5.0, 1e6]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ChartOverflow,
-                           match=r"Riccati variable diverged at t = 0\.71$"):
+        with pytest.raises(CrossCheckFailure, match=r"at t = 0\.71$"):
             trajectory(spec, 0.0, sched, 5.0, 1e-2)
 
 
@@ -324,7 +335,7 @@ def test_trajectory_pole_crossing_breaks_cross_check():
     spec = cp1()
     sched = HamiltonianSchedule.constant([SX], [1.0])
     # grids that straddle the antipode lose dual-route agreement first
-    with pytest.raises((CrossCheckFailure, ChartOverflow)):
+    with pytest.raises(CrossCheckFailure, match=r"at t = 1\.569$"):
         trajectory(spec, 0.0, sched, 2.0, 1e-3)
 
 
@@ -368,9 +379,10 @@ def test_clip_trajectory_ends_at_cycle_time():
 @pytest.mark.parametrize("constant", [True, False], ids=["constant",
                                                           "sampled"])
 def test_clip_checks_new_row_like_whole_path(constant, rng):
-    """The clip maps and checks only its new row, yet gives the points and
-    cross-check error of ``_chart_path`` on all the clipped rows, bit for
-    bit."""
+    """The clip maps and checks only its new row: it keeps the
+    trajectory's rows and defects bit for bit, adds the Mobius image of
+    the unitary at t_end and the defect of one partial RK4 step to it from
+    the last kept row, and re-sums the defects."""
     spec = ManifoldSpec(Family.CI, 2)
     gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = (HamiltonianSchedule.constant(gens, [0.4, 0.3]) if constant else
@@ -378,28 +390,35 @@ def test_clip_checks_new_row_like_whole_path(constant, rng):
                  gens, [[0.0, 0.4, 0.3], [1.0, -0.2, 0.5]]))
     traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
                       1.0, 2e-3)
-    cyc = clip_trajectory(traj, sched, 0.6789)
-    ref = kphase.dynamics._chart_path(spec, cyc.times, cyc.unitaries,
-                                      cyc.riccati)
-    assert len(cyc.times) == 341
-    assert np.array_equal(cyc.points, ref.points)
-    assert cyc.cross_check_error == ref.cross_check_error
+    t_end = 0.6789
+    cyc = clip_trajectory(traj, sched, t_end)
+    k = len(cyc.times) - 2
+    assert k == 339
+    assert np.array_equal(cyc.points[:-1], traj.points[:k + 1])
+    assert np.array_equal(cyc.defects[:-1], traj.defects[:k])
+    image = mobius_act(spec, cyc.unitaries[-1], cyc.points[0], 1e-9)
+    assert np.max(np.abs(cyc.points[-1] - image)) <= 1e-12
+    t, h = cyc.times[k], t_end - cyc.times[k]
+    step = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), cyc.points[k],
+                     sched(t), sched(t + h / 2.0), sched(t_end), h)
+    assert cyc.defects[-1] == pytest.approx(
+        metric_length(spec, cyc.points[-1], cyc.points[-1] - step), rel=1e-9)
+    assert cyc.cross_check_error == np.sum(cyc.defects)
 
 
 def test_clip_guard_on_new_row_names_clip_time(monkeypatch):
-    """A guard that only the new row trips still raises, at t_end.  The
-    RK4 phase error of the Riccati route grows along the precession, so
-    a cross-check tolerance between the kept rows' gap and the new row's
-    gap trips on the new row alone."""
+    """A guard that only the new row trips still raises, at t_end: a
+    cross-check tolerance between the sum of the kept rows' defects and
+    the sum with the new row's defect trips on the new row alone."""
     spec = cp1()
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     traj = trajectory(spec, 0.7, sched, 3.0, 2e-2)
     t_end = 2.9876
     cyc = clip_trajectory(traj, sched, t_end)
-    gaps = np.abs(cyc.points - cyc.riccati)[:, 0, 0]
-    assert gaps[-1] > np.max(gaps[:-1])
+    kept = float(np.sum(cyc.defects[:-1]))
+    assert cyc.cross_check_error > kept
     monkeypatch.setattr(kphase.dynamics, "CROSS_CHECK_TOL",
-                        (gaps[-1] + np.max(gaps[:-1])) / 2.0)
+                        (cyc.cross_check_error + kept) / 2.0)
     with pytest.raises(CrossCheckFailure, match=r"at t = 2\.9876$"):
         clip_trajectory(traj, sched, t_end)
 
@@ -415,12 +434,9 @@ def test_clip_guard_on_new_row_names_clip_time(monkeypatch):
         "AIII(3,2)", "AIII(2,2)-noncompact", "CI(2)-noncompact",
         "DIII(3)-noncompact"])
 def test_block_stepping_matches_stepwise_reference(spec, rng):
-    # 1 x 1 chart points (CP1, its dual, CI(1)) take the scalar Riccati
-    # path, the others the matrix path of half-step operators.  AIII(2,1)
-    # and AIII(3,2) have p > q, where splitting the operator at q instead
-    # of p still fits the shapes (p < q is in
-    # test_matrix_riccati_route_on_wide_arrays).  The reference steps
-    # riccati_rhs per stage.
+    # The unitaries match the stepwise Magnus reference to rounding; the
+    # Mobius points match its independent RK4 Riccati path globally, to
+    # within the cross-check tolerance.
     d = defining_dimension(spec)
     gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = HamiltonianSchedule.from_samples(
@@ -437,7 +453,7 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
 
     traj = trajectory(spec, z0, sched, n * h, h)
     assert np.max(np.abs(traj.unitaries - ref_u)) <= 1e-12
-    assert np.max(np.abs(traj.riccati - ref_z)) <= 1e-12
+    assert np.max(np.abs(traj.points - ref_z)) <= CROSS_CHECK_TOL
 
     t_end = 49.5 * h
     clip_u, clip_z = stepwise_run(sched, ref_u[49], traj.times[49],
@@ -446,14 +462,15 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     cyc = clip_trajectory(traj, sched, t_end)
     assert len(cyc.times) == 51
     assert np.max(np.abs(cyc.unitaries[-1] - clip_u[-1])) <= 1e-12
-    assert np.max(np.abs(cyc.riccati[-1] - clip_z[-1])) <= 1e-12
+    assert np.max(np.abs(cyc.points[-1] - clip_z[-1])) <= CROSS_CHECK_TOL
 
 
 @pytest.mark.parametrize("spec, gens, n", [
     (cp1(), [SZ, SX], 2137),
     (ManifoldSpec(Family.DIII, 3, compact=False), None, 237),
 ], ids=["CP1", "DIII(3)-noncompact"])
-def test_chunked_stepping_matches_stepwise_reference(spec, gens, n, rng):
+def test_chunked_stepping_matches_stepwise_reference(spec, gens, n,
+                                                    monkeypatch, rng):
     # More than two chunks, the last one ending 37 steps into a period.
     d = defining_dimension(spec)
     chunks = kphase.dynamics._blocks(n, d)
@@ -468,38 +485,58 @@ def test_chunked_stepping_matches_stepwise_reference(spec, gens, n, rng):
 
     traj = trajectory(spec, z0, sched, n * h, h)
     assert np.max(np.abs(traj.unitaries - ref_u)) <= 1e-12
-    assert np.max(np.abs(traj.riccati - ref_z)) <= 1e-12
+    assert np.max(np.abs(traj.points - ref_z)) <= CROSS_CHECK_TOL
     col = ref_u[0][:, 1:2]
     _, cols = propagate(sched, col, 0.0, n * h, h)
     assert np.max(np.abs(cols - stepwise_run(sched, col, 0.0, h, n)[0])) <= 1e-12
 
+    # The trajectory's own check, fed the stepwise RK4 Riccati rows in
+    # place of the Mobius images, reads every per-step defect as rounding;
+    # a shifted stage time or a skipped step in the check breaks this.
+    fed = iter(np.split(ref_z[1:], [k1 for _, k1 in chunks[:-1]]))
+    monkeypatch.setattr(kphase.dynamics, "_chart_images",
+                        lambda spec, us, z0: (np.ones(len(us)), next(fed)))
+    assert np.max(trajectory(spec, z0, sched, n * h, h).defects) <= 1e-14
 
-def test_divergence_in_later_chunk_advances_unitary_that_far(monkeypatch):
-    # A sudden strong field in the third chunk of 1000 steps sends the
-    # Riccati variable off the chart at step 2071.
+
+@pytest.mark.parametrize("spec", [
+    cp1(), cp1(compact=False), ManifoldSpec(Family.AIII, 3, 2),
+    ManifoldSpec(Family.AIII, 2, 2, compact=False), ManifoldSpec(Family.CI, 2),
+    ManifoldSpec(Family.CI, 2, compact=False), ManifoldSpec(Family.DIII, 3),
+    ManifoldSpec(Family.DIII, 3, compact=False),
+], ids=["CP1", "CP1-noncompact", "AIII(3,2)", "AIII(2,2)-noncompact",
+        "CI(2)", "CI(2)-noncompact", "DIII(3)", "DIII(3)-noncompact"])
+def test_defect_length_is_the_public_metric(spec, rng):
+    """The defect's Kahler length is the length in ``geometry.metric`` at
+    level 1, on every family and on bounded domains."""
+    z = np.array([random_point(spec, rng) for _ in range(3)])
+    dz = np.array([random_point(spec, rng, 1e-3) for _ in range(3)])
+    lengths = kphase.dynamics._kahler_length(spec, z, dz)
+    ref = [metric_length(spec, a, b) for a, b in zip(z, dz)]
+    assert lengths == pytest.approx(ref, rel=1e-12)
+
+
+def test_failure_in_later_chunk_stops_there(monkeypatch):
+    # A sudden strong field in the third chunk of 1000 steps sends the RK4
+    # step to t = 2.07, whose end stage sees it, off the chart; no later
+    # chunk is advanced.
     spec, h = cp1(), 1e-3
     sched = HamiltonianSchedule.from_samples(
         [SX, SZ], [[0.0, 0.0, 0.5], [2.0699, 0.0, 0.5], [2.07, 1e6, 0.5],
                    [5.0, 1e6, 0.5]])
-    seen = {}
+    advanced = []
+    real_advance = kphase.dynamics._advance
 
-    def capture(spec, times, us, zs):
-        seen.update(times=times, us=us, zs=zs)
-        raise ChartOverflow("captured")
+    def counting(Y, out, stages, h):
+        advanced.append(len(out))
+        real_advance(Y, out, stages, h)
 
-    monkeypatch.setattr(kphase.dynamics, "_chart_path", capture)
-    with pytest.raises(ChartOverflow, match="captured"):
-        trajectory(spec, 0.2, sched, 5.0, h)
-    k = len(seen["times"]) - 1
-    assert k == 2071
-    assert seen["us"].shape == (k + 1, 2, 2) and seen["zs"].shape == (k + 1, 1, 1)
-    assert abs(seen["zs"][-1, 0, 0]) > kphase.dynamics.RICCATI_BOUND
-    assert np.all(np.abs(seen["zs"][:-1]) <= kphase.dynamics.RICCATI_BOUND)
-    ref_u, ref_z = stepwise_run(sched, np.eye(2), 0.0, h, k, spec=spec,
-                                z0=np.array([[0.2]]))
-    assert np.max(np.abs(seen["us"][:k] - ref_u[:k])) <= 1e-12
-    assert np.max(np.abs(seen["zs"][:k] - ref_z[:k])) <= 1e-12
-    assert np.all(np.isfinite(seen["us"]))
+    monkeypatch.setattr(kphase.dynamics, "_advance", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CrossCheckFailure, match=r"at t = 2\.07$"):
+            trajectory(spec, 0.2, sched, 5.0, h)
+    assert advanced == [1000, 1000, 1000]
 
 
 def test_constant_schedule_takes_no_steps(monkeypatch, rng):
@@ -546,10 +583,10 @@ def _haar(rng, d):
 
 def test_constant_trajectory_and_clip_match_exponential(rng):
     """A constant schedule's unitary is exp(-iHt) on every draw.  The
-    cross-check guard passes exactly when the Mobius images of those
-    unitaries stay within CROSS_CHECK_TOL of the stepwise Riccati path,
-    and otherwise names the first time they part: some draws reach
-    max |Z| of 13.5 or 36.9, where RK4 at dt = 2e-3 is off by 1e-6."""
+    cross-check guard passes exactly when the running sum of the per-step
+    defects, taken here one step at a time in the public metric from the
+    Mobius images of those unitaries, stays within CROSS_CHECK_TOL, and
+    otherwise names the first time it passes it."""
     spec, h, n = ManifoldSpec(Family.CI, 2), 2e-3, 1500
     H = sp_compatible_generator(rng, 2, Family.CI)
     sched = HamiltonianSchedule.constant([H], [0.5])
@@ -558,17 +595,21 @@ def test_constant_trajectory_and_clip_match_exponential(rng):
     ref = np.array([expm_hermitian_generator(0.5 * H, t) for t in times])
     assert np.max(np.abs(us - ref)) <= 1e-12
 
-    _, ref_z = stepwise_run(sched, np.eye(4), 0.0, h, n, spec=spec, z0=z0)
-    gaps = np.array([np.max(np.abs(mobius_act(spec, U, z0, 1e-9) - z))
-                     for U, z in zip(ref, ref_z)])
-    parted = np.flatnonzero(gaps > CROSS_CHECK_TOL)
+    images = [mobius_act(spec, U, z0, 1e-9) for U in ref]
+    defects = np.array([
+        metric_length(spec, b, b - _rk4_step(
+            lambda H_, z: riccati_rhs(spec, H_, z), a, 0.5 * H, 0.5 * H,
+            0.5 * H, h))
+        for a, b in zip(images, images[1:])])
+    parted = np.flatnonzero(np.cumsum(defects) > CROSS_CHECK_TOL)
     if len(parted):
-        where = re.escape(f"at t = {times[parted[0]]:.6g}")
+        where = re.escape(f"at t = {times[parted[0] + 1]:.6g}")
         with pytest.raises(CrossCheckFailure, match=where + "$"):
             trajectory(spec, z0, sched, n * h, h)
         return
     traj = trajectory(spec, z0, sched, n * h, h)
     assert np.max(np.abs(traj.unitaries - ref)) <= 1e-12
+    assert np.max(np.abs(traj.defects - defects)) <= 1e-12
     t_end = 2.3456789
     cyc = clip_trajectory(traj, sched, t_end)
     assert cyc.times[-1] == t_end
@@ -636,9 +677,9 @@ def test_sampled_flow_stays_in_group(dt):
 def test_sampled_ci_flow_is_not_reported_as_symmetry_violation(monkeypatch):
     """A two-knot sampled CI(2) schedule at dt = 0.05: RK4 step matrices
     left the symmetric chart by 1.2e-9 to 2.4e-7 within two steps on all
-    ten seeds.  The Riccati route, still RK4, may fail the cross-check;
+    ten seeds.  The cross-check's RK4 steps may fail at this step size;
     with that check off, the whole span passes the chart rules, or the
-    Riccati variable leaves the compact chart."""
+    orbit leaves the compact chart."""
     spec = ManifoldSpec(Family.CI, 2)
     z0 = np.array([[0.2, 0.1], [0.1, -0.3]])
     for seed in range(10):
@@ -660,7 +701,7 @@ def test_ci_drift_is_not_reported_as_symmetry_violation(seed):
     symplectic rotation of norm 0.3) at dt = 0.04.  RK4 step matrices
     drifted off the symmetric chart by about 1.6e-9 here, which the path
     guard reported as invalid input; the coarse grid may still fail the
-    cross-check, whose RK4 Riccati route is off by about 1e-6."""
+    cross-check, whose RK4 steps are coarse there."""
     rng = np.random.default_rng([seed, 1])
     # The draws of the AIII(3,2) call that precedes it in the workload.
     rng.standard_normal((2, 5, 5)), rng.random((2, 3, 2))
@@ -677,52 +718,6 @@ def test_ci_drift_is_not_reported_as_symmetry_violation(seed):
     except CrossCheckFailure:
         return
     assert traj.cross_check_error <= 1e-6
-
-
-def test_matrix_riccati_route_steps_on_stages_alone(monkeypatch, rng):
-    """The matrix Riccati route steps from the chart point and the stage
-    stacks alone: it takes no unitary, the Mobius map is never called, and
-    its rows match the stepwise reference one by one, which a skipped or
-    repeated step, or any other input, would break."""
-    spec = ManifoldSpec(Family.AIII, 3, 2)
-
-    def no_mobius(*args):
-        raise AssertionError("the Riccati route used the Mobius map")
-
-    monkeypatch.setattr(kphase.dynamics, "_chart_images", no_mobius)
-    sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
-                                         [1.0])
-    z0 = 0.2 * random_point(spec, rng)
-    n, h = 7, 0.01
-    out = np.empty((n,) + z0.shape, dtype=complex)
-    _riccati_advance(z0, out, _stages(sched, 0.0, h, 0, n), h)
-    assert np.all(np.isfinite(out))
-    _, ref = stepwise_run(sched, np.eye(5), 0.0, h, n, spec=spec, z0=z0)
-    assert np.max(np.abs(out - ref[1:])) <= 1e-12
-
-
-@pytest.mark.parametrize("p, q", [(1, 2), (2, 3)])
-def test_matrix_riccati_route_on_wide_arrays(p, q, rng):
-    """AIII charts have p >= q, so no chart point is wider than tall; the
-    route's buffers must still fit p < q.  The reference steps the Riccati
-    equation written out on the blocks of H split at p."""
-    def rhs(H, z):
-        a, b, c, d = H[:p, :p], H[:p, p:], H[p:, :p], H[p:, p:]
-        return -1j * (c.T + z @ d.T - a.T @ z - z @ b.T @ z)
-
-    n, h = 137, 0.01
-    gens = [rng.standard_normal((p + q, p + q))
-            + 1j * rng.standard_normal((p + q, p + q)) for _ in range(2)]
-    sched = HamiltonianSchedule.from_samples(
-        [(g + g.conj().T) / 2.0 for g in gens],
-        [[0.0, 0.5, 0.2], [0.6, -0.3, 0.7], [1.5, 0.4, -0.5]])
-    z = 0.2 * (rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q)))
-    out = np.empty((n, p, q), dtype=complex)
-    _riccati_advance(z, out, _stages(sched, 0.0, h, 0, n), h)
-    for k, row in enumerate(out):
-        t = k * h
-        z = _rk4_step(rhs, z, sched(t), sched(t + h / 2.0), sched(t + h), h)
-        assert np.max(np.abs(row - z)) <= 1e-12
 
 
 def test_schedule_at_matches_pointwise_calls():

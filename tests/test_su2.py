@@ -67,6 +67,18 @@ def test_coherent_vector_components():
     assert v[2] == pytest.approx(z**2 / norm)
 
 
+@pytest.mark.parametrize("z", [1e5, 1e8 * np.exp(0.3j)])
+def test_coherent_vector_far_from_the_origin(z):
+    """At j = 32, z^k overflowed past |z| ~ 1e5 when formed on its own."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = coherent_vector(32.0, z)
+    assert np.all(np.isfinite(v))
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert v[-1] == pytest.approx((z / abs(z)) ** 64, abs=1e-8)
+    assert abs(v[-2]) == pytest.approx(8.0 / abs(z), rel=1e-8)
+
+
 def test_map_to_spin_identity_on_spin_half():
     for g in (SX, SY, SZ, np.eye(2, dtype=complex), SX + 0.3 * np.eye(2)):
         assert np.max(np.abs(map_to_spin(g, 0.5) - g)) < 1e-13
@@ -249,7 +261,7 @@ def test_bloch_projection_round_trip_near_the_pole(j):
 @pytest.mark.parametrize("j", [0.5, 1.5, 8.0, 32.0])
 def test_bloch_projection_round_trip_far_from_the_origin(j):
     # at j = 32 and |z| past ~250, |p(w)|^2 and (1 + |w|^2)^(2j) overflow
-    # when formed separately; coherent_vector itself overflows at 1e8
+    # when formed separately
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in (3e2, 1e3, 1e4):
