@@ -8,11 +8,17 @@ fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
 group that H generates (unitary, and in Sp or SO* on CI or DIII
 generators), so the state needs no re-projection.  Both paths run in
 chunks of whole periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES``
-(``_blocks``).  On the Magnus path each chunk evaluates the schedule once,
-at its half-step times, and batched products advance all its periods
-together (``_advance``): pairwise products give each period's whole
-product, one product per period carries the state across it, and one
-product per in-period position writes the rows of every period at once.
+(``_blocks``).  On the Magnus path each chunk interpolates the schedule's
+coefficient rows once, at its half-step times (``_stages``).  H is linear
+in the generators G_a, so every step's exponent K lies in the span of the
+G_a and the i [G_a, G_b], a table built once per sampled schedule
+(``_commutator_table``), and one product of real coefficient rows with
+that table forms all the chunk's exponents (``_magnus_exponents``): no H
+stack and no per-step matrix product.  Batched products then advance all
+the chunk's periods together (``_advance``): pairwise products give each
+period's whole product, one product per period carries the state across
+it, and one product per in-period position writes the rows of every
+period at once.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
 
@@ -20,7 +26,8 @@ for spin-j state vectors (``su2.schrodinger_evolve``).
 fractional-linear (Mobius) action and checks the resulting rows P[k]
 against the chart's own equation of motion, the Riccati equation
 (:func:`riccati_rhs`).  From each row P[k] one classical RK4 step
-(``_rk4_step``) on the chunk's stage Hamiltonians gives R[k+1]; the step's
+(``_rk4_step``) on the chunk's stage Hamiltonians, assembled from the same
+coefficient rows, gives R[k+1]; the step's
 defect e_k is the level-1 Kahler length of P[k+1] - R[k+1] at P[k+1],
 ``sqrt(Re tr(d^dagger P^-1 d Q^-1))`` with ``P = I + s Z Z^dagger`` and
 ``Q = I + s Z^dagger Z`` (s = +1 compact, -1 bounded domain).  The defect
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -72,8 +80,9 @@ from .serialize import matrix_from_json, matrix_to_json
 
 HERMITICITY_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-6
-# Steps per period of the two-level batched products (see ``_advance``).
-PERIOD = 50
+# Steps per period of the two-level batched products (see ``_advance``); a
+# power of two, so pairwise products halve a period without padding.
+PERIOD = 32
 # Entries of one chunk's stack of step matrices (see ``_blocks``).
 CHUNK_ENTRIES = 2 ** 12
 # Symmetry slack of Mobius images along a trajectory, and the smallest
@@ -115,22 +124,22 @@ class HamiltonianSchedule:
     times: np.ndarray | None
     coefficients: np.ndarray
     _constant_matrix: np.ndarray | None = field(default=None, repr=False)
+    _table: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def constant(cls, generators, coefficients) -> "HamiltonianSchedule":
-        gens = tuple(_hermitize(g) for g in generators)
+        gens = _generators(generators)
         coeffs = np.asarray(coefficients, dtype=float).reshape(-1)
         if len(coeffs) != len(gens):
             raise DimensionMismatch("one coefficient per generator")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("schedule coefficients must be finite")
-        matrix = _assemble(gens, coeffs)
-        return cls(gens, None, coeffs, matrix)
+        return cls(gens, None, coeffs, _assemble(gens, coeffs))
 
     @classmethod
     def from_samples(cls, generators, samples) -> "HamiltonianSchedule":
         """Rows of ``samples`` are ``(t_k, a_1, ..., a_m)``."""
-        gens = tuple(_hermitize(g) for g in generators)
+        gens = _generators(generators)
         rows = np.asarray(samples, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != len(gens) + 1:
             raise DimensionMismatch(
@@ -143,11 +152,12 @@ class HamiltonianSchedule:
             return cls.constant(gens, rows[0, 1:])
         if np.any(np.diff(times) <= 0.0):
             raise ScheduleGap("sample times must be strictly increasing")
-        return cls(gens, times.copy(), rows[:, 1:].copy(), None)
+        return cls(gens, times.copy(), rows[:, 1:].copy(), None,
+                   _commutator_table(gens))
 
     @property
     def dim(self) -> int:
-        return self.generators[0].shape[0] if self.generators else 0
+        return self.generators[0].shape[0]
 
     @property
     def is_constant(self) -> bool:
@@ -156,11 +166,15 @@ class HamiltonianSchedule:
     def at(self, times) -> np.ndarray:
         """The assembled matrices at each of ``times``, as an ``(m, d, d)``
         stack: one interpolation per generator over all the times."""
-        ts = np.asarray(times, dtype=float).reshape(-1)
+        return self._matrices(self._coefficients_at(times))
+
+    def _matrices(self, coefficients) -> np.ndarray:
+        """The assembled matrices of a stack of coefficient rows."""
         if self._constant_matrix is not None:
-            return np.broadcast_to(self._constant_matrix,
-                                   ts.shape + self._constant_matrix.shape)
-        return _assemble(self.generators, self._coefficients_at(ts))
+            return np.broadcast_to(
+                self._constant_matrix,
+                coefficients.shape[:-1] + self._constant_matrix.shape)
+        return _assemble(self.generators, coefficients)
 
     def _coefficients_at(self, times) -> np.ndarray:
         """The coefficients at each of ``times``, as an ``(m, generators)``
@@ -225,13 +239,45 @@ class HamiltonianSchedule:
         return cls.from_samples(gens, data["samples"])
 
 
+def _generators(generators) -> tuple[np.ndarray, ...]:
+    """A schedule's generators, checked and made Hermitian: at least one,
+    all square and of one shape."""
+    gens = tuple(_hermitize(g) for g in generators)
+    if not gens or len({g.shape for g in gens}) != 1:
+        raise DimensionMismatch(
+            "a schedule needs at least one generator, all square matrices "
+            "of one shape")
+    return gens
+
+
 def _assemble(generators, coefficients) -> np.ndarray:
-    """``sum_j a_j G_j``, summed in generator order, for one coefficient
-    row or for each of a stack of rows."""
-    out = np.zeros_like(generators[0])
-    for j, g in enumerate(generators):
-        out = out + coefficients[..., j, None, None] * g
-    return out
+    """``sum_j a_j G_j`` for one coefficient row or for each of a stack of
+    rows, as one product of the rows with the flattened generators."""
+    gens = np.asarray(generators)
+    m, d, _ = gens.shape
+    coeffs = np.asarray(coefficients)
+    return (coeffs @ gens.reshape(m, d * d)).reshape(coeffs.shape[:-1]
+                                                     + (d, d))
+
+
+def _pairs(m: int):
+    """Index arrays ``a, b`` of the generator pairs ``a < b``, in the order
+    of the commutator rows of ``_commutator_table``."""
+    return np.array(list(combinations(range(m), 2)),
+                    dtype=np.intp).reshape(-1, 2).T
+
+
+def _commutator_table(generators) -> np.ndarray:
+    """The generators G_a and then ``i [G_a, G_b]`` for each pair ``a < b``
+    (``_pairs``), flattened into the rows of one ``(M, d^2)`` array.
+    Every row is Hermitian: with ``X = G_a G_b`` the commutator is
+    ``X - X^dagger``, exactly anti-Hermitian."""
+    gens = np.asarray(generators)
+    m, d, _ = gens.shape
+    a, b = _pairs(m)
+    x = gens[a] @ gens[b]
+    brackets = 1j * (x - x.conj().swapaxes(-1, -2))
+    return np.concatenate((gens, brackets)).reshape(-1, d * d)
 
 
 def block_split(H, spec: ManifoldSpec):
@@ -311,16 +357,20 @@ def _blocks(n: int, d: int):
 
 def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
             k1: int):
-    """Stacks of H at the start, middle and end of steps ``k0 .. k1 - 1``
-    from ``t0``, from one evaluation at the ``2 (k1 - k0) + 1`` half-step
-    times, so a step's end is not evaluated again as the next start."""
-    hs = schedule.at(t0 + (h / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
-    return hs[:-1:2], hs[1::2], hs[2::2]
+    """Coefficient rows at the start, middle and end of steps
+    ``k0 .. k1 - 1`` from ``t0``, from one interpolation at the
+    ``2 (k1 - k0) + 1`` half-step times, so a step's end is not evaluated
+    again as the next start."""
+    cs = schedule._coefficients_at(
+        t0 + (h / 2.0) * np.arange(2 * k0, 2 * k1 + 1))
+    return cs[:-1:2], cs[1::2], cs[2::2]
 
 
-def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float):
-    """Magnus steps of i dY/dt = H(t) Y from ``Y`` on the leading rows of
-    the stage stacks, written to the rows of ``out``.
+def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
+             h: float):
+    """Magnus steps of i dY/dt = H(t) Y from ``Y``, one per row of the
+    stage coefficient rows, written to the rows of ``out``; ``table`` is
+    the schedule's ``_commutator_table``.
 
     ``_step_matrices`` gives the steps' matrices.  They are grouped in
     periods of ``PERIOD`` steps from this call's first step, with
@@ -332,7 +382,7 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float):
     """
     period, n, d = PERIOD, len(out), len(Y)
     m = -(-n // period)
-    steps = np.concatenate((_step_matrices(stages, h, n), np.broadcast_to(
+    steps = np.concatenate((_step_matrices(table, stages, h), np.broadcast_to(
         np.eye(d), (m * period - n, d, d)))).reshape(m, period, d, d)
     starts = np.empty((m,) + Y.shape, dtype=complex)
     starts[0] = Y
@@ -345,33 +395,45 @@ def _advance(Y: np.ndarray, out: np.ndarray, stages, h: float):
     out[:] = rows.reshape((m * period,) + Y.shape)[:n]
 
 
-def _step_matrices(stages, h: float, n: int) -> np.ndarray:
-    """Fourth-order Magnus step matrices of i dY/dt = H(t) Y on the leading
-    ``n`` rows of the stage stacks: exp(-iK) with the Hermitian
-    ``K = (h/6) (H1 + 4 H2 + H3) + i (h^2/12) [H1, H3]``, where
-    ``[H1, H3] = X - X^dagger`` for ``X = H1 H3``, as its diagonal (2, 2)
-    Pade approximant ``(M + (i/2) K)^-1 (M - (i/2) K)``, ``M = I - K^2/12``.
-    K lies in the Lie algebra of the flow's group, and that approximant
-    maps the algebra of every quadratic group (U, Sp, SO*) into the group,
-    so each step keeps unitarity and the chart's structure up to rounding.
+def _magnus_exponents(table: np.ndarray, stages, h: float) -> np.ndarray:
+    """The Hermitian fourth-order Magnus exponents
+    ``K = (h/6) (H1 + 4 H2 + H3) + i (h^2/12) [H1, H3]`` of each step,
+    from its coefficient rows ``c1, c2, c3`` at the step's start, middle
+    and end.  With ``H = sum_a c_a G_a``,
+    ``i [H1, H3] = sum_{a<b} (c1_a c3_b - c1_b c3_a) i [G_a, G_b]``, so K
+    is one product of the real rows
+    ``[(h/6) (c1 + 4 c2 + c3), (h^2/12) (c1_a c3_b - c1_b c3_a)]`` with
+    the schedule's ``_commutator_table``, taken as one real product on
+    the table's interleaved real and imaginary parts."""
+    c1, c2, c3 = stages
+    a, b = _pairs(c1.shape[-1])
+    rows = np.concatenate(((h / 6.0) * (c1 + 4.0 * c2 + c3),
+                           (h * h / 12.0) * (c1[:, a] * c3[:, b]
+                                             - c1[:, b] * c3[:, a])), axis=-1)
+    d = math.isqrt(table.shape[-1])
+    return (rows @ table.view(float)).view(complex).reshape(len(rows), d, d)
+
+
+def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
+    """Fourth-order Magnus step matrices of i dY/dt = H(t) Y, one per row
+    of the stage coefficient rows: exp(-iK) with K from
+    ``_magnus_exponents``, as its diagonal (2, 2) Pade approximant
+    ``(M + (i/2) K)^-1 (M - (i/2) K)``, ``M = I - K^2/12``.  K lies in the
+    Lie algebra of the flow's group, and that approximant maps the algebra
+    of every quadratic group (U, Sp, SO*) into the group, so each step
+    keeps unitarity and the chart's structure up to rounding.
     """
-    H1, H2, H3 = (H[:n] for H in stages)
-    x = H1 @ H3
-    k = (1j * h * h / 12.0) * (x - x.conj().swapaxes(-1, -2))
-    k += (h / 6.0) * (H1 + 4.0 * H2 + H3)
-    m = np.eye(len(x[0])) - (k @ k) / 12.0
+    k = _magnus_exponents(table, stages, h)
+    m = np.eye(k.shape[-1]) - (k @ k) / 12.0
     k *= 0.5j
     return np.linalg.solve(m + k, m - k)
 
 
 def _period_products(steps: np.ndarray) -> np.ndarray:
     """Each period's product of its step matrices, later steps on the
-    left: the periods are padded in front with identities to a power of
-    two and halved by one batched product per level."""
-    m, period, d, _ = steps.shape
-    width = 1 << (period - 1).bit_length()
-    prods = np.concatenate(
-        (np.broadcast_to(np.eye(d), (m, width - period, d, d)), steps), axis=1)
+    left, halved by one batched product per level: the ``PERIOD`` steps
+    of a period are a power of two."""
+    prods = steps
     while prods.shape[1] > 1:
         prods = prods[:, 1::2] @ prods[:, ::2]
     return prods[:, 0]
@@ -424,7 +486,7 @@ def propagate(
             rows(h * np.arange(k0 + 1, k1 + 1), states[k0 + 1:k1 + 1])
     else:
         for k0, k1 in _blocks(n, schedule.dim):
-            _advance(states[k0], states[k0 + 1:k1 + 1],
+            _advance(states[k0], states[k0 + 1:k1 + 1], schedule._table,
                      _stages(schedule, t0, h, k0, k1), h)
     return np.linspace(t0, t1, n + 1), states
 
@@ -482,12 +544,13 @@ def trajectory(
     for k0, k1 in _blocks(n, schedule.dim):
         stages = _stages(schedule, 0.0, h, k0, k1)
         if exact is None:
-            _advance(us[k0], us[k0 + 1:k1 + 1], stages, h)
+            _advance(us[k0], us[k0 + 1:k1 + 1], schedule._table, stages, h)
         else:
             exact(h * np.arange(k0 + 1, k1 + 1), us[k0 + 1:k1 + 1])
         zs[k0 + 1:k1 + 1], defects[k0:k1] = _chart_rows(
             spec, times[k0 + 1:k1 + 1], us[k0 + 1:k1 + 1], z0, zs[k0],
-            stages, h, float(np.sum(defects[:k0])))
+            [schedule._matrices(c) for c in stages], h,
+            float(np.sum(defects[:k0])))
     return Trajectory(spec, times, zs, us, float(np.sum(defects)), defects)
 
 
@@ -514,11 +577,12 @@ def clip_trajectory(
         _exact_rows(schedule, us[0])(np.array([t_end - traj.times[0]]),
                                      us[k + 1:])
     else:
-        _advance(us[k], us[k + 1:], stages, h)
+        _advance(us[k], us[k + 1:], schedule._table, stages, h)
     times = np.append(traj.times[: k + 1], t_end)
     kept = traj.defects[:k]
     point, defect = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
-                                traj.points[0], traj.points[k], stages, h,
+                                traj.points[0], traj.points[k],
+                                [schedule._matrices(c) for c in stages], h,
                                 float(np.sum(kept)))
     defects = np.concatenate((kept, defect))
     return Trajectory(traj.spec, times,
@@ -542,7 +606,7 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
     # guards report those rows before their defects.
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), starts,
-                          *(H[:len(us)] for H in stages), h)
+                          *stages, h)
         defects = _kahler_length(spec, points, points - steps)
     drift = spent + np.cumsum(defects)
     raise_first_fault([

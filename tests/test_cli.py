@@ -441,6 +441,23 @@ def test_oracle_spin_size_exits_two(tmp_path, capsys, command, extra):
     assert err.strip() != ""
 
 
+def test_generators_of_mixed_shapes_exit_two(tmp_path, capsys):
+    """A schedule whose generators differ in size is refused where it is
+    built, as a ``DimensionMismatch``."""
+    cfg = {"schedule": {"generators": [matrix_to_json(SZ),
+                                       matrix_to_json(np.eye(3))],
+                        "constant": [1.0, 1.0]},
+           "T": 1.0, "dt": 1e-2, "j": 1.5}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, ["oracle-compare", "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "DimensionMismatch"
+    assert err.strip() != ""
+
+
 @pytest.mark.parametrize("manifold, gens, z0, level, error", [
     ({"family": "AIII", "p": 1, "q": 1, "compact": False}, [SZ], 0.0, 1,
      "UnsupportedFamily"),

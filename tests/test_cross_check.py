@@ -24,6 +24,7 @@ from kphase import (
     HamiltonianSchedule,
     ManifoldSpec,
     cp1,
+    map_schedule,
     trajectory,
 )
 
@@ -115,21 +116,23 @@ _step_matrices = kphase.dynamics._step_matrices
 _riccati_rhs = kphase.dynamics.riccati_rhs
 
 
-def _shifted_advance(Y, out, stages, h):
-    """Magnus steps on H at t + h/2, t + h and t + 3h/2: the next step's
-    midpoint, or past the chunk's end the linear extrapolation."""
-    _, H2, H3 = stages
-    ahead = np.concatenate((H2[1:], 2.0 * H3[-1:] - H2[-1:]))
-    _advance(Y, out, (H2, H3, ahead), h)
+def _shifted_advance(Y, out, table, stages, h):
+    """Magnus steps on the coefficient rows at t + h/2, t + h and
+    t + 3h/2: the next step's midpoint, or past the chunk's end the linear
+    extrapolation."""
+    _, c2, c3 = stages
+    ahead = np.concatenate((c2[1:], 2.0 * c3[-1:] - c2[-1:]))
+    _advance(Y, out, table, (c2, c3, ahead), h)
 
 
 # Each fault replaces functions of ``kphase.dynamics``.  All but the sign
 # flip act on the Mobius route only, which the check must see; the sign
-# flip acts on the check's own RK4 step.
+# flip acts on the check's own RK4 step.  H is linear in the coefficient
+# rows, so scaling or shifting the rows scales or shifts H.
 FAULTS = {
     "H scaled by 1 + 1e-5": {
-        "_advance": lambda Y, out, stages, h: _advance(
-            Y, out, [H * (1.0 + 1e-5) for H in stages], h),
+        "_advance": lambda Y, out, table, stages, h: _advance(
+            Y, out, table, [c * (1.0 + 1e-5) for c in stages], h),
         "_exact_rows": lambda schedule, Y0: _exact_rows(
             HamiltonianSchedule.constant([schedule(0.0)], [1.0 + 1e-5]), Y0),
     },
@@ -139,12 +142,12 @@ FAULTS = {
         "_chart_images": lambda spec, U, z: _chart_images(
             spec, np.swapaxes(U, -1, -2), z),
     },
-    # With H1 and H3 both replaced by their mean, K keeps its first-order
+    # With c1 and c3 both replaced by their mean, K keeps its first-order
     # term and loses the commutator.
     "Magnus commutator dropped": {
-        "_step_matrices": lambda stages, h, n: _step_matrices(
-            ((stages[0] + stages[2]) / 2.0, stages[1],
-             (stages[0] + stages[2]) / 2.0), h, n),
+        "_step_matrices": lambda table, stages, h: _step_matrices(
+            table, ((stages[0] + stages[2]) / 2.0, stages[1],
+                    (stages[0] + stages[2]) / 2.0), h),
     },
     "stage times shifted by h/2": {"_advance": _shifted_advance},
     "Riccati right-hand side negated": {
@@ -169,3 +172,32 @@ def test_injected_fault_fails_the_cross_check(case, fault, monkeypatch, rng):
         monkeypatch.setattr(kphase.dynamics, name, fn)
     with pytest.raises(CrossCheckFailure):
         trajectory(*args)
+
+
+def _spin_oracle_case(rng):
+    """The oracle call's schedule mapped to spin 3/2, as its quantum
+    column runs."""
+    spec, z0, sched, T, dt = _oracle_case(rng)
+    return spec, z0, map_schedule(sched, 1.5), T, dt
+
+
+@pytest.mark.parametrize("case", [
+    *(case for case in CASES if case.endswith("sampled")), "oracle",
+    "oracle-spin-3/2"])
+def test_table_exponents_match_the_stage_formula(case, rng):
+    """K from the coefficient rows and the commutator table equals the
+    stage formula on assembled H, ``(h/6) (H1 + 4 H2 + H3)`` plus
+    ``i (h^2/12) (X - X^dagger)`` with ``X = H1 H3``, on every step of the
+    call.  The commutator term is 2e-6 to 3e-5 of K here, so a dropped or
+    mis-signed commutator fails the 1e-14 bound."""
+    case_fn = _spin_oracle_case if case == "oracle-spin-3/2" else CASES[case]
+    _, _, sched, T, dt = case_fn(rng)
+    n, h = kphase.dynamics._grid(0.0, T, dt)
+    stages = kphase.dynamics._stages(sched, 0.0, h, 0, n)
+    H1, H2, H3 = (sched._matrices(c) for c in stages)
+    x = H1 @ H3
+    ref = ((h / 6.0) * (H1 + 4.0 * H2 + H3)
+           + (1j * h * h / 12.0) * (x - x.conj().swapaxes(-1, -2)))
+    k = kphase.dynamics._magnus_exponents(sched._table, stages, h)
+    assert k.shape == ref.shape == (n,) + sched.generators[0].shape
+    assert np.max(np.abs(k - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -21,10 +21,12 @@ from kphase import (
     cp1,
     expectation,
     find_cycle,
+    map_schedule,
     projective_distance,
     propagate,
     ray_distances,
     riccati_rhs,
+    schrodinger_evolve,
     trajectory,
     validate_points,
 )
@@ -95,6 +97,20 @@ def test_schedule_hermitizes_and_rejects():
         HamiltonianSchedule.constant([SX], [np.inf])
     with pytest.raises(ValueError):
         HamiltonianSchedule.from_samples([SX], [[0.0, 1.0], [np.nan, 1.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HamiltonianSchedule.constant([], []),
+    lambda: HamiltonianSchedule.from_samples([], [[0.0], [1.0]]),
+    lambda: HamiltonianSchedule.constant([SZ, np.eye(3)], [1.0, 1.0]),
+    lambda: HamiltonianSchedule.from_samples(
+        [SZ, np.eye(3)], [[0.0, 1.0, 1.0], [1.0, 0.5, 0.5]]),
+    lambda: HamiltonianSchedule.constant([np.ones((2, 3))], [1.0]),
+], ids=["constant-empty", "sampled-empty", "constant-mixed",
+        "sampled-mixed", "non-square"])
+def test_schedule_needs_square_generators_of_one_shape(build):
+    with pytest.raises(DimensionMismatch):
+        build()
 
 
 def test_schedule_strength_and_json():
@@ -465,16 +481,24 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert np.max(np.abs(cyc.points[-1] - clip_z[-1])) <= CROSS_CHECK_TOL
 
 
-@pytest.mark.parametrize("spec, gens, n", [
-    (cp1(), [SZ, SX], 2137),
-    (ManifoldSpec(Family.DIII, 3, compact=False), None, 237),
+def _chunk_steps(d):
+    """Steps in one full chunk of ``d x d`` step matrices."""
+    (_, k1), *_ = kphase.dynamics._blocks(kphase.dynamics.CHUNK_ENTRIES, d)
+    return k1
+
+
+@pytest.mark.parametrize("spec, gens", [
+    (cp1(), [SZ, SX]),
+    (ManifoldSpec(Family.DIII, 3, compact=False), None),
 ], ids=["CP1", "DIII(3)-noncompact"])
-def test_chunked_stepping_matches_stepwise_reference(spec, gens, n,
+def test_chunked_stepping_matches_stepwise_reference(spec, gens,
                                                     monkeypatch, rng):
-    # More than two chunks, the last one ending 37 steps into a period.
+    # Three chunks, the last one ending 5 steps into its second period.
     d = defining_dimension(spec)
+    period = kphase.dynamics.PERIOD
+    n = 2 * _chunk_steps(d) + period + 5
     chunks = kphase.dynamics._blocks(n, d)
-    assert len(chunks) > 2 and chunks[-1][1] == n and n % 50 == 37
+    assert len(chunks) == 3 and chunks[-1] == (n - period - 5, n)
     if gens is None:
         gens = [_defining_generator(rng, spec) for _ in range(2)]
     h = 4e-3
@@ -517,26 +541,28 @@ def test_defect_length_is_the_public_metric(spec, rng):
 
 
 def test_failure_in_later_chunk_stops_there(monkeypatch):
-    # A sudden strong field in the third chunk of 1000 steps sends the RK4
-    # step to t = 2.07, whose end stage sees it, off the chart; no later
-    # chunk is advanced.
+    # A sudden strong field in the third chunk sends the RK4 step to
+    # t = 2.07, whose end stage sees it, off the chart; no later chunk is
+    # advanced.
     spec, h = cp1(), 1e-3
+    size = _chunk_steps(2)
+    assert 2 * size < 2070 <= 3 * size
     sched = HamiltonianSchedule.from_samples(
         [SX, SZ], [[0.0, 0.0, 0.5], [2.0699, 0.0, 0.5], [2.07, 1e6, 0.5],
                    [5.0, 1e6, 0.5]])
     advanced = []
     real_advance = kphase.dynamics._advance
 
-    def counting(Y, out, stages, h):
+    def counting(Y, out, table, stages, h):
         advanced.append(len(out))
-        real_advance(Y, out, stages, h)
+        real_advance(Y, out, table, stages, h)
 
     monkeypatch.setattr(kphase.dynamics, "_advance", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(CrossCheckFailure, match=r"at t = 2\.07$"):
             trajectory(spec, 0.2, sched, 5.0, h)
-    assert advanced == [1000, 1000, 1000]
+    assert advanced == [size] * 3
 
 
 def test_constant_schedule_takes_no_steps(monkeypatch, rng):
@@ -557,11 +583,11 @@ def test_constant_schedule_takes_no_steps(monkeypatch, rng):
     propagate(sched, np.eye(3), 0.0, 1.0, 1e-3)
 
 
-@pytest.mark.parametrize("d, t0, n", [(2, 0.0, 2137), (3, -1.3, 1237),
-                                      (5, 0.7, 163)])
-def test_constant_propagate_matches_exponential(d, t0, n, rng):
+@pytest.mark.parametrize("d, t0", [(2, 0.0), (3, -1.3), (5, 0.7)])
+def test_constant_propagate_matches_exponential(d, t0, rng):
     """Every row of a constant schedule's flow is exp(-iH(t - t0)) Y0, for
     square and column starts, over several chunks with a short last one."""
+    n = 2 * _chunk_steps(d) + 37
     (a0, a1), *_, (b0, b1) = kphase.dynamics._blocks(n, d)
     assert b1 == n and b1 - b0 < a1 - a0
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -657,21 +683,24 @@ def test_magnus_step_is_fourth_order():
 
 @pytest.mark.parametrize("dt", [1e-3, 0.05])
 def test_sampled_flow_stays_in_group(dt):
-    """On sampled schedules of generators [[P, S], [S^dagger, -P^T]] with
-    S symmetric every row of the flow is unitary and keeps U^T J U = J.
-    RK4 step matrices with a polar projection every 50 steps missed both
-    by up to 1.6e-5 at dt = 0.05."""
-    J = np.block([[np.zeros((2, 2)), np.eye(2)],
-                  [-np.eye(2), np.zeros((2, 2))]])
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        gens = [sp_compatible_generator(rng, 2, Family.CI) for _ in range(2)]
-        sched = HamiltonianSchedule.from_samples(
-            gens, [[0.0, 1.0, 0.3], [4.0, -0.5, 0.8], [10.0, 0.7, -0.6]])
-        _, us = propagate(sched, np.eye(4), 0.0, 10.0, dt)
-        drift = us.conj().swapaxes(1, 2) @ us - np.eye(4)
-        assert np.max(np.linalg.norm(drift, 2, axis=(1, 2))) <= 1e-12
-        assert np.max(np.abs(us.swapaxes(1, 2) @ J @ us - J)) <= 1e-12
+    """On sampled schedules of generators [[P, S], [S^dagger, -P^T]] every
+    row of the flow is unitary and keeps U^T J U = J, with J the
+    skew form for S symmetric (Sp, CI) and the symmetric form for S skew
+    (SO*, DIII).  RK4 step matrices with a polar projection every 50
+    steps missed both by up to 1.6e-5 at dt = 0.05 on CI."""
+    zero, one = np.zeros((2, 2)), np.eye(2)
+    for family, J in ((Family.CI, np.block([[zero, one], [-one, zero]])),
+                      (Family.DIII, np.block([[zero, one], [one, zero]]))):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            gens = [sp_compatible_generator(rng, 2, family)
+                    for _ in range(2)]
+            sched = HamiltonianSchedule.from_samples(
+                gens, [[0.0, 1.0, 0.3], [4.0, -0.5, 0.8], [10.0, 0.7, -0.6]])
+            _, us = propagate(sched, np.eye(4), 0.0, 10.0, dt)
+            drift = us.conj().swapaxes(1, 2) @ us - np.eye(4)
+            assert np.max(np.linalg.norm(drift, 2, axis=(1, 2))) <= 1e-12
+            assert np.max(np.abs(us.swapaxes(1, 2) @ J @ us - J)) <= 1e-12
 
 
 def test_sampled_ci_flow_is_not_reported_as_symmetry_violation(monkeypatch):
@@ -736,26 +765,72 @@ def test_schedule_at_matches_pointwise_calls():
 
 
 def test_trajectory_evaluates_schedule_once_per_block(monkeypatch):
-    calls = {"call": 0, "at": 0}
-    call, at = HamiltonianSchedule.__call__, HamiltonianSchedule.at
+    """Each chunk interpolates its coefficient rows once; the Magnus steps
+    and the check's stage matrices both come from those rows."""
+    calls = {"__call__": 0, "at": 0, "_coefficients_at": 0}
 
-    def counted_call(self, t):
-        calls["call"] += 1
-        return call(self, t)
+    def counted(name):
+        real = getattr(HamiltonianSchedule, name)
 
-    def counted_at(self, times):
-        calls["at"] += 1
-        return at(self, times)
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+        return wrapper
 
-    monkeypatch.setattr(HamiltonianSchedule, "__call__", counted_call)
-    monkeypatch.setattr(HamiltonianSchedule, "at", counted_at)
+    for name in calls:
+        monkeypatch.setattr(HamiltonianSchedule, name, counted(name))
     sched = HamiltonianSchedule.from_samples(
-        [SX, SZ], [[0.0, 0.4, 0.9], [1.0, 0.6, 0.7]])
-    traj = trajectory(cp1(), 0.2, sched, 1.0, 1e-3)
-    n = len(traj.times) - 1
-    assert n == 1000
-    assert calls["call"] == 0
-    assert calls["at"] <= math.ceil(n / 50)
+        [SX, SZ], [[0.0, 0.4, 0.9], [3.0, 0.6, 0.7]])
+    n = 2 * _chunk_steps(2) + 37
+    traj = trajectory(cp1(), 0.2, sched, n * 1e-3, 1e-3)
+    assert len(traj.times) == n + 1
+    assert calls == {"__call__": 0, "at": 0, "_coefficients_at": 3}
+
+
+def test_sampled_propagate_assembles_no_matrices(monkeypatch, rng):
+    """On a sampled schedule the Magnus path forms every exponent from the
+    coefficient rows and the commutator table: ``propagate`` never
+    assembles an H stack, for a unitary or for a spin-3/2 column.  Only
+    the trajectory's RK4 check assembles, once per stage of each chunk."""
+    assembled = []
+    real = kphase.dynamics._assemble
+
+    def counting(generators, coefficients):
+        assembled.append(len(coefficients))
+        return real(generators, coefficients)
+
+    knots = np.linspace(0.0, 3.0, 31)
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SY, SZ],
+        np.column_stack([knots, rng.uniform(-0.6, 0.6, (31, 3))]))
+    spin = map_schedule(sched, 1.5)
+    monkeypatch.setattr(kphase.dynamics, "_assemble", counting)
+    n = 2 * _chunk_steps(4) + 37
+    propagate(sched, np.eye(2), 0.0, n * 1e-3, 1e-3)
+    propagate(spin, np.eye(4)[:, :1], 0.0, n * 1e-3, 1e-3)
+    schrodinger_evolve(np.eye(4)[0], spin, n * 1e-3, 1e-3)
+    assert assembled == []
+    trajectory(cp1(), 0.2, sched, 1.0, 1e-3)
+    assert assembled == [1000] * 3
+
+
+def test_assemble_is_the_generator_sum(rng):
+    """The one-product assembly agrees with the generator-by-generator sum
+    to 1e-15 of the sum of the terms' sizes, for a stack of rows and for
+    one row."""
+    gens = [_defining_generator(rng, ManifoldSpec(Family.AIII, 3, 2))
+            for _ in range(4)]
+    coeffs = rng.standard_normal((7, 4))
+    out = kphase.dynamics._assemble(gens, coeffs)
+    ref = np.zeros((7, 5, 5), dtype=complex)
+    scale = np.zeros((7, 5, 5))
+    for c, g in zip(coeffs.T, gens):
+        ref = ref + c[:, None, None] * g
+        scale = scale + np.abs(c[:, None, None] * g)
+    assert out.shape == ref.shape
+    assert np.all(np.abs(out - ref) <= 1e-15 * scale)
+    assert np.all(np.abs(kphase.dynamics._assemble(gens, coeffs[0]) - ref[0])
+                  <= 1e-15 * scale[0])
 
 
 def test_expectation_values(rng):
