@@ -6,12 +6,14 @@ is exp(-iH(t - t0)): one ``eigh`` of H gives every row in closed form from
 the span start (``_exact_rows``).  A sampled schedule takes fixed-size
 fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
 group that H generates (unitary, and in Sp or SO* on CI or DIII
-generators), so the state needs no re-projection.  Both paths run in
-chunks of whole periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES``
-(``_blocks``).  On the Magnus path each chunk interpolates the schedule's
-coefficient rows once, at its half-step times (``_stages``).  H is linear
-in the generators G_a, so every step's exponent K lies in the span of the
-G_a and the i [G_a, G_b], a table built once per sampled schedule
+generators), so the state needs no re-projection.  Each step's Pade
+solve is one batched LAPACK solve, except at d = 2, where it is taken in
+closed form (``manifolds._solve``).  Both paths run in chunks of whole
+periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES`` (``_blocks``).
+On the Magnus path each chunk interpolates the schedule's coefficient
+rows once, at its half-step times (``_stages``).  H is linear in the
+generators G_a, so every step's exponent K lies in the span of the G_a
+and the i [G_a, G_b], a table built once per sampled schedule
 (``_commutator_table``), and one product of real coefficient rows with
 that table forms all the chunk's exponents (``_magnus_exponents``): no H
 stack and no per-step matrix product.  Batched products then advance all
@@ -70,7 +72,10 @@ from .geometry import _gradient
 from .manifolds import (
     Family,
     ManifoldSpec,
+    _det,
     _distance,
+    _mm,
+    _solve,
     as_chart_array,
     point_faults,
     raise_first_fault,
@@ -221,15 +226,16 @@ class HamiltonianSchedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "HamiltonianSchedule":
-        """A schedule from a JSON object holding ``generators``, a
-        non-empty list of matrices, and exactly one of ``constant`` and
-        ``samples``."""
+        """A schedule from a JSON object holding ``generators``, a list of
+        matrices, and exactly one of ``constant`` and ``samples``.  An
+        empty list raises ``DimensionMismatch``, as in :meth:`constant`
+        and :meth:`from_samples`."""
         if not isinstance(data, dict):
             raise ValueError(f"'schedule' must be a JSON object, got {data!r}")
         gens = data.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise ValueError("'generators' of 'schedule' must be a non-empty "
-                             f"list of matrices, got {gens!r}")
+        if not isinstance(gens, list):
+            raise ValueError("'generators' of 'schedule' must be a list of "
+                             f"matrices, got {gens!r}")
         if ("constant" in data) == ("samples" in data):
             raise ValueError("'schedule' must hold exactly one of 'constant' "
                              "and 'samples'")
@@ -313,13 +319,13 @@ def _chart_images(spec: ManifoldSpec, U, z: np.ndarray):
     images of ``z`` under one matrix or a stack; an image whose
     determinant is below ``CHART_EDGE_TOL`` is meaningless."""
     a, b, c, d = (blk.swapaxes(-1, -2) for blk in block_split(U, spec))
-    den = z @ b
+    den = _mm(z, b)
     den += a
-    det = np.linalg.det(den)
+    det = _det(den)
     den[np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)
-    num = z @ d
+    num = _mm(z, d)
     num += c
-    return det, np.linalg.solve(den, num)
+    return det, _solve(den, num)
 
 
 def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
@@ -333,7 +339,7 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
     a_t, c_t, b_t, d_t = block_split(np.asarray(H).swapaxes(-1, -2), spec)
-    return -1j * (c_t + z @ d_t - a_t @ z - z @ b_t @ z)
+    return -1j * (c_t + _mm(z, d_t) - _mm(a_t, z) - _mm(_mm(z, b_t), z))
 
 
 def _rk4_step(rhs, y, H1, H2, H3, h):
@@ -418,7 +424,8 @@ def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
     """Fourth-order Magnus step matrices of i dY/dt = H(t) Y, one per row
     of the stage coefficient rows: exp(-iK) with K from
     ``_magnus_exponents``, as its diagonal (2, 2) Pade approximant
-    ``(M + (i/2) K)^-1 (M - (i/2) K)``, ``M = I - K^2/12``.  K lies in the
+    ``(M + (i/2) K)^-1 (M - (i/2) K)``, ``M = I - K^2/12``, solved in
+    closed form at d = 2 and by LAPACK from d = 3 up.  K lies in the
     Lie algebra of the flow's group, and that approximant maps the algebra
     of every quadratic group (U, Sp, SO*) into the group, so each step
     keeps unitarity and the chart's structure up to rounding.
@@ -426,7 +433,7 @@ def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
     k = _magnus_exponents(table, stages, h)
     m = np.eye(k.shape[-1]) - (k @ k) / 12.0
     k *= 0.5j
-    return np.linalg.solve(m + k, m - k)
+    return _solve(m + k, m - k)
 
 
 def _period_products(steps: np.ndarray) -> np.ndarray:
@@ -522,10 +529,11 @@ def trajectory(
 
     Each chunk advances the unitary, in closed form for a constant
     schedule and by Magnus steps otherwise, maps it onto the chart with
-    one batched solve and checks the new rows (``_chart_rows``).  The first
-    failing step raises ``ChartOverflow``, ``ValueError``,
-    ``SymmetryViolation``, ``OutsideDomain`` or ``CrossCheckFailure``,
-    naming its time; no later chunk is advanced.
+    one batched solve, in closed form on charts with p <= 2, and checks
+    the new rows (``_chart_rows``).  The first failing step raises
+    ``ChartOverflow``, ``ValueError``, ``SymmetryViolation``,
+    ``OutsideDomain`` or ``CrossCheckFailure``, naming its time; no later
+    chunk is advanced.
     """
     if schedule.dim != defining_dimension(spec):
         raise DimensionMismatch(
@@ -602,9 +610,10 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
     det, images = _chart_images(spec, us, z0)
     points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
     starts = np.concatenate((start[None], points[:-1]))
-    # Rows beyond the chart edge or off the chart may overflow here; the
-    # guards report those rows before their defects.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Rows beyond the chart edge or off the chart may overflow or meet a
+    # singular metric here; the guards report those rows before their
+    # defects.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         steps = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), starts,
                           *stages, h)
         defects = _kahler_length(spec, points, points - steps)
@@ -626,10 +635,10 @@ def _kahler_length(spec, z, dz) -> np.ndarray:
     ``P = I + s z z^dagger`` and ``Q = I + s z^dagger z``."""
     sign = 1.0 if spec.compact else -1.0
     z_dag = z.conj().swapaxes(-1, -2)
-    p = np.eye(z.shape[-2]) + sign * (z @ z_dag)
-    q = np.eye(z.shape[-1]) + sign * (z_dag @ z)
+    p = np.eye(z.shape[-2]) + sign * _mm(z, z_dag)
+    q = np.eye(z.shape[-1]) + sign * _mm(z_dag, z)
     # y = Q^-1 (P^-1 dz)^dagger, the adjoint of P^-1 dz Q^-1.
-    y = np.linalg.solve(q, np.linalg.solve(p, dz).conj().swapaxes(-1, -2))
+    y = _solve(q, _solve(p, dz).conj().swapaxes(-1, -2))
     return np.sqrt(np.sum(dz * y.swapaxes(-1, -2), axis=(-2, -1)).real)
 
 

@@ -28,6 +28,8 @@ from .manifolds import (
     Family,
     ManifoldSpec,
     _kernel,
+    _mm,
+    _solve,
     as_chart_array,
     validate_points,
 )
@@ -102,8 +104,8 @@ def _gradient(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
         zz = z @ z.swapaxes(-1, -2)
         k = _kernel(spec, z, z).real[..., None, None]
         return sign * level * (2.0 * z * zz.conj() + 2.0 * sign * z.conj()) / k
-    gram = z @ z.conj().swapaxes(-1, -2)
-    return level * np.linalg.solve(np.eye(z.shape[-2]) + sign * gram, z).conj()
+    gram = _mm(z, z.conj().swapaxes(-1, -2))
+    return level * _solve(np.eye(z.shape[-2]) + sign * gram, z).conj()
 
 
 def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:

@@ -13,6 +13,20 @@ stack of points with leading axes, validates its chart arguments once with
 :func:`validate_points`, and broadcasts in numpy's idiom; it then calls a
 private core (``_kernel``, ``_distance``) that package code holding
 validated arrays calls directly.
+
+Chart quantities come in stacks of thousands of 1 x 1 to 3 x 3 matrices,
+where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
+loop once per matrix.  Three private kernels serve products and solves
+whose inner dimension is a chart size (p or q): ``_mm`` forms a product
+as one broadcast multiply-add per inner index, ``_solve`` divides on
+1 x 1 and takes the adjugate over ``_det`` on 2 x 2, and ``_det`` has
+closed forms to 2 x 2; from 3 x 3 up both hand over to LAPACK.  The
+kernel, the domain check of :func:`point_faults`, the gradient, the
+Riccati right-hand side, the Mobius images and the Kahler length use
+them.  The propagator's products and its Pade solve act on the defining
+or spin dimension (up to 65 at j = 32), where ``_mm`` would need one pass
+per inner index, so they keep BLAS's ``@`` and LAPACK, with the
+closed-form solve at d = 2 only.
 """
 
 from __future__ import annotations
@@ -168,7 +182,7 @@ def point_faults(
         arr = np.divide(flip, 2.0, out=flip)
     if not spec.compact:
         z = arr if finite.all() else np.where(finite[:, None, None], arr, 0.0)
-        gram = z @ z.conj().swapaxes(1, 2)
+        gram = _mm(z, z.conj().swapaxes(1, 2))
         if spec.family is Family.BDI:
             zz = np.abs((z @ z.swapaxes(1, 2))[:, 0, 0])
             norm2 = np.real(gram[:, 0, 0])
@@ -198,13 +212,40 @@ def raise_first_fault(faults, times=None) -> None:
 
 
 def _det(m: np.ndarray):
-    """Determinant of one square matrix or of a stack of them."""
+    """Determinant of one square matrix or of a stack of them, as a new
+    array: writing to ``m`` afterwards leaves it unchanged."""
     n = m.shape[-1]
     if n == 1:
-        return m[..., 0, 0]
+        return m[..., 0, 0].copy()
     if n == 2:
         return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
     return np.linalg.det(m)
+
+
+def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` for small matrices or stacks of them, as one broadcast
+    multiply-add per inner index; the leading axes broadcast as in
+    ``@``."""
+    out = x[..., :, :1] * y[..., :1, :]
+    for k in range(1, x.shape[-1]):
+        out += x[..., :, k:k + 1] * y[..., k:k + 1, :]
+    return out
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` for square ``a`` and matching ``b``, or stacks of them:
+    ``b / a`` on 1 x 1, the adjugate over :func:`_det` on 2 x 2, and
+    ``np.linalg.solve`` from 3 x 3 up."""
+    n = a.shape[-1]
+    if n == 1:
+        return b / a
+    if n == 2:
+        b0, b1 = b[..., :1, :], b[..., 1:, :]
+        top = a[..., 1:, 1:] * b0 - a[..., :1, 1:] * b1
+        bottom = a[..., :1, :1] * b1 - a[..., 1:, :1] * b0
+        det = _det(a)[..., None, None]
+        return np.concatenate((top, bottom), axis=-2) / det
+    return np.linalg.solve(a, b)
 
 
 def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
@@ -217,7 +258,7 @@ def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
         zw = (z @ w_dag)[..., 0, 0]
         return 1.0 + zz * np.conj(ww) + sign * 2.0 * zw
     p = spec.point_shape[0]
-    return _det(np.eye(p) + sign * (z @ w_dag))
+    return _det(np.eye(p) + sign * _mm(z, w_dag))
 
 
 def kernel(spec: ManifoldSpec, z, w):

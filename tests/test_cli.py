@@ -458,6 +458,25 @@ def test_generators_of_mixed_shapes_exit_two(tmp_path, capsys):
     assert err.strip() != ""
 
 
+@pytest.mark.parametrize("command", ["evolve", "oracle-compare"])
+@pytest.mark.parametrize("kind, values", [
+    ("constant", []), ("samples", [[0.0], [1.0]])], ids=["constant", "samples"])
+def test_empty_generator_list_exits_two(tmp_path, capsys, command, kind,
+                                        values):
+    """An empty generator list is refused where the schedule is built, as
+    a ``DimensionMismatch``, the same as in the Python constructors."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schedule": {"generators": [], kind: values},
+                                "z0": 0.5, "T": 1.0, "dt": 1e-2}))
+    rc, out, err = run_cli(capsys, [command, "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "DimensionMismatch"
+    assert "at least one generator" in payload["message"]
+    assert err.strip() != ""
+
+
 @pytest.mark.parametrize("manifold, gens, z0, level, error", [
     ({"family": "AIII", "p": 1, "q": 1, "compact": False}, [SZ], 0.0, 1,
      "UnsupportedFamily"),
@@ -551,13 +570,12 @@ _GENERATOR = _MALFORMED_SCHEDULE["generators"][0]
     ([{"generators": [_GENERATOR], "constant": [1.0]}],
      "'schedule' must be a JSON object"),
     ({"generators": 2, "constant": [1.0]}, "'generators' of 'schedule'"),
-    ({"generators": [], "constant": []}, "'generators' of 'schedule'"),
     ({"constant": [1.0]}, "'generators' of 'schedule'"),
     ({"generators": [_GENERATOR]}, "exactly one of 'constant' and 'samples'"),
     ({"generators": [_GENERATOR], "constant": [1.0],
       "samples": [[0.0, 1.0]]}, "exactly one of 'constant' and 'samples'"),
-], ids=["number", "list", "generators-number", "generators-empty",
-        "generators-missing", "neither-kind", "both-kinds"])
+], ids=["number", "list", "generators-number", "generators-missing",
+        "neither-kind", "both-kinds"])
 def test_malformed_schedule_exits_two_naming_the_entry(
         tmp_path, capsys, command, schedule, entry):
     path = tmp_path / "schedule.json"

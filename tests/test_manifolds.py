@@ -15,6 +15,7 @@ from kphase import (
     projective_distance,
     validate_points,
 )
+from kphase.manifolds import _det, _mm, _solve
 
 from finite_difference import random_point
 
@@ -236,3 +237,70 @@ def test_random_point_stays_interior(rng):
     for spec in ALL_SPECS:
         for _ in range(40):
             validate_points(spec, random_point(spec, rng))
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("rows, inner, cols", [
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 2, 3), (2, 3, 1)])
+@pytest.mark.parametrize("layout", [
+    "stack-stack", "one-stack", "stack-one", "broadcast-stack"])
+def test_mm_matches_matmul(rng, rows, inner, cols, layout):
+    """``_mm`` agrees with ``@`` to 1e-14 of the entries' summed terms,
+    on stacks, on one matrix against a stack, and on a stride-0 stack
+    (read-only, so a write to an input would raise)."""
+    x = _complex(rng, 50, rows, inner)
+    y = _complex(rng, 50, inner, cols)
+    if layout == "one-stack":
+        x = x[0]
+    elif layout == "stack-one":
+        y = y[0]
+    elif layout == "broadcast-stack":
+        x = np.broadcast_to(x[0], x.shape)
+    got = _mm(x, y)
+    assert got.shape == (x @ y).shape
+    assert np.all(np.abs(got - x @ y) <= 1e-14 * (np.abs(x) @ np.abs(y)))
+
+
+def _cond_scaled_gap(got, ref, a):
+    """Largest gap of each solution over its size and the condition
+    number of its matrix."""
+    gap = np.max(np.abs(got - ref), axis=(-2, -1))
+    size = np.max(np.abs(ref), axis=(-2, -1))
+    return np.max(gap / (size * np.linalg.cond(a)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_matches_lapack(rng, n):
+    """``_solve`` agrees with ``np.linalg.solve`` to rounding times the
+    condition number, on stacks, on one matrix against a stack of
+    right-hand sides, and on 2 x 2 matrices with |det| near 1e-10."""
+    a = _complex(rng, 200, n, n)
+    b = _complex(rng, 200, n, 3)
+    assert _cond_scaled_gap(_solve(a, b), np.linalg.solve(a, b), a) <= 1e-14
+    shared = np.linalg.solve(np.broadcast_to(a[0], a.shape), b)
+    assert _cond_scaled_gap(_solve(a[0], b), shared, a[:1]) <= 1e-14
+    if n == 2:
+        u, _, vh = np.linalg.svd(a)
+        s = np.stack([np.ones(200), np.full(200, 1e-10)], axis=-1)
+        near = (u * s[..., None, :]) @ vh
+        det = np.abs(np.linalg.det(near))
+        assert np.all((0.5e-10 < det) & (det < 2e-10))
+        got, ref = _solve(near, b), np.linalg.solve(near, b)
+        assert np.all(np.isfinite(got))
+        assert _cond_scaled_gap(got, ref, near) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_is_a_new_array(rng, n):
+    """``_det`` matches ``np.linalg.det``, and writing to its input after
+    the call leaves the result unchanged."""
+    m = _complex(rng, 20, n, n)
+    det = _det(m)
+    ref = np.linalg.det(m)
+    assert np.max(np.abs(det - ref)) <= 1e-14 * np.max(np.abs(ref))
+    kept = det.copy()
+    m[...] = 7.0
+    assert np.array_equal(det, kept)
