@@ -9,7 +9,10 @@ group that H generates (unitary, and in Sp or SO* on CI or DIII
 generators), so the state needs no re-projection.  Each step's Pade
 solve is one batched LAPACK solve, except at d = 2, where it is taken in
 closed form (``manifolds._solve``).  Both paths run in chunks of whole
-periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES`` (``_blocks``).
+periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES`` (``_blocks``):
+against the d x d entries of a step matrix in :func:`propagate` and on
+the Magnus path, and in :func:`trajectory`'s closed-form path, which
+forms no step matrices, against the entries of one chart point.
 On the Magnus path each chunk interpolates the schedule's coefficient
 rows once, at its half-step times (``_stages``).  H is linear in the
 generators G_a, so every step's exponent K lies in the span of the G_a
@@ -88,7 +91,8 @@ CROSS_CHECK_TOL = 1e-6
 # Steps per period of the two-level batched products (see ``_advance``); a
 # power of two, so pairwise products halve a period without padding.
 PERIOD = 32
-# Entries of one chunk's stack of step matrices (see ``_blocks``).
+# Entries of one chunk's stack of step matrices, or of its chart points
+# on trajectory's closed-form path (see ``_blocks``).
 CHUNK_ENTRIES = 2 ** 12
 # Symmetry slack of Mobius images along a trajectory, and the smallest
 # |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
@@ -352,12 +356,14 @@ def _rk4_step(rhs, y, H1, H2, H3, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _blocks(n: int, d: int):
-    """Step ranges ``[k0, k1)`` of the chunks that advance ``d x d`` step
-    matrices: each chunk is a whole number of periods, as many as keep its
-    stack of step matrices within ``CHUNK_ENTRIES`` entries and at least
-    one, and only the last chunk may end short."""
-    size = PERIOD * max(1, CHUNK_ENTRIES // (PERIOD * d * d))
+def _blocks(n: int, entries: int):
+    """Step ranges ``[k0, k1)`` of the chunks of an ``n``-step run that
+    stacks ``entries`` entries per step: d^2 for the d x d step matrices
+    of the Magnus path and of :func:`propagate`, p q for the chart points
+    of :func:`trajectory`'s closed-form path.  Each chunk is a whole
+    number of periods, as many as keep its stack within ``CHUNK_ENTRIES``
+    entries and at least one, and only the last chunk may end short."""
+    size = PERIOD * max(1, CHUNK_ENTRIES // (PERIOD * entries))
     return [(k0, min(k0 + size, n)) for k0 in range(0, n, size)]
 
 
@@ -487,12 +493,13 @@ def propagate(
     n, h = _grid(t0, t1, dt)
     states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
     states[0] = Y0
+    blocks = _blocks(n, schedule.dim ** 2)
     if schedule.is_constant:
         rows = _exact_rows(schedule, states[0])
-        for k0, k1 in _blocks(n, schedule.dim):
+        for k0, k1 in blocks:
             rows(h * np.arange(k0 + 1, k1 + 1), states[k0 + 1:k1 + 1])
     else:
-        for k0, k1 in _blocks(n, schedule.dim):
+        for k0, k1 in blocks:
             _advance(states[k0], states[k0 + 1:k1 + 1], schedule._table,
                      _stages(schedule, t0, h, k0, k1), h)
     return np.linspace(t0, t1, n + 1), states
@@ -530,7 +537,9 @@ def trajectory(
     Each chunk advances the unitary, in closed form for a constant
     schedule and by Magnus steps otherwise, maps it onto the chart with
     one batched solve, in closed form on charts with p <= 2, and checks
-    the new rows (``_chart_rows``).  The first failing step raises
+    the new rows (``_chart_rows``).  A constant schedule's chunks are
+    sized by the chart point's entries and a sampled one's by its step
+    matrices' (``_blocks``).  The first failing step raises
     ``ChartOverflow``, ``ValueError``, ``SymmetryViolation``,
     ``OutsideDomain`` or ``CrossCheckFailure``, naming its time; no later
     chunk is advanced.
@@ -549,7 +558,8 @@ def trajectory(
     defects = np.empty(n)
     us[0], zs[0] = np.eye(schedule.dim), z0
     exact = _exact_rows(schedule, us[0]) if schedule.is_constant else None
-    for k0, k1 in _blocks(n, schedule.dim):
+    entries = schedule.dim ** 2 if exact is None else z0.size
+    for k0, k1 in _blocks(n, entries):
         stages = _stages(schedule, 0.0, h, k0, k1)
         if exact is None:
             _advance(us[k0], us[k0 + 1:k1 + 1], schedule._table, stages, h)

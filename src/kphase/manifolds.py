@@ -15,18 +15,20 @@ private core (``_kernel``, ``_distance``) that package code holding
 validated arrays calls directly.
 
 Chart quantities come in stacks of thousands of 1 x 1 to 3 x 3 matrices,
-where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
-loop once per matrix.  Three private kernels serve products and solves
-whose inner dimension is a chart size (p or q): ``_mm`` forms a product
-as one broadcast multiply-add per inner index, ``_solve`` divides on
-1 x 1 and takes the adjugate over ``_det`` on 2 x 2, and ``_det`` has
-closed forms to 2 x 2; from 3 x 3 up both hand over to LAPACK.  The
-kernel, the domain check of :func:`point_faults`, the gradient, the
-Riccati right-hand side, the Mobius images and the Kahler length use
-them.  The propagator's products and its Pade solve act on the defining
-or spin dimension (up to 65 at j = 32), where ``_mm`` would need one pass
-per inner index, so they keep BLAS's ``@`` and LAPACK, with the
-closed-form solve at d = 2 only.
+where numpy's stacked ``@``, ``np.linalg.solve``, ``np.linalg.det`` and
+``np.linalg.eigvalsh`` loop once per matrix.  Three private kernels serve
+products, determinants and solves whose inner dimension is a chart size
+(p or q): ``_mm`` forms a product as one broadcast multiply-add per inner
+index, ``_det`` has closed forms to 3 x 3 and hands over to LAPACK from
+4 x 4 up, and ``_solve`` divides on 1 x 1, takes the adjugate over
+``_det`` on 2 x 2 and calls LAPACK from 3 x 3 up (see ``_solve``).
+The domain check of :func:`point_faults` reads the leading principal
+minors of ``I - Z Z^dag`` up to p = 3 and its smallest eigenvalue beyond.
+The kernel, the gradient, the Riccati right-hand side, the Mobius images
+and the Kahler length use these kernels.  The propagator's products and
+its Pade solve act on the defining or spin dimension (up to 65 at
+j = 32), where ``_mm`` would need one pass per inner index, so they keep
+BLAS's ``@`` and LAPACK, with the closed-form solve at d = 2 only.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ def point_faults(
     symmetric and DIII points skew-symmetric to ``symmetry_tol`` (else
     ``SymmetryViolation``), and are then projected exactly.  Non-compact
     points must lie in the strict interior of the bounded domain (else
-    ``OutsideDomain``).  Returns the projected stack and one fault
+    ``OutsideDomain``): for the determinant families ``I - Z Z^dag`` must
+    be positive definite, read from its leading principal minors up to
+    p = 3 (``_positive_definite``) and from its smallest eigenvalue
+    beyond.  Returns the projected stack and one fault
     ``(mask of passing rows, exception type, message of a row)`` per rule,
     in that order.
     """
@@ -188,8 +193,9 @@ def point_faults(
             norm2 = np.real(gram[:, 0, 0])
             inside = (zz < 1.0) & (1.0 + zz**2 - 2.0 * norm2 > 0.0)
         else:
-            gram = np.subtract(np.eye(spec.point_shape[0]), gram, out=gram)
-            inside = np.linalg.eigvalsh(gram)[:, 0] > 0.0
+            gram = np.subtract(np.eye(spec.p), gram, out=gram)
+            inside = (_positive_definite(gram) if spec.p <= 3
+                      else np.linalg.eigvalsh(gram)[:, 0] > 0.0)
         faults.append((inside, OutsideDomain,
                        lambda k: "point on or outside the bounded domain"))
     return arr, faults
@@ -211,14 +217,44 @@ def raise_first_fault(faults, times=None) -> None:
         raise kind(message(k) + where)
 
 
+def _positive_definite(g: np.ndarray) -> np.ndarray:
+    """Whether each of a ``(n, p, p)`` stack of Hermitian matrices,
+    p <= 3, is positive definite, by Sylvester's criterion: every leading
+    principal minor ``D_k`` is positive.
+
+    The minors are read after one Chio condensation,
+    ``S = g00 G[1:, 1:] - G[1:, 0] G[0, 1:]``, whose leading minors are
+    ``g00^(k-1) D_(k+1)``, so with ``g00 = D_1 > 0`` their signs are those
+    of the ``D_(k+1)``.  ``S`` is ``g00`` times the Schur complement of
+    ``g00``, whose eigenvalues keep their size where ``G`` has two small
+    ones (a skew 3 x 3 chart point near the boundary, whose ``Z Z^dag``
+    has a double eigenvalue): ``det G`` taken directly is then a
+    cancellation of order-one terms down to the square of the gap, and
+    its sign is lost to rounding."""
+    g00 = g[:, :1, :1]
+    s = g00 * g[:, 1:, 1:] - g[:, 1:, :1] * g[:, :1, 1:]
+    inside = g00[:, 0, 0].real > 0.0
+    for k in range(1, g.shape[-1]):
+        inside &= _det(s[:, :k, :k]).real > 0.0
+    return inside
+
+
 def _det(m: np.ndarray):
     """Determinant of one square matrix or of a stack of them, as a new
-    array: writing to ``m`` afterwards leaves it unchanged."""
+    array: writing to ``m`` afterwards leaves it unchanged.
+
+    Closed forms to 3 x 3 (the cofactor expansion along the first row),
+    LAPACK's LU from 4 x 4 up.  A closed form overflows once a product of
+    p entries does, where LU's pivoting may still return a finite value:
+    :func:`kernel` refuses a value that is not finite."""
     n = m.shape[-1]
     if n == 1:
         return m[..., 0, 0].copy()
     if n == 2:
         return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return np.linalg.det(m)
 
 
@@ -235,7 +271,10 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` for square ``a`` and matching ``b``, or stacks of them:
     ``b / a`` on 1 x 1, the adjugate over :func:`_det` on 2 x 2, and
-    ``np.linalg.solve`` from 3 x 3 up."""
+    ``np.linalg.solve`` from 3 x 3 up.  A 3 x 3 adjugate solve beat
+    LAPACK's per-matrix loop on chart stacks, but it raised the peak
+    memory of an evolve run and had several times the backward error of
+    LAPACK's pivoted LU on matrices I - Z Z^dag near the boundary."""
     n = a.shape[-1]
     if n == 1:
         return b / a
@@ -280,8 +319,18 @@ def kernel(spec: ManifoldSpec, z, w):
     -------
     complex or ndarray
         Hermitian in its arguments: ``K(w, conj(z)) == conj(K(z, conj(w)))``.
+
+    Raises
+    ------
+    OverflowError
+        If a value is not finite in double precision.
     """
-    return _kernel(spec, validate_points(spec, z), validate_points(spec, w))
+    z, w = validate_points(spec, z), validate_points(spec, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _kernel(spec, z, w)
+    if not np.all(np.isfinite(value)):
+        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
+    return value
 
 
 def _check_single_level(level) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,61 @@ def test_exit_code_two_outside_domain(capsys):
     assert payload["type"] == "OutsideDomain"
     assert payload["message"]
     assert err.strip() != ""
+
+
+@pytest.mark.parametrize("manifold, z, w", [
+    (["--family", "AIII", "--p", "2", "--q", "2"],
+     np.full((2, 2), 1e110), np.full((2, 2), 1e110)),
+    (["--family", "DIII", "--p", "3"],
+     1e110 * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]]),
+     -1e110 * np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])),
+], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_kernel_overflow_exits_two_naming_the_kernel(capsys, manifold, z, w,
+                                                     action):
+    """A determinant kernel whose value overflows exits 2 with strict JSON
+    that names the kernel, whether RuntimeWarnings are errors or not; LU
+    cancelled the 3 x 3 one to 0.0, whose true size is about 1e441."""
+    argv = ["kernel", *manifold, "--z", json.dumps(matrix_to_json(z)),
+            "--w", json.dumps(matrix_to_json(w))]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "OverflowError"
+    assert "kernel" in payload["message"]
+    assert err.startswith("kphase: OverflowError")
+
+
+def test_small_chart_evolve_takes_no_lapack_det_or_eigvalsh(tmp_path, capsys,
+                                                           monkeypatch, rng):
+    """A non-compact DIII(3) evolve takes its determinants in closed form
+    and its domain check from leading minors."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK determinant or eigenvalues on a 3 x 3 "
+                             "chart")
+
+    for name in ("det", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    w, _ = np.linalg.qr(a)
+    P = w @ np.diag([0.0, 1.0, 3.0]) @ w.conj().T
+    P = (P + P.conj().T) / 2.0
+    H = np.block([[P, np.zeros((3, 3))], [np.zeros((3, 3)), -P.T]])
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    z0 = 0.5 * (b - b.T) / np.linalg.norm(b - b.T, 2)
+    cfg = {"manifold": {"family": "DIII", "p": 3, "compact": False},
+           "schedule": HamiltonianSchedule.constant([H], [1.0]).to_json(),
+           "z0": matrix_to_json(z0), "T": 1.02 * 2.0 * math.pi, "dt": 4e-3,
+           "level": 2, "stride": 100}
+    path = tmp_path / "diii.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert abs(summary["cycle"]["time"] - 2.0 * math.pi) < 1e-6
 
 
 @pytest.mark.parametrize("argv", [

@@ -481,9 +481,11 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert np.max(np.abs(cyc.points[-1] - clip_z[-1])) <= CROSS_CHECK_TOL
 
 
-def _chunk_steps(d):
-    """Steps in one full chunk of ``d x d`` step matrices."""
-    (_, k1), *_ = kphase.dynamics._blocks(kphase.dynamics.CHUNK_ENTRIES, d)
+def _chunk_steps(entries):
+    """Steps in one full chunk of a run that stacks ``entries`` entries per
+    step: d^2 for d x d step matrices, p q for p x q chart points."""
+    (_, k1), *_ = kphase.dynamics._blocks(kphase.dynamics.CHUNK_ENTRIES,
+                                          entries)
     return k1
 
 
@@ -496,8 +498,8 @@ def test_chunked_stepping_matches_stepwise_reference(spec, gens,
     # Three chunks, the last one ending 5 steps into its second period.
     d = defining_dimension(spec)
     period = kphase.dynamics.PERIOD
-    n = 2 * _chunk_steps(d) + period + 5
-    chunks = kphase.dynamics._blocks(n, d)
+    n = 2 * _chunk_steps(d * d) + period + 5
+    chunks = kphase.dynamics._blocks(n, d * d)
     assert len(chunks) == 3 and chunks[-1] == (n - period - 5, n)
     if gens is None:
         gens = [_defining_generator(rng, spec) for _ in range(2)]
@@ -545,7 +547,7 @@ def test_failure_in_later_chunk_stops_there(monkeypatch):
     # t = 2.07, whose end stage sees it, off the chart; no later chunk is
     # advanced.
     spec, h = cp1(), 1e-3
-    size = _chunk_steps(2)
+    size = _chunk_steps(4)
     assert 2 * size < 2070 <= 3 * size
     sched = HamiltonianSchedule.from_samples(
         [SX, SZ], [[0.0, 0.0, 0.5], [2.0699, 0.0, 0.5], [2.07, 1e6, 0.5],
@@ -563,6 +565,54 @@ def test_failure_in_later_chunk_stops_there(monkeypatch):
         with pytest.raises(CrossCheckFailure, match=r"at t = 2\.07$"):
             trajectory(spec, 0.2, sched, 5.0, h)
     assert advanced == [size] * 3
+
+
+def _counting_chart_rows(monkeypatch):
+    """Record the number of rows of each ``_chart_rows`` call."""
+    rows = []
+    real = kphase.dynamics._chart_rows
+
+    def counting(spec, times, *args):
+        rows.append(len(times))
+        return real(spec, times, *args)
+
+    monkeypatch.setattr(kphase.dynamics, "_chart_rows", counting)
+    return rows
+
+
+@pytest.mark.parametrize("constant, size", [(True, 448), (False, 96)],
+                         ids=["constant", "sampled"])
+def test_trajectory_chunks_follow_the_path(constant, size, monkeypatch,
+                                           rng):
+    """A constant schedule forms no step matrices, so its chunks hold
+    2^12 entries of 3 x 3 chart points (448 steps); a sampled one's hold
+    2^12 entries of 6 x 6 step matrices (96 steps)."""
+    spec, n = ManifoldSpec(Family.DIII, 3, compact=False), 1000
+    H = sp_compatible_generator(rng, 3, Family.DIII)
+    sched = (HamiltonianSchedule.constant([H], [0.3]) if constant else
+             HamiltonianSchedule.from_samples(
+                 [H], [[0.0, 0.3], [n * 1e-3, 0.2]]))
+    rows = _counting_chart_rows(monkeypatch)
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
+                      n * 1e-3, 1e-3)
+    assert len(traj.times) == n + 1
+    assert len(rows) == math.ceil(n / size)
+    assert rows == [size] * (len(rows) - 1) + [n - size * (len(rows) - 1)]
+
+
+def test_closed_form_failure_in_later_chunk_stops_there(monkeypatch):
+    """From Z = 0 this generator carries the DIII(3) orbit to the chart
+    edge at t = pi/2, in the fourth 448-step chunk.  The failure is the
+    one that 96-step chunks (6 x 6 step matrices) reported, at the same
+    time, and no later chunk is mapped."""
+    rows = _counting_chart_rows(monkeypatch)
+    q = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    H = np.block([[np.zeros((3, 3)), q], [q.T, np.zeros((3, 3))]])
+    sched = HamiltonianSchedule.constant([H], [1.0])
+    with pytest.raises(CrossCheckFailure, match=r"at t = 1\.569$"):
+        trajectory(ManifoldSpec(Family.DIII, 3), np.zeros((3, 3)), sched,
+                   2.0, 1e-3)
+    assert rows == [448] * 4
 
 
 def test_constant_schedule_takes_no_steps(monkeypatch, rng):
@@ -587,8 +637,8 @@ def test_constant_schedule_takes_no_steps(monkeypatch, rng):
 def test_constant_propagate_matches_exponential(d, t0, rng):
     """Every row of a constant schedule's flow is exp(-iH(t - t0)) Y0, for
     square and column starts, over several chunks with a short last one."""
-    n = 2 * _chunk_steps(d) + 37
-    (a0, a1), *_, (b0, b1) = kphase.dynamics._blocks(n, d)
+    n = 2 * _chunk_steps(d * d) + 37
+    (a0, a1), *_, (b0, b1) = kphase.dynamics._blocks(n, d * d)
     assert b1 == n and b1 - b0 < a1 - a0
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     H = (h + h.conj().T) / 2.0
@@ -794,7 +844,7 @@ def test_trajectory_evaluates_schedule_once_per_block(monkeypatch):
         monkeypatch.setattr(HamiltonianSchedule, name, counted(name))
     sched = HamiltonianSchedule.from_samples(
         [SX, SZ], [[0.0, 0.4, 0.9], [3.0, 0.6, 0.7]])
-    n = 2 * _chunk_steps(2) + 37
+    n = 2 * _chunk_steps(4) + 37
     traj = trajectory(cp1(), 0.2, sched, n * 1e-3, 1e-3)
     assert len(traj.times) == n + 1
     assert calls == {"__call__": 0, "at": 0, "_coefficients_at": 3}
@@ -818,7 +868,7 @@ def test_sampled_propagate_assembles_no_matrices(monkeypatch, rng):
         np.column_stack([knots, rng.uniform(-0.6, 0.6, (31, 3))]))
     spin = map_schedule(sched, 1.5)
     monkeypatch.setattr(kphase.dynamics, "_assemble", counting)
-    n = 2 * _chunk_steps(4) + 37
+    n = 2 * _chunk_steps(16) + 37
     propagate(sched, np.eye(2), 0.0, n * 1e-3, 1e-3)
     propagate(spin, np.eye(4)[:, :1], 0.0, n * 1e-3, 1e-3)
     schrodinger_evolve(np.eye(4)[0], spin, n * 1e-3, 1e-3)

@@ -15,7 +15,7 @@ from kphase import (
     projective_distance,
     validate_points,
 )
-from kphase.manifolds import _det, _mm, _solve
+from kphase.manifolds import _det, _mm, _solve, point_faults
 
 from finite_difference import random_point
 
@@ -304,3 +304,38 @@ def test_det_is_a_new_array(rng, n):
     kept = det.copy()
     m[...] = 7.0
     assert np.array_equal(det, kept)
+
+
+def test_det_matches_lapack_at_3x3(rng):
+    """The closed-form 3 x 3 determinant agrees with LU to 1e-13 of the
+    product of the row norms (Hadamard's bound on |det|), on a stack with
+    entries spread over twelve orders of magnitude and on one matrix."""
+    m = _complex(rng, 500, 3, 3) * 10.0 ** rng.uniform(-6, 6, (500, 3, 1))
+    bound = np.prod(np.linalg.norm(m, axis=-1), axis=-1)
+    assert np.all(np.abs(_det(m) - np.linalg.det(m)) <= 1e-13 * bound)
+    assert abs(_det(m[0]) - np.linalg.det(m[0])) <= 1e-13 * bound[0]
+
+
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(Family.AIII, 3, 1, False),
+    ManifoldSpec(Family.AIII, 3, 2, False),
+    ManifoldSpec(Family.CI, 2, 1, False),
+    ManifoldSpec(Family.CI, 3, 1, False),
+    ManifoldSpec(Family.DIII, 3, 1, False),
+], ids=["AIII(3,1)", "AIII(3,2)", "CI(2)", "CI(3)", "DIII(3)"])
+def test_domain_check_by_minors_matches_eigvalsh(spec, rng):
+    """Up to p = 3 the bounded-domain check reads leading principal minors;
+    it accepts and rejects the same points as the smallest eigenvalue of
+    I - Z Z^dag, on points scaled to spectral norm 1 -/+ 1e-9.  On DIII(3)
+    two eigenvalues approach zero together there, so ``det`` of the whole
+    matrix is a sum of order-one terms that cancel to about 4e-18."""
+    points = np.array([random_point(spec, rng) for _ in range(400)])
+    norms = np.linalg.norm(points, ord=2, axis=(-2, -1))
+    scale = np.where(np.arange(400) % 2 == 0, 1.0 - 1e-9, 1.0 + 1e-9)
+    points *= (scale / norms)[:, None, None]
+    _, faults = point_faults(spec, points)
+    inside, kind, _ = faults[-1]
+    assert kind is OutsideDomain
+    gram = np.eye(spec.p) - points @ points.conj().swapaxes(-1, -2)
+    assert np.array_equal(inside, np.linalg.eigvalsh(gram)[:, 0] > 0.0)
+    assert np.array_equal(inside, scale < 1.0)
