@@ -1,7 +1,9 @@
 """Classical coherent-parameter flow under time-dependent linear Hamiltonians.
 
 The linear flow i dY/dt = H(t) Y of a unitary or a state vector is taken
-in one of two ways, chosen from the schedule.  A constant schedule's flow
+by one driver, ``_flow``, in one of two ways, chosen from the schedule;
+:func:`propagate`, :func:`trajectory` and :func:`clip_trajectory` all run
+it.  A constant schedule's flow
 is exp(-iH(t - t0)): one ``eigh`` of H gives every row in closed form from
 the span start (``_exact_rows``).  A sampled schedule takes fixed-size
 fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
@@ -13,6 +15,8 @@ periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES`` (``_blocks``):
 against the d x d entries of a step matrix in :func:`propagate` and on
 the Magnus path, and in :func:`trajectory`'s closed-form path, which
 forms no step matrices, against the entries of one chart point.
+``_flow`` yields after each chunk, so :func:`trajectory` checks a chunk
+before the next one is advanced.
 On the Magnus path each chunk interpolates the schedule's coefficient
 rows once, at its half-step times (``_stages``).  H is linear in the
 generators G_a, so every step's exponent K lies in the span of the G_a
@@ -33,16 +37,20 @@ against the chart's own equation of motion, the Riccati equation
 (:func:`riccati_rhs`).  From each row P[k] one classical RK4 step
 (``_rk4_step``) on the chunk's stage Hamiltonians, assembled from the same
 coefficient rows, gives R[k+1]; the step's
-defect e_k is the level-1 Kahler length of P[k+1] - R[k+1] at P[k+1],
-``sqrt(Re tr(d^dagger P^-1 d Q^-1))`` with ``P = I + s Z Z^dagger`` and
-``Q = I + s Z^dagger Z`` (s = +1 compact, -1 bounded domain).  The defect
-reads H and the rows but never U, so the two routes stay independent.
+defect e_k is the level-1 Kahler length of d = P[k+1] - R[k+1] at
+P[k+1], ``sqrt(Re tr(P^-1 d Q^-1 d^dagger))`` with
+``P = I + s Z Z^dagger`` and ``Q = I + s Z^dagger Z`` (s = +1 compact,
+-1 bounded domain), from the metric's own form
+(``geometry._metric_form``).  The defect reads H and the rows but never
+U, so the two routes stay independent.
 The flow acts on the chart by isometries of this metric, so
 ``cross_check_error``, the sum of the e_k, bounds how far the Mobius path
 has drifted from the Riccati flow in ray distance, up to RK4's own
-truncation error, in any chart.  The chart rules and the running sum are
-checked chunk by chunk, so a failing trajectory stops at its first
-failing chunk.
+truncation error, in any chart.  The chart edge, the chart rules and
+the running sum are checked chunk by chunk, so a failing trajectory
+stops at its first failing chunk; rows past the edge or off the chart
+take their defects at the origin, so no solve fails before the guards
+report them.
 Hamiltonians are supplied as schedules: fixed Hermitian generators with
 piecewise-linear time coefficients.
 
@@ -71,7 +79,7 @@ from .errors import (
     SymmetryViolation,
     UnsupportedFamily,
 )
-from .geometry import _gradient
+from .geometry import _gradient, _metric_form
 from .manifolds import (
     Family,
     ManifoldSpec,
@@ -95,7 +103,8 @@ PERIOD = 32
 # on trajectory's closed-form path (see ``_blocks``).
 CHUNK_ENTRIES = 2 ** 12
 # Symmetry slack of Mobius images along a trajectory, and the smallest
-# |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
+# |det(A^T + Z B^T)|, relative to the product of the row lengths of
+# [A^T + Z B^T | C^T + Z D^T], at which the Mobius image stays on the chart.
 PATH_SYMMETRY_TOL = 1e-9
 CHART_EDGE_TOL = 1e-12
 STATIONARY_TOL = 1e-9
@@ -319,17 +328,24 @@ def defining_dimension(spec: ManifoldSpec) -> int:
 
 
 def _chart_images(spec: ManifoldSpec, U, z: np.ndarray):
-    """Denominator determinants ``det(A^T + Z B^T)`` and fractional-linear
-    images of ``z`` under one matrix or a stack; an image whose
-    determinant is below ``CHART_EDGE_TOL`` is meaningless."""
+    """Chart-edge measures and fractional-linear images
+    ``(A^T + Z B^T)^-1 (C^T + Z D^T)`` of ``z`` under one matrix or a
+    stack.  The measure is ``|det(A^T + Z B^T)|`` over the product of the
+    row lengths of ``[A^T + Z B^T | C^T + Z D^T]``, free of the scale of
+    ``z``; an image whose measure is below ``CHART_EDGE_TOL``, or NaN, is
+    meaningless, and its denominator is replaced by the identity."""
     a, b, c, d = (blk.swapaxes(-1, -2) for blk in block_split(U, spec))
     den = _mm(z, b)
     den += a
-    det = _det(den)
-    den[np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)
     num = _mm(z, d)
     num += c
-    return det, _solve(den, num)
+    # Squared row lengths as sums of squares of the interleaved real and
+    # imaginary parts.
+    x, y = den.view(float), num.view(float)
+    rows = np.sqrt(np.einsum("...i,...i", x, x) + np.einsum("...i,...i", y, y))
+    edge = np.abs(_det(den)) / np.prod(rows, axis=-1)
+    den[~(edge >= CHART_EDGE_TOL)] = np.eye(spec.p)
+    return edge, _solve(den, num)
 
 
 def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
@@ -479,29 +495,42 @@ def _grid(t0: float, t1: float, dt: float):
     return n, span / n
 
 
+def _flow(schedule: HamiltonianSchedule, states: np.ndarray, t0: float,
+          h: float, entries: int):
+    """Write the flow of i dY/dt = H(t) Y from ``states[0]`` at ``t0`` to
+    ``states[1:]``, one step of ``h`` per row, chunk by chunk
+    (``_blocks``, ``entries`` per step), and yield ``(k0, k1, stages)``
+    after each chunk has written rows ``k0 + 1 .. k1``, with the chunk's
+    stage coefficient rows (``_stages``).  A constant schedule takes every
+    row in closed form from ``states[0]`` (``_exact_rows``), a sampled one
+    Magnus steps (``_advance``).  A caller that stops drawing stops the
+    flow."""
+    exact = _exact_rows(schedule, states[0]) if schedule.is_constant else None
+    for k0, k1 in _blocks(len(states) - 1, entries):
+        stages = _stages(schedule, t0, h, k0, k1)
+        if exact is None:
+            _advance(states[k0], states[k0 + 1:k1 + 1], schedule._table,
+                     stages, h)
+        else:
+            exact(h * np.arange(k0 + 1, k1 + 1), states[k0 + 1:k1 + 1])
+        yield k0, k1, stages
+
+
 def propagate(
     schedule: HamiltonianSchedule, Y0, t0: float, t1: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate i dY/dt = H(t) Y over [t0, t1] from a square matrix or a
     column ``Y0``; returns the grid times and the stack of states.
 
-    A constant schedule takes every row in closed form from ``Y0``
-    (``_exact_rows``); a sampled one takes Magnus steps (``_advance``).
-    Both run chunk by chunk (``_blocks``)."""
+    The rows come from ``_flow``, in closed form for a constant schedule
+    and by Magnus steps for a sampled one."""
     if not schedule.covers(t0, t1):
         raise ScheduleGap("schedule does not cover the integration span")
     n, h = _grid(t0, t1, dt)
     states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
     states[0] = Y0
-    blocks = _blocks(n, schedule.dim ** 2)
-    if schedule.is_constant:
-        rows = _exact_rows(schedule, states[0])
-        for k0, k1 in blocks:
-            rows(h * np.arange(k0 + 1, k1 + 1), states[k0 + 1:k1 + 1])
-    else:
-        for k0, k1 in blocks:
-            _advance(states[k0], states[k0 + 1:k1 + 1], schedule._table,
-                     _stages(schedule, t0, h, k0, k1), h)
+    for _ in _flow(schedule, states, t0, h, schedule.dim ** 2):
+        pass
     return np.linspace(t0, t1, n + 1), states
 
 
@@ -534,13 +563,13 @@ def trajectory(
 ) -> Trajectory:
     """Evolve a chart point, cross-checking Mobius against Riccati.
 
-    Each chunk advances the unitary, in closed form for a constant
-    schedule and by Magnus steps otherwise, maps it onto the chart with
-    one batched solve, in closed form on charts with p <= 2, and checks
-    the new rows (``_chart_rows``).  A constant schedule's chunks are
-    sized by the chart point's entries and a sampled one's by its step
-    matrices' (``_blocks``).  The first failing step raises
-    ``ChartOverflow``, ``ValueError``, ``SymmetryViolation``,
+    Each chunk of ``_flow`` advances the unitary, in closed form for a
+    constant schedule and by Magnus steps otherwise; its rows are then
+    mapped onto the chart with one batched solve, in closed form on
+    charts with p <= 2, and checked (``_chart_rows``).  A constant
+    schedule's chunks are sized by the chart point's entries and a
+    sampled one's by its step matrices' (``_blocks``).  The first failing
+    step raises ``ChartOverflow``, ``ValueError``, ``SymmetryViolation``,
     ``OutsideDomain`` or ``CrossCheckFailure``, naming its time; no later
     chunk is advanced.
     """
@@ -557,14 +586,8 @@ def trajectory(
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
     defects = np.empty(n)
     us[0], zs[0] = np.eye(schedule.dim), z0
-    exact = _exact_rows(schedule, us[0]) if schedule.is_constant else None
-    entries = schedule.dim ** 2 if exact is None else z0.size
-    for k0, k1 in _blocks(n, entries):
-        stages = _stages(schedule, 0.0, h, k0, k1)
-        if exact is None:
-            _advance(us[k0], us[k0 + 1:k1 + 1], schedule._table, stages, h)
-        else:
-            exact(h * np.arange(k0 + 1, k1 + 1), us[k0 + 1:k1 + 1])
+    entries = z0.size if schedule.is_constant else schedule.dim ** 2
+    for k0, k1, stages in _flow(schedule, us, 0.0, h, entries):
         zs[k0 + 1:k1 + 1], defects[k0:k1] = _chart_rows(
             spec, times[k0 + 1:k1 + 1], us[k0 + 1:k1 + 1], z0, zs[k0],
             [schedule._matrices(c) for c in stages], h,
@@ -576,8 +599,8 @@ def clip_trajectory(
     traj: Trajectory, schedule: HamiltonianSchedule, t_end: float
 ) -> Trajectory:
     """The samples of a trajectory before ``t_end`` plus one row at
-    ``t_end``: a partial Magnus step of the unitary, or on a constant
-    schedule the unitary at ``t_end`` in closed form.
+    ``t_end``: one partial step of the unitary through ``_flow``, in
+    closed form on a constant schedule and by Magnus otherwise.
 
     The kept rows already passed the guards.  The Mobius map and the
     guards run on the new row alone, whose defect is one partial RK4 step
@@ -590,12 +613,7 @@ def clip_trajectory(
     t = float(traj.times[k])
     h = t_end - t
     us = traj.unitaries[: k + 2].copy()
-    stages = _stages(schedule, t, h, 0, 1)
-    if schedule.is_constant:
-        _exact_rows(schedule, us[0])(np.array([t_end - traj.times[0]]),
-                                     us[k + 1:])
-    else:
-        _advance(us[k], us[k + 1:], schedule._table, stages, h)
+    [(_, _, stages)] = _flow(schedule, us[k:], t, h, schedule.dim ** 2)
     times = np.append(traj.times[: k + 1], t_end)
     kept = traj.defects[:k]
     point, defect = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
@@ -617,39 +635,33 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
     running sum must stay within ``CROSS_CHECK_TOL``; NaN fails.  A step
     that trips several guards reports the first of: the chart edge, the
     chart rules, the cross-check."""
-    det, images = _chart_images(spec, us, z0)
+    # Far from the origin the edge measure may overflow to NaN, which
+    # counts as off the chart.
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge, images = _chart_images(spec, us, z0)
     points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
+    faults.insert(0, (edge >= CHART_EDGE_TOL, ChartOverflow,
+                      lambda k: "orbit left the coordinate chart"))
     starts = np.concatenate((start[None], points[:-1]))
     # Rows beyond the chart edge or off the chart may overflow or meet a
     # singular metric here; the guards report those rows before their
-    # defects.
+    # defects, which are taken with the metric at the origin.
+    on_chart = np.logical_and.reduce([ok for ok, _, _ in faults])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         steps = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), starts,
                           *stages, h)
-        defects = _kahler_length(spec, points, points - steps)
+        dz = points - steps
+        defects = np.sqrt(_metric_form(
+            spec, np.where(on_chart[:, None, None], points, 0.0), dz,
+            dz).real)
     drift = spent + np.cumsum(defects)
     raise_first_fault([
-        (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,
-         lambda k: "orbit left the coordinate chart"),
         *faults,
         (drift <= CROSS_CHECK_TOL, CrossCheckFailure,
          lambda k: f"Mobius path drifts from the Riccati flow by "
                    f"{drift[k]:.3e}"),
     ], times)
     return points, defects
-
-
-def _kahler_length(spec, z, dz) -> np.ndarray:
-    """Level-1 Kahler length ``sqrt(Re tr(dz^dagger P^-1 dz Q^-1))`` of
-    each of a stack of chart displacements ``dz`` at the points ``z``, with
-    ``P = I + s z z^dagger`` and ``Q = I + s z^dagger z``."""
-    sign = 1.0 if spec.compact else -1.0
-    z_dag = z.conj().swapaxes(-1, -2)
-    p = np.eye(z.shape[-2]) + sign * _mm(z, z_dag)
-    q = np.eye(z.shape[-1]) + sign * _mm(z_dag, z)
-    # y = Q^-1 (P^-1 dz)^dagger, the adjoint of P^-1 dz Q^-1.
-    y = _solve(q, _solve(p, dz).conj().swapaxes(-1, -2))
-    return np.sqrt(np.sum(dz * y.swapaxes(-1, -2), axis=(-2, -1)).real)
 
 
 def expectation(spec: ManifoldSpec, level: int, Z, H):
@@ -673,11 +685,10 @@ def _expectation(spec: ManifoldSpec, level: int, z, H) -> np.ndarray:
     """:func:`expectation` on chart arrays and Hermitian matrices that
     already passed their checks."""
     a, b, _, _ = block_split(H, spec)
-    sign = 1.0 if spec.compact else -1.0
     flow = np.sum(_gradient(spec, level, z) * riccati_rhs(spec, H, z),
                   axis=(-2, -1))
     value = level * (np.trace(a, axis1=-2, axis2=-1)
-                     + np.sum(z * b, axis=(-2, -1))) + 1j * sign * flow
+                     + np.sum(z * b, axis=(-2, -1))) + 1j * spec.sign * flow
     worst = float(np.max(np.abs(value.imag)))
     if worst > 1e-8:
         raise NonRealExpectation(f"imaginary part {worst:.3e} exceeds tolerance")

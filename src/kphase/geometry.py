@@ -86,8 +86,7 @@ def potential(spec: ManifoldSpec, level: int, z):
         raise KernelZero("diagonal kernel vanished")
     if np.any(k.real <= 0.0):
         raise OutsideDomain("diagonal kernel is not positive")
-    sign = 1.0 if spec.compact else -1.0
-    return sign * level * np.log(k.real)
+    return spec.sign * level * np.log(k.real)
 
 
 def gradient(spec: ManifoldSpec, level: int, z) -> np.ndarray:
@@ -99,7 +98,7 @@ def gradient(spec: ManifoldSpec, level: int, z) -> np.ndarray:
 def _gradient(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
     """:func:`gradient` on chart arrays that already passed the chart
     rules."""
-    sign = 1.0 if spec.compact else -1.0
+    sign = spec.sign
     if spec.family is Family.BDI:
         zz = z @ z.swapaxes(-1, -2)
         k = _kernel(spec, z, z).real[..., None, None]
@@ -112,12 +111,13 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
     """Hermitian metric matrix ``d^2 F / dz_mu d conj(z_nu)`` at a point.
 
     The closed form of the module docstring, paired with each pair of
-    matrices of :func:`coordinate_basis`.
+    matrices of :func:`coordinate_basis`; for AIII, CI and DIII it is
+    ``level`` times :func:`_metric_form` on the basis.
     """
     z = validate_points(spec, as_chart_array(spec, z))
     b = np.array(coordinate_basis(spec))
-    sign = 1.0 if spec.compact else -1.0
     if spec.family is Family.BDI:
+        sign = spec.sign
         v, bv = z[0], b[:, 0]
         k = float(_kernel(spec, z, z).real)
         k_mu = bv @ (2.0 * v * np.conj(v @ v) + 2.0 * sign * v.conj())
@@ -125,7 +125,20 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
         k_mn = 4.0 * np.outer(zb, zb.conj()) + 2.0 * sign * (bv @ bv.conj().T)
         out = sign * level * (k_mn / k - np.outer(k_mu, k_mu.conj()) / k**2)
     else:
-        p_inv = np.linalg.inv(np.eye(z.shape[0]) + sign * (z @ z.conj().T))
-        q_inv = np.linalg.inv(np.eye(z.shape[1]) + sign * (z.conj().T @ z))
-        out = level * np.einsum("mij,nij->mn", p_inv @ b @ q_inv, b.conj())
+        out = level * _metric_form(spec, z, b[None], b[:, None])
     return (out + out.conj().T) / 2.0
+
+
+def _metric_form(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+    """The level-1 Kahler form ``tr(P^-1 v Q^-1 u^dagger)`` of chart
+    displacements ``u`` and ``v`` at chart points ``z`` of a determinant
+    family, with ``P = I + s z z^dagger`` and ``Q = I + s z^dagger z``;
+    the three broadcast as stacks.  ``sqrt(Re form(z, dz, dz))`` is the
+    Kahler length of ``dz``."""
+    z_dag = z.conj().swapaxes(-1, -2)
+    p = np.eye(z.shape[-2]) + spec.sign * _mm(z, z_dag)
+    q = np.eye(z.shape[-1]) + spec.sign * _mm(z_dag, z)
+    # y = Q^-1 (P^-1 u)^dagger, the adjoint of P^-1 u Q^-1.
+    y = _solve(q, _solve(p, u).conj().swapaxes(-1, -2))
+    return np.sum(v * y.swapaxes(-1, -2), axis=(-2, -1))

@@ -15,17 +15,17 @@ private core (``_kernel``, ``_distance``) that package code holding
 validated arrays calls directly.
 
 Chart quantities come in stacks of thousands of 1 x 1 to 3 x 3 matrices,
-where numpy's stacked ``@``, ``np.linalg.solve``, ``np.linalg.det`` and
-``np.linalg.eigvalsh`` loop once per matrix.  Three private kernels serve
-products, determinants and solves whose inner dimension is a chart size
-(p or q): ``_mm`` forms a product as one broadcast multiply-add per inner
-index, ``_det`` has closed forms to 3 x 3 and hands over to LAPACK from
-4 x 4 up, and ``_solve`` divides on 1 x 1, takes the adjugate over
-``_det`` on 2 x 2 and calls LAPACK from 3 x 3 up (see ``_solve``).
-The domain check of :func:`point_faults` reads the leading principal
-minors of ``I - Z Z^dag`` up to p = 3 and its smallest eigenvalue beyond.
+where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
+loop once per matrix.  Three private kernels serve products,
+determinants and solves whose inner dimension is a chart size (p or q):
+``_mm`` forms a product as one broadcast multiply-add per inner index,
+``_det`` has closed forms to 3 x 3 and hands over to LAPACK from 4 x 4
+up, and ``_solve`` divides on 1 x 1, takes the adjugate over ``_det`` on
+2 x 2 and calls LAPACK from 3 x 3 up (see ``_solve``).  The domain check
+of :func:`point_faults` is one test for every p: the Cholesky pivots of
+``I - Z Z^dag`` must all be positive (``_positive_definite``).
 The kernel, the gradient, the Riccati right-hand side, the Mobius images
-and the Kahler length use these kernels.  The propagator's products and
+and the Kahler metric use these kernels.  The propagator's products and
 its Pade solve act on the defining or spin dimension (up to 65 at
 j = 32), where ``_mm`` would need one pass per inner index, so they keep
 BLAS's ``@`` and LAPACK, with the closed-form solve at d = 2 only.
@@ -105,6 +105,12 @@ class ManifoldSpec:
             return self.p * (self.p - 1) // 2
         return self.p
 
+    @property
+    def sign(self) -> float:
+        """+1 on compact specs and -1 on bounded domains: the sign of
+        ``Z W^dag`` in the kernel and of the Kahler potential."""
+        return 1.0 if self.compact else -1.0
+
 
 def cp1(compact: bool = True) -> ManifoldSpec:
     """The rank-one AIII space with p = q = 1 (the Riemann sphere chart)."""
@@ -164,11 +170,10 @@ def point_faults(
     ``SymmetryViolation``), and are then projected exactly.  Non-compact
     points must lie in the strict interior of the bounded domain (else
     ``OutsideDomain``): for the determinant families ``I - Z Z^dag`` must
-    be positive definite, read from its leading principal minors up to
-    p = 3 (``_positive_definite``) and from its smallest eigenvalue
-    beyond.  Returns the projected stack and one fault
-    ``(mask of passing rows, exception type, message of a row)`` per rule,
-    in that order.
+    be positive definite: every Cholesky pivot positive, one test for
+    every p (``_positive_definite``).  Returns the projected stack and one
+    fault ``(mask of passing rows, exception type, message of a row)`` per
+    rule, in that order.
     """
     arr = np.array(stack, dtype=complex)
     if arr.ndim != 3 or arr.shape[1:] != spec.point_shape:
@@ -194,8 +199,7 @@ def point_faults(
             inside = (zz < 1.0) & (1.0 + zz**2 - 2.0 * norm2 > 0.0)
         else:
             gram = np.subtract(np.eye(spec.p), gram, out=gram)
-            inside = (_positive_definite(gram) if spec.p <= 3
-                      else np.linalg.eigvalsh(gram)[:, 0] > 0.0)
+            inside = _positive_definite(gram)
         faults.append((inside, OutsideDomain,
                        lambda k: "point on or outside the bounded domain"))
     return arr, faults
@@ -218,24 +222,23 @@ def raise_first_fault(faults, times=None) -> None:
 
 
 def _positive_definite(g: np.ndarray) -> np.ndarray:
-    """Whether each of a ``(n, p, p)`` stack of Hermitian matrices,
-    p <= 3, is positive definite, by Sylvester's criterion: every leading
-    principal minor ``D_k`` is positive.
+    """Whether each of a ``(n, p, p)`` stack of Hermitian matrices is
+    positive definite: every pivot of its Cholesky factorisation, taken
+    as the leading entry of the repeated Schur complements
+    ``G[1:, 1:] - G[1:, 0] G[0, 1:] / g00``, is positive.
 
-    The minors are read after one Chio condensation,
-    ``S = g00 G[1:, 1:] - G[1:, 0] G[0, 1:]``, whose leading minors are
-    ``g00^(k-1) D_(k+1)``, so with ``g00 = D_1 > 0`` their signs are those
-    of the ``D_(k+1)``.  ``S`` is ``g00`` times the Schur complement of
-    ``g00``, whose eigenvalues keep their size where ``G`` has two small
-    ones (a skew 3 x 3 chart point near the boundary, whose ``Z Z^dag``
-    has a double eigenvalue): ``det G`` taken directly is then a
+    A pivot is the ratio ``D_k / D_(k-1)`` of leading principal minors,
+    but is reached without forming them: where ``G`` has two small
+    eigenvalues (a skew 3 x 3 chart point near the boundary, whose
+    ``Z Z^dag`` has a double eigenvalue), ``det G`` would be a
     cancellation of order-one terms down to the square of the gap, and
-    its sign is lost to rounding."""
-    g00 = g[:, :1, :1]
-    s = g00 * g[:, 1:, 1:] - g[:, 1:, :1] * g[:, :1, 1:]
-    inside = g00[:, 0, 0].real > 0.0
-    for k in range(1, g.shape[-1]):
-        inside &= _det(s[:, :k, :k]).real > 0.0
+    its sign lost to rounding.  A row whose pivot fails keeps dividing
+    by one, so no later pivot divides by zero."""
+    inside = g[:, 0, 0].real > 0.0
+    while g.shape[-1] > 1:
+        pivot = np.where(inside, g[:, 0, 0].real, 1.0)[:, None, None]
+        g = g[:, 1:, 1:] - g[:, 1:, :1] * (g[:, :1, 1:] / pivot)
+        inside &= g[:, 0, 0].real > 0.0
     return inside
 
 
@@ -289,7 +292,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     """:func:`kernel` on chart arrays that already passed the chart rules."""
-    sign = 1.0 if spec.compact else -1.0
+    sign = spec.sign
     w_dag = w.conj().swapaxes(-1, -2)
     if spec.family is Family.BDI:
         zz = (z @ z.swapaxes(-1, -2))[..., 0, 0]

@@ -160,7 +160,7 @@ def _triangle(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
         (~(math.pi - np.abs(arg) < BRANCH_TOL), BranchCut,
          lambda k: "triangle kernel ratio sits on the branch cut"),
     ])
-    return (1.0 if spec.compact else -1.0) * level * arg / 2.0
+    return spec.sign * level * arg / 2.0
 
 
 def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:

@@ -36,7 +36,7 @@ from .phases import wrap_angle
 
 
 # Largest accepted 2j.  At this size (d = 65) a chunk of the spin-j Magnus
-# propagator is one 50-step period: 50 step matrices of d x d, 3.4 MB; the
+# propagator is one 32-step period: 32 step matrices of d x d, 2.2 MB; the
 # oracle is an exact check for small spins.
 MAX_TWO_J = 64
 

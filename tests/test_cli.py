@@ -16,9 +16,17 @@ import kphase.geometry
 import kphase.manifolds
 import kphase.phases
 import kphase.su2
-from kphase import HamiltonianSchedule, cp1, triangle_phase
+from kphase import (
+    Family,
+    HamiltonianSchedule,
+    ManifoldSpec,
+    cp1,
+    triangle_phase,
+)
 from kphase.cli import main
 from kphase.serialize import matrix_to_json
+
+from finite_difference import random_point
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -370,6 +378,60 @@ def test_small_chart_evolve_takes_no_lapack_det_or_eigvalsh(tmp_path, capsys,
     assert rc == 0
     summary = json.loads(out.splitlines()[-1])
     assert abs(summary["cycle"]["time"] - 2.0 * math.pi) < 1e-6
+
+
+def test_metric_and_stokes_take_no_lapack_inverse_or_eigvalsh(
+        capsys, monkeypatch, rng):
+    """``metric`` on every family solves with the chart kernels, and a
+    non-compact AIII(4,1) stokes run checks its domain by Cholesky
+    pivots: neither inverts a matrix nor takes eigenvalues."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK inverse or eigenvalues on a chart")
+
+    for name in ("inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for compact in (True, False):
+        for spec in (ManifoldSpec(Family.AIII, 3, 2, compact),
+                     ManifoldSpec(Family.AIII, 4, 1, compact),
+                     ManifoldSpec(Family.CI, 2, 1, compact),
+                     ManifoldSpec(Family.DIII, 3, 1, compact),
+                     ManifoldSpec(Family.BDI, 3, 1, compact)):
+            g = kphase.geometry.metric(spec, 2, random_point(spec, rng))
+            assert np.all(np.isfinite(g))
+    rc, out, _ = run_cli(capsys, [
+        "stokes", "--family", "AIII", "--p", "4", "--q", "1",
+        "--non-compact", "--kind", "fourier", "--seed", "3",
+        "--samples", "400"])
+    assert rc == 0
+    assert abs(json.loads(out)["difference"]) < 1e-6
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_far_chart_start_exits_two_naming_the_time(tmp_path, capsys, rng,
+                                                   action):
+    """A compact DIII(3) start of size 1e120 under a generator with a
+    non-zero B block leaves the chart at the first step: exit 2 with
+    strict JSON, ``ChartOverflow`` and its time, whether RuntimeWarnings
+    are errors or not.  Before, LAPACK raised ``LinAlgError`` or the
+    closed-form determinant's overflow warning ended in a traceback."""
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    P, Q = (a + a.conj().T) / 2.0, (b - b.T) / 2.0
+    H = np.block([[P, Q], [Q.conj().T, -P.T]])
+    z0 = 1e120 * np.array([[0, 1, 2j], [-1, 0, 0.5], [-2j, -0.5, 0]])
+    cfg = {"manifold": {"family": "DIII", "p": 3},
+           "schedule": HamiltonianSchedule.constant([H], [1.0]).to_json(),
+           "z0": matrix_to_json(z0), "T": 1.0, "dt": 1e-3}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        rc, out, err = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["type"] == "ChartOverflow"
+    assert payload["message"].endswith("at t = 0.001")
+    assert err.startswith("kphase: ChartOverflow")
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,6 +31,7 @@ from kphase import (
     validate_points,
 )
 import kphase.dynamics
+import kphase.geometry
 from kphase.dynamics import (
     CROSS_CHECK_TOL,
     STATIONARY_TOL,
@@ -533,11 +534,12 @@ def test_chunked_stepping_matches_stepwise_reference(spec, gens,
 ], ids=["CP1", "CP1-noncompact", "AIII(3,2)", "AIII(2,2)-noncompact",
         "CI(2)", "CI(2)-noncompact", "DIII(3)", "DIII(3)-noncompact"])
 def test_defect_length_is_the_public_metric(spec, rng):
-    """The defect's Kahler length is the length in ``geometry.metric`` at
-    level 1, on every family and on bounded domains."""
+    """The defect's Kahler length, from ``geometry``'s form on stacks, is
+    the length in ``geometry.metric`` at level 1, on every family and on
+    bounded domains."""
     z = np.array([random_point(spec, rng) for _ in range(3)])
     dz = np.array([random_point(spec, rng, 1e-3) for _ in range(3)])
-    lengths = kphase.dynamics._kahler_length(spec, z, dz)
+    lengths = np.sqrt(kphase.geometry._metric_form(spec, z, dz, dz).real)
     ref = [metric_length(spec, a, b) for a, b in zip(z, dz)]
     assert lengths == pytest.approx(ref, rel=1e-12)
 
@@ -613,6 +615,24 @@ def test_closed_form_failure_in_later_chunk_stops_there(monkeypatch):
         trajectory(ManifoldSpec(Family.DIII, 3), np.zeros((3, 3)), sched,
                    2.0, 1e-3)
     assert rows == [448] * 4
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e120, 1e150, 1e200])
+def test_far_chart_start_leaves_the_chart_by_name(scale, rng):
+    """A compact DIII(3) start far from the origin under a generator with
+    a non-zero B block: the denominators A^T + Z B^T are singular in
+    floating point, and their determinants are rounding noise or
+    overflow.  The scale-free edge test reports the first row as
+    ``ChartOverflow``, with RuntimeWarnings as errors; LAPACK's solve on
+    those rows raised ``LinAlgError`` before."""
+    spec = ManifoldSpec(Family.DIII, 3)
+    z0 = scale * np.array([[0, 1, 2j], [-1, 0, 0.5], [-2j, -0.5, 0]])
+    sched = HamiltonianSchedule.constant(
+        [sp_compatible_generator(rng, 3, Family.DIII)], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartOverflow, match=r"at t = 0\.001$"):
+            trajectory(spec, z0, sched, 1.0, 1e-3)
 
 
 def test_constant_schedule_takes_no_steps(monkeypatch, rng):

@@ -319,19 +319,26 @@ def test_det_matches_lapack_at_3x3(rng):
 @pytest.mark.parametrize("spec", [
     ManifoldSpec(Family.AIII, 3, 1, False),
     ManifoldSpec(Family.AIII, 3, 2, False),
+    ManifoldSpec(Family.AIII, 4, 2, False),
     ManifoldSpec(Family.CI, 2, 1, False),
     ManifoldSpec(Family.CI, 3, 1, False),
+    ManifoldSpec(Family.CI, 4, 1, False),
     ManifoldSpec(Family.DIII, 3, 1, False),
-], ids=["AIII(3,1)", "AIII(3,2)", "CI(2)", "CI(3)", "DIII(3)"])
-def test_domain_check_by_minors_matches_eigvalsh(spec, rng):
-    """Up to p = 3 the bounded-domain check reads leading principal minors;
+    ManifoldSpec(Family.DIII, 4, 1, False),
+    ManifoldSpec(Family.DIII, 5, 1, False),
+], ids=["AIII(3,1)", "AIII(3,2)", "AIII(4,2)", "CI(2)", "CI(3)", "CI(4)",
+        "DIII(3)", "DIII(4)", "DIII(5)"])
+@pytest.mark.parametrize("gap", [1e-9, 1e-12])
+def test_domain_check_by_pivots_matches_eigvalsh(spec, gap, rng):
+    """The bounded-domain check reads the Cholesky pivots of I - Z Z^dag;
     it accepts and rejects the same points as the smallest eigenvalue of
-    I - Z Z^dag, on points scaled to spectral norm 1 -/+ 1e-9.  On DIII(3)
-    two eigenvalues approach zero together there, so ``det`` of the whole
-    matrix is a sum of order-one terms that cancel to about 4e-18."""
+    I - Z Z^dag, on points scaled to spectral norm 1 -/+ ``gap``.  On skew
+    points two eigenvalues approach zero together there, so ``det`` of
+    the whole matrix is a sum of order-one terms that cancel to about
+    ``gap^2``."""
     points = np.array([random_point(spec, rng) for _ in range(400)])
     norms = np.linalg.norm(points, ord=2, axis=(-2, -1))
-    scale = np.where(np.arange(400) % 2 == 0, 1.0 - 1e-9, 1.0 + 1e-9)
+    scale = np.where(np.arange(400) % 2 == 0, 1.0 - gap, 1.0 + gap)
     points *= (scale / norms)[:, None, None]
     _, faults = point_faults(spec, points)
     inside, kind, _ = faults[-1]
