@@ -103,8 +103,7 @@ PERIOD = 32
 # on trajectory's closed-form path (see ``_blocks``).
 CHUNK_ENTRIES = 2 ** 12
 # Symmetry slack of Mobius images along a trajectory, and the smallest
-# |det(A^T + Z B^T)|, relative to the product of the row lengths of
-# [A^T + Z B^T | C^T + Z D^T], at which the Mobius image stays on the chart.
+# |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
 PATH_SYMMETRY_TOL = 1e-9
 CHART_EDGE_TOL = 1e-12
 STATIONARY_TOL = 1e-9
@@ -328,24 +327,26 @@ def defining_dimension(spec: ManifoldSpec) -> int:
 
 
 def _chart_images(spec: ManifoldSpec, U, z: np.ndarray):
-    """Chart-edge measures and fractional-linear images
-    ``(A^T + Z B^T)^-1 (C^T + Z D^T)`` of ``z`` under one matrix or a
-    stack.  The measure is ``|det(A^T + Z B^T)|`` over the product of the
-    row lengths of ``[A^T + Z B^T | C^T + Z D^T]``, free of the scale of
-    ``z``; an image whose measure is below ``CHART_EDGE_TOL``, or NaN, is
-    meaningless, and its denominator is replaced by the identity."""
+    """Denominator determinants ``det(A^T + Z B^T)`` and fractional-linear
+    images of ``z`` under one matrix or a stack; an image whose
+    determinant is below ``CHART_EDGE_TOL`` is meaningless, and its
+    denominator is replaced by the identity.
+
+    A determinant no larger than ``p`` eps times the product of the
+    denominator's l1 row lengths, the size of its rounding error, is
+    returned as zero, and so is one that is not finite: far from the
+    origin the denominator may be singular in floating point while its
+    determinant is noise far above ``CHART_EDGE_TOL``."""
     a, b, c, d = (blk.swapaxes(-1, -2) for blk in block_split(U, spec))
     den = _mm(z, b)
     den += a
+    det = _det(den)
+    noise = spec.p * np.finfo(float).eps * np.prod(np.abs(den).sum(-1), -1)
+    det = np.where(np.abs(det) > noise, det, 0.0)
+    den[np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)
     num = _mm(z, d)
     num += c
-    # Squared row lengths as sums of squares of the interleaved real and
-    # imaginary parts.
-    x, y = den.view(float), num.view(float)
-    rows = np.sqrt(np.einsum("...i,...i", x, x) + np.einsum("...i,...i", y, y))
-    edge = np.abs(_det(den)) / np.prod(rows, axis=-1)
-    den[~(edge >= CHART_EDGE_TOL)] = np.eye(spec.p)
-    return edge, _solve(den, num)
+    return det, _solve(den, num)
 
 
 def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
@@ -635,12 +636,12 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
     running sum must stay within ``CROSS_CHECK_TOL``; NaN fails.  A step
     that trips several guards reports the first of: the chart edge, the
     chart rules, the cross-check."""
-    # Far from the origin the edge measure may overflow to NaN, which
-    # counts as off the chart.
+    # Far from the origin the determinant may overflow, which counts as
+    # off the chart.
     with np.errstate(over="ignore", invalid="ignore"):
-        edge, images = _chart_images(spec, us, z0)
+        det, images = _chart_images(spec, us, z0)
     points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
-    faults.insert(0, (edge >= CHART_EDGE_TOL, ChartOverflow,
+    faults.insert(0, (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,
                       lambda k: "orbit left the coordinate chart"))
     starts = np.concatenate((start[None], points[:-1]))
     # Rows beyond the chart edge or off the chart may overflow or meet a

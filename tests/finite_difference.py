@@ -22,7 +22,6 @@ import numpy as np
 from kphase import (
     ChartOverflow,
     Family,
-    block_split,
     coordinate_basis,
     kernel,
     metric,
@@ -110,11 +109,8 @@ def fd_expectation(spec, level: int, Z, H, step: float = 1e-4) -> float:
     k00 = np.log(kernel(spec, zp, zp))
 
     def log_term(s: float) -> complex:
-        U = expm_hermitian_generator(H, s)
-        a, b, _, _ = block_split(U, spec)
-        det = np.linalg.det(a.T + zp @ b.T)
-        zs = validate_points(spec, _chart_images(spec, U, zp)[1],
-                             symmetry_tol=1e-9)
+        det, zs = _chart_images(spec, expm_hermitian_generator(H, s), zp)
+        zs = validate_points(spec, zs, symmetry_tol=1e-9)
         return level * (np.log(det) + np.log(kernel(spec, zs, zp)) - k00)
 
     value = 1j * (8.0 * (log_term(step) - log_term(-step))
@@ -131,8 +127,8 @@ def mobius_act(spec, U, Z, symmetry_tol: float = 1e-12) -> np.ndarray:
     scalar rule ``z -> (c + d z)/(a + b z)``.  Composing actions multiplies
     the matrices: ``act(U2, act(U1, Z)) == act(U2 @ U1, Z)``.
     """
-    edge, out = _chart_images(spec, U, validate_points(spec, Z))
-    if not edge >= CHART_EDGE_TOL:
+    det, out = _chart_images(spec, U, validate_points(spec, Z))
+    if abs(det) < CHART_EDGE_TOL:
         raise ChartOverflow("orbit left the coordinate chart")
     return validate_points(spec, out, symmetry_tol=symmetry_tol)
 

@@ -336,6 +336,32 @@ def test_trajectory_accepts_start_beyond_1e8():
                          - 1e8 * np.exp(2j * traj.times))) <= 1e-6
 
 
+@pytest.mark.parametrize("spec,scale", [
+    (cp1(), 1e13), (ManifoldSpec(Family.AIII, 3, 2), 1e4),
+], ids=["CP1-1e13", "AIII(3,2)-1e4"])
+def test_trajectory_accepts_far_start_whose_denominator_stays_regular(
+        spec, scale, rng):
+    """Under a block-diagonal generator B = 0, so det(A^T + Z B^T) is
+    det A^T, of modulus one, however far out the start lies.  Such orbits
+    stay on the chart; the rounding floor of the edge test, relative to
+    the denominator's rows, does not refuse them."""
+    p, q = spec.p, spec.q
+    n = p + q
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = (h + h.conj().T) / 2.0
+    H[:p, p:] = H[p:, :p] = 0.0
+    if p == 1:
+        H = SZ
+    z0 = scale * (rng.standard_normal((p, q))
+                  + 1j * rng.standard_normal((p, q)))
+    traj = trajectory(spec, z0, HamiltonianSchedule.constant([H], [1.0]),
+                      1.0, 1e-3)
+    a, d = traj.unitaries[:, :p, :p], traj.unitaries[:, p:, p:]
+    exact = np.linalg.solve(a.swapaxes(-1, -2), z0 @ d.swapaxes(-1, -2))
+    assert traj.cross_check_error <= 1e-10
+    assert np.max(np.abs(traj.points - exact)) <= 1e-14 * scale
+
+
 def test_trajectory_divergence_in_later_block_ends_there():
     spec = cp1()
     # a sudden strong field at step 70 sends the RK4 step from row 70 off
@@ -622,9 +648,9 @@ def test_far_chart_start_leaves_the_chart_by_name(scale, rng):
     """A compact DIII(3) start far from the origin under a generator with
     a non-zero B block: the denominators A^T + Z B^T are singular in
     floating point, and their determinants are rounding noise or
-    overflow.  The scale-free edge test reports the first row as
-    ``ChartOverflow``, with RuntimeWarnings as errors; LAPACK's solve on
-    those rows raised ``LinAlgError`` before."""
+    overflow.  The edge test's rounding floor reads them as zero and
+    reports the first row as ``ChartOverflow``, with RuntimeWarnings as
+    errors; LAPACK's solve on those rows raised ``LinAlgError`` before."""
     spec = ManifoldSpec(Family.DIII, 3)
     z0 = scale * np.array([[0, 1, 2j], [-1, 0, 0.5], [-2j, -0.5, 0]])
     sched = HamiltonianSchedule.constant(
