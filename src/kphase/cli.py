@@ -15,6 +15,7 @@ detected, 4 numerical cross-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import multiprocessing
@@ -53,18 +54,17 @@ from .manifolds import (
 )
 from .phases import (
     _loop_points,
+    _phases,
     _stokes_compare,
     assemble_report,
-    dynamical_phase,
-    line_integral_phase,
     triangle_phase,
     wrap_angle,
 )
 from .serialize import (
     _integer,
     _is_number,
+    _pairs_json,
     matrix_from_json,
-    matrix_to_json,
     spec_from_json,
     vector_from_json,
 )
@@ -86,8 +86,9 @@ _EPILOG = (
 )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
+# One encoder for every output line: ``json.dumps`` with these options
+# builds a new one per call.
+_dumps = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def _point_value(value):
@@ -202,22 +203,20 @@ def run_evolve(config: dict) -> list[str]:
         raise NoCycleFound("a zero Hamiltonian generates no cycle")
     oracle = _oracle_start(spec, level, schedule, z0) if oracle else None
     cyc, info = _evolve_cycle(spec, z0, schedule, T, dt)
-    beta = dynamical_phase(spec, level, cyc, schedule)
-    gamma = line_integral_phase(spec, level, cyc, cyclicity_tol=cyclicity_tol)
-    residual = _distance(spec, cyc.points[0], cyc.points[-1])
+    beta, gamma, residual = _phases(spec, level, cyc, schedule,
+                                    cyclicity_tol)
     report = assemble_report(
         beta + gamma, beta, gamma, residual, method="chart-line-integral"
     )
 
-    lines = [
-        _dumps({"Z": matrix_to_json(cyc.points[k]), "t": float(cyc.times[k])})
-        for k in _strided(len(cyc.times), stride)
-    ]
+    ks = _strided(len(cyc.times), stride)
+    lines = [_dumps({"Z": z, "t": t}) for z, t in
+             zip(_pairs_json(cyc.points[ks]), cyc.times[ks].tolist())]
     summary = {
         "cross_check_error": float(cyc.cross_check_error),
         "cycle": {
             "index": info.index,
-            "residual": float(residual),
+            "residual": residual,
             "time": info.time,
         },
         "report": report.to_json(),
@@ -594,8 +593,15 @@ def _gather_config(args) -> dict:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept for
+    the life of the process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     code, results, err = _guarded(_results, args)
     if code:
         results = [(code, results, err)]

@@ -107,6 +107,11 @@ CHUNK_ENTRIES = 2 ** 12
 PATH_SYMMETRY_TOL = 1e-9
 CHART_EDGE_TOL = 1e-12
 STATIONARY_TOL = 1e-9
+# Entries in the rows of one run, refused before they are allocated:
+# (n + 1) states in :func:`propagate`, (n + 1) unitaries and chart points
+# in :func:`trajectory`.  2**24 complex entries are 256 MiB, 25 times an
+# ``oracle-compare`` at j = 32, T = 10, dt = 1e-3.
+MAX_ENTRIES = 2 ** 24
 
 
 def _hermitize(m, tol: float = HERMITICITY_TOL,
@@ -496,6 +501,15 @@ def _grid(t0: float, t1: float, dt: float):
     return n, span / n
 
 
+def _check_rows(n: int, entries: int) -> None:
+    """Refuse an ``n``-step run whose ``n + 1`` rows of ``entries``
+    entries each exceed ``MAX_ENTRIES``."""
+    if (n + 1) * entries > MAX_ENTRIES:
+        raise ValueError(
+            f"(steps + 1) x entries per row must be at most {MAX_ENTRIES}, "
+            f"got {n + 1} x {entries}")
+
+
 def _flow(schedule: HamiltonianSchedule, states: np.ndarray, t0: float,
           h: float, entries: int):
     """Write the flow of i dY/dt = H(t) Y from ``states[0]`` at ``t0`` to
@@ -524,10 +538,13 @@ def propagate(
     column ``Y0``; returns the grid times and the stack of states.
 
     The rows come from ``_flow``, in closed form for a constant schedule
-    and by Magnus steps for a sampled one."""
+    and by Magnus steps for a sampled one.  A run whose rows would hold
+    more than ``MAX_ENTRIES`` entries raises ``ValueError`` before any is
+    allocated."""
     if not schedule.covers(t0, t1):
         raise ScheduleGap("schedule does not cover the integration span")
     n, h = _grid(t0, t1, dt)
+    _check_rows(n, np.size(Y0))
     states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
     states[0] = Y0
     for _ in _flow(schedule, states, t0, h, schedule.dim ** 2):
@@ -572,7 +589,9 @@ def trajectory(
     sampled one's by its step matrices' (``_blocks``).  The first failing
     step raises ``ChartOverflow``, ``ValueError``, ``SymmetryViolation``,
     ``OutsideDomain`` or ``CrossCheckFailure``, naming its time; no later
-    chunk is advanced.
+    chunk is advanced.  A run whose unitaries and chart points would hold
+    more than ``MAX_ENTRIES`` entries raises ``ValueError`` before any row
+    is allocated.
     """
     if schedule.dim != defining_dimension(spec):
         raise DimensionMismatch(
@@ -582,6 +601,7 @@ def trajectory(
         raise ScheduleGap("schedule does not cover [0, T]")
     z0 = validate_points(spec, as_chart_array(spec, Z0))
     n, h = _grid(0.0, T, dt)
+    _check_rows(n, schedule.dim ** 2 + z0.size)
     times = np.linspace(0.0, T, n + 1)
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
@@ -679,15 +699,17 @@ def expectation(spec: ManifoldSpec, level: int, Z, H):
     broadcast.  The imaginary part must cancel below 1e-8 on every row.
     """
     z = validate_points(spec, Z)
-    return _expectation(spec, level, z, _hermitize(H, stack=True))
+    return _expectation(spec, level, z, _hermitize(H, stack=True),
+                        _gradient(spec, level, z))
 
 
-def _expectation(spec: ManifoldSpec, level: int, z, H) -> np.ndarray:
+def _expectation(spec: ManifoldSpec, level: int, z, H, g) -> np.ndarray:
     """:func:`expectation` on chart arrays and Hermitian matrices that
-    already passed their checks."""
+    already passed their checks, with ``g`` the gradient
+    ``geometry._gradient`` at ``z``, which callers that need it again
+    take once."""
     a, b, _, _ = block_split(H, spec)
-    flow = np.sum(_gradient(spec, level, z) * riccati_rhs(spec, H, z),
-                  axis=(-2, -1))
+    flow = np.sum(g * riccati_rhs(spec, H, z), axis=(-2, -1))
     value = level * (np.trace(a, axis1=-2, axis2=-1)
                      + np.sum(z * b, axis=(-2, -1))) + 1j * spec.sign * flow
     worst = float(np.max(np.abs(value.imag)))

@@ -192,14 +192,17 @@ def point_faults(
         arr = np.divide(flip, 2.0, out=flip)
     if not spec.compact:
         z = arr if finite.all() else np.where(finite[:, None, None], arr, 0.0)
-        gram = _mm(z, z.conj().swapaxes(1, 2))
-        if spec.family is Family.BDI:
-            zz = np.abs((z @ z.swapaxes(1, 2))[:, 0, 0])
-            norm2 = np.real(gram[:, 0, 0])
-            inside = (zz < 1.0) & (1.0 + zz**2 - 2.0 * norm2 > 0.0)
-        else:
-            gram = np.subtract(np.eye(spec.p), gram, out=gram)
-            inside = _positive_definite(gram)
+        # Entries past about 1e154 overflow Z Z^dag; the inf or NaN it
+        # leaves fails the comparisons below, so the row is outside.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _mm(z, z.conj().swapaxes(1, 2))
+            if spec.family is Family.BDI:
+                zz = np.abs((z @ z.swapaxes(1, 2))[:, 0, 0])
+                norm2 = np.real(gram[:, 0, 0])
+                inside = (zz < 1.0) & (1.0 + zz**2 - 2.0 * norm2 > 0.0)
+            else:
+                gram = np.subtract(np.eye(spec.p), gram, out=gram)
+                inside = _positive_definite(gram)
         faults.append((inside, OutsideDomain,
                        lambda k: "point on or outside the bounded domain"))
     return arr, faults

@@ -11,7 +11,9 @@ Both phases of a path are classical and act on its whole
 of ``geometry.gradient`` at sample ``k``, the geometric phase is the
 trapezoid ``gamma = 1/2 sum_k Im sum((G_k + G_{k+1}) * (Z_{k+1} - Z_k))``
 over the closed loop, and the dynamical phase ``beta`` is the trapezoid
-integral of ``dynamics.expectation`` over the sample times.
+integral of ``dynamics.expectation`` over the sample times.  Both read
+the same ``G_k``, so a cyclic trajectory takes them from one gradient
+pass (``_phases``).
 
 Angles wrap to the half-open interval (-pi, pi].
 """
@@ -204,6 +206,14 @@ def line_integral_phase(
 def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
                          cyclicity_tol: float) -> float:
     """:func:`line_integral_phase` on a validated stack."""
+    _closure(spec, z, cyclicity_tol)
+    z = np.concatenate([z, z[:1]])
+    return _chord_sum(z, _gradient(spec, level, z))
+
+
+def _closure(spec: ManifoldSpec, z: np.ndarray, cyclicity_tol: float) -> float:
+    """The distance between the ends of a path of at least two samples,
+    which must be at most ``cyclicity_tol``."""
     if len(z) < 2:
         raise DimensionMismatch("a loop needs at least two samples")
     closure = float(_distance(spec, z[0], z[-1]))
@@ -212,8 +222,12 @@ def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
             f"loop endpoints differ by {closure:.3e} "
             f"(tolerance {cyclicity_tol:.3e})"
         )
-    z = np.concatenate([z, z[:1]])
-    g = _gradient(spec, level, z)
+    return closure
+
+
+def _chord_sum(z: np.ndarray, g: np.ndarray) -> float:
+    """The chord rule of the connection on a closed stack ``z`` and its
+    gradients ``g``."""
     return 0.5 * float(np.sum(np.imag((g[:-1] + g[1:]) * np.diff(z, axis=0))))
 
 
@@ -224,15 +238,42 @@ def dynamical_phase(
     schedule: HamiltonianSchedule,
 ) -> float:
     """Trapezoid integral of the Hamiltonian expectation along a trajectory."""
+    times, hs = _hamiltonians(traj, schedule)
+    z = traj.points
+    return _trapezoid(times, _expectation(spec, level, z, hs,
+                                          _gradient(spec, level, z)))
+
+
+def _hamiltonians(traj: Trajectory, schedule: HamiltonianSchedule):
+    """The times of a trajectory of at least two rows and the schedule's
+    matrices at them."""
     times = np.asarray(traj.times, dtype=float)
     if len(times) != len(traj.points) or len(times) < 2:
         raise GridMismatch("trajectory times and points do not align")
     try:
-        hs = schedule.at(times)
+        return times, schedule.at(times)
     except ScheduleGap as exc:
         raise GridMismatch("schedule does not cover the trajectory span") from exc
-    energies = _expectation(spec, level, traj.points, hs)
-    return float(np.sum(np.diff(times) * 0.5 * (energies[:-1] + energies[1:])))
+
+
+def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
+    """The trapezoid integral of samples ``values`` at ``times``."""
+    return float(np.sum(np.diff(times) * 0.5 * (values[:-1] + values[1:])))
+
+
+def _phases(spec: ManifoldSpec, level: int, traj: Trajectory,
+            schedule: HamiltonianSchedule, cyclicity_tol: float):
+    """:func:`dynamical_phase`, :func:`line_integral_phase` and the
+    closure distance of a cyclic trajectory, from one gradient pass on
+    its rows closed by the first.  The expectation is checked before the
+    closure, so ``NonRealExpectation`` comes before ``NotClosed``."""
+    times, hs = _hamiltonians(traj, schedule)
+    z = np.concatenate([traj.points, traj.points[:1]])
+    g = _gradient(spec, level, z)
+    beta = _trapezoid(times, _expectation(spec, level, traj.points, hs,
+                                          g[:-1]))
+    closure = _closure(spec, traj.points, cyclicity_tol)
+    return beta, _chord_sum(z, g), closure
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,15 @@ def matrix_to_json(m) -> list:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise DimensionMismatch("only scalars, vectors, and matrices encode")
-    return [
-        [[float(v.real), float(v.imag)] for v in row] for row in arr
-    ]
+    return _pairs_json(arr)
+
+
+def _pairs_json(arr: np.ndarray) -> list:
+    """A complex array of any rank as nested lists whose innermost level
+    is ``[real, imag]`` pairs of Python floats, signed zeros kept, in one
+    conversion: a stack of matrices gives one :func:`matrix_to_json`
+    list per matrix."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def _is_number(value) -> bool:
@@ -51,8 +57,7 @@ def matrix_from_json(data) -> np.ndarray:
 
 def vector_to_json(v) -> list:
     """Encode a complex vector as a flat list of [real, imag] pairs."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in arr]
+    return _pairs_json(np.asarray(v, dtype=complex).reshape(-1))
 
 
 def vector_from_json(data) -> np.ndarray:

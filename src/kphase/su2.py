@@ -32,7 +32,7 @@ from .errors import (
     NotCyclic,
 )
 from .manifolds import raise_first_fault
-from .phases import wrap_angle
+from .phases import _trapezoid, wrap_angle
 
 
 # Largest accepted 2j.  At this size (d = 65) a chunk of the spin-j Magnus
@@ -194,7 +194,7 @@ def quantum_phases(
         c * np.sum(states.conj() * (states @ g.T), axis=1).real
         for c, g in zip(coeffs.T, schedule.generators)
     )
-    beta = float(np.sum(np.diff(times) * 0.5 * (energies[:-1] + energies[1:])))
+    beta = _trapezoid(times, energies)
     gamma = wrap_angle(alpha - beta)
     return alpha, beta, gamma
 

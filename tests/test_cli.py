@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,6 +52,59 @@ def test_kernel_output_byte_stable(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+def _precession_config(tmp_path) -> str:
+    path = tmp_path / "precession.json"
+    path.write_text(json.dumps({
+        "schedule": HamiltonianSchedule.constant([SZ], [1.0]).to_json(),
+        "z0": [0.5, 0.0], "T": 3.5, "dt": 2e-3, "stride": 300}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--z", "0.25", "--w", "[0.5, -0.125]"],
+    ["triangle", "--z", "1", "--w", "[0, 1]", "--level", "2"],
+    ["evolve", "--config", "CONFIG"],
+    ["stokes", "--kind", "latitude", "--samples", "200"],
+    ["poincare", "G2/A1xU1", "--min-orbit", "E8"],
+    ["oracle-compare", "--config", "CONFIG", "--j", "1.5"],
+], ids=lambda argv: argv[0])
+def test_main_reuses_its_parser(tmp_path, capsys, monkeypatch, argv):
+    """main builds its parser on the first call only, and a second call in
+    the same process prints the same bytes."""
+    argv = [_precession_config(tmp_path) if a == "CONFIG" else a
+            for a in argv]
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    build_parser = kphase.cli.build_parser
+    monkeypatch.setattr(kphase.cli, "build_parser", counted)
+    kphase.cli._parser.cache_clear()
+    first = run_cli(capsys, argv)
+    second = run_cli(capsys, argv)
+    assert first[0] == 0
+    assert first == second
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    ["kernel", "--bogus", "1"],
+    ["no-such-command"],
+    ["evolve", "--level", "two"],
+    [],
+])
+def test_usage_error_leaves_the_parser_usable(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, err = run_cli(capsys, ["kernel", "--z", "1", "--w", "[0, 1]"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"im": -1.0, "re": 1.0}
 
 
 def test_module_invocation_matches_in_process():
@@ -192,6 +246,72 @@ def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):
     assert abs(lines[-1]["cycle"]["time"] - math.pi) < 1e-6
 
 
+def test_evolve_takes_one_gradient_pass(tmp_path, capsys, monkeypatch):
+    """beta and gamma come from one gradient of the cycle's rows, closed
+    by the first row."""
+    seen = []
+
+    def counted(spec, level, z):
+        seen.append(z.copy())
+        return gradient(spec, level, z)
+
+    gradient = kphase.geometry._gradient
+    for mod in (kphase.geometry, kphase.dynamics, kphase.phases):
+        monkeypatch.setattr(mod, "_gradient", counted)
+    rc, out, _ = run_cli(capsys, ["evolve", "--config",
+                                  _precession_config(tmp_path),
+                                  "--stride", "1"])
+    assert rc == 0
+    rows = [json.loads(line)["Z"] for line in out.splitlines()[:-1]]
+    [z] = seen
+    assert len(z) == len(rows) + 1
+    assert np.array_equal(z[0], z[-1])
+    assert matrix_to_json(z[-2]) == rows[-1]
+
+
+def _loop_rows(m) -> list:
+    """The [real, imag] pairs of each entry, one float conversion each."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+@pytest.mark.parametrize("manifold, z0", [
+    ({}, [0.5, -0.0]),
+    ({"family": "CI", "p": 2}, [[[0.2, 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [-0.3, 0.0]]]),
+], ids=["CP1", "CI(2)"])
+def test_evolve_rows_match_matrix_to_json(tmp_path, capsys, monkeypatch,
+                                          manifold, z0):
+    """Each trajectory line holds the row's matrix_to_json and its time,
+    signed zeros included, as per-entry float conversions give them: the
+    CP1 start has a -0.0, and the CI(2) flow turns zero entries to -0.0."""
+    kept = []
+
+    def keep(*args):
+        kept.append(evolve_cycle(*args))
+        return kept[-1]
+
+    evolve_cycle = kphase.cli._evolve_cycle
+    monkeypatch.setattr(kphase.cli, "_evolve_cycle", keep)
+    H = np.diag([1.0, 2.0, -1.0, -2.0] if manifold else [1.0, -1.0])
+    cfg = {"schedule": HamiltonianSchedule.constant([H], [1.0]).to_json(),
+           "z0": z0, "T": 2.1 * math.pi, "dt": 4e-3, "stride": 97}
+    if manifold:
+        cfg["manifold"] = manifold
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 0
+    [(cyc, _)] = kept
+    ks = kphase.cli._strided(len(cyc.times), 97)
+    want = [json.dumps({"Z": _loop_rows(cyc.points[k]),
+                        "t": float(cyc.times[k])}, sort_keys=True)
+            for k in ks]
+    assert out.splitlines()[:-1] == want
+    assert all(matrix_to_json(cyc.points[k]) == _loop_rows(cyc.points[k])
+               for k in ks)
+    assert "-0.0" in "".join(want)
+
+
 def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
     """The kernel and the gradient cores run a fixed number of times per
     evolve, however many samples the path has, and the validating public
@@ -323,6 +443,29 @@ def test_exit_code_two_outside_domain(capsys):
     assert payload["type"] == "OutsideDomain"
     assert payload["message"]
     assert err.strip() != ""
+
+
+@pytest.mark.parametrize("manifold, z", [
+    (["--p", "1", "--q", "1"], "[1e200, 0]"),
+    (["--p", "2", "--q", "1"], "[[[1e200, 0]], [[0, 0]]]"),
+    (["--p", "2", "--q", "1"], "[[[1e200, 1e200]], [[1e200, -1e200]]]"),
+], ids=["AIII(1,1)", "AIII(2,1)", "AIII(2,1)-complex"])
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_far_non_compact_point_exits_two_outside_domain(capsys, manifold, z,
+                                                        action):
+    """Entries past about 1e154 overflow Z Z^dagger in the domain check;
+    the point is still refused as outside the domain, whether
+    RuntimeWarnings are errors or not."""
+    argv = ["kernel", "--family", "AIII", *manifold, "--non-compact",
+            "--z", z, "--w", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "OutsideDomain"
+    assert err.startswith("kphase: OutsideDomain")
 
 
 @pytest.mark.parametrize("manifold, z, w", [
@@ -729,8 +872,8 @@ _HUGE = "1" + "0" * 400
     ("stokes", '"loop": {"samples": 4503599627370496}', "ValueError"),
     ("stokes", '"loop": {"samples": 4194305}', "ValueError"),
     ("stokes", '"loop": {"kind": "fourier", "modes": 4097}', "ValueError"),
-    # The stack exceeds the address space, so allocation fails at once.
-    ("evolve", '"T": 1e12, "dt": 1e-3', "MemoryError"),
+    # So are trajectory rows past theirs.
+    ("evolve", '"T": 1e12, "dt": 1e-3', "ValueError"),
     # Integers that no float holds.
     ("stokes", '"loop": {"radius": ' + _HUGE + "}", "OverflowError"),
     ("evolve", '"T": ' + _HUGE, "OverflowError"),
@@ -750,6 +893,27 @@ def test_oversized_request_exits_two(tmp_path, capsys, command, entries,
     assert payload["exit_code"] == 2
     assert payload["type"] == error
     assert err.strip() != ""
+
+
+def test_over_cap_evolve_exits_two_before_allocating(tmp_path, capsys):
+    """4,000,001 rows of a 2 x 2 unitary and a CP1 point, 320 MB, are
+    refused; the run's traced peak stays below 1 % of that."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"schedule": _MALFORMED_SCHEDULE, "z0": 0.5,
+                                "T": 4000.0, "dt": 1e-3}))
+    requested = 4_000_001 * 5 * 16
+    assert requested // 16 > kphase.dynamics.MAX_ENTRIES
+    tracemalloc.start()
+    try:
+        rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["type"] == "ValueError"
+    assert "4000001 x 5" in payload["message"]
+    assert peak < requested / 100
 
 
 def test_sweep_entry_must_be_an_object(tmp_path, capsys):

@@ -661,6 +661,25 @@ def test_far_chart_start_leaves_the_chart_by_name(scale, rng):
             trajectory(spec, z0, sched, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("constant", [True, False])
+def test_rows_past_the_cap_are_refused(monkeypatch, constant):
+    """A 100-step CP1 run holds 101 rows of a 2 x 2 unitary and a point, a
+    2-level propagate 101 states: each runs at a cap of exactly that many
+    entries and is refused one entry below it."""
+    sched = (HamiltonianSchedule.constant([SZ], [1.0]) if constant else
+             HamiltonianSchedule.from_samples([SZ], [[0.0, 1.0],
+                                                     [1.0, 0.5]]))
+    runs = [(lambda: trajectory(cp1(), 0.5, sched, 0.1, 1e-3), 101 * 5),
+            (lambda: propagate(sched, np.ones((2, 1)), 0.0, 0.1, 1e-3),
+             101 * 2)]
+    for run, entries in runs:
+        monkeypatch.setattr(kphase.dynamics, "MAX_ENTRIES", entries)
+        run()
+        monkeypatch.setattr(kphase.dynamics, "MAX_ENTRIES", entries - 1)
+        with pytest.raises(ValueError, match=f"101 x {entries // 101}"):
+            run()
+
+
 def test_constant_schedule_takes_no_steps(monkeypatch, rng):
     """A constant schedule's unitary comes in closed form: no step
     matrices and no period products."""

@@ -11,6 +11,7 @@ from kphase import (
     GridMismatch,
     HamiltonianSchedule,
     KernelZero,
+    NonRealExpectation,
     NotClosed,
     OutsideDomain,
     PhaseReport,
@@ -24,13 +25,20 @@ from kphase import (
     latitude_circle,
     line_integral_phase,
     polygon_phase,
+    projective_distance,
     stokes_compare,
     trajectory,
     triangle_phase,
     validate_points,
     wrap_angle,
 )
+import kphase.phases
+from kphase.phases import _phases
 
+from finite_difference import expm_hermitian_generator
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
+SY = np.array([[0.0, -1j], [1j, 0.0]], complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], complex)
 
 
@@ -286,6 +294,76 @@ def test_dynamical_phase_constant_field():
     z = 0.5
     expected = (1.0 - z**2) / (1.0 + z**2)
     assert beta == pytest.approx(expected, abs=1e-7)
+
+
+def _hermitian(rng, n):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2.0
+
+
+def _phase_case(rng, name):
+    """A spec, trajectory and schedule.  The constant schedules have
+    integer spectra, tilted by a random unitary or conjugated into block
+    form, so the ray returns at T = 2 pi; the sampled CP1 schedule has no
+    period, and its trajectory is not closed."""
+    if name == "CP1-sampled":
+        knots = np.linspace(0.0, 2.0, 21)
+        sched = HamiltonianSchedule.from_samples([SX, SY, SZ], np.column_stack(
+            [knots, rng.uniform(-0.6, 0.6, (21, 3))]))
+        return cp1(), trajectory(cp1(), 0.3 + 0.2j, sched, 2.0, 1e-3), sched
+    if name == "AIII(3,2)":
+        spec = ManifoldSpec(Family.AIII, 3, 2)
+        V = expm_hermitian_generator(_hermitian(rng, 5), 0.3)
+        H = V @ np.diag([2.0, 1.0, 0.0, -1.0, -2.0]) @ V.conj().T
+        z0 = 0.1 * rng.standard_normal((3, 2))
+    else:
+        family, lam, compact = {
+            "CI(2)": (Family.CI, [1.0, 2.0], True),
+            "DIII(3)-noncompact": (Family.DIII, [0.0, 1.0, 3.0], False),
+        }[name]
+        p = len(lam)
+        spec = ManifoldSpec(family, p, compact=compact)
+        W = expm_hermitian_generator(_hermitian(rng, p), 1.0)
+        P = W @ np.diag(lam) @ W.conj().T
+        H = np.block([[P, np.zeros((p, p))], [np.zeros((p, p)), -P.T]])
+        b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        b = b + (1.0 if family is Family.CI else -1.0) * b.T
+        z0 = 0.3 * b / np.linalg.norm(b, 2)
+    sched = HamiltonianSchedule.constant([H], [1.0])
+    return spec, trajectory(spec, z0, sched, 2.0 * math.pi, 4e-3), sched
+
+
+@pytest.mark.parametrize("name", ["AIII(3,2)", "CI(2)", "DIII(3)-noncompact",
+                                  "CP1-sampled"])
+def test_phase_core_matches_the_public_phases(name, rng):
+    """The one-gradient core that evolve runs gives exactly the values of
+    the public phases and the closure distance of the path's ends."""
+    spec, traj, sched = _phase_case(rng, name)
+    tol = math.inf if name == "CP1-sampled" else 1e-6
+    beta, gamma, closure = _phases(spec, 2, traj, sched, tol)
+    assert beta == dynamical_phase(spec, 2, traj, sched)
+    assert gamma == line_integral_phase(spec, 2, traj, cyclicity_tol=tol)
+    assert closure == float(projective_distance(spec, traj.points[0],
+                                                traj.points[-1]))
+    assert (closure < 1e-6) == (name != "CP1-sampled")
+
+
+def test_phase_core_checks_the_expectation_before_the_closure(monkeypatch):
+    """On a path that is not closed, an expectation that is not real
+    raises NonRealExpectation (exit 4) before NotClosed (exit 3), as the
+    public phases did when evolve ran them one after the other."""
+    spec = cp1()
+    sched = HamiltonianSchedule.constant([SZ], [1.0])
+    traj = trajectory(spec, 0.5, sched, 1.0, 1e-2)
+    with pytest.raises(NotClosed):
+        _phases(spec, 1, traj, sched, 1e-6)
+
+    def non_real(*args):
+        raise NonRealExpectation("imaginary part exceeds tolerance")
+
+    monkeypatch.setattr(kphase.phases, "_expectation", non_real)
+    with pytest.raises(NonRealExpectation):
+        _phases(spec, 1, traj, sched, 1e-6)
 
 
 def test_dynamical_phase_grid_mismatch():
