@@ -5,7 +5,8 @@ by one driver, ``_flow``, in one of two ways, chosen from the schedule;
 :func:`propagate`, :func:`trajectory` and :func:`clip_trajectory` all run
 it.  A constant schedule's flow
 is exp(-iH(t - t0)): one ``eigh`` of H gives every row in closed form from
-the span start (``_exact_rows``).  A sampled schedule takes fixed-size
+the span start, a chunk's rows as one product (``_exact_rows``).  A
+sampled schedule takes fixed-size
 fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
 group that H generates (unitary, and in Sp or SO* on CI or DIII
 generators), so the state needs no re-projection.  Each step's Pade
@@ -25,9 +26,13 @@ and the i [G_a, G_b], a table built once per sampled schedule
 that table forms all the chunk's exponents (``_magnus_exponents``): no H
 stack and no per-step matrix product.  Batched products then advance all
 the chunk's periods together (``_advance``): pairwise products give each
-period's whole product, one product per period carries the state across
-it, and one product per in-period position writes the rows of every
-period at once.
+period's whole product and those of its blocks of 2, 4, ... steps, one
+product per period carries the state across it, and one batched product
+per block level writes the rows of every period, halving the blocks
+down to single steps.  The stacked products, K^2 included, go through
+``manifolds._mm``, whose size rule takes 2 x 2 and 3 x 3 stacks as
+broadcast multiply-adds and larger ones as ``np.matmul``; the carries
+across periods, one matrix each, stay ``@``.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
 
@@ -96,7 +101,7 @@ from .serialize import matrix_from_json, matrix_to_json
 
 HERMITICITY_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-6
-# Steps per period of the two-level batched products (see ``_advance``); a
+# Steps per period of the batched block products (see ``_advance``); a
 # power of two, so pairwise products halve a period without padding.
 PERIOD = 32
 # Entries of one chunk's stack of step matrices, or of its chart points
@@ -409,24 +414,37 @@ def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
     ``_step_matrices`` gives the steps' matrices.  They are grouped in
     periods of ``PERIOD`` steps from this call's first step, with
     identities padding the last period to full length.  Pairwise products
-    give every period's whole product at once; one product per period
-    carries the state across it; then one batched product per in-period
-    position advances every period from its starting state, writing the
-    rows.
+    give the products of every block of 2, 4, ..., ``PERIOD`` steps
+    (``_period_products``); one product per period carries the state
+    across it.  The rows then come down the same blocks, one batched
+    product per level for every period at once: the state in the middle
+    of a block is the product of the block's first half applied to the
+    state at its start, known from the level above.  The batched products
+    are ``manifolds._mm``; the carries, one matrix each, are ``@``, which
+    beats ``_mm`` on a single matrix.
+
+    A call of one period, which is every chunk from d = 9 up and a run of
+    at most ``PERIOD`` steps, has no periods to batch: the blocks would
+    only double the arithmetic of its products, and would turn a column's
+    matrix-vector products into matrix products, so it carries the state
+    one step at a time instead.
     """
     period, n, d = PERIOD, len(out), len(Y)
     m = -(-n // period)
     steps = np.concatenate((_step_matrices(table, stages, h), np.broadcast_to(
         np.eye(d), (m * period - n, d, d)))).reshape(m, period, d, d)
-    starts = np.empty((m,) + Y.shape, dtype=complex)
+    levels = _period_products(steps) if m > 1 else [steps]
+    block = period // levels[-1].shape[1]
+    states = np.empty((m * period + 1,) + Y.shape, dtype=complex)
+    starts = states[::block]
     starts[0] = Y
-    for p, whole in enumerate(_period_products(steps[:-1]), 1):
-        starts[p] = whole @ starts[p - 1]
-    rows = np.empty((m, period) + Y.shape, dtype=complex)
-    state = starts
-    for P, row in zip(steps.swapaxes(0, 1), rows.swapaxes(0, 1)):
-        state = np.matmul(P, state, out=row)
-    out[:] = rows.reshape((m * period,) + Y.shape)[:n]
+    for p, whole in enumerate(levels[-1].reshape(-1, d, d)[:-(-n // block)]):
+        starts[p + 1] = whole @ starts[p]
+    grid = states[:-1].reshape((m, period) + Y.shape)
+    for level in reversed(levels[:-1]):
+        half = period // level.shape[1]
+        grid[:, half::2 * half] = _mm(level[:, ::2], grid[:, ::2 * half])
+    out[:] = states[1:n + 1]
 
 
 def _magnus_exponents(table: np.ndarray, stages, h: float) -> np.ndarray:
@@ -459,19 +477,22 @@ def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
     keeps unitarity and the chart's structure up to rounding.
     """
     k = _magnus_exponents(table, stages, h)
-    m = np.eye(k.shape[-1]) - (k @ k) / 12.0
+    m = np.eye(k.shape[-1]) - _mm(k, k) / 12.0
     k *= 0.5j
     return _solve(m + k, m - k)
 
 
-def _period_products(steps: np.ndarray) -> np.ndarray:
-    """Each period's product of its step matrices, later steps on the
-    left, halved by one batched product per level: the ``PERIOD`` steps
+def _period_products(steps: np.ndarray) -> list[np.ndarray]:
+    """The products of each period's steps in blocks of 1, 2, 4, ...,
+    ``PERIOD`` consecutive steps, later steps on the left, one batched
+    product per level: level ``l`` has shape ``(m, PERIOD >> l, d, d)``,
+    and the last holds each period's whole product.  The ``PERIOD`` steps
     of a period are a power of two."""
-    prods = steps
-    while prods.shape[1] > 1:
-        prods = prods[:, 1::2] @ prods[:, ::2]
-    return prods[:, 0]
+    levels = [steps]
+    while levels[-1].shape[1] > 1:
+        prods = levels[-1]
+        levels.append(_mm(prods[:, 1::2], prods[:, ::2]))
+    return levels
 
 
 def _exact_rows(schedule: HamiltonianSchedule, Y0: np.ndarray):
@@ -480,13 +501,21 @@ def _exact_rows(schedule: HamiltonianSchedule, Y0: np.ndarray):
     ``rows(elapsed, out)`` that writes
     ``Y(t0 + s) = V diag(exp(-i lam s)) V^dagger Y0`` for each ``s`` of
     ``elapsed`` into the rows of ``out``.  Every row is taken from the
-    span start, so rounding does not accumulate from row to row."""
+    span start, so rounding does not accumulate from row to row.
+
+    Entry by entry ``Y(t0 + s)[i, c] = sum_j exp(-i lam_j s) W[j, (i, c)]``
+    with ``W[j, (i, c)] = V[i, j] (V^dagger Y0)[j, c]``, built once here,
+    so a chunk's rows are one ``(n, d) @ (d, d c)`` product, written
+    straight into ``out.reshape(n, -1)``.  That reshape is a view on the
+    rows of a C-contiguous stack, which every caller passes; any other
+    ``out`` fails an assertion rather than leaving its rows unwritten."""
     lam, v = np.linalg.eigh(schedule._constant_matrix)
-    coeffs = v.conj().T @ Y0
+    w = np.einsum("ij,jc->jic", v, v.conj().T @ Y0).reshape(len(lam), -1)
 
     def rows(elapsed: np.ndarray, out: np.ndarray) -> None:
-        phases = np.exp(-1j * np.multiply.outer(elapsed, lam))
-        np.matmul(v, phases[..., None] * coeffs, out=out)
+        flat = out.reshape(len(out), -1)
+        assert np.may_share_memory(flat, out), "out must reshape as a view"
+        np.matmul(np.exp(-1j * np.multiply.outer(elapsed, lam)), w, out=flat)
 
     return rows
 

@@ -39,10 +39,12 @@ def latitude_circle(
 
     Returns the validated ``(samples + 1, rows, cols)`` stack; the
     duplicate endpoint reuses the first point's float values bit for bit.
+    A radius that is not positive and finite raises ``ValueError`` before
+    any point is formed.
     """
     _check_size(spec, samples)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     t = _angles(samples)
     z = np.zeros((samples + 1,) + spec.point_shape, dtype=complex)
     z[:, 0, 0] = radius * np.exp(1j * t)

@@ -637,6 +637,53 @@ def test_stokes_latitude(capsys):
     assert rep["difference"] < 1e-3
 
 
+def _latitude(capsys, radius):
+    """A 600-sample CP1 latitude ``stokes`` run with RuntimeWarnings as
+    errors: exit code, strict JSON payload and stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run_cli(capsys, ["stokes", "--kind", "latitude",
+                                        f"--radius={radius}", "--samples",
+                                        "600"])
+    return rc, json.loads(out, parse_constant=_strict), err
+
+
+@pytest.mark.parametrize("radius", ["1e100", "1e150"])
+def test_far_latitude_loop_closes(capsys, radius):
+    """A latitude loop closes exactly, however far out it runs.  Past
+    |z| ~ 1e77 the closure distance's product K(z, z) K(w, w) overflowed,
+    and the loop ended as ``NotClosed`` with its endpoints 1.571 apart
+    (a traceback with warnings as errors); it now reports what a loop at
+    1e60 reports."""
+    rc, rep, err = _latitude(capsys, radius)
+    assert rc == 0 and err == ""
+    _, near, _ = _latitude(capsys, "1e60")
+    assert rep["samples"] == near["samples"]
+    for key in ("line_integral", "polygon_fan", "difference"):
+        assert rep[key] == pytest.approx(near[key], abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", ["inf", "-inf", "nan", "0"])
+def test_non_finite_latitude_radius_exits_two(tmp_path, capsys, radius):
+    """A latitude radius that is not a positive finite number exits 2
+    with ``ValueError`` before any loop point is formed, from the flag and
+    from a config; ``inf`` formed NaN points and, with warnings as
+    errors, a traceback."""
+    rc, rep, err = _latitude(capsys, radius)
+    assert rc == 2 and rep["error"]["type"] == "ValueError"
+    assert "radius" in rep["error"]["message"] and err.strip() != ""
+    path = tmp_path / "loop.json"
+    path.write_text('{"loop": {"kind": "latitude", "radius": '
+                    + {"inf": "1e400", "-inf": "-1e400", "nan": "NaN",
+                       "0": "0"}[radius] + "}}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, _ = run_cli(capsys, ["stokes", "--config", str(path)])
+    assert rc == 2
+    assert json.loads(out, parse_constant=_strict)["error"]["type"] == \
+        "ValueError"
+
+
 def test_oracle_compare(tmp_path, capsys):
     sched = HamiltonianSchedule.constant([SX], [1.0])
     cfg = {"schedule": sched.to_json(), "T": 1.0, "dt": 1e-3,

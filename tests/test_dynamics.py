@@ -508,6 +508,28 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert np.max(np.abs(cyc.points[-1] - clip_z[-1])) <= CROSS_CHECK_TOL
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 32, 77])
+def test_advance_rows_are_the_step_products(d, n, rng):
+    """``_advance`` takes its rows down the blocks of each period, one
+    batched product per level; every row equals the steps' product taken
+    one step at a time, to rounding, on square and column states, for a
+    single step, one full period and a short last period."""
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    gens = [(h + h.conj().T) / 2.0, np.diag(np.arange(d, dtype=float))]
+    sched = HamiltonianSchedule.from_samples(
+        gens, [[0.0, 0.5, 0.2], [n * 0.01, -0.3, 0.7]])
+    stages = kphase.dynamics._stages(sched, 0.0, 0.01, 0, n)
+    steps = kphase.dynamics._step_matrices(sched._table, stages, 0.01)
+    for Y in (_haar(rng, d), _haar(rng, d)[:, :1]):
+        out = np.empty((n,) + Y.shape, dtype=complex)
+        kphase.dynamics._advance(Y, out, sched._table, stages, 0.01)
+        ref = [Y]
+        for step in steps:
+            ref.append(step @ ref[-1])
+        assert np.max(np.abs(out - ref[1:])) <= 1e-14 * math.sqrt(n)
+
+
 def _chunk_steps(entries):
     """Steps in one full chunk of a run that stacks ``entries`` entries per
     step: d^2 for d x d step matrices, p q for p x q chart points."""
@@ -714,6 +736,58 @@ def test_constant_propagate_matches_exponential(d, t0, rng):
         ref = np.array([expm_hermitian_generator(0.8 * H, t - t0) @ Y0
                         for t in times])
         assert np.max(np.abs(states - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_exact_rows_match_the_eigen_form(d, rng):
+    """One chunk of ``_exact_rows``, written as one product of the phases
+    with the schedule's ``V[i, j] (V^dagger Y0)[j, c]``, matches
+    ``V diag(exp(-i lam s)) V^dagger Y0`` to 1e-14 of the largest entry,
+    for square and column starts."""
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sched = HamiltonianSchedule.constant([(h + h.conj().T) / 2.0], [1.3])
+    lam, v = np.linalg.eigh(sched(0.0))
+    s = 1e-2 * np.arange(1, 301)
+    for Y0 in (_haar(rng, d), _haar(rng, d)[:, :1]):
+        out = np.empty((len(s),) + Y0.shape, dtype=complex)
+        kphase.dynamics._exact_rows(sched, Y0)(s, out)
+        phases = np.exp(-1j * np.multiply.outer(s, lam))
+        ref = (v * phases[:, None, :]) @ v.conj().T @ Y0
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_exact_rows_write_into_a_contiguous_view(monkeypatch, rng):
+    """``_exact_rows`` writes a chunk through ``out.reshape(n, -1)``, which
+    is a view only on rows of a C-contiguous stack: every chunk that
+    :func:`propagate`, :func:`trajectory` and :func:`clip_trajectory`
+    pass is such a view of their rows, and an ``out`` whose reshape would
+    be a copy is refused rather than left unwritten."""
+    real = kphase.dynamics._exact_rows
+    seen = []
+
+    def checking(schedule, Y0):
+        rows = real(schedule, Y0)
+
+        def checked(elapsed, out):
+            seen.append(out.flags.c_contiguous and out.base is not None)
+            rows(elapsed, out)
+
+        return checked
+
+    monkeypatch.setattr(kphase.dynamics, "_exact_rows", checking)
+    spec = ManifoldSpec(Family.AIII, 2, 1)
+    sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
+                                         [1.0])
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched, 2.0, 1e-3)
+    clip_trajectory(traj, sched, 0.4567)
+    propagate(sched, np.eye(3)[:, :1], 0.0, 2.0, 1e-3)
+    assert len(seen) > 3 and all(seen)
+    monkeypatch.undo()
+    rows = kphase.dynamics._exact_rows(sched, np.eye(3))
+    wide = np.zeros((10, 3, 6), dtype=complex)
+    with pytest.raises(AssertionError, match="view"):
+        rows(1e-3 * np.arange(1, 11), wide[..., :3])
+    assert not wide.any()
 
 
 def _haar(rng, d):

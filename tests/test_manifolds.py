@@ -233,6 +233,38 @@ def test_projective_distance_symmetry(rng):
         )
 
 
+def test_projective_distance_scaling_changes_no_bit(rng):
+    """Scaling the kernels by a power of two leaves every distance whose
+    unscaled product K(z, z) K(w, w) is finite bit for bit as it was."""
+    for spec in ALL_SPECS:
+        z = np.stack([random_point(spec, rng) for _ in range(40)])
+        w = np.stack([random_point(spec, rng) for _ in range(40)])
+        for a, b in ((z, w), (z, z), (z, w[0])):
+            norm = np.sqrt(kernel(spec, a, a).real * kernel(spec, b, b).real)
+            k = kernel(spec, a, b)
+            mag = np.hypot(k.real / norm, k.imag / norm)
+            unscaled = (np.arccos(np.minimum(1.0, mag)) if spec.compact
+                        else np.arccosh(np.maximum(1.0, mag)))
+            assert np.array_equal(projective_distance(spec, a, b), unscaled)
+
+
+def test_projective_distance_of_far_points():
+    """Past |z| ~ 1e77 on CP1 the product K(z, z) K(w, w) overflows.  The
+    rays of far points are then still at distance 0 from themselves and
+    from their neighbours on a far circle, whose distance arccos cannot
+    resolve, not pi/2, and pi/2 from the origin and from each other on
+    perpendicular axes of CP2."""
+    z = (1e150 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7)))[:, None, None]
+    assert np.all(projective_distance(cp1(), z, z) == 0.0)
+    assert np.all(projective_distance(cp1(), z[1:], z[:-1]) == 0.0)
+    assert np.allclose(projective_distance(cp1(), z, 0.0), math.pi / 2,
+                       rtol=0.0, atol=1e-15)
+    spec = ManifoldSpec(Family.AIII, 2, 1)
+    assert projective_distance(spec, [[1e100], [0.0]],
+                               [[0.0], [1e100]]) == pytest.approx(
+        math.pi / 2, abs=1e-15)
+
+
 def test_random_point_stays_interior(rng):
     for spec in ALL_SPECS:
         for _ in range(40):
@@ -244,13 +276,18 @@ def _complex(rng, *shape):
 
 
 @pytest.mark.parametrize("rows, inner, cols", [
-    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 2, 3), (2, 3, 1)])
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 2, 3), (2, 3, 1),
+    (5, 5, 5), (8, 8, 8), (3, 4, 2), (4, 5, 1)])
 @pytest.mark.parametrize("layout", [
-    "stack-stack", "one-stack", "stack-one", "broadcast-stack"])
+    "stack-stack", "one-stack", "stack-one", "broadcast-stack", "periods",
+    "column"])
 def test_mm_matches_matmul(rng, rows, inner, cols, layout):
     """``_mm`` agrees with ``@`` to 1e-14 of the entries' summed terms,
-    on stacks, on one matrix against a stack, and on a stride-0 stack
-    (read-only, so a write to an input would raise)."""
+    on both sides of its size rule (broadcast to inner dimension 3,
+    ``np.matmul`` above): on stacks, on one matrix against a stack, on a
+    stride-0 stack (read-only, so a write to an input would raise), on
+    the ``(m, 16, d, d)`` stacks of the flow's pairwise period products
+    and on the ``(m, d, 1)`` columns of a state vector's rows."""
     x = _complex(rng, 50, rows, inner)
     y = _complex(rng, 50, inner, cols)
     if layout == "one-stack":
@@ -259,8 +296,14 @@ def test_mm_matches_matmul(rng, rows, inner, cols, layout):
         y = y[0]
     elif layout == "broadcast-stack":
         x = np.broadcast_to(x[0], x.shape)
+    elif layout == "periods":
+        x = _complex(rng, 6, 16, rows, inner)
+        y = _complex(rng, 6, 16, inner, cols)
+    elif layout == "column":
+        y = y[..., :1]
     got = _mm(x, y)
     assert got.shape == (x @ y).shape
+    assert got.flags.writeable
     assert np.all(np.abs(got - x @ y) <= 1e-14 * (np.abs(x) @ np.abs(y)))
 
 

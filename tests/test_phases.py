@@ -180,6 +180,9 @@ def test_loop_factories_return_closed_validated_stacks(rng):
             for radius in (1.0, 1.5):
                 with pytest.raises(OutsideDomain):
                     latitude_circle(spec, radius, 40)
+        for radius in (0.0, -0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                latitude_circle(spec, radius, 40)
         for z in loops:
             assert isinstance(z, np.ndarray)
             assert z.shape == (41,) + spec.point_shape
