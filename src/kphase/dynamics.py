@@ -11,7 +11,8 @@ fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
 group that H generates (unitary, and in Sp or SO* on CI or DIII
 generators), so the state needs no re-projection.  Each step's Pade
 solve is one batched LAPACK solve, except at d = 2, where it is taken in
-closed form (``manifolds._solve``).  Both paths run in chunks of whole
+closed form (``manifolds._solve``, whose general matrices are the only
+ones that reach LAPACK's solve).  Both paths run in chunks of whole
 periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES`` (``_blocks``):
 against the d x d entries of a step matrix in :func:`propagate` and on
 the Magnus path, and in :func:`trajectory`'s closed-form path, which
@@ -32,7 +33,11 @@ per block level writes the rows of every period, halving the blocks
 down to single steps.  The stacked products, K^2 included, go through
 ``manifolds._mm``, whose size rule takes 2 x 2 and 3 x 3 stacks as
 broadcast multiply-adds and larger ones as ``np.matmul``; the carries
-across periods, one matrix each, stay ``@``.
+across periods, one matrix each, stay ``@``.  ``_mm``'s shape rule
+takes the products of a single matrix with a stack as one BLAS
+product: the start point's products with the unitaries' blocks in
+``_chart_images`` and a constant schedule's broadcast H blocks in
+:func:`riccati_rhs`.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
 
@@ -46,8 +51,12 @@ defect e_k is the level-1 Kahler length of d = P[k+1] - R[k+1] at
 P[k+1], ``sqrt(Re tr(P^-1 d Q^-1 d^dagger))`` with
 ``P = I + s Z Z^dagger`` and ``Q = I + s Z^dagger Z`` (s = +1 compact,
 -1 bounded domain), from the metric's own form
-(``geometry._metric_form``).  The defect reads H and the rows but never
-U, so the two routes stay independent.
+(``geometry._metric_form``): ``sum |L_P^-1 d L_Q^-dagger|^2 / (d_P,i
+d_Q,j)`` over the LDL^dagger factors and pivots of P and Q, forward
+substitutions only.  The defect reads H and the rows but never U, so
+the two routes stay independent.  The RK4 step's first stage is dZ/dt
+at the row it starts from; the trajectory keeps it as ``velocities``,
+which the dynamical phase reads.
 The flow acts on the chart by isometries of this metric, so
 ``cross_check_error``, the sum of the e_k, bounds how far the Mobius path
 has drifted from the Riccati flow in ray distance, up to RK4's own
@@ -373,10 +382,10 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     return -1j * (c_t + _mm(z, d_t) - _mm(a_t, z) - _mm(_mm(z, b_t), z))
 
 
-def _rk4_step(rhs, y, H1, H2, H3, h):
-    """Classical RK4 step of dy/dt = rhs(H(t), y) given H at the start,
-    middle and end of the step."""
-    k1 = rhs(H1, y)
+def _rk4_step(rhs, y, k1, H2, H3, h):
+    """Classical RK4 step of dy/dt = rhs(H(t), y) given its first stage
+    ``k1 = rhs(H1, y)``, with H1 the Hamiltonian at the start of the
+    step, and H at the middle and end of the step."""
     k2 = rhs(H2, y + (h / 2.0) * k1)
     k3 = rhs(H2, y + (h / 2.0) * k2)
     k4 = rhs(H3, y + h * k3)
@@ -589,8 +598,11 @@ class Trajectory:
     the ``(n+1, d, d)`` unitaries behind it.  ``defects`` holds the ``n``
     per-step defects e_k of the rows against one RK4 step of the Riccati
     equation (see the module docstring) and ``cross_check_error`` their
-    sum.  The rows of ``points`` passed the chart rules when the
-    trajectory was built.
+    sum.  ``velocities`` holds dZ/dt at each row, :func:`riccati_rhs` at
+    ``(H(t_k), points[k])``: the RK4 steps' first stages, and one more
+    evaluation at the last row, on H at the end of the last step.  The
+    rows of ``points`` passed the chart rules when the trajectory was
+    built.
     """
 
     spec: ManifoldSpec
@@ -599,6 +611,7 @@ class Trajectory:
     unitaries: np.ndarray | None
     cross_check_error: float
     defects: np.ndarray | None = None
+    velocities: np.ndarray | None = None
 
 
 def trajectory(
@@ -634,15 +647,18 @@ def trajectory(
     times = np.linspace(0.0, T, n + 1)
     us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
     zs = np.empty((n + 1,) + z0.shape, dtype=complex)
+    vs = np.empty_like(zs)
     defects = np.empty(n)
     us[0], zs[0] = np.eye(schedule.dim), z0
     entries = z0.size if schedule.is_constant else schedule.dim ** 2
     for k0, k1, stages in _flow(schedule, us, 0.0, h, entries):
-        zs[k0 + 1:k1 + 1], defects[k0:k1] = _chart_rows(
-            spec, times[k0 + 1:k1 + 1], us[k0 + 1:k1 + 1], z0, zs[k0],
-            [schedule._matrices(c) for c in stages], h,
-            float(np.sum(defects[:k0])))
-    return Trajectory(spec, times, zs, us, float(np.sum(defects)), defects)
+        hs = [schedule._matrices(c) for c in stages]
+        zs[k0 + 1:k1 + 1], defects[k0:k1], vs[k0:k1] = _chart_rows(
+            spec, times[k0 + 1:k1 + 1], us[k0 + 1:k1 + 1], z0, zs[k0], hs,
+            h, float(np.sum(defects[:k0])))
+    vs[n:] = riccati_rhs(spec, hs[2][-1:], zs[n:])
+    return Trajectory(spec, times, zs, us, float(np.sum(defects)), defects,
+                      vs)
 
 
 def clip_trajectory(
@@ -655,7 +671,9 @@ def clip_trajectory(
     The kept rows already passed the guards.  The Mobius map and the
     guards run on the new row alone, whose defect is one partial RK4 step
     from the last kept row; ``cross_check_error`` re-sums the kept rows'
-    defects and the new one.
+    defects and the new one.  The kept rows keep their velocities, and the
+    new row's is one :func:`riccati_rhs` on H at the end of the partial
+    step.
     """
     k = int(np.searchsorted(traj.times, t_end)) - 1
     if not 0 <= k < len(traj.times) - 1:
@@ -666,25 +684,29 @@ def clip_trajectory(
     [(_, _, stages)] = _flow(schedule, us[k:], t, h, schedule.dim ** 2)
     times = np.append(traj.times[: k + 1], t_end)
     kept = traj.defects[:k]
-    point, defect = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
-                                traj.points[0], traj.points[k],
-                                [schedule._matrices(c) for c in stages], h,
-                                float(np.sum(kept)))
+    hs = [schedule._matrices(c) for c in stages]
+    point, defect, _ = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
+                                   traj.points[0], traj.points[k], hs, h,
+                                   float(np.sum(kept)))
     defects = np.concatenate((kept, defect))
+    velocities = np.concatenate((traj.velocities[: k + 1],
+                                 riccati_rhs(traj.spec, hs[2], point)))
     return Trajectory(traj.spec, times,
                       np.concatenate((traj.points[: k + 1], point)), us,
-                      float(np.sum(defects)), defects)
+                      float(np.sum(defects)), defects, velocities)
 
 
 def _chart_rows(spec, times, us, z0, start, stages, h: float,
                 spent: float):
     """Mobius images of ``z0`` under the unitaries ``us``, the rows after
-    the row ``start``, and their defects against one RK4 step of
-    :func:`riccati_rhs` each on the stage stacks, with every guard run on
-    the arrays.  ``spent`` is the sum of the earlier defects, and the
-    running sum must stay within ``CROSS_CHECK_TOL``; NaN fails.  A step
-    that trips several guards reports the first of: the chart edge, the
-    chart rules, the cross-check."""
+    the row ``start``, their defects against one RK4 step of
+    :func:`riccati_rhs` each on the stage stacks, and the steps' first
+    stages, dZ/dt at the row each step starts from (``start`` and all but
+    the last image), with every guard run on the arrays.  ``spent`` is the
+    sum of the earlier defects, and the running sum must stay within
+    ``CROSS_CHECK_TOL``; NaN fails.  A step that trips several guards
+    reports the first of: the chart edge, the chart rules, the
+    cross-check."""
     # Far from the origin the determinant may overflow, which counts as
     # off the chart.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -698,12 +720,12 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
     # defects, which are taken with the metric at the origin.
     on_chart = np.logical_and.reduce([ok for ok, _, _ in faults])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        velocities = riccati_rhs(spec, stages[0], starts)
         steps = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), starts,
-                          *stages, h)
+                          velocities, *stages[1:], h)
         dz = points - steps
         defects = np.sqrt(_metric_form(
-            spec, np.where(on_chart[:, None, None], points, 0.0), dz,
-            dz).real)
+            spec, np.where(on_chart[:, None, None], points, 0.0), dz))
     drift = spent + np.cumsum(defects)
     raise_first_fault([
         *faults,
@@ -711,7 +733,7 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
          lambda k: f"Mobius path drifts from the Riccati flow by "
                    f"{drift[k]:.3e}"),
     ], times)
-    return points, defects
+    return points, defects, velocities
 
 
 def expectation(spec: ManifoldSpec, level: int, Z, H):
@@ -728,17 +750,20 @@ def expectation(spec: ManifoldSpec, level: int, Z, H):
     broadcast.  The imaginary part must cancel below 1e-8 on every row.
     """
     z = validate_points(spec, Z)
-    return _expectation(spec, level, z, _hermitize(H, stack=True),
-                        _gradient(spec, level, z))
+    H = _hermitize(H, stack=True)
+    return _expectation(spec, level, z, H, _gradient(spec, level, z),
+                        riccati_rhs(spec, H, z))
 
 
-def _expectation(spec: ManifoldSpec, level: int, z, H, g) -> np.ndarray:
+def _expectation(spec: ManifoldSpec, level: int, z, H, g,
+                 velocity) -> np.ndarray:
     """:func:`expectation` on chart arrays and Hermitian matrices that
     already passed their checks, with ``g`` the gradient
-    ``geometry._gradient`` at ``z``, which callers that need it again
-    take once."""
+    ``geometry._gradient`` and ``velocity`` the :func:`riccati_rhs` at
+    ``z``, which callers that hold them already (a trajectory's
+    ``velocities``) take once."""
     a, b, _, _ = block_split(H, spec)
-    flow = np.sum(g * riccati_rhs(spec, H, z), axis=(-2, -1))
+    flow = np.sum(g * velocity, axis=(-2, -1))
     value = level * (np.trace(a, axis1=-2, axis2=-1)
                      + np.sum(z * b, axis=(-2, -1))) + 1j * spec.sign * flow
     worst = float(np.max(np.abs(value.imag)))

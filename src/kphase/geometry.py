@@ -17,6 +17,17 @@ The metric is closed form too.  Along basis matrices ``B_mu`` it is
 ``s * level * (K_mu,nu / K - K_mu conj(K_nu) / K^2)`` with the kernel's
 partials ``K_mu = 2 z_mu conj(z z^T) + 2 s conj(z_mu)`` and
 ``K_mu,nu = 4 z_mu conj(z_nu) + 2 s delta_mu,nu``.
+
+P and Q are Hermitian positive definite on the whole chart, so every
+solve with them is ``manifolds._hpd_solve``, not LAPACK: a broadcast
+LDL^dag from 3 x 3 up and closed forms below.  The gradient solves with
+P, or for AIII with q < p with the smaller Q by the push-through
+identity ``P^-1 Z = Z Q^-1``.  The Kahler
+form needs forward substitutions only: with ``P = L_P D_P L_P^dag`` and
+``Q = L_Q D_Q L_Q^dag``, ``Re tr(P^-1 u Q^-1 u^dag)`` is
+``sum |L_P^-1 u L_Q^-dag|^2`` weighted by ``1 / (d_P,i d_Q,j)``
+(``_metric_form``); on CI and DIII ``Q = conj(P)``, so one factorisation
+serves both.
 """
 
 from __future__ import annotations
@@ -27,9 +38,12 @@ from .errors import KernelZero, OutsideDomain
 from .manifolds import (
     Family,
     ManifoldSpec,
+    _forward,
+    _hpd_solve,
     _kernel,
+    _ldl,
     _mm,
-    _solve,
+    _stack_last,
     as_chart_array,
     validate_points,
 )
@@ -103,8 +117,14 @@ def _gradient(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
         zz = z @ z.swapaxes(-1, -2)
         k = _kernel(spec, z, z).real[..., None, None]
         return sign * level * (2.0 * z * zz.conj() + 2.0 * sign * z.conj()) / k
-    gram = _mm(z, z.conj().swapaxes(-1, -2))
-    return level * _solve(np.eye(z.shape[-2]) + sign * gram, z).conj()
+    z_dag = z.conj().swapaxes(-1, -2)
+    if z.shape[-1] < z.shape[-2]:
+        # Push-through: P^-1 Z = Z Q^-1, so G = level (Q^-1 Z^dag)^T on
+        # the smaller q x q side.
+        q = np.eye(z.shape[-1]) + sign * _mm(z_dag, z)
+        return level * _hpd_solve(q, z_dag).swapaxes(-1, -2)
+    p = np.eye(z.shape[-2]) + sign * _mm(z, z_dag)
+    return level * _hpd_solve(p, z).conj()
 
 
 def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
@@ -112,7 +132,8 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
 
     The closed form of the module docstring, paired with each pair of
     matrices of :func:`coordinate_basis`; for AIII, CI and DIII it is
-    ``level`` times :func:`_metric_form` on the basis.
+    ``level`` times the Gram matrix of the basis in the coordinates of
+    :func:`_kahler_coordinates`.
     """
     z = validate_points(spec, as_chart_array(spec, z))
     b = np.array(coordinate_basis(spec))
@@ -125,20 +146,47 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
         k_mn = 4.0 * np.outer(zb, zb.conj()) + 2.0 * sign * (bv @ bv.conj().T)
         out = sign * level * (k_mn / k - np.outer(k_mu, k_mu.conj()) / k**2)
     else:
-        out = level * _metric_form(spec, z, b[None], b[:, None])
+        x, w = _kahler_coordinates(spec, z[None], b)
+        x = x.reshape(-1, len(b))
+        out = level * ((x.conj() * w.reshape(-1, 1)).T @ x)
     return (out + out.conj().T) / 2.0
 
 
-def _metric_form(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray,
-                 v: np.ndarray) -> np.ndarray:
-    """The level-1 Kahler form ``tr(P^-1 v Q^-1 u^dagger)`` of chart
-    displacements ``u`` and ``v`` at chart points ``z`` of a determinant
-    family, with ``P = I + s z z^dagger`` and ``Q = I + s z^dagger z``;
-    the three broadcast as stacks.  ``sqrt(Re form(z, dz, dz))`` is the
-    Kahler length of ``dz``."""
+def _kahler_coordinates(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray):
+    """Chart displacements ``u`` at chart points ``z`` of a determinant
+    family, in coordinates where the level-1 Kahler form is diagonal.
+
+    With ``P = I + s z z^dagger = L_P D_P L_P^dagger`` and
+    ``Q = I + s z^dagger z = L_Q D_Q L_Q^dagger`` (``manifolds._ldl``),
+    ``tr(P^-1 v Q^-1 u^dagger) = sum(w * x_u * conj(x_v))`` with
+    ``x = (L_P^-1 u L_Q^-dagger)^dagger = L_Q^-1 (L_P^-1 u)^dagger``, two
+    forward substitutions, and the pivot weights
+    ``w[j, i] = 1 / (d_Q,j d_P,i)``.  On CI and DIII ``Q`` is
+    ``conj(P)``, so one factorisation serves both, and ``x`` is
+    ``conj(L_P^-1 (L_P^-1 u)^T)``.  ``z`` and ``u`` have as many leading
+    axes, and those of ``u`` hold those of ``z``; ``(x, w)`` come in the
+    stack-last layout of ``manifolds._ldl``, ``(q, p, ...)``."""
     z_dag = z.conj().swapaxes(-1, -2)
-    p = np.eye(z.shape[-2]) + spec.sign * _mm(z, z_dag)
-    q = np.eye(z.shape[-1]) + spec.sign * _mm(z_dag, z)
-    # y = Q^-1 (P^-1 u)^dagger, the adjoint of P^-1 u Q^-1.
-    y = _solve(q, _solve(p, u).conj().swapaxes(-1, -2))
-    return np.sum(v * y.swapaxes(-1, -2), axis=(-2, -1))
+    sign = spec.sign
+    cols_p, d_p = _ldl(np.eye(z.shape[-2]) + sign * _mm(z, z_dag))
+    y = _forward(cols_p, _stack_last(u))
+    if spec.family is Family.AIII:
+        cols_q, d_q = _ldl(np.eye(z.shape[-1]) + sign * _mm(z_dag, z))
+        x = _forward(cols_q, y.conj().swapaxes(0, 1).copy())
+    else:
+        d_q = d_p
+        x = _forward(cols_p, y.swapaxes(0, 1).copy()).conj()
+    return x, 1.0 / (d_q[:, None] * d_p[None, :])
+
+
+def _metric_form(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray):
+    """The level-1 Kahler form ``Re tr(P^-1 u Q^-1 u^dagger)`` of chart
+    displacements ``u`` at chart points ``z`` of a determinant family,
+    as ``sum(w |x|^2)`` in the coordinates of :func:`_kahler_coordinates`;
+    its square root is the Kahler length of ``u``.  On CP1, where
+    ``P = Q = 1 + s |z|^2``, it is ``|u|^2 / P^2``."""
+    if z.shape[-2:] == (1, 1):
+        p = 1.0 + spec.sign * (z.real ** 2 + z.imag ** 2)
+        return ((u.real ** 2 + u.imag ** 2) / (p * p))[..., 0, 0]
+    x, w = _kahler_coordinates(spec, z, u)
+    return np.sum(w * (x.real ** 2 + x.imag ** 2), axis=(0, 1))

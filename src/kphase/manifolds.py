@@ -16,20 +16,35 @@ validated arrays calls directly.
 
 Chart quantities come in stacks of thousands of 1 x 1 to 3 x 3 matrices,
 where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
-loop once per matrix.  Three private kernels serve products,
-determinants and solves, each with its size rule inside: ``_mm`` forms
-a product as one broadcast multiply-add per inner index up to inner
-dimension 3 and hands over to ``np.matmul`` above, ``_det`` has closed
-forms to 3 x 3 and hands over to LAPACK from 4 x 4 up, and ``_solve``
-divides on 1 x 1, takes the adjugate over ``_det`` on 2 x 2 and calls
-LAPACK from 3 x 3 up (see ``_solve``).  The domain check of
-:func:`point_faults` is one test for every p: the Cholesky pivots of
-``I - Z Z^dag`` must all be positive (``_positive_definite``).
-The kernel, the gradient, the Riccati right-hand side, the Mobius images
-and the Kahler metric use these kernels, and so do the propagator's
-stacked products, which act on the defining or spin dimension: 2 x 2
-and 3 x 3 flows take the broadcast, and from d = 4 up (65 at j = 32)
-``_mm`` is BLAS's ``@``.
+loop once per matrix.  Private kernels serve products, determinants and
+solves, each with its rule inside:
+
+- ``_mm``: a single matrix against a stack (a 2-D operand, or a 3-D
+  stack whose leading stride is 0, as a constant schedule's broadcast H
+  and its blocks) is one BLAS product from inner dimension 2 up;
+  otherwise one broadcast multiply-add per inner index up to inner
+  dimension 3, and ``np.matmul`` above.
+- ``_det``: closed forms to 3 x 3, LAPACK's LU from 4 x 4 up.
+- ``_hpd_solve``: the solves with the Hermitian positive-definite
+  ``P = I + s Z Z^dag`` and ``Q = I + s Z^dag Z``: from 3 x 3 up by
+  ``_ldl``, a broadcast elimination without pivoting
+  (``L diag(d) L^dag``, stable on positive-definite matrices), with one
+  refinement step; the closed forms of ``_solve`` on 1 x 1 and 2 x 2.
+  ``_ldl`` works with the stack axes last, so each operation reads whole
+  stacks of one entry.
+- ``_solve``: the general denominators, the chart images'
+  ``A^T + Z B^T`` and the propagator's Pade steps: division on 1 x 1,
+  the adjugate over ``_det`` on 2 x 2, LAPACK's pivoted LU from 3 x 3 up.
+
+The domain check of :func:`point_faults` is one test for every p: the
+``_ldl`` pivots of ``I - Z Z^dag`` must all be positive
+(``_positive_definite``), so the domain check and the solves share one
+elimination.  The kernel takes its determinant on the smaller side
+(``det(I_q + s W^dag Z)`` for AIII with q < p).  The kernel, the
+gradient, the Riccati right-hand side, the Mobius images and the Kahler
+metric use these kernels, and so do the propagator's stacked products,
+which act on the defining or spin dimension: 2 x 2 and 3 x 3 flows take
+the broadcast, and from d = 4 up (65 at j = 32) ``_mm`` is BLAS's ``@``.
 """
 
 from __future__ import annotations
@@ -194,8 +209,9 @@ def point_faults(
     if not spec.compact:
         z = arr if finite.all() else np.where(finite[:, None, None], arr, 0.0)
         # Entries past about 1e154 overflow Z Z^dag; the inf or NaN it
-        # leaves fails the comparisons below, so the row is outside.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # leaves fails the comparisons below, so the row is outside, and
+        # so does a row whose elimination meets a zero pivot.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gram = _mm(z, z.conj().swapaxes(1, 2))
             if spec.family is Family.BDI:
                 zz = np.abs((z @ z.swapaxes(1, 2))[:, 0, 0])
@@ -225,25 +241,101 @@ def raise_first_fault(faults, times=None) -> None:
         raise kind(message(k) + where)
 
 
-def _positive_definite(g: np.ndarray) -> np.ndarray:
-    """Whether each of a ``(n, p, p)`` stack of Hermitian matrices is
-    positive definite: every pivot of its Cholesky factorisation, taken
-    as the leading entry of the repeated Schur complements
-    ``G[1:, 1:] - G[1:, 0] G[0, 1:] / g00``, is positive.
+def _ldl(g: np.ndarray):
+    """The factorisation ``G = L diag(d) L^dag`` of a stack of Hermitian
+    positive-definite matrices, by elimination without pivoting.
 
-    A pivot is the ratio ``D_k / D_(k-1)`` of leading principal minors,
-    but is reached without forming them: where ``G`` has two small
-    eigenvalues (a skew 3 x 3 chart point near the boundary, whose
-    ``Z Z^dag`` has a double eigenvalue), ``det G`` would be a
-    cancellation of order-one terms down to the square of the gap, and
-    its sign lost to rounding.  A row whose pivot fails keeps dividing
-    by one, so no later pivot divides by zero."""
-    inside = g[:, 0, 0].real > 0.0
-    while g.shape[-1] > 1:
-        pivot = np.where(inside, g[:, 0, 0].real, 1.0)[:, None, None]
-        g = g[:, 1:, 1:] - g[:, 1:, :1] * (g[:, :1, 1:] / pivot)
-        inside &= g[:, 0, 0].real > 0.0
-    return inside
+    The pivots ``d`` are the leading entries of the repeated Schur
+    complements ``G[1:, 1:] - G[1:, 0] G[0, 1:] / g00``; the unit
+    lower-triangular ``L`` is kept as its columns below the diagonal.  On
+    positive-definite matrices this is Cholesky's elimination, backward
+    stable without pivoting (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 10), and each pivot is the ratio ``D_k / D_(k-1)`` of
+    leading principal minors reached without forming them.
+
+    The elimination runs on a copy of ``g`` with the stack axes last, so
+    that every operation reads whole stacks of one entry rather than
+    numpy's inner loops of two or three entries.  Returns ``(cols, d)`` in
+    that layout: ``cols[k]`` is ``L[k+1:, k]`` of shape
+    ``(p - k - 1, ...)`` and ``d`` the real ``(p, ...)`` pivots.  A pivot
+    that is zero divides by zero; callers that factor matrices which may
+    not be positive definite (:func:`_positive_definite`) suppress that
+    warning."""
+    a = _stack_last(g)
+    d = np.empty(a.shape[1:])
+    cols = []
+    for k in range(len(a)):
+        d[k] = a[k, k].real
+        if k + 1 < len(a):
+            col = a[k + 1:, k] / d[k]
+            cols.append(col)
+            a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
+    return cols, d
+
+
+def _stack_last(b: np.ndarray) -> np.ndarray:
+    """A copy of a ``(..., p, q)`` stack as ``(p, q, ...)``: the layout of
+    :func:`_ldl`."""
+    return b.transpose(-2, -1, *range(b.ndim - 2)).copy()
+
+
+def _forward(cols, y: np.ndarray) -> np.ndarray:
+    """Overwrite ``y``, a ``(p, q, ...)`` stack in the layout of
+    :func:`_ldl` with as many stack axes, with ``L^-1 y`` by forward
+    substitution, one column of ``L`` at a time, and return it."""
+    for k, col in enumerate(cols):
+        y[k + 1:] -= col[:, None] * y[k]
+    return y
+
+
+def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``g^-1 b`` for Hermitian positive-definite ``g`` and matching
+    ``b``, or stacks of them with the same leading axes: the closed forms
+    of :func:`_solve` on 1 x 1 and 2 x 2, and from 3 x 3 up the
+    factorisation of :func:`_ldl` with one step of iterative refinement
+    in working precision, written to a new C-ordered array.
+
+    The factorisation's solve is a forward substitution, the pivots and
+    a back substitution with ``L^dag``; the refinement solves once more,
+    with the same factors, for the residual ``b - g x``.  Cholesky's
+    normwise backward error is a small multiple of eps, but near the
+    bounded domain's edge it reached two to twenty times that of
+    LAPACK's pivoted LU on some points (DIII(4), DIII(6); on 2 x 2 CI(2)
+    points ten times, where the adjugate matches LU); after the
+    refinement step it is below LU's (Skeel's result for fixed-precision
+    refinement)."""
+    if g.shape[-1] < 3:
+        return _solve(g, b)
+    cols, d = _ldl(g)
+
+    def solve(y):
+        _forward(cols, y)
+        y /= d[:, None]
+        for k in reversed(range(len(cols))):
+            y[k] -= np.sum(cols[k].conj()[:, None] * y[k + 1:], axis=0)
+        return y
+
+    x = solve(_stack_last(b))
+    gt, r = (m.transpose(-2, -1, *range(m.ndim - 2)) for m in (g, b))
+    r = r - gt[:, 0, None] * x[0]
+    for j in range(1, len(x)):
+        r -= gt[:, j, None] * x[j]
+    out = np.empty(b.shape, x.dtype)
+    np.add(x, solve(r), out=out.transpose(-2, -1, *range(out.ndim - 2)))
+    return out
+
+
+def _positive_definite(g: np.ndarray) -> np.ndarray:
+    """Whether each of a stack of Hermitian matrices is positive
+    definite: every pivot of its :func:`_ldl` elimination is positive.
+
+    Where ``G`` has two small eigenvalues (a skew 3 x 3 chart point near
+    the boundary, whose ``Z Z^dag`` has a double eigenvalue), ``det G``
+    would be a cancellation of order-one terms down to the square of the
+    gap, and its sign lost to rounding; the pivots keep it.  A row whose
+    pivot is zero or negative may leave infinite or NaN pivots after it,
+    which fail the test too; the caller ignores those warnings."""
+    return np.all(_ldl(g)[1] > 0.0, axis=0)
 
 
 def _det(m: np.ndarray):
@@ -267,28 +359,52 @@ def _det(m: np.ndarray):
 
 def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` for matrices or stacks of them, as a new array; the
-    leading axes broadcast as in ``@``.  At inner dimension 3 or less it
-    is one broadcast multiply-add per inner index, which beats the
-    per-matrix loop of ``np.matmul`` three- to fivefold on stacks of
+    leading axes broadcast as in ``@``.
+
+    From inner dimension 2 up, a single matrix against a stack is one
+    BLAS product over the stack's rows or columns.  A single operand is
+    a 2-D matrix, or a 3-D stack whose leading stride is 0 (a constant
+    schedule's broadcast H and its blocks) and whose leading axis is the
+    other operand's; two 2-D matrices take the rules below.  This is a
+    rule on shapes and one stride, so it costs a few attribute reads per
+    call.  Otherwise, at inner dimension 3 or less, the
+    product is one broadcast multiply-add per inner index, which beats
+    the per-matrix loop of ``np.matmul`` three- to fivefold on stacks of
     hundreds of 2 x 2 matrices; above that it is ``np.matmul``, since
     each inner index costs one pass over the stack.  On one 2 x 2 matrix
     it takes about three times as long as ``@``, so the flow's single
     products keep ``@``."""
-    if x.shape[-1] > 3:
+    k = x.shape[-1]
+    if k > 1:
+        if x.ndim > 2 and (y.ndim == 2 or y.ndim == 3 and y.strides[0] == 0
+                           and x.shape[:-2] == y.shape[:-2]):
+            m = y if y.ndim == 2 else y[0]
+            return (x.reshape(-1, k) @ m).reshape(x.shape[:-1] + m.shape[1:])
+        if y.ndim == 3 and (x.ndim == 2 or x.strides[0] == 0
+                            and x.shape[:-2] == y.shape[:-2]):
+            m = x if x.ndim == 2 else x[0]
+            n, _, cols = y.shape
+            out = m @ y.swapaxes(0, 1).reshape(k, n * cols)
+            return out.reshape(len(m), n, cols).swapaxes(0, 1)
+    if k > 3:
         return np.matmul(x, y)
     out = x[..., :, :1] * y[..., :1, :]
-    for k in range(1, x.shape[-1]):
-        out += x[..., :, k:k + 1] * y[..., k:k + 1, :]
+    for i in range(1, k):
+        out += x[..., :, i:i + 1] * y[..., i:i + 1, :]
     return out
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` for square ``a`` and matching ``b``, or stacks of them:
-    ``b / a`` on 1 x 1, the adjugate over :func:`_det` on 2 x 2, and
-    ``np.linalg.solve`` from 3 x 3 up.  A 3 x 3 adjugate solve beat
-    LAPACK's per-matrix loop on chart stacks, but it raised the peak
-    memory of an evolve run and had several times the backward error of
-    LAPACK's pivoted LU on matrices I - Z Z^dag near the boundary."""
+    """``a^-1 b`` for general square ``a`` and matching ``b``, or stacks
+    of them: the chart images' denominators ``A^T + Z B^T`` and the Pade
+    steps, which are not Hermitian.  ``b / a`` on 1 x 1, the adjugate
+    over :func:`_det` on 2 x 2, and ``np.linalg.solve`` (LU with partial
+    pivoting) from 3 x 3 up.  A 3 x 3 adjugate solve beat LAPACK's
+    per-matrix loop on chart stacks, but it raised the peak memory of an
+    evolve run and had several times the backward error of LAPACK's
+    pivoted LU on matrices I - Z Z^dag near the boundary; the Hermitian
+    positive-definite solves take :func:`_hpd_solve`, which hands its
+    1 x 1 and 2 x 2 ones to this function."""
     n = a.shape[-1]
     if n == 1:
         return b / a
@@ -310,15 +426,21 @@ def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
         ww = (w @ w.swapaxes(-1, -2))[..., 0, 0]
         zw = (z @ w_dag)[..., 0, 0]
         return 1.0 + zz * np.conj(ww) + sign * 2.0 * zw
-    p = spec.point_shape[0]
-    return _det(np.eye(p) + sign * _mm(z, w_dag))
+    if z.shape[-1] < z.shape[-2]:
+        # Sylvester: det(I_p + s Z W^dag) = det(I_q + s W^dag Z).  On the
+        # smaller side a large rank-one Z W^dag does not cancel to zero.
+        return _det(np.eye(z.shape[-1]) + sign * _mm(w_dag, z))
+    return _det(np.eye(z.shape[-2]) + sign * _mm(z, w_dag))
 
 
 def kernel(spec: ManifoldSpec, z, w):
     """Evaluate the family kernel K(z, conj(w)).
 
-    Determinant families use ``det(I +/- Z W^dag)`` on the ``p x p`` side,
-    with ``+`` for compact and ``-`` for non-compact specs.  BDI uses the
+    Determinant families use ``det(I +/- Z W^dag)``, with ``+`` for
+    compact and ``-`` for non-compact specs, taken on the smaller side:
+    for AIII with q < p it is ``det(I_q +/- W^dag Z)`` (Sylvester's
+    identity), whose closed form does not cancel where ``Z W^dag`` is a
+    large rank-one matrix.  BDI uses the
     quadratic vector formula
     ``1 + (z.z)(conj(w.w)) +/- 2 (z . conj(w))``.
 
@@ -373,22 +495,27 @@ def projective_distance(spec: ManifoldSpec, z, w):
 
     Compact specs use ``arccos`` of the clamped level-one overlap modulus;
     non-compact specs, where the overlap modulus is >= 1, use ``arccosh``.
-    Broadcasts as :func:`kernel`.
+    Broadcasts as :func:`kernel`, and raises ``OverflowError`` as it does.
     """
     return _distance(spec, validate_points(spec, z), validate_points(spec, w))
 
 
 def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     """:func:`projective_distance` on chart arrays that already passed the
-    chart rules."""
-    kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
+    chart rules.  Past |z| ~ 1e154 on CP1 the kernels themselves overflow,
+    and the distance raises ``OverflowError`` as :func:`kernel` does."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
+        k = _kernel(spec, z, w)
+    if not (np.isfinite(kzz).all() and np.isfinite(kww).all()
+            and np.isfinite(k).all()):
+        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
     # Far from the origin K(z, z) K(w, w) overflows (past |z| ~ 1e77 on
     # CP1).  One power of two from the larger diagonal kernel scales all
     # three kernels exactly, so the ratio is unchanged wherever the
     # unscaled product is finite, and d(z, z) stays exactly zero.
     _, e = np.frexp(np.maximum(kzz, kww))
     norm = np.sqrt(np.ldexp(kzz, -e) * np.ldexp(kww, -e))
-    k = _kernel(spec, z, w)
     # Dividing each part by the real norm keeps the modulus of a scalar
     # complex division; numpy's complex division rounds differently, and
     # near a zero distance arccos magnifies such last-bit changes ~1e8-fold.

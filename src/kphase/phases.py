@@ -13,7 +13,8 @@ trapezoid ``gamma = 1/2 sum_k Im sum((G_k + G_{k+1}) * (Z_{k+1} - Z_k))``
 over the closed loop, and the dynamical phase ``beta`` is the trapezoid
 integral of ``dynamics.expectation`` over the sample times.  Both read
 the same ``G_k``, so a cyclic trajectory takes them from one gradient
-pass (``_phases``).
+pass (``_phases``), and its expectation reads the dZ/dt that the
+trajectory stored as ``velocities``.
 
 Angles wrap to the half-open interval (-pi, pi].
 """
@@ -25,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianSchedule, Trajectory, _expectation
+from .dynamics import (
+    HamiltonianSchedule,
+    Trajectory,
+    _expectation,
+    riccati_rhs,
+)
 from .errors import (
     BranchCut,
     DimensionMismatch,
@@ -237,11 +243,13 @@ def dynamical_phase(
     traj: Trajectory,
     schedule: HamiltonianSchedule,
 ) -> float:
-    """Trapezoid integral of the Hamiltonian expectation along a trajectory."""
+    """Trapezoid integral of the Hamiltonian expectation along a trajectory,
+    with dZ/dt taken by ``dynamics.riccati_rhs`` on its points."""
     times, hs = _hamiltonians(traj, schedule)
     z = traj.points
     return _trapezoid(times, _expectation(spec, level, z, hs,
-                                          _gradient(spec, level, z)))
+                                          _gradient(spec, level, z),
+                                          riccati_rhs(spec, hs, z)))
 
 
 def _hamiltonians(traj: Trajectory, schedule: HamiltonianSchedule):
@@ -265,13 +273,14 @@ def _phases(spec: ManifoldSpec, level: int, traj: Trajectory,
             schedule: HamiltonianSchedule, cyclicity_tol: float):
     """:func:`dynamical_phase`, :func:`line_integral_phase` and the
     closure distance of a cyclic trajectory, from one gradient pass on
-    its rows closed by the first.  The expectation is checked before the
-    closure, so ``NonRealExpectation`` comes before ``NotClosed``."""
+    its rows closed by the first and from the trajectory's stored
+    ``velocities``.  The expectation is checked before the closure, so
+    ``NonRealExpectation`` comes before ``NotClosed``."""
     times, hs = _hamiltonians(traj, schedule)
     z = np.concatenate([traj.points, traj.points[:1]])
     g = _gradient(spec, level, z)
     beta = _trapezoid(times, _expectation(spec, level, traj.points, hs,
-                                          g[:-1]))
+                                          g[:-1], traj.velocities))
     closure = _closure(spec, traj.points, cyclicity_tol)
     return beta, _chord_sum(z, g), closure
 

@@ -194,5 +194,5 @@ def stepwise_run(schedule, Y0, t0: float, h: float, n: int, spec=None,
         ys.append(pade @ ys[-1])
         if zs is not None:
             zs.append(_rk4_step(lambda H, z: riccati_rhs(spec, H, z), zs[-1],
-                                H1, H2, H3, h))
+                                riccati_rhs(spec, H1, zs[-1]), H2, H3, h))
     return np.array(ys), None if zs is None else np.array(zs)

@@ -47,6 +47,19 @@ def test_kernel_flags(capsys):
     assert json.loads(out) == {"im": -1.0, "re": 1.0}
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_kernel_on_the_smaller_side_from_the_cli(capsys, p):
+    """``kphase kernel`` on a large rank-one AIII(p, 1) point prints
+    1 + 2e18, which the p x p determinant cancelled to 0.0."""
+    z = json.dumps([[1e9, 0.0], [1e9, 0.0]] + [[0.0, 0.0]] * (int(p) - 2))
+    rc, out, _ = run_cli(capsys, ["kernel", "--family", "AIII", "--p", p,
+                                  "--q", "1", "--z", z, "--w", z])
+    assert rc == 0
+    value = json.loads(out)
+    assert value["im"] == 0.0
+    assert abs(value["re"] - 2e18) <= 1e-15 * 2e18
+
+
 def test_kernel_output_byte_stable(capsys):
     argv = ["kernel", "--z", "0.25", "--w", "[0.5, -0.125]"]
     _, first, _ = run_cli(capsys, argv)
@@ -267,6 +280,46 @@ def test_evolve_takes_one_gradient_pass(tmp_path, capsys, monkeypatch):
     assert len(z) == len(rows) + 1
     assert np.array_equal(z[0], z[-1])
     assert matrix_to_json(z[-2]) == rows[-1]
+
+
+@pytest.mark.parametrize("manifold, z0", [
+    ({"family": "AIII", "p": 1, "q": 1}, [0.5, 0.0]),
+    ({"family": "AIII", "p": 3, "q": 2},
+     [[[0.2, 0.0], [0.0, 0.1]], [[0.0, -0.1], [0.1, 0.0]],
+      [[0.0, 0.0], [0.2, 0.1]]]),
+], ids=["CP1", "AIII(3,2)"])
+def test_evolve_reads_the_stored_velocities(tmp_path, capsys, monkeypatch,
+                                            manifold, z0):
+    """beta reads the velocities the trajectory stored: ``run_evolve``
+    calls ``riccati_rhs`` on no stack of the cycle's rows outside
+    ``_chart_rows``, whose RK4 steps hold dZ/dt as their first stages.
+    Outside it, the last row and the clip row take one call each."""
+    calls = []
+
+    def recording(spec, H, Z):
+        frame, inside = sys._getframe(1), False
+        # The RK4 stages call through _rk4_step's lambda.
+        for _ in range(3):
+            inside |= frame.f_code.co_name == "_chart_rows"
+            frame = frame.f_back
+        calls.append((inside, np.shape(Z)[:-2]))
+        return riccati_rhs(spec, H, Z)
+
+    riccati_rhs = kphase.dynamics.riccati_rhs
+    for mod in (kphase.dynamics, kphase.phases):
+        monkeypatch.setattr(mod, "riccati_rhs", recording)
+    n = manifold["p"] + manifold["q"]
+    h = np.diag(np.arange(n, dtype=float) - 1.0)
+    sched = HamiltonianSchedule.constant([h], [1.0])
+    cfg = {"manifold": manifold, "schedule": sched.to_json(), "z0": z0,
+           "T": 7.0, "dt": 2e-3, "stride": 500}
+    path = tmp_path / "velocities.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, ["evolve", "--config", str(path)])
+    assert rc == 0, out
+    assert json.loads(out.splitlines()[-1])["cycle"]["time"] < 7.0
+    assert [shape for inside, shape in calls if not inside] == [(1,), (1,)]
+    assert sum(shape[0] for inside, shape in calls if inside) >= 4 * 3000
 
 
 def _loop_rows(m) -> list:
@@ -661,6 +714,27 @@ def test_far_latitude_loop_closes(capsys, radius):
     assert rep["samples"] == near["samples"]
     for key in ("line_integral", "polygon_fan", "difference"):
         assert rep[key] == pytest.approx(near[key], abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", ["1e155", "1e300"])
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_far_latitude_loop_overflows_exits_two(capsys, radius, action):
+    """Past |z| ~ 1e154 the CP1 kernel itself overflows: the loop exits 2
+    with ``OverflowError`` naming the kernel, as ``kphase kernel`` does,
+    whether RuntimeWarnings are errors or not.  It reported
+    ``KernelZero`` for a loop far from any zero of the kernel, and with
+    warnings as errors an overflow traceback (exit 1)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        rc, out, err = run_cli(capsys, ["stokes", "--kind", "latitude",
+                                        f"--radius={radius}", "--samples",
+                                        "600"])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["type"] == "OverflowError"
+    assert "kernel" in payload["message"]
+    assert "overflows double precision" in payload["message"]
+    assert err.startswith("kphase: OverflowError")
 
 
 @pytest.mark.parametrize("radius", ["inf", "-inf", "nan", "0"])

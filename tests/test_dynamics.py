@@ -35,6 +35,7 @@ import kphase.geometry
 from kphase.dynamics import (
     CROSS_CHECK_TOL,
     STATIONARY_TOL,
+    _blocks,
     _rk4_step,
     defining_dimension,
 )
@@ -443,10 +444,40 @@ def test_clip_checks_new_row_like_whole_path(constant, rng):
     assert np.max(np.abs(cyc.points[-1] - image)) <= 1e-12
     t, h = cyc.times[k], t_end - cyc.times[k]
     step = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), cyc.points[k],
-                     sched(t), sched(t + h / 2.0), sched(t_end), h)
+                     riccati_rhs(spec, sched(t), cyc.points[k]),
+                     sched(t + h / 2.0), sched(t_end), h)
     assert cyc.defects[-1] == pytest.approx(
         metric_length(spec, cyc.points[-1], cyc.points[-1] - step), rel=1e-9)
     assert cyc.cross_check_error == np.sum(cyc.defects)
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant",
+                                                          "sampled"])
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(Family.AIII, 3, 2),
+    ManifoldSpec(Family.CI, 2),
+    ManifoldSpec(Family.DIII, 3, 1, False),
+], ids=["AIII(3,2)", "CI(2)", "DIII(3)-noncompact"])
+def test_velocities_are_the_riccati_rhs_at_each_row(spec, constant, rng):
+    """``velocities[k]`` is dZ/dt at row k, ``riccati_rhs`` at
+    ``(H(t_k), points[k])``, on every row of a trajectory of several
+    chunks, its last row and a clip row included: the RK4 first stages
+    and one evaluation each at the last row and the clip row."""
+    gens = [_defining_generator(rng, spec) for _ in range(2)]
+    sched = (HamiltonianSchedule.constant(gens, [0.4, 0.3]) if constant else
+             HamiltonianSchedule.from_samples(
+                 gens, [[0.0, 0.4, 0.3], [2.5, -0.2, 0.5]]))
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched, 2.5, 2e-3)
+    entries = traj.points[0].size if constant else sched.dim ** 2
+    assert len(_blocks(1250, entries)) > 1
+    cyc = clip_trajectory(traj, sched, 1.2345)
+    assert np.array_equal(cyc.velocities[:-1], traj.velocities[:618])
+    for path in (traj, cyc):
+        ref = np.array([riccati_rhs(spec, sched(t), z)
+                        for t, z in zip(path.times, path.points)])
+        assert path.velocities.shape == path.points.shape
+        assert np.max(np.abs(path.velocities - ref)) <= 1e-13 * np.max(
+            np.abs(ref))
 
 
 def test_clip_guard_on_new_row_names_clip_time(monkeypatch):
@@ -587,7 +618,7 @@ def test_defect_length_is_the_public_metric(spec, rng):
     bounded domains."""
     z = np.array([random_point(spec, rng) for _ in range(3)])
     dz = np.array([random_point(spec, rng, 1e-3) for _ in range(3)])
-    lengths = np.sqrt(kphase.geometry._metric_form(spec, z, dz, dz).real)
+    lengths = np.sqrt(kphase.geometry._metric_form(spec, z, dz))
     ref = [metric_length(spec, a, b) for a, b in zip(z, dz)]
     assert lengths == pytest.approx(ref, rel=1e-12)
 
@@ -813,8 +844,8 @@ def test_constant_trajectory_and_clip_match_exponential(rng):
     images = [mobius_act(spec, U, z0, 1e-9) for U in ref]
     defects = np.array([
         metric_length(spec, b, b - _rk4_step(
-            lambda H_, z: riccati_rhs(spec, H_, z), a, 0.5 * H, 0.5 * H,
-            0.5 * H, h))
+            lambda H_, z: riccati_rhs(spec, H_, z), a,
+            riccati_rhs(spec, 0.5 * H, a), 0.5 * H, 0.5 * H, h))
         for a, b in zip(images, images[1:])])
     parted = np.flatnonzero(np.cumsum(defects) > CROSS_CHECK_TOL)
     if len(parted):

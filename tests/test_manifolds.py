@@ -15,7 +15,7 @@ from kphase import (
     projective_distance,
     validate_points,
 )
-from kphase.manifolds import _det, _mm, _solve, point_faults
+from kphase.manifolds import _det, _hpd_solve, _mm, _solve, point_faults
 
 from finite_difference import random_point
 
@@ -277,25 +277,42 @@ def _complex(rng, *shape):
 
 @pytest.mark.parametrize("rows, inner, cols", [
     (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 2, 3), (2, 3, 1),
-    (5, 5, 5), (8, 8, 8), (3, 4, 2), (4, 5, 1)])
+    (5, 5, 5), (8, 8, 8), (3, 4, 2), (4, 5, 1), (3, 1, 2), (2, 1, 3)])
 @pytest.mark.parametrize("layout", [
-    "stack-stack", "one-stack", "stack-one", "broadcast-stack", "periods",
-    "column"])
+    "stack-stack", "one-stack", "stack-one", "one-one", "broadcast-stack",
+    "stack-broadcast", "broadcast-broadcast", "block-stack", "stack-block",
+    "periods", "column"])
 def test_mm_matches_matmul(rng, rows, inner, cols, layout):
     """``_mm`` agrees with ``@`` to 1e-14 of the entries' summed terms,
-    on both sides of its size rule (broadcast to inner dimension 3,
-    ``np.matmul`` above): on stacks, on one matrix against a stack, on a
-    stride-0 stack (read-only, so a write to an input would raise), on
+    on both sides of its shape and size rules (one BLAS product for a
+    single matrix against a stack from inner dimension 2, a broadcast to
+    inner dimension 3, ``np.matmul`` above): on stacks, on a 2-D matrix
+    on either side of a stack and against another, on stride-0 stacks
+    (read-only, so a write to an input would raise) on either side and on
+    both, on the stride-0 blocks of a constant schedule's broadcast H, on
     the ``(m, 16, d, d)`` stacks of the flow's pairwise period products
     and on the ``(m, d, 1)`` columns of a state vector's rows."""
     x = _complex(rng, 50, rows, inner)
     y = _complex(rng, 50, inner, cols)
+    # H as riccati_rhs reads it: a broadcast stack, transposed, in blocks.
+    h = np.broadcast_to(_complex(rng, 9, 9), (50, 9, 9)).swapaxes(-1, -2)
     if layout == "one-stack":
         x = x[0]
     elif layout == "stack-one":
         y = y[0]
+    elif layout == "one-one":
+        x, y = x[0], y[0]
     elif layout == "broadcast-stack":
         x = np.broadcast_to(x[0], x.shape)
+    elif layout == "stack-broadcast":
+        y = np.broadcast_to(y[0], y.shape)
+    elif layout == "broadcast-broadcast":
+        x = np.broadcast_to(x[0], x.shape)
+        y = np.broadcast_to(y[0], y.shape)
+    elif layout == "block-stack":
+        x = h[:, 1:1 + rows, 9 - inner:]
+    elif layout == "stack-block":
+        y = h[:, 9 - inner:, 1:1 + cols]
     elif layout == "periods":
         x = _complex(rng, 6, 16, rows, inner)
         y = _complex(rng, 6, 16, inner, cols)
@@ -389,3 +406,58 @@ def test_domain_check_by_pivots_matches_eigvalsh(spec, gap, rng):
     gram = np.eye(spec.p) - points @ points.conj().swapaxes(-1, -2)
     assert np.array_equal(inside, np.linalg.eigvalsh(gram)[:, 0] > 0.0)
     assert np.array_equal(inside, scale < 1.0)
+
+
+def _boundary_points(spec, rng, k):
+    """400 chart points of spectral norm 1 - 10^-k."""
+    points = np.array([random_point(spec, rng) for _ in range(400)])
+    norms = np.linalg.norm(points, ord=2, axis=(-2, -1))
+    return points * ((1.0 - 10.0 ** -k) / norms)[:, None, None]
+
+
+def _backward_residual(a, x, b):
+    """Largest normwise backward residual ``|b - a x| / (|a| |x| + |b|)``
+    (spectral norms) over a stack."""
+    norm = lambda m: np.linalg.norm(m, ord=2, axis=(-2, -1))
+    return np.max(norm(b - a @ x) / (norm(a) * norm(x) + norm(b)))
+
+
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(Family.AIII, 3, 2, False),
+    ManifoldSpec(Family.CI, 2, 1, False),
+    ManifoldSpec(Family.DIII, 3, 1, False),
+    ManifoldSpec(Family.DIII, 4, 1, False),
+    ManifoldSpec(Family.DIII, 6, 1, False),
+], ids=["AIII(3,2)", "CI(2)", "DIII(3)", "DIII(4)", "DIII(6)"])
+@pytest.mark.parametrize("k", [3, 6, 9, 12])
+def test_ldl_near_boundary_backward_error(spec, k, rng):
+    """The solve with I - Z Z^dagger (from 3 x 3 up an LDL^dagger
+    elimination without pivoting and one refinement step, the adjugate on
+    2 x 2) stays backward stable up to the boundary: at spectral norm
+    1 - 10^-k its normwise backward residual is at most twice that of
+    LAPACK's pivoted LU, on stacks and on one matrix.  Without the
+    refinement step the elimination reached 2 to 20 times LU's on
+    DIII(4) and DIII(6), and 10 times on CI(2); the 3 x 3 adjugate solve
+    tried before had about six times LU's."""
+    z = _boundary_points(spec, rng, k)
+    a = np.eye(spec.p) - z @ z.conj().swapaxes(-1, -2)
+    got = _hpd_solve(a, z)
+    lapack = _backward_residual(a, np.linalg.solve(a, z), z)
+    assert _backward_residual(a, got, z) <= 2.0 * lapack
+    one = _hpd_solve(a[0], z[0])
+    assert _backward_residual(a[:1], one[None], z[:1]) <= 2.0 * lapack
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("x", [1e8, 1e9])
+def test_kernel_on_the_smaller_side(p, x):
+    """The AIII kernel of a large rank-one point is taken on the q x q
+    side, det(I_q + W^dag Z), where the p x p determinant cancelled to
+    zero: within 1e-15 of 1 + 2 x^2, and the point is at distance 0 from
+    itself (NaN before)."""
+    spec = ManifoldSpec(Family.AIII, p, 1)
+    z = np.zeros((p, 1))
+    z[:2] = x
+    want = 1.0 + 2.0 * x * x
+    assert abs(kernel(spec, z, z) - want) <= 1e-15 * want
+    assert projective_distance(spec, z, z) == 0.0
