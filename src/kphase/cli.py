@@ -230,12 +230,7 @@ def run_evolve(config: dict) -> list[str]:
 def _oracle_start(spec, level, schedule, z0):
     """The oracle's spin-j schedule and start state, built before the chart
     pipeline runs so that an unsupported chart or spin fails first."""
-    if (
-        spec.family is not Family.AIII
-        or spec.p != 1
-        or spec.q != 1
-        or not spec.compact
-    ):
+    if spec != cp1():
         raise UnsupportedFamily(
             "the quantum oracle runs on the compact rank-one chart only"
         )
@@ -364,13 +359,68 @@ def run_oracle_compare(config: dict) -> list[str]:
     ]
 
 
-_RUNNERS = {
-    "kernel": run_kernel,
-    "triangle": run_triangle,
-    "evolve": run_evolve,
-    "stokes": run_stokes,
-    "poincare": run_poincare,
-    "oracle-compare": run_oracle_compare,
+# Each subcommand's runner, flags and help line.  A flag is (section, name,
+# argparse keywords).  When given, it sets the config entry named by its
+# argparse dest: at the top level for section "", inside the config object
+# of that name otherwise; a section of None sets no entry.
+_FILES = (
+    (None, "--config", dict(metavar="FILE", help="JSON config file")),
+    (None, "--sweep", dict(metavar="FILE", help="JSON array of configs, "
+                           "fanned over a process pool in order")),
+)
+_CHART = (
+    ("manifold", "--family", dict(choices=[f.value for f in Family])),
+    ("manifold", "--p", dict(type=int)),
+    ("manifold", "--q", dict(type=int)),
+    ("manifold", "--non-compact", dict(
+        action="store_const", const=False, dest="compact",
+        help="use the bounded-domain dual instead of the compact form")),
+    ("", "--level", dict(type=int, help="line-bundle level")),
+)
+_SPAN = (
+    ("", "--z0", dict(help="initial chart point")),
+    ("", "--T", dict(type=float, help="integration span")),
+    ("", "--dt", dict(type=float, help="step size")),
+)
+_COMMANDS = {
+    "kernel": (run_kernel, _FILES + _CHART + (
+        ("", "--z", dict(help="first point: JSON pair [re, im] or matrix")),
+        ("", "--w", dict(help="second point: JSON pair [re, im] or matrix")),
+    ), "evaluate the reproducing kernel at a pair of chart points"),
+    "triangle": (run_triangle, _FILES + _CHART + (
+        ("", "--z", dict(help="first vertex")),
+        ("", "--w", dict(help="second vertex")),
+    ), "exact geodesic-triangle phase against the chart origin"),
+    "evolve": (run_evolve, _FILES + _CHART + _SPAN + (
+        ("", "--stride", dict(type=int, help="trajectory output stride")),
+        ("", "--cyclicity-tol", dict(
+            type=float, help="closure tolerance for the detected cycle")),
+        ("", "--oracle", dict(
+            action="store_true", default=None,
+            help="run the spin-j quantum reference alongside (rank-one only)")),
+    ), "integrate a linear Hamiltonian flow and report its phases"),
+    "stokes": (run_stokes, _FILES + _CHART + (
+        ("loop", "--kind", dict(choices=["latitude", "fourier", "points"],
+                                help="loop construction")),
+        ("loop", "--radius", dict(type=float, help="latitude chart radius")),
+        ("loop", "--samples", dict(type=int, help="loop sample count")),
+        ("loop", "--seed", dict(type=int, help="fourier loop seed")),
+        ("loop", "--modes", dict(type=int, help="fourier mode count")),
+        ("loop", "--scale", dict(type=float, help="fourier amplitude scale")),
+        ("", "--cyclicity-tol", dict(type=float,
+                                     help="loop closure tolerance")),
+    ), "compare the connection line integral with the triangle fan"),
+    "poincare": (run_poincare, (
+        ("", "quotients", dict(nargs="*", metavar="QUOTIENT")),
+        ("", "--min-orbit", dict(
+            action="append", dest="min_orbits", metavar="GROUP",
+            help="print the minimal-orbit table row of a simple group")),
+    ), "Betti numbers of equal-rank quotients, e.g. G2/A1xU1"),
+    "oracle-compare": (run_oracle_compare, _FILES + (
+        ("", "--j", dict(type=float, help="spin of the reference evolution")),
+    ) + _SPAN + (
+        ("", "--stride", dict(type=int, help="projection sampling stride")),
+    ), "pointwise spin-j Schrodinger check of the chart flow"),
 }
 
 
@@ -409,7 +459,7 @@ def _guarded(run, *args):
 
 def _sweep_worker(item):
     name, config = item
-    return _guarded(_RUNNERS[name], config)
+    return _guarded(_COMMANDS[name][0], config)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -426,7 +476,7 @@ def _results(args) -> list:
     """The ``(exit code, stdout lines, stderr text)`` of each run, in the
     order of the sweep file, or of the one run without ``--sweep``."""
     if not getattr(args, "sweep", None):
-        return [_guarded(_RUNNERS[args.command], _gather_config(args))]
+        return [_guarded(_COMMANDS[args.command][0], _gather_config(args))]
     with open(args.sweep) as f:
         configs = json.load(f)
     if not isinstance(configs, list):
@@ -442,27 +492,6 @@ def _results(args) -> list:
         return pool.map(_sweep_worker, items)
 
 
-def _add_common(sp, manifold: bool = True):
-    sp.add_argument("--config", metavar="FILE", help="JSON config file")
-    sp.add_argument(
-        "--sweep",
-        metavar="FILE",
-        help="JSON array of configs, fanned over a process pool in order",
-    )
-    if manifold:
-        sp.add_argument("--family", choices=[f.value for f in Family])
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument(
-            "--non-compact",
-            action="store_true",
-            default=None,
-            dest="non_compact",
-            help="use the bounded-domain dual instead of the compact form",
-        )
-        sp.add_argument("--level", type=int, help="line-bundle level")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kphase",
@@ -473,123 +502,31 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser(
-        "kernel",
-        help="evaluate the reproducing kernel at a pair of chart points",
-    )
-    _add_common(sp)
-    sp.add_argument("--z", help="first point: JSON pair [re, im] or matrix")
-    sp.add_argument("--w", help="second point: JSON pair [re, im] or matrix")
-
-    sp = sub.add_parser(
-        "triangle",
-        help="exact geodesic-triangle phase against the chart origin",
-    )
-    _add_common(sp)
-    sp.add_argument("--z", help="first vertex")
-    sp.add_argument("--w", help="second vertex")
-
-    sp = sub.add_parser(
-        "evolve",
-        help="integrate a linear Hamiltonian flow and report its phases",
-    )
-    _add_common(sp)
-    sp.add_argument("--z0", help="initial chart point")
-    sp.add_argument("--T", type=float, help="integration span")
-    sp.add_argument("--dt", type=float, help="step size")
-    sp.add_argument("--stride", type=int, help="trajectory output stride")
-    sp.add_argument(
-        "--cyclicity-tol", type=float, dest="cyclicity_tol",
-        help="closure tolerance for the detected cycle",
-    )
-    sp.add_argument(
-        "--oracle",
-        action="store_true",
-        default=None,
-        help="run the spin-j quantum reference alongside (rank-one only)",
-    )
-
-    sp = sub.add_parser(
-        "stokes",
-        help="compare the connection line integral with the triangle fan",
-    )
-    _add_common(sp)
-    sp.add_argument(
-        "--kind", choices=["latitude", "fourier", "points"],
-        help="loop construction",
-    )
-    sp.add_argument("--radius", type=float, help="latitude chart radius")
-    sp.add_argument("--samples", type=int, help="loop sample count")
-    sp.add_argument("--seed", type=int, help="fourier loop seed")
-    sp.add_argument("--modes", type=int, help="fourier mode count")
-    sp.add_argument("--scale", type=float, help="fourier amplitude scale")
-    sp.add_argument(
-        "--cyclicity-tol", type=float, dest="cyclicity_tol",
-        help="loop closure tolerance",
-    )
-
-    sp = sub.add_parser(
-        "poincare",
-        help="Betti numbers of equal-rank quotients, e.g. G2/A1xU1",
-    )
-    sp.add_argument("quotients", nargs="*", metavar="QUOTIENT")
-    sp.add_argument(
-        "--min-orbit",
-        action="append",
-        dest="min_orbits",
-        metavar="GROUP",
-        help="print the minimal-orbit table row of a simple group",
-    )
-
-    sp = sub.add_parser(
-        "oracle-compare",
-        help="pointwise spin-j Schrodinger check of the chart flow",
-    )
-    _add_common(sp, manifold=False)
-    sp.add_argument("--j", type=float, help="spin of the reference evolution")
-    sp.add_argument("--z0", help="initial chart point")
-    sp.add_argument("--T", type=float, help="integration span")
-    sp.add_argument("--dt", type=float, help="step size")
-    sp.add_argument("--stride", type=int, help="projection sampling stride")
-
+    for command, (_, flags, text) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for _, name, kwargs in flags:
+            sp.add_argument(name, **kwargs)
     return parser
 
 
-def _overlay(cfg: dict, key: str, flags: dict) -> None:
-    """Lay the flags that were given over the config object at ``key``.  A
-    non-object there is left for its reader to reject."""
-    flags = {k: v for k, v in flags.items() if v is not None}
-    section = cfg.get(key, {})
-    if flags and isinstance(section, dict):
-        cfg[key] = {**section, **flags}
-
-
 def _gather_config(args) -> dict:
+    """The config file, if one is given, with each given flag laid over it
+    at the entry that ``_COMMANDS`` records.  A section that is not a JSON
+    object is left for its reader to reject."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
             cfg = json.load(f)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-    manifold = {key: getattr(args, key, None) for key in ("family", "p", "q")}
-    if getattr(args, "non_compact", None):
-        manifold["compact"] = False
-    _overlay(cfg, "manifold", manifold)
-    for key in ("level", "z", "w", "z0", "T", "dt", "stride", "oracle",
-                "j", "cyclicity_tol"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    _overlay(cfg, "loop", {key: getattr(args, key, None) for key in
-                           ("kind", "radius", "samples", "seed", "modes",
-                            "scale")})
-    if getattr(args, "quotients", None):
-        cfg.setdefault("quotients", [])
-        cfg["quotients"] = list(cfg["quotients"]) + list(args.quotients)
-    if getattr(args, "min_orbits", None):
-        cfg.setdefault("min_orbits", [])
-        cfg["min_orbits"] = list(cfg["min_orbits"]) + list(args.min_orbits)
+    for section, name, kwargs in _COMMANDS[args.command][1]:
+        key = kwargs.get("dest", name.lstrip("-").replace("-", "_"))
+        value = getattr(args, key)
+        if section is None or value is None:
+            continue
+        target = cfg.setdefault(section, {}) if section else cfg
+        if isinstance(target, dict):
+            target[key] = value
     return cfg
 
 

@@ -203,7 +203,8 @@ def line_integral_phase(
     Accepts a trajectory or a plain point sequence.  The loop must return
     to its start within ``cyclicity_tol`` in projective distance; the tiny
     remaining gap is closed by one extra straight segment.  The raw
-    (unwrapped) value is returned.
+    (unwrapped) value is returned.  A gradient past double precision
+    raises ``OverflowError``, as ``manifolds.kernel`` does.
     """
     return _line_integral_phase(spec, level, _loop_points(spec, loop),
                                 cyclicity_tol)
@@ -214,7 +215,11 @@ def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
     """:func:`line_integral_phase` on a validated stack."""
     _closure(spec, z, cyclicity_tol)
     z = np.concatenate([z, z[:1]])
-    return _chord_sum(z, _gradient(spec, level, z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _chord_sum(z, _gradient(spec, level, z))
+    if not math.isfinite(value):
+        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
+    return value
 
 
 def _closure(spec: ManifoldSpec, z: np.ndarray, cyclicity_tol: float) -> float:

@@ -643,6 +643,123 @@ def test_manifold_without_family_exits_two_naming_it(capsys, argv):
     assert err.strip() != ""
 
 
+def _gather(argv):
+    return kphase.cli._gather_config(kphase.cli._parser().parse_args(argv))
+
+
+_FILE_FLAGS = [
+    (["--config", "CONFIG"], {"T": 1.0}),
+    (["--sweep", "SWEEP"], {}),
+]
+_CHART_FLAGS = [
+    (["--family", "AIII"], {"manifold": {"family": "AIII"}}),
+    (["--p", "2"], {"manifold": {"p": 2}}),
+    (["--q", "1"], {"manifold": {"q": 1}}),
+    (["--non-compact"], {"manifold": {"compact": False}}),
+    (["--level", "3"], {"level": 3}),
+]
+_SPAN_FLAGS = [
+    (["--z0", "[0.5, 0]"], {"z0": "[0.5, 0]"}),
+    (["--T", "2"], {"T": 2.0}),
+    (["--dt", "0.01"], {"dt": 0.01}),
+]
+_FLAG_CASES = {
+    "kernel": _FILE_FLAGS + _CHART_FLAGS + [
+        (["--z", "1"], {"z": "1"}),
+        (["--w", "[0, 1]"], {"w": "[0, 1]"}),
+    ],
+    "triangle": _FILE_FLAGS + _CHART_FLAGS + [
+        (["--z", "1"], {"z": "1"}),
+        (["--w", "[0, 1]"], {"w": "[0, 1]"}),
+    ],
+    "evolve": _FILE_FLAGS + _CHART_FLAGS + _SPAN_FLAGS + [
+        (["--stride", "5"], {"stride": 5}),
+        (["--cyclicity-tol", "0.001"], {"cyclicity_tol": 0.001}),
+        (["--oracle"], {"oracle": True}),
+    ],
+    "stokes": _FILE_FLAGS + _CHART_FLAGS + [
+        (["--kind", "fourier"], {"loop": {"kind": "fourier"}}),
+        (["--radius", "0.5"], {"loop": {"radius": 0.5}}),
+        (["--samples", "64"], {"loop": {"samples": 64}}),
+        (["--seed", "7"], {"loop": {"seed": 7}}),
+        (["--modes", "2"], {"loop": {"modes": 2}}),
+        (["--scale", "0.25"], {"loop": {"scale": 0.25}}),
+        (["--cyclicity-tol", "0.001"], {"cyclicity_tol": 0.001}),
+    ],
+    "poincare": [
+        (["G2/A1xU1"], {"quotients": ["G2/A1xU1"]}),
+        (["--min-orbit", "E8", "--min-orbit", "G2"],
+         {"min_orbits": ["E8", "G2"]}),
+    ],
+    "oracle-compare": _FILE_FLAGS + _SPAN_FLAGS + [
+        (["--j", "1.5"], {"j": 1.5}),
+        (["--stride", "5"], {"stride": 5}),
+    ],
+}
+
+
+@pytest.mark.parametrize("command, flag, entries", [
+    pytest.param(command, flag, entries, id=f"{command} {flag[0]}")
+    for command, cases in _FLAG_CASES.items() for flag, entries in cases
+])
+def test_each_flag_sets_its_config_entry(tmp_path, command, flag, entries):
+    """Each flag of each subcommand sets exactly its config entry: at the
+    top level, or inside ``manifold`` or ``loop``.  ``--config`` reads
+    its file, and ``--sweep`` (read by the sweep itself) sets nothing."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"T": 1.0}))
+    flag = [str(path) if a == "CONFIG" else a for a in flag]
+    assert _gather([command, *flag]) == {**_gather([command]), **entries}
+
+
+def test_every_flag_has_a_config_case():
+    parser = kphase.cli._parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    for command, sub in commands.choices.items():
+        flags = {a.option_strings[0] if a.option_strings else a.dest
+                 for a in sub._actions if a.dest != "help"}
+        cased = {flag[0] if flag[0].startswith("--") else "quotients"
+                 for flag, _ in _FLAG_CASES[command]}
+        assert flags == cased, command
+
+
+@pytest.mark.parametrize("flag, section, entries", [
+    (["--p", "3"], "manifold", {"family": "AIII", "p": 3, "q": 1}),
+    (["--non-compact"], "manifold",
+     {"family": "AIII", "p": 2, "q": 1, "compact": False}),
+    (["--samples", "64"], "loop", {"kind": "fourier", "seed": 3,
+                                   "samples": 64}),
+    (["--kind", "latitude"], "loop", {"kind": "latitude", "seed": 3}),
+])
+def test_section_flag_keeps_the_other_entries(tmp_path, flag, section,
+                                              entries):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "manifold": {"family": "AIII", "p": 2, "q": 1},
+        "loop": {"kind": "fourier", "seed": 3}, "level": 2}))
+    cfg = _gather(["stokes", "--config", str(path), *flag])
+    assert cfg[section] == entries
+    assert cfg["level"] == 2
+
+
+@pytest.mark.parametrize("config, flag", [
+    ('{"loop": []}', ["--kind", "latitude"]),
+    ('{"loop": "fourier"}', ["--samples", "64"]),
+    ('{"manifold": []}', ["--family", "AIII"]),
+])
+def test_flag_over_a_non_object_section_exits_two(tmp_path, capsys, config,
+                                                  flag):
+    """A flag laid over a section that is not a JSON object leaves it for
+    its reader, which rejects it: the flag does not replace it."""
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    rc, out, err = run_cli(capsys, ["stokes", "--config", str(path), *flag])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["type"] == "ValueError"
+    assert err.strip() != ""
+
+
 def test_cycle_and_report_give_one_residual(tmp_path, capsys):
     """The cycle block and the report both give the clipped cycle's
     closure distance; the return sample's own distance was 3.8e-4 here
@@ -734,6 +851,26 @@ def test_far_latitude_loop_overflows_exits_two(capsys, radius, action):
     assert payload["type"] == "OverflowError"
     assert "kernel" in payload["message"]
     assert "overflows double precision" in payload["message"]
+    assert err.startswith("kphase: OverflowError")
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_far_sample_in_points_loop_exits_two(tmp_path, capsys, action):
+    """A points loop with one sample past the kernel's range exits 2 with
+    ``OverflowError`` naming the kernel, whether RuntimeWarnings are
+    errors or not.  Its gradient there was NaN, the line integral NaN,
+    and the run reported the fan's ``BranchCut`` (exit 4), or with
+    warnings as errors an overflow traceback (exit 1)."""
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"loop": {"kind": "points", "points": [
+        [1, 0], [1e200, 0], [0, 1], [1, 0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        rc, out, err = run_cli(capsys, ["stokes", "--config", str(path)])
+    assert rc == 2
+    assert json.loads(out, parse_constant=_strict)["error"] == {
+        "exit_code": 2, "type": "OverflowError",
+        "message": "kernel K(z, conj(w)) overflows double precision"}
     assert err.startswith("kphase: OverflowError")
 
 
