@@ -109,6 +109,8 @@ from .manifolds import (
 from .serialize import matrix_from_json, matrix_to_json
 
 HERMITICITY_TOL = 1e-12
+# Times this far outside a sampled schedule's span still count as inside.
+SPAN_SLACK = 1e-12
 CROSS_CHECK_TOL = 1e-6
 # Steps per period of the batched block products (see ``_advance``); a
 # power of two, so pairwise products halve a period without padding.
@@ -128,8 +130,7 @@ STATIONARY_TOL = 1e-9
 MAX_ENTRIES = 2 ** 24
 
 
-def _hermitize(m, tol: float = HERMITICITY_TOL,
-               stack: bool = False) -> np.ndarray:
+def _hermitize(m, stack: bool = False) -> np.ndarray:
     """A Hermitian matrix, or with ``stack`` a stack of them, checked and
     projected onto its Hermitian part."""
     arr = np.asarray(m, dtype=complex)
@@ -140,7 +141,7 @@ def _hermitize(m, tol: float = HERMITICITY_TOL,
         raise ValueError("generator entries must be finite")
     adjoint = arr.conj().swapaxes(-1, -2)
     residual = float(np.max(np.abs(arr - adjoint)))
-    if residual > tol:
+    if residual > HERMITICITY_TOL:
         raise SymmetryViolation(f"generator is not Hermitian (by {residual:.3e})")
     return (arr + adjoint) / 2.0
 
@@ -220,7 +221,7 @@ class HamiltonianSchedule:
             return np.broadcast_to(self.coefficients,
                                    ts.shape + self.coefficients.shape)
         lo, hi = self.times[0], self.times[-1]
-        outside = (ts < lo - 1e-12) | (ts > hi + 1e-12)
+        outside = (ts < lo - SPAN_SLACK) | (ts > hi + SPAN_SLACK)
         if np.any(outside):
             raise ScheduleGap(
                 f"time {ts[np.argmax(outside)]} outside the sampled span "
@@ -242,7 +243,8 @@ class HamiltonianSchedule:
     def covers(self, t0: float, t1: float) -> bool:
         if self.times is None:
             return True
-        return self.times[0] <= t0 + 1e-12 and t1 <= self.times[-1] + 1e-12
+        return (self.times[0] <= t0 + SPAN_SLACK
+                and t1 <= self.times[-1] + SPAN_SLACK)
 
     def to_json(self) -> dict:
         out = {"generators": [matrix_to_json(g) for g in self.generators]}
@@ -786,13 +788,13 @@ def ray_distances(traj: Trajectory) -> np.ndarray:
     return _distance(traj.spec, traj.points, traj.points[0])
 
 
-def find_cycle(times, distances, tol: float | None = None) -> CycleInfo:
+def find_cycle(times, distances) -> CycleInfo:
     """Locate the first return to the starting ray from the sample times
     and their :func:`ray_distances`.
 
     Scans for the first sample beyond the initial escape whose projective
-    distance to the start drops below ``tol`` (default: five times the
-    median sample spacing), walks to the local minimum, and refines the
+    distance to the start drops below five times the median change of
+    the distance per sample, walks to the local minimum, and refines the
     return time by a parabola through the squared distances.  A trajectory
     that never leaves the start ray returns index 1 immediately.
     """
@@ -800,9 +802,8 @@ def find_cycle(times, distances, tol: float | None = None) -> CycleInfo:
     n = len(d) - 1
     if n < 1:
         raise NoCycleFound("trajectory has no steps")
-    if tol is None:
-        spacing = float(np.median(np.abs(np.diff(d)))) if n > 1 else 0.0
-        tol = max(5.0 * spacing, 1e-12)
+    spacing = float(np.median(np.abs(np.diff(d)))) if n > 1 else 0.0
+    tol = max(5.0 * spacing, 1e-12)
     if d[1] < tol:
         first_out = next((k for k in range(1, n + 1) if d[k] >= tol), None)
         if first_out is None:

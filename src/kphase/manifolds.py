@@ -464,9 +464,15 @@ def kernel(spec: ManifoldSpec, z, w):
     z, w = validate_points(spec, z), validate_points(spec, w)
     with np.errstate(over="ignore", invalid="ignore"):
         value = _kernel(spec, z, w)
-    if not np.all(np.isfinite(value)):
-        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
+    _require_finite(value)
     return value
+
+
+def _require_finite(*values) -> None:
+    """Raise ``OverflowError`` unless every entry of ``values`` is finite:
+    a kernel, or a sum of kernel derivatives, past double precision."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
 
 
 def _check_single_level(level) -> int:
@@ -507,9 +513,7 @@ def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
         k = _kernel(spec, z, w)
-    if not (np.isfinite(kzz).all() and np.isfinite(kww).all()
-            and np.isfinite(k).all()):
-        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
+    _require_finite(kzz, kww, k)
     # Far from the origin K(z, z) K(w, w) overflows (past |z| ~ 1e77 on
     # CP1).  One power of two from the larger diagonal kernel scales all
     # three kernels exactly, so the ratio is unchanged wherever the

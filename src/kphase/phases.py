@@ -46,6 +46,7 @@ from .manifolds import (
     ManifoldSpec,
     _distance,
     _kernel,
+    _require_finite,
     as_chart_array,
     raise_first_fault,
     validate_points,
@@ -181,6 +182,11 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
     z = _loop_points(spec, vertices)
     if len(z) < 2:
         raise DimensionMismatch("a polygon fan needs at least two vertices")
+    return _fan(spec, level, z)
+
+
+def _fan(spec: ManifoldSpec, level: int, z: np.ndarray) -> float:
+    """The triangle phases of consecutive rows of ``z``, summed."""
     return float(np.sum(_triangle(spec, level, z[:-1], z[1:])))
 
 
@@ -217,8 +223,7 @@ def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
     z = np.concatenate([z, z[:1]])
     with np.errstate(over="ignore", invalid="ignore"):
         value = _chord_sum(z, _gradient(spec, level, z))
-    if not math.isfinite(value):
-        raise OverflowError("kernel K(z, conj(w)) overflows double precision")
+    _require_finite(value)
     return value
 
 
@@ -330,8 +335,7 @@ def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
         closed = np.concatenate([closed, closed[:1]])
     for attempt in range(MAX_REFINEMENTS + 1):
         try:
-            fan_value = float(np.sum(_triangle(spec, level, closed[:-1],
-                                               closed[1:])))
+            fan_value = _fan(spec, level, closed)
             break
         except BranchCut:
             if attempt == MAX_REFINEMENTS:

@@ -4,6 +4,11 @@ Everything here is exact integer arithmetic: products of cyclotomic-style
 binomials divided with zero remainder.  Group names are accepted both as
 Cartan labels (A3, B2, G2, U1) and classical names (SU(4), SO(5), Sp(3),
 U(1)), composed with x into products and with / into quotients.
+
+Each series states its data once, in ``_SERIES``: its Weyl degrees and
+the isotropy of its smallest nonzero coadjoint orbit.  The rest is
+derived from the degrees d_j: the rank is their number, the dimension is
+the sum of 2 d_j - 1, and a minimal orbit G/H has dimension dim G - dim H.
 """
 
 from __future__ import annotations
@@ -31,14 +36,32 @@ class Series(str, enum.Enum):
     U1 = "U1"
 
 
-_FIXED_RANK = {
-    Series.G2: 2,
-    Series.F4: 4,
-    Series.E6: 6,
-    Series.E7: 7,
-    Series.E8: 8,
-    Series.U1: 1,
+# One record per series: its Weyl degrees, as a rule in the rank or as the
+# fixed tuple of a fixed-rank series, and the circle factor of its
+# minimal-orbit isotropy (for a fixed-rank series, the whole isotropy).
+_SERIES = {
+    Series.A: (lambda n: range(2, n + 2), "U(1)"),
+    Series.B: (lambda n: range(2, 2 * n + 1, 2), "SO(2)"),
+    Series.C: (lambda n: range(2, 2 * n + 1, 2), "U(1)"),
+    Series.D: (lambda n: sorted([*range(2, 2 * n - 1, 2), n]), "SO(2)"),
+    Series.G2: ((2, 6), "A1 x SO(2)"),
+    Series.F4: ((2, 6, 8, 12), "C3 x SO(2)"),
+    Series.E6: ((2, 5, 6, 8, 9, 12), "D5 x SO(2)"),
+    Series.E7: ((2, 6, 8, 10, 12, 14, 18), "E6 x SO(2)"),
+    Series.E8: ((2, 8, 12, 14, 18, 20, 24, 30), "E7 x SO(2)"),
+    Series.U1: ((1,), None),
 }
+
+
+def _fixed(series: Series) -> tuple[int, ...] | None:
+    """The degrees of a fixed-rank series, else None."""
+    rule = _SERIES[series][0]
+    return rule if isinstance(rule, tuple) else None
+
+
+def _dimension(degrees) -> int:
+    """A compact group's dimension from its Weyl degrees."""
+    return sum(2 * d - 1 for d in degrees)
 
 
 @dataclass(frozen=True)
@@ -52,10 +75,10 @@ class SimpleFactor:
         object.__setattr__(self, "series", Series(self.series))
         if self.rank < 1:
             raise InvalidRank("rank must be positive")
-        fixed = _FIXED_RANK.get(self.series)
-        if fixed is not None and self.rank != fixed:
+        fixed = _fixed(self.series)
+        if fixed is not None and self.rank != len(fixed):
             raise InvalidRank(
-                f"{self.series.value} has fixed rank {fixed}"
+                f"{self.series.value} has fixed rank {len(fixed)}"
             )
         if self.series is Series.D:
             if self.rank < 2:
@@ -69,26 +92,13 @@ class SimpleFactor:
 
     @property
     def label(self) -> str:
-        if self.series in _FIXED_RANK:
+        if _fixed(self.series) is not None:
             return self.series.value
         return f"{self.series.value}{self.rank}"
 
     def degrees(self) -> list[int]:
-        n = self.rank
-        if self.series is Series.A:
-            return list(range(2, n + 2))
-        if self.series in (Series.B, Series.C):
-            return [2 * k for k in range(1, n + 1)]
-        if self.series is Series.D:
-            return sorted([2 * k for k in range(1, n)] + [n])
-        return {
-            Series.G2: [2, 6],
-            Series.F4: [2, 6, 8, 12],
-            Series.E6: [2, 5, 6, 8, 9, 12],
-            Series.E7: [2, 6, 8, 10, 12, 14, 18],
-            Series.E8: [2, 8, 12, 14, 18, 20, 24, 30],
-            Series.U1: [1],
-        }[self.series]
+        rule = _SERIES[self.series][0]
+        return list(rule if isinstance(rule, tuple) else rule(self.rank))
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,8 @@ class GroupSpec:
         return " x ".join(f.label for f in self.factors)
 
 
-_CARTAN = re.compile(r"^([ABCD])_?(\d+)$")
+# A Cartan label, or an exceptional name such as G2 or E_6.
+_CARTAN = re.compile(r"^([A-G])_?(\d+)$")
 _CLASSICAL = re.compile(r"^(SU|SO|SP|U)\(?(\d+)\)?$", re.IGNORECASE)
 
 
@@ -117,16 +128,12 @@ def _parse_factor(token: str) -> list[SimpleFactor]:
     upper = text.upper()
     if upper in ("U1", "U_1", "U(1)", "SO2", "SO(2)", "SO_2"):
         return [SimpleFactor(Series.U1, 1)]
-    if upper in ("G2", "G_2"):
-        return [SimpleFactor(Series.G2, 2)]
-    if upper in ("F4", "F_4"):
-        return [SimpleFactor(Series.F4, 4)]
-    if upper in ("E6", "E_6", "E7", "E_7", "E8", "E_8"):
-        series = Series(upper.replace("_", ""))
-        return [SimpleFactor(series, _FIXED_RANK[series])]
     m = _CARTAN.match(upper)
-    if m:
+    if m and m.group(1) in "ABCD":
         return [SimpleFactor(Series(m.group(1)), int(m.group(2)))]
+    if m and "".join(m.groups()) in Series.__members__:
+        series = Series("".join(m.groups()))
+        return [SimpleFactor(series, len(_fixed(series)))]
     m = _CLASSICAL.match(text)
     if m:
         name, n = m.group(1).upper(), int(m.group(2))
@@ -176,16 +183,20 @@ def parse_quotient(text: str) -> tuple[GroupSpec, GroupSpec]:
     return parse_group(top), parse_group(bottom)
 
 
+def _group(g) -> GroupSpec:
+    """A group given as a name, a factor or a product."""
+    if isinstance(g, str):
+        return parse_group(g)
+    if isinstance(g, SimpleFactor):
+        return GroupSpec((g,))
+    if isinstance(g, GroupSpec):
+        return g
+    raise UnknownGroup(f"cannot interpret {g!r} as a group")
+
+
 def weyl_degrees(g) -> list[int]:
     """Sorted invariant degrees of a group (string, factor, or product)."""
-    if isinstance(g, str):
-        g = parse_group(g)
-    if isinstance(g, SimpleFactor):
-        g = GroupSpec((g,))
-    out: list[int] = []
-    for f in g.factors:
-        out.extend(f.degrees())
-    return sorted(out)
+    return sorted(d for f in _group(g).factors for d in f.degrees())
 
 
 @dataclass(frozen=True)
@@ -226,39 +237,12 @@ class PoincarePolynomial:
         return " + ".join(terms) if terms else "0"
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    num = list(num)
-    d = len(den) - 1
-    lead = den[-1]
-    q = [0] * (len(num) - d)
-    for k in range(len(num) - 1, d - 1, -1):
-        c, r = divmod(num[k], lead)
-        if r != 0:
-            raise NonDivisible("polynomial division leaves a remainder")
-        q[k - d] = c
-        for j, y in enumerate(den):
-            num[k - d + j] -= c * y
-    if any(num):
-        raise NonDivisible("polynomial division leaves a remainder")
-    return q, num
-
-
 def hirsch_polynomial(g_degrees, h_degrees) -> PoincarePolynomial:
     """Quotient Poincare polynomial from two equal-length degree lists.
 
     Computes ``prod_j (1 - t^{2 n_j}) / prod_j (1 - t^{2 m_j})`` by exact
-    integer polynomial division; a nonzero remainder signals an invalid
-    pairing.
+    integer polynomial division, one binomial at a time; a nonzero
+    remainder signals an invalid pairing.
     """
     gd = [int(x) for x in g_degrees]
     hd = [int(x) for x in h_degrees]
@@ -268,16 +252,21 @@ def hirsch_polynomial(g_degrees, h_degrees) -> PoincarePolynomial:
         )
     if any(x < 1 for x in gd + hd):
         raise InvalidRank("degrees must be positive")
-    num = [1]
+    coeffs = [1]
     for n in gd:
-        factor = [1] + [0] * (2 * n - 1) + [-1]
-        num = _poly_mul(num, factor)
-    den = [1]
+        # Times 1 - t^{2n}, from the top so each term reads the old ones.
+        coeffs += [0] * (2 * n)
+        for k in range(len(coeffs) - 1, 2 * n - 1, -1):
+            coeffs[k] -= coeffs[k - 2 * n]
     for m in hd:
-        factor = [1] + [0] * (2 * m - 1) + [-1]
-        den = _poly_mul(den, factor)
-    q, _ = _poly_divmod(num, den)
-    return PoincarePolynomial(tuple(q))
+        # Over 1 - t^{2m}: the power series of the quotient, which is exact
+        # only if its 2m terms past the quotient's degree vanish.
+        for k in range(2 * m, len(coeffs)):
+            coeffs[k] += coeffs[k - 2 * m]
+        if len(coeffs) <= 2 * m or any(coeffs[-2 * m:]):
+            raise NonDivisible("polynomial division leaves a remainder")
+        del coeffs[-2 * m:]
+    return PoincarePolynomial(tuple(coeffs))
 
 
 def poincare_quotient(text: str) -> PoincarePolynomial:
@@ -338,43 +327,30 @@ class MinOrbitInfo:
 def min_orbit(g) -> MinOrbitInfo:
     """Smallest-orbit table row for one simple factor.
 
-    The published dimensions and isotropy labels are reproduced verbatim;
-    torus factors and products have no row.
+    An exceptional group's isotropy is its record's.  A classical group
+    of rank n takes the isotropy of larger dimension, so the smaller
+    orbit, of two: the series at rank n - 1 times a circle, and U(n); a
+    tie keeps the former.  The
+    dimension is dim G - dim H, both from Weyl degrees, so D3 and A3 share
+    a row without building the flagged D2.  Torus factors and products
+    have no row.
     """
-    if isinstance(g, str):
-        parsed = parse_group(g)
-        if len(parsed.factors) != 1:
-            raise UnknownGroup("the minimal-orbit table covers single factors")
-        factor = parsed.factors[0]
-    elif isinstance(g, GroupSpec):
-        if len(g.factors) != 1:
-            raise UnknownGroup("the minimal-orbit table covers single factors")
-        factor = g.factors[0]
-    elif isinstance(g, SimpleFactor):
-        factor = g
-    else:
-        raise UnknownGroup(f"cannot interpret {g!r} as a group")
+    factors = _group(g).factors
+    if len(factors) != 1:
+        raise UnknownGroup("the minimal-orbit table covers single factors")
+    factor = factors[0]
     s, n = factor.series, factor.rank
     if s is Series.U1:
         raise UnknownGroup("a torus factor has no nonzero coadjoint orbit")
-    if s is Series.A:
-        sub = "U(1)" if n == 1 else f"A{n - 1} x U(1)"
-        return MinOrbitInfo(factor.label, 2 * n, sub)
-    if s is Series.B:
-        sub = "SO(2)" if n == 1 else f"B{n - 1} x SO(2)"
-        return MinOrbitInfo(factor.label, 2 * (2 * n - 1), sub)
-    if s is Series.C:
-        if n < 2:
-            raise InvalidRank("rank-one symplectic is the A-series row")
-        return MinOrbitInfo(factor.label, 2 * (2 * n - 2), f"C{n - 1} x U(1)")
-    if s is Series.D:
-        return MinOrbitInfo(factor.label, 2 * (2 * n - 2), f"D{n - 1} x SO(2)")
-    table = {
-        Series.G2: (10, "A1 x SO(2)"),
-        Series.F4: (30, "C3 x SO(2)"),
-        Series.E6: (32, "D5 x SO(2)"),
-        Series.E7: (54, "E6 x SO(2)"),
-        Series.E8: (114, "E7 x SO(2)"),
-    }
-    dim, sub = table[s]
-    return MinOrbitInfo(factor.label, dim, sub)
+    if s is Series.C and n < 2:
+        raise InvalidRank("rank-one symplectic is the A-series row")
+    rule, sub = _SERIES[s]
+    if isinstance(rule, tuple):
+        rows = [(sub, weyl_degrees(sub))]
+    else:
+        own = sub if n == 1 else f"{s.value}{n - 1} x {sub}"
+        rows = [(own, [*rule(n - 1), 1]), (f"U({n})", range(1, n + 1))]
+    isotropy, h = max(rows, key=lambda row: _dimension(row[1]))
+    return MinOrbitInfo(
+        factor.label, _dimension(factor.degrees()) - _dimension(h), isotropy
+    )

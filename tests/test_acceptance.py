@@ -216,7 +216,7 @@ def test_criterion_7():
         "A1": (2, "U(1)"),
         "A4": (8, "A3 x U(1)"),
         "B3": (10, "B2 x SO(2)"),
-        "C3": (8, "C2 x U(1)"),
+        "C3": (10, "C2 x U(1)"),
         "D4": (12, "D3 x SO(2)"),
         "G2": (10, "A1 x SO(2)"),
         "F4": (30, "C3 x SO(2)"),

@@ -1,8 +1,11 @@
+import warnings
+
 import pytest
 
 from kphase import (
     GroupSpec,
     InvalidRank,
+    MinOrbitInfo,
     NonDivisible,
     PoincarePolynomial,
     RankMismatch,
@@ -185,7 +188,7 @@ def test_min_orbit_table_rows():
         "A1": (2, "U(1)"),
         "A4": (8, "A3 x U(1)"),
         "B3": (10, "B2 x SO(2)"),
-        "C3": (8, "C2 x U(1)"),
+        "C3": (10, "C2 x U(1)"),
         "D4": (12, "D3 x SO(2)"),
         "G2": (10, "A1 x SO(2)"),
         "F4": (30, "C3 x SO(2)"),
@@ -197,6 +200,53 @@ def test_min_orbit_table_rows():
         info = min_orbit(label)
         assert info.dimension == dim
         assert info.isotropy == iso
+
+
+# Dimensions of the compact simple groups and the circle, by series and
+# rank, stated apart from the Weyl degrees the module derives them from.
+_GROUP_DIMENSION = {
+    Series.A: lambda n: n * (n + 2),
+    Series.B: lambda n: n * (2 * n + 1),
+    Series.C: lambda n: n * (2 * n + 1),
+    Series.D: lambda n: n * (2 * n - 1),
+    Series.G2: lambda n: 14,
+    Series.F4: lambda n: 52,
+    Series.E6: lambda n: 78,
+    Series.E7: lambda n: 133,
+    Series.E8: lambda n: 248,
+    Series.U1: lambda n: 1,
+}
+
+
+def _group_dimension(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # D2 is flagged, and still a group
+        factors = parse_group(text).factors
+    return sum(_GROUP_DIMENSION[f.series](f.rank) for f in factors)
+
+
+def test_min_orbit_rows_are_dim_g_minus_dim_h():
+    """Every row is the orbit G/H of its isotropy, and isomorphic groups
+    (A1 = B1, B2 = C2, A3 = D3) share a minimal-orbit dimension."""
+    labels = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(1, 7)]
+              + [f"C{n}" for n in range(2, 7)] + [f"D{n}" for n in range(2, 7)]
+              + ["G2", "F4", "E6", "E7", "E8"])
+    rows = {}
+    for label in labels:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows[label] = min_orbit(label)
+        info = rows[label]
+        assert info.dimension == (_group_dimension(label)
+                                  - _group_dimension(info.isotropy)), label
+        assert info.dimension > 0
+    for a, b in (("A1", "B1"), ("B2", "C2"), ("A3", "D3")):
+        assert rows[a].dimension == rows[b].dimension, (a, b)
+    assert (rows["C3"].dimension, rows["D2"].dimension) == (10, 2)
+    # D3's row is derived without building the flagged D2.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert min_orbit("D3") == MinOrbitInfo("D3", 6, "U(3)")
 
 
 def test_min_orbit_rejects_torus_and_products():
