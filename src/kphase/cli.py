@@ -431,8 +431,10 @@ def _exit_code_for(exc: Exception):
         return 4
     if isinstance(exc, KPhaseError):
         return 2
+    # A warning raised as an error (``PYTHONWARNINGS=error``) is an input
+    # the library flags, such as a reducible D2 factor.
     if isinstance(exc, (ValueError, KeyError, TypeError, OSError,
-                        OverflowError, MemoryError)):
+                        OverflowError, MemoryError, Warning)):
         return 2
     return None
 

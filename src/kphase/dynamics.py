@@ -33,20 +33,32 @@ per block level writes the rows of every period, halving the blocks
 down to single steps.  The stacked products, K^2 included, go through
 ``manifolds._mm``, whose size rule takes 2 x 2 and 3 x 3 stacks as
 broadcast multiply-adds and larger ones as ``np.matmul``; the carries
-across periods, one matrix each, stay ``@``.  ``_mm``'s shape rule
-takes the products of a single matrix with a stack as one BLAS
-product: the start point's products with the unitaries' blocks in
-``_chart_images`` and a constant schedule's broadcast H blocks in
-:func:`riccati_rhs`.
+across periods, one matrix each, stay ``@``.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
 
 :func:`trajectory` maps each chunk's unitaries onto the chart by the
 fractional-linear (Mobius) action and checks the resulting rows P[k]
 against the chart's own equation of motion, the Riccati equation
-(:func:`riccati_rhs`).  From each row P[k] one classical RK4 step
-(``_rk4_step``) on the chunk's stage Hamiltonians, assembled from the same
-coefficient rows, gives R[k+1]; the step's
+(:func:`riccati_rhs`).  This chart stage (``_chart_rows``) holds every
+array stack-last, ``(p, q, n)`` with the chunk's n rows on the last
+axis, so each product, rule and solve reads whole rows: the Mobius
+images (``_chart_images``), the chart rules (``manifolds._point_faults``),
+the Riccati right-hand side (``_riccati``), the RK4 steps and the Kahler
+defects (``geometry._metric_form``).  Its products are
+``manifolds._mm_last``: one BLAS product where one side is a stack of
+one (a constant schedule's H, the start point), and otherwise one
+broadcast multiply-add per inner index.  The transposes sit at the
+boundary, all of them views or one chunk's copy: the unitaries' blocks
+are read through a transposed view of the ``(n + 1, d, d)`` rows, the
+rows and first stages are written back through transposed views of the
+``(n + 1, p, q)`` points and velocities, LAPACK's 3 x 3 solves of the
+denominators are reached through one transposed view, and their images
+come back as one contiguous copy.  The public :func:`riccati_rhs` and
+``manifolds.point_faults`` keep their ``(..., p, q)`` shapes as thin
+wrappers over the same cores.  From each row P[k] one classical RK4
+step (``_rk4_step``) on the chunk's stage Hamiltonians, assembled from
+the same coefficient rows (``_stage_blocks``), gives R[k+1]; the step's
 defect e_k is the level-1 Kahler length of d = P[k+1] - R[k+1] at
 P[k+1], ``sqrt(Re tr(P^-1 d Q^-1 d^dagger))`` with
 ``P = I + s Z Z^dagger`` and ``Q = I + s Z^dagger Z`` (s = +1 compact,
@@ -100,9 +112,10 @@ from .manifolds import (
     _det,
     _distance,
     _mm,
+    _mm_last,
+    _point_faults,
     _solve,
     as_chart_array,
-    point_faults,
     raise_first_fault,
     validate_points,
 )
@@ -347,27 +360,53 @@ def defining_dimension(spec: ManifoldSpec) -> int:
     return spec.p + spec.q if spec.family is Family.AIII else 2 * spec.p
 
 
-def _chart_images(spec: ManifoldSpec, U, z: np.ndarray):
+def _transposed_blocks(spec: ManifoldSpec, m: np.ndarray):
+    """The transposed blocks ``A^T, C^T, B^T, D^T`` of a stack-last
+    ``(d, d, n)`` stack of defining-representation matrices (a stack of
+    one for a constant schedule's H), as stack-last views: the blocks of
+    the transposed matrices in reading order."""
+    mt, p = m.swapaxes(0, 1), spec.p
+    return mt[:p, :p], mt[:p, p:], mt[p:, :p], mt[p:, p:]
+
+
+def _stage_blocks(spec: ManifoldSpec, schedule: HamiltonianSchedule,
+                  coefficients: np.ndarray):
+    """The transposed blocks (``_transposed_blocks``) of the schedule's H
+    at each of a stack of coefficient rows: a constant schedule's one
+    matrix as a stack of one, a sampled one's through a transposed view
+    of the assembled ``(n, d, d)`` stack."""
+    h = (schedule._constant_matrix[..., None] if schedule.is_constant else
+         _assemble(schedule.generators, coefficients).transpose(1, 2, 0))
+    return _transposed_blocks(spec, h)
+
+
+def _chart_images(spec: ManifoldSpec, U: np.ndarray, z: np.ndarray):
     """Denominator determinants ``det(A^T + Z B^T)`` and fractional-linear
-    images of ``z`` under one matrix or a stack; an image whose
-    determinant is below ``CHART_EDGE_TOL`` is meaningless, and its
-    denominator is replaced by the identity.
+    images of ``z`` under a stack of matrices, in the stack-last layout:
+    ``U`` is ``(d, d, n)``, ``z`` one ``(p, q, 1)`` point and the images
+    ``(p, q, n)``.  An image whose determinant is below
+    ``CHART_EDGE_TOL`` is meaningless, and its denominator is replaced
+    by the identity.  ``_solve`` reaches the denominators through one
+    transposed view, so the 3 x 3 ones go to LAPACK, and the images come
+    back as one contiguous copy, which the rules and products after it
+    read two to three times faster than the transposed view.
 
     A determinant no larger than ``p`` eps times the product of the
     denominator's l1 row lengths, the size of its rounding error, is
     returned as zero, and so is one that is not finite: far from the
     origin the denominator may be singular in floating point while its
     determinant is noise far above ``CHART_EDGE_TOL``."""
-    a, b, c, d = (blk.swapaxes(-1, -2) for blk in block_split(U, spec))
-    den = _mm(z, b)
+    a, c, b, d = _transposed_blocks(spec, U)
+    den = _mm_last(z, b)
     den += a
-    det = _det(den)
-    noise = spec.p * np.finfo(float).eps * np.prod(np.abs(den).sum(-1), -1)
+    det = _det(den.transpose(2, 0, 1))
+    noise = spec.p * np.finfo(float).eps * np.prod(np.abs(den).sum(1), 0)
     det = np.where(np.abs(det) > noise, det, 0.0)
-    den[np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)
-    num = _mm(z, d)
+    den[:, :, np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)[..., None]
+    num = _mm_last(z, d)
     num += c
-    return det, _solve(den, num)
+    images = _solve(den.transpose(2, 0, 1), num.transpose(2, 0, 1))
+    return det, np.ascontiguousarray(images.transpose(1, 2, 0))
 
 
 def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
@@ -375,13 +414,41 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
 
     The derivative of the fractional-linear action along exp(-iHt):
     ``-i (C^T + Z D^T - A^T Z - Z B^T Z)`` with ``A, B, C, D`` the blocks
-    of ``H``.  Stacks of ``H`` and ``Z`` give a stack of derivatives.
+    of ``H``.  Stacks of ``H`` and ``Z`` give a stack of derivatives;
+    their leading axes broadcast.  The stack-last core ``_riccati`` does
+    the work, on transposed views of the blocks and the points.
     """
     z = np.asarray(Z, dtype=complex)
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
-    a_t, c_t, b_t, d_t = block_split(np.asarray(H).swapaxes(-1, -2), spec)
-    return -1j * (c_t + _mm(z, d_t) - _mm(a_t, z) - _mm(_mm(z, b_t), z))
+    h = np.asarray(H).swapaxes(-1, -2)
+    lead = np.broadcast_shapes(z.shape[:-2], h.shape[:-2])
+
+    def last(m):
+        """One matrix as a stack of one, a stack over the leading axes."""
+        if m.ndim == 2:
+            return m[..., None]
+        if m.shape[:-2] != lead:
+            m = np.broadcast_to(m, lead + m.shape[-2:])
+        return m.reshape((-1,) + m.shape[-2:]).transpose(1, 2, 0)
+
+    out = _riccati([last(blk) for blk in block_split(h, spec)], last(z))
+    return out.transpose(2, 0, 1).reshape(lead + out.shape[:2])
+
+
+def _riccati(blocks, z: np.ndarray) -> np.ndarray:
+    """:func:`riccati_rhs` in the stack-last layout: ``blocks`` are the
+    transposed blocks of H (``_transposed_blocks``) and ``z`` is
+    ``(p, q, n)``; a stack of one on either side broadcasts.  It is
+    grouped as ``-i (C^T + Z (D^T - B^T Z) - A^T Z)``: three products, of
+    which those with a constant schedule's H, ``B^T Z`` and ``A^T Z``,
+    are one BLAS product each, and ``Z (D^T - B^T Z)`` one broadcast
+    multiply-add per inner index (``_mm_last``)."""
+    a_t, c_t, b_t, d_t = blocks
+    out = c_t + _mm_last(z, d_t - _mm_last(b_t, z))
+    out -= _mm_last(a_t, z)
+    out *= -1j
+    return out
 
 
 def _rk4_step(rhs, y, k1, H2, H3, h):
@@ -652,13 +719,16 @@ def trajectory(
     vs = np.empty_like(zs)
     defects = np.empty(n)
     us[0], zs[0] = np.eye(schedule.dim), z0
+    # The chart stage reads and writes the rows stack-last, through
+    # transposed views.
+    ut, zt, vt = (rows.transpose(1, 2, 0) for rows in (us, zs, vs))
     entries = z0.size if schedule.is_constant else schedule.dim ** 2
     for k0, k1, stages in _flow(schedule, us, 0.0, h, entries):
-        hs = [schedule._matrices(c) for c in stages]
-        zs[k0 + 1:k1 + 1], defects[k0:k1], vs[k0:k1] = _chart_rows(
-            spec, times[k0 + 1:k1 + 1], us[k0 + 1:k1 + 1], z0, zs[k0], hs,
-            h, float(np.sum(defects[:k0])))
-    vs[n:] = riccati_rhs(spec, hs[2][-1:], zs[n:])
+        hs = [_stage_blocks(spec, schedule, c) for c in stages]
+        zt[..., k0 + 1:k1 + 1], defects[k0:k1], vt[..., k0:k1] = _chart_rows(
+            spec, times[k0 + 1:k1 + 1], ut[..., k0 + 1:k1 + 1], zt[..., :1],
+            zt[..., k0:k0 + 1], hs, h, float(np.sum(defects[:k0])))
+    vt[..., n:] = _riccati([blk[..., -1:] for blk in hs[2]], zt[..., n:])
     return Trajectory(spec, times, zs, us, float(np.sum(defects)), defects,
                       vs)
 
@@ -686,48 +756,50 @@ def clip_trajectory(
     [(_, _, stages)] = _flow(schedule, us[k:], t, h, schedule.dim ** 2)
     times = np.append(traj.times[: k + 1], t_end)
     kept = traj.defects[:k]
-    hs = [schedule._matrices(c) for c in stages]
-    point, defect, _ = _chart_rows(traj.spec, times[k + 1:], us[k + 1:],
-                                   traj.points[0], traj.points[k], hs, h,
-                                   float(np.sum(kept)))
+    hs = [_stage_blocks(traj.spec, schedule, c) for c in stages]
+    zt = traj.points.transpose(1, 2, 0)
+    point, defect, _ = _chart_rows(
+        traj.spec, times[k + 1:], us[k + 1:].transpose(1, 2, 0), zt[..., :1],
+        zt[..., k:k + 1], hs, h, float(np.sum(kept)))
     defects = np.concatenate((kept, defect))
-    velocities = np.concatenate((traj.velocities[: k + 1],
-                                 riccati_rhs(traj.spec, hs[2], point)))
+    velocity = _riccati(hs[2], point).transpose(2, 0, 1)
     return Trajectory(traj.spec, times,
-                      np.concatenate((traj.points[: k + 1], point)), us,
-                      float(np.sum(defects)), defects, velocities)
+                      np.concatenate((traj.points[: k + 1],
+                                      point.transpose(2, 0, 1))), us,
+                      float(np.sum(defects)), defects,
+                      np.concatenate((traj.velocities[: k + 1], velocity)))
 
 
 def _chart_rows(spec, times, us, z0, start, stages, h: float,
                 spent: float):
     """Mobius images of ``z0`` under the unitaries ``us``, the rows after
     the row ``start``, their defects against one RK4 step of
-    :func:`riccati_rhs` each on the stage stacks, and the steps' first
-    stages, dZ/dt at the row each step starts from (``start`` and all but
-    the last image), with every guard run on the arrays.  ``spent`` is the
-    sum of the earlier defects, and the running sum must stay within
-    ``CROSS_CHECK_TOL``; NaN fails.  A step that trips several guards
-    reports the first of: the chart edge, the chart rules, the
-    cross-check."""
+    :func:`riccati_rhs` each on the stage blocks (``_stage_blocks``), and
+    the steps' first stages, dZ/dt at the row each step starts from
+    (``start`` and all but the last image), with every guard run on the
+    arrays.  Every array is stack-last: ``us`` is ``(d, d, n)``, ``z0``
+    and ``start`` are ``(p, q, 1)``, and the rows and first stages come
+    back ``(p, q, n)``.  ``spent`` is the sum of the earlier defects, and
+    the running sum must stay within ``CROSS_CHECK_TOL``; NaN fails.  A
+    step that trips several guards reports the first of: the chart edge,
+    the chart rules, the cross-check."""
     # Far from the origin the determinant may overflow, which counts as
     # off the chart.
     with np.errstate(over="ignore", invalid="ignore"):
         det, images = _chart_images(spec, us, z0)
-    points, faults = point_faults(spec, images, PATH_SYMMETRY_TOL)
+    points, faults = _point_faults(spec, images, PATH_SYMMETRY_TOL)
     faults.insert(0, (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,
                       lambda k: "orbit left the coordinate chart"))
-    starts = np.concatenate((start[None], points[:-1]))
+    starts = np.concatenate((start, points[..., :-1]), axis=-1)
     # Rows beyond the chart edge or off the chart may overflow or meet a
     # singular metric here; the guards report those rows before their
     # defects, which are taken with the metric at the origin.
     on_chart = np.logical_and.reduce([ok for ok, _, _ in faults])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        velocities = riccati_rhs(spec, stages[0], starts)
-        steps = _rk4_step(lambda H, z: riccati_rhs(spec, H, z), starts,
-                          velocities, *stages[1:], h)
-        dz = points - steps
+        velocities = _riccati(stages[0], starts)
+        steps = _rk4_step(_riccati, starts, velocities, *stages[1:], h)
         defects = np.sqrt(_metric_form(
-            spec, np.where(on_chart[:, None, None], points, 0.0), dz))
+            spec, np.where(on_chart, points, 0.0), points - steps))
     drift = spent + np.cumsum(defects)
     raise_first_fault([
         *faults,
@@ -798,24 +870,24 @@ def find_cycle(times, distances) -> CycleInfo:
     return time by a parabola through the squared distances.  A trajectory
     that never leaves the start ray returns index 1 immediately.
     """
-    d = distances
+    d = np.asarray(distances, dtype=float)
     n = len(d) - 1
     if n < 1:
         raise NoCycleFound("trajectory has no steps")
     spacing = float(np.median(np.abs(np.diff(d)))) if n > 1 else 0.0
     tol = max(5.0 * spacing, 1e-12)
+    escape = 1
     if d[1] < tol:
-        first_out = next((k for k in range(1, n + 1) if d[k] >= tol), None)
-        if first_out is None:
+        out = np.flatnonzero(d[1:] >= tol)
+        if not out.size:
             return CycleInfo(1, float(times[1]))
-        escape = first_out
-    else:
-        escape = 1
-    k_ret = next((k for k in range(escape, n + 1) if d[k] < tol), None)
-    if k_ret is None:
+        escape += int(out[0])
+    back = np.flatnonzero(d[escape:] < tol)
+    if not back.size:
         raise NoCycleFound(
             f"no return below tolerance {tol:.3e} within the span"
         )
+    k_ret = escape + int(back[0])
     while k_ret + 1 <= n and d[k_ret + 1] < d[k_ret]:
         k_ret += 1
     t_star = float(times[k_ret])

@@ -27,7 +27,10 @@ form needs forward substitutions only: with ``P = L_P D_P L_P^dag`` and
 ``Q = L_Q D_Q L_Q^dag``, ``Re tr(P^-1 u Q^-1 u^dag)`` is
 ``sum |L_P^-1 u L_Q^-dag|^2`` weighted by ``1 / (d_P,i d_Q,j)``
 (``_metric_form``); on CI and DIII ``Q = conj(P)``, so one factorisation
-serves both.
+serves both.  That form and its coordinates take stack-last
+``(p, q, n)`` arrays, the layout of a trajectory's chart stage, and form
+P, Q and their elimination on whole rows; :func:`metric` reaches them
+through one transposed view of its basis.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .manifolds import (
     _kernel,
     _ldl,
     _mm,
-    _stack_last,
+    _mm_last,
     as_chart_array,
     validate_points,
 )
@@ -146,7 +149,7 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
         k_mn = 4.0 * np.outer(zb, zb.conj()) + 2.0 * sign * (bv @ bv.conj().T)
         out = sign * level * (k_mn / k - np.outer(k_mu, k_mu.conj()) / k**2)
     else:
-        x, w = _kahler_coordinates(spec, z[None], b)
+        x, w = _kahler_coordinates(spec, z[..., None], b.transpose(1, 2, 0))
         x = x.reshape(-1, len(b))
         out = level * ((x.conj() * w.reshape(-1, 1)).T @ x)
     return (out + out.conj().T) / 2.0
@@ -163,15 +166,17 @@ def _kahler_coordinates(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray):
     forward substitutions, and the pivot weights
     ``w[j, i] = 1 / (d_Q,j d_P,i)``.  On CI and DIII ``Q`` is
     ``conj(P)``, so one factorisation serves both, and ``x`` is
-    ``conj(L_P^-1 (L_P^-1 u)^T)``.  ``z`` and ``u`` have as many leading
-    axes, and those of ``u`` hold those of ``z``; ``(x, w)`` come in the
-    stack-last layout of ``manifolds._ldl``, ``(q, p, ...)``."""
-    z_dag = z.conj().swapaxes(-1, -2)
+    ``conj(L_P^-1 (L_P^-1 u)^T)``.  ``z`` and ``u`` come in the
+    stack-last layout of ``manifolds._mm_last``, ``(p, q, n)``, and a
+    stack of one ``z`` broadcasts against ``u``; ``(x, w)`` come in the
+    same layout, ``(q, p, n)``."""
+    z_dag = z.conj().swapaxes(0, 1)
     sign = spec.sign
-    cols_p, d_p = _ldl(np.eye(z.shape[-2]) + sign * _mm(z, z_dag))
-    y = _forward(cols_p, _stack_last(u))
+    cols_p, d_p = _ldl(np.eye(len(z))[..., None] + sign * _mm_last(z, z_dag))
+    y = _forward(cols_p, u.copy())
     if spec.family is Family.AIII:
-        cols_q, d_q = _ldl(np.eye(z.shape[-1]) + sign * _mm(z_dag, z))
+        cols_q, d_q = _ldl(np.eye(len(z_dag))[..., None]
+                           + sign * _mm_last(z_dag, z))
         x = _forward(cols_q, y.conj().swapaxes(0, 1).copy())
     else:
         d_q = d_p
@@ -182,11 +187,12 @@ def _kahler_coordinates(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray):
 def _metric_form(spec: ManifoldSpec, z: np.ndarray, u: np.ndarray):
     """The level-1 Kahler form ``Re tr(P^-1 u Q^-1 u^dagger)`` of chart
     displacements ``u`` at chart points ``z`` of a determinant family,
-    as ``sum(w |x|^2)`` in the coordinates of :func:`_kahler_coordinates`;
-    its square root is the Kahler length of ``u``.  On CP1, where
-    ``P = Q = 1 + s |z|^2``, it is ``|u|^2 / P^2``."""
-    if z.shape[-2:] == (1, 1):
+    both stack-last ``(p, q, n)``, as ``sum(w |x|^2)`` in the coordinates
+    of :func:`_kahler_coordinates`; its square root is the Kahler length
+    of ``u``.  On CP1, where ``P = Q = 1 + s |z|^2``, it is
+    ``|u|^2 / P^2``."""
+    if z.shape[:2] == (1, 1):
         p = 1.0 + spec.sign * (z.real ** 2 + z.imag ** 2)
-        return ((u.real ** 2 + u.imag ** 2) / (p * p))[..., 0, 0]
+        return ((u.real ** 2 + u.imag ** 2) / (p * p))[0, 0]
     x, w = _kahler_coordinates(spec, z, u)
     return np.sum(w * (x.real ** 2 + x.imag ** 2), axis=(0, 1))

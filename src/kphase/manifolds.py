@@ -19,32 +19,38 @@ where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
 loop once per matrix.  Private kernels serve products, determinants and
 solves, each with its rule inside:
 
-- ``_mm``: a single matrix against a stack (a 2-D operand, or a 3-D
-  stack whose leading stride is 0, as a constant schedule's broadcast H
-  and its blocks) is one BLAS product from inner dimension 2 up;
+- ``_mm``, on the ``(..., p, q)`` layout of the public functions: a 2-D
+  matrix against a stack is one BLAS product from inner dimension 2 up;
   otherwise one broadcast multiply-add per inner index up to inner
-  dimension 3, and ``np.matmul`` above.
+  dimension 3, and ``np.matmul`` above.  The kernel, the gradient and
+  the propagator's stacked products take it: 2 x 2 and 3 x 3 flows the
+  broadcast, and from d = 4 up (65 at j = 32) BLAS's ``@``.
+- ``_mm_last``, on the stack-last layout ``(p, q, n)``, the stack axis
+  last: a stack of one (``n = 1``) against a stack is one BLAS product
+  over whole rows, and two stacks are one broadcast multiply-add per
+  inner index over whole ``n``-long rows, never numpy's inner loops of
+  two or three entries.
 - ``_det``: closed forms to 3 x 3, LAPACK's LU from 4 x 4 up.
 - ``_hpd_solve``: the solves with the Hermitian positive-definite
   ``P = I + s Z Z^dag`` and ``Q = I + s Z^dag Z``: from 3 x 3 up by
   ``_ldl``, a broadcast elimination without pivoting
   (``L diag(d) L^dag``, stable on positive-definite matrices), with one
   refinement step; the closed forms of ``_solve`` on 1 x 1 and 2 x 2.
-  ``_ldl`` works with the stack axes last, so each operation reads whole
-  stacks of one entry.
 - ``_solve``: the general denominators, the chart images'
   ``A^T + Z B^T`` and the propagator's Pade steps: division on 1 x 1,
   the adjugate over ``_det`` on 2 x 2, LAPACK's pivoted LU from 3 x 3 up.
 
-The domain check of :func:`point_faults` is one test for every p: the
-``_ldl`` pivots of ``I - Z Z^dag`` must all be positive
-(``_positive_definite``), so the domain check and the solves share one
-elimination.  The kernel takes its determinant on the smaller side
-(``det(I_q + s W^dag Z)`` for AIII with q < p).  The kernel, the
-gradient, the Riccati right-hand side, the Mobius images and the Kahler
-metric use these kernels, and so do the propagator's stacked products,
-which act on the defining or spin dimension: 2 x 2 and 3 x 3 flows take
-the broadcast, and from d = 4 up (65 at j = 32) ``_mm`` is BLAS's ``@``.
+The chart stage of a trajectory keeps its points stack-last from the
+Mobius images to the Kahler defects (``dynamics._chart_rows``), so its
+rules and products read whole rows.  The chart rules live there too:
+:func:`point_faults` takes and returns ``(n, rows, cols)`` stacks
+through one transposed view of its stack-last core ``_point_faults``.
+``_ldl`` takes its stack-last input directly and eliminates in place:
+the domain check reads its pivots of ``I - Z Z^dag``, all positive for
+every p, so the domain check and the solves share one elimination, and
+``_hpd_solve`` passes it a transposed copy.  The kernel takes its
+determinant on the smaller side (``det(I_q + s W^dag Z)`` for AIII with
+q < p).
 """
 
 from __future__ import annotations
@@ -186,40 +192,51 @@ def point_faults(
     ``SymmetryViolation``), and are then projected exactly.  Non-compact
     points must lie in the strict interior of the bounded domain (else
     ``OutsideDomain``): for the determinant families ``I - Z Z^dag`` must
-    be positive definite: every Cholesky pivot positive, one test for
-    every p (``_positive_definite``).  Returns the projected stack and one
-    fault ``(mask of passing rows, exception type, message of a row)`` per
-    rule, in that order.
+    be positive definite: every pivot of its :func:`_ldl` elimination
+    positive, one test for every p.  Returns the projected stack, a new
+    array, and one fault ``(mask of passing rows, exception type, message
+    of a row)`` per rule, in that order.  The rules run on the
+    stack-last layout (``_point_faults``), through a transposed view.
     """
     arr = np.array(stack, dtype=complex)
     if arr.ndim != 3 or arr.shape[1:] != spec.point_shape:
-        raise DimensionMismatch(
-            f"expected points of shape {spec.point_shape}, got {arr.shape}"
-        )
-    finite = np.isfinite(arr).all(axis=(1, 2))
+        raise DimensionMismatch(f"expected points of shape {spec.point_shape},"
+                                f" got {arr.shape}")
+    points, faults = _point_faults(spec, arr.transpose(1, 2, 0), symmetry_tol)
+    return points.transpose(2, 0, 1), faults
+
+
+def _point_faults(spec: ManifoldSpec, arr: np.ndarray, symmetry_tol: float):
+    """:func:`point_faults` on a stack-last ``(rows, cols, n)`` stack of
+    points of the chart's shape: the projected points (on AIII and BDI
+    the input itself) and the faults."""
+    finite = np.isfinite(arr).all(axis=(0, 1))
     faults = [(finite, ValueError, lambda k: "chart point is not finite")]
     if spec.family in (Family.CI, Family.DIII):
         sym = "symmetric" if spec.family is Family.CI else "skew-symmetric"
-        flip = arr.swapaxes(1, 2) * (1.0 if spec.family is Family.CI else -1.0)
-        gap = np.max(np.abs(arr - flip), axis=(1, 2))
+        flip = arr.swapaxes(0, 1) * (1.0 if spec.family is Family.CI else -1.0)
+        gap = np.max(np.abs(arr - flip), axis=(0, 1))
         faults.append((gap <= symmetry_tol, SymmetryViolation,
                        lambda k: f"{sym} chart violated by {gap[k]:.3e}"))
-        flip += arr
-        arr = np.divide(flip, 2.0, out=flip)
+        arr = np.divide(np.add(flip, arr, out=flip), 2.0, out=flip)
     if not spec.compact:
-        z = arr if finite.all() else np.where(finite[:, None, None], arr, 0.0)
+        z = arr if finite.all() else np.where(finite, arr, 0.0)
         # Entries past about 1e154 overflow Z Z^dag; the inf or NaN it
         # leaves fails the comparisons below, so the row is outside, and
-        # so does a row whose elimination meets a zero pivot.
+        # so does a row whose elimination meets a zero pivot, or a
+        # negative one, which may leave infinite or NaN pivots after it.
+        # Where I - Z Z^dag has two small eigenvalues (a skew 3 x 3 point
+        # near the boundary), its determinant would cancel down to the
+        # square of the gap and lose its sign to rounding; the pivots
+        # keep it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gram = _mm(z, z.conj().swapaxes(1, 2))
+            gram = _mm_last(z, z.conj().swapaxes(0, 1))
             if spec.family is Family.BDI:
-                zz = np.abs((z @ z.swapaxes(1, 2))[:, 0, 0])
-                norm2 = np.real(gram[:, 0, 0])
-                inside = (zz < 1.0) & (1.0 + zz**2 - 2.0 * norm2 > 0.0)
+                zz = np.abs(_mm_last(z, z.swapaxes(0, 1))[0, 0])
+                inside = (zz < 1.0) & (1.0 + zz**2 > 2.0 * gram[0, 0].real)
             else:
-                gram = np.subtract(np.eye(spec.p), gram, out=gram)
-                inside = _positive_definite(gram)
+                pivots = _ldl(np.eye(spec.p)[..., None] - gram)[1]
+                inside = np.all(pivots > 0.0, axis=0)
         faults.append((inside, OutsideDomain,
                        lambda k: "point on or outside the bounded domain"))
     return arr, faults
@@ -241,7 +258,7 @@ def raise_first_fault(faults, times=None) -> None:
         raise kind(message(k) + where)
 
 
-def _ldl(g: np.ndarray):
+def _ldl(a: np.ndarray):
     """The factorisation ``G = L diag(d) L^dag`` of a stack of Hermitian
     positive-definite matrices, by elimination without pivoting.
 
@@ -253,15 +270,14 @@ def _ldl(g: np.ndarray):
     Algorithms*, ch. 10), and each pivot is the ratio ``D_k / D_(k-1)`` of
     leading principal minors reached without forming them.
 
-    The elimination runs on a copy of ``g`` with the stack axes last, so
-    that every operation reads whole stacks of one entry rather than
-    numpy's inner loops of two or three entries.  Returns ``(cols, d)`` in
-    that layout: ``cols[k]`` is ``L[k+1:, k]`` of shape
-    ``(p - k - 1, ...)`` and ``d`` the real ``(p, ...)`` pivots.  A pivot
-    that is zero divides by zero; callers that factor matrices which may
-    not be positive definite (:func:`_positive_definite`) suppress that
-    warning."""
-    a = _stack_last(g)
+    ``a`` holds the stack with its axes last, ``(p, p, ...)``, so that
+    every operation reads whole stacks of one entry rather than numpy's
+    inner loops of two or three entries, and the elimination overwrites
+    it.  Returns ``(cols, d)`` in that layout: ``cols[k]`` is
+    ``L[k+1:, k]`` of shape ``(p - k - 1, ...)`` and ``d`` the real
+    ``(p, ...)`` pivots.  A pivot that is zero divides by zero; callers
+    that factor matrices which may not be positive definite (the domain
+    check of :func:`point_faults`) suppress that warning."""
     d = np.empty(a.shape[1:])
     cols = []
     for k in range(len(a)):
@@ -271,12 +287,6 @@ def _ldl(g: np.ndarray):
             cols.append(col)
             a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
     return cols, d
-
-
-def _stack_last(b: np.ndarray) -> np.ndarray:
-    """A copy of a ``(..., p, q)`` stack as ``(p, q, ...)``: the layout of
-    :func:`_ldl`."""
-    return b.transpose(-2, -1, *range(b.ndim - 2)).copy()
 
 
 def _forward(cols, y: np.ndarray) -> np.ndarray:
@@ -306,7 +316,8 @@ def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     refinement)."""
     if g.shape[-1] < 3:
         return _solve(g, b)
-    cols, d = _ldl(g)
+    gt, bt = (m.transpose(-2, -1, *range(m.ndim - 2)) for m in (g, b))
+    cols, d = _ldl(gt.copy())
 
     def solve(y):
         _forward(cols, y)
@@ -315,27 +326,13 @@ def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
             y[k] -= np.sum(cols[k].conj()[:, None] * y[k + 1:], axis=0)
         return y
 
-    x = solve(_stack_last(b))
-    gt, r = (m.transpose(-2, -1, *range(m.ndim - 2)) for m in (g, b))
-    r = r - gt[:, 0, None] * x[0]
+    x = solve(bt.copy())
+    r = bt - gt[:, 0, None] * x[0]
     for j in range(1, len(x)):
         r -= gt[:, j, None] * x[j]
     out = np.empty(b.shape, x.dtype)
     np.add(x, solve(r), out=out.transpose(-2, -1, *range(out.ndim - 2)))
     return out
-
-
-def _positive_definite(g: np.ndarray) -> np.ndarray:
-    """Whether each of a stack of Hermitian matrices is positive
-    definite: every pivot of its :func:`_ldl` elimination is positive.
-
-    Where ``G`` has two small eigenvalues (a skew 3 x 3 chart point near
-    the boundary, whose ``Z Z^dag`` has a double eigenvalue), ``det G``
-    would be a cancellation of order-one terms down to the square of the
-    gap, and its sign lost to rounding; the pivots keep it.  A row whose
-    pivot is zero or negative may leave infinite or NaN pivots after it,
-    which fail the test too; the caller ignores those warnings."""
-    return np.all(_ldl(g)[1] > 0.0, axis=0)
 
 
 def _det(m: np.ndarray):
@@ -361,36 +358,46 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` for matrices or stacks of them, as a new array; the
     leading axes broadcast as in ``@``.
 
-    From inner dimension 2 up, a single matrix against a stack is one
-    BLAS product over the stack's rows or columns.  A single operand is
-    a 2-D matrix, or a 3-D stack whose leading stride is 0 (a constant
-    schedule's broadcast H and its blocks) and whose leading axis is the
-    other operand's; two 2-D matrices take the rules below.  This is a
-    rule on shapes and one stride, so it costs a few attribute reads per
-    call.  Otherwise, at inner dimension 3 or less, the
-    product is one broadcast multiply-add per inner index, which beats
-    the per-matrix loop of ``np.matmul`` three- to fivefold on stacks of
+    From inner dimension 2 up, a 2-D matrix against a stack is one BLAS
+    product over the stack's rows or columns; two 2-D matrices take the
+    rules below.  Otherwise, at inner dimension 3 or less, the product is
+    one broadcast multiply-add per inner index, which beats the
+    per-matrix loop of ``np.matmul`` three- to fivefold on stacks of
     hundreds of 2 x 2 matrices; above that it is ``np.matmul``, since
     each inner index costs one pass over the stack.  On one 2 x 2 matrix
     it takes about three times as long as ``@``, so the flow's single
     products keep ``@``."""
     k = x.shape[-1]
     if k > 1:
-        if x.ndim > 2 and (y.ndim == 2 or y.ndim == 3 and y.strides[0] == 0
-                           and x.shape[:-2] == y.shape[:-2]):
-            m = y if y.ndim == 2 else y[0]
-            return (x.reshape(-1, k) @ m).reshape(x.shape[:-1] + m.shape[1:])
-        if y.ndim == 3 and (x.ndim == 2 or x.strides[0] == 0
-                            and x.shape[:-2] == y.shape[:-2]):
-            m = x if x.ndim == 2 else x[0]
+        if x.ndim > 2 and y.ndim == 2:
+            return (x.reshape(-1, k) @ y).reshape(x.shape[:-1] + y.shape[1:])
+        if y.ndim == 3 and x.ndim == 2:
             n, _, cols = y.shape
-            out = m @ y.swapaxes(0, 1).reshape(k, n * cols)
-            return out.reshape(len(m), n, cols).swapaxes(0, 1)
+            out = x @ y.swapaxes(0, 1).reshape(k, n * cols)
+            return out.reshape(len(x), n, cols).swapaxes(0, 1)
     if k > 3:
         return np.matmul(x, y)
     out = x[..., :, :1] * y[..., :1, :]
     for i in range(1, k):
         out += x[..., :, i:i + 1] * y[..., i:i + 1, :]
+    return out
+
+
+def _mm_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` on stacks in the stack-last layout, ``(k, m, n)`` against
+    ``(m, b, n)``, as a new ``(k, b, n)`` array.  A stack of one
+    (``n = 1``: a constant schedule's H, a trajectory's start point)
+    broadcasts against the other operand's stack, as one BLAS product
+    over its whole rows from inner dimension 2 up, as in :func:`_mm`;
+    otherwise the product is one broadcast multiply-add per inner index
+    over whole ``n``-long rows."""
+    if len(y) > 1 and x.shape[2] == 1:
+        return (x[:, :, 0] @ y.reshape(len(y), -1)).reshape(-1, *y.shape[1:])
+    if len(y) > 1 and y.shape[2] == 1:
+        return np.matmul(y[:, :, 0].T, x)
+    out = x[:, :1] * y[:1]
+    for i in range(1, len(y)):
+        out += x[:, i:i + 1] * y[i:i + 1]
     return out
 
 

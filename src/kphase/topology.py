@@ -84,10 +84,12 @@ class SimpleFactor:
             if self.rank < 2:
                 raise InvalidRank("the D series starts at rank 2")
             if self.rank == 2:
+                # Past __post_init__ and the dataclass's __init__, the
+                # warning names the line that built the factor.
                 warnings.warn(
                     "D with rank 2 is reducible (two A1 factors); "
                     "allowed but flagged",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
     @property
@@ -118,7 +120,8 @@ class GroupSpec:
 
 # A Cartan label, or an exceptional name such as G2 or E_6.
 _CARTAN = re.compile(r"^([A-G])_?(\d+)$")
-_CLASSICAL = re.compile(r"^(SU|SO|SP|U)\(?(\d+)\)?$", re.IGNORECASE)
+# NAME(n) or NAMEn; an unbalanced bracket matches neither.
+_CLASSICAL = re.compile(r"^(SU|SO|SP|U)(?:\((\d+)\)|(\d+))$", re.IGNORECASE)
 
 
 def _parse_factor(token: str) -> list[SimpleFactor]:
@@ -136,7 +139,7 @@ def _parse_factor(token: str) -> list[SimpleFactor]:
         return [SimpleFactor(series, len(_fixed(series)))]
     m = _CLASSICAL.match(text)
     if m:
-        name, n = m.group(1).upper(), int(m.group(2))
+        name, n = m.group(1).upper(), int(m.group(2) or m.group(3))
         if name == "SU":
             if n < 2:
                 raise InvalidRank("SU needs size at least 2")

@@ -109,7 +109,7 @@ def fd_expectation(spec, level: int, Z, H, step: float = 1e-4) -> float:
     k00 = np.log(kernel(spec, zp, zp))
 
     def log_term(s: float) -> complex:
-        det, zs = _chart_images(spec, expm_hermitian_generator(H, s), zp)
+        det, zs = _chart_image(spec, expm_hermitian_generator(H, s), zp)
         zs = validate_points(spec, zs, symmetry_tol=1e-9)
         return level * (np.log(det) + np.log(kernel(spec, zs, zp)) - k00)
 
@@ -117,6 +117,14 @@ def fd_expectation(spec, level: int, Z, H, step: float = 1e-4) -> float:
                   - (log_term(2.0 * step) - log_term(-2.0 * step))) / (12.0 * step)
     assert abs(value.imag) < 1e-8
     return float(value.real)
+
+
+def _chart_image(spec, U, Z):
+    """The denominator determinant and Mobius image of one point under
+    one matrix, by the library's stack-last ``_chart_images`` on stacks
+    of one."""
+    det, out = _chart_images(spec, U[..., None], Z[..., None])
+    return det[0], out[..., 0]
 
 
 def mobius_act(spec, U, Z, symmetry_tol: float = 1e-12) -> np.ndarray:
@@ -127,7 +135,7 @@ def mobius_act(spec, U, Z, symmetry_tol: float = 1e-12) -> np.ndarray:
     scalar rule ``z -> (c + d z)/(a + b z)``.  Composing actions multiplies
     the matrices: ``act(U2, act(U1, Z)) == act(U2 @ U1, Z)``.
     """
-    det, out = _chart_images(spec, U, validate_points(spec, Z))
+    det, out = _chart_image(spec, U, validate_points(spec, Z))
     if abs(det) < CHART_EDGE_TOL:
         raise ChartOverflow("orbit left the coordinate chart")
     return validate_points(spec, out, symmetry_tol=symmetry_tol)

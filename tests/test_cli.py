@@ -161,6 +161,33 @@ def test_poincare_lines(capsys):
     }
 
 
+def test_flagged_group_under_warnings_as_errors_exits_two(capsys):
+    """With every warning an error, the reducible D2 factor's warning
+    ends a ``poincare`` run in exit 2 with a strict JSON error naming it,
+    not in a traceback; without that filter the row is printed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run_cli(capsys, ["poincare", "--min-orbit", "D2"])
+    assert rc == 2
+    payload = json.loads(out, parse_constant=_strict)["error"]
+    assert payload["type"] == "UserWarning"
+    assert payload["exit_code"] == 2
+    assert "reducible" in payload["message"] and "UserWarning" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, out, _ = run_cli(capsys, ["poincare", "--min-orbit", "D2"])
+    assert rc == 0
+    assert json.loads(out)["dimension"] == 2
+
+
+@pytest.mark.parametrize("name", ["SU(4", "SU4)", "SO(5"])
+def test_unbalanced_group_name_exits_two(capsys, name):
+    rc, out, _ = run_cli(capsys, ["poincare", "--min-orbit", name])
+    assert rc == 2
+    assert json.loads(out, parse_constant=_strict)["error"]["type"] == (
+        "UnknownGroup")
+
+
 def test_evolve_with_oracle(tmp_path, capsys):
     sched = HamiltonianSchedule.constant([SZ], [1.0])
     cfg = {
@@ -291,23 +318,24 @@ def test_evolve_takes_one_gradient_pass(tmp_path, capsys, monkeypatch):
 def test_evolve_reads_the_stored_velocities(tmp_path, capsys, monkeypatch,
                                             manifold, z0):
     """beta reads the velocities the trajectory stored: ``run_evolve``
-    calls ``riccati_rhs`` on no stack of the cycle's rows outside
-    ``_chart_rows``, whose RK4 steps hold dZ/dt as their first stages.
-    Outside it, the last row and the clip row take one call each."""
+    takes dZ/dt on no stack of the cycle's rows outside ``_chart_rows``,
+    whose RK4 steps hold dZ/dt as their first stages.  Outside it, the
+    last row and the clip row take one call each.  Every dZ/dt, the
+    public ``riccati_rhs`` included, is the stack-last core ``_riccati``
+    on ``(p, q, n)`` points, so the count reads that core."""
     calls = []
 
-    def recording(spec, H, Z):
+    def recording(blocks, Z):
         frame, inside = sys._getframe(1), False
-        # The RK4 stages call through _rk4_step's lambda.
-        for _ in range(3):
+        # The RK4 stages call through _rk4_step.
+        for _ in range(2):
             inside |= frame.f_code.co_name == "_chart_rows"
             frame = frame.f_back
-        calls.append((inside, np.shape(Z)[:-2]))
-        return riccati_rhs(spec, H, Z)
+        calls.append((inside, np.shape(Z)[2:]))
+        return riccati(blocks, Z)
 
-    riccati_rhs = kphase.dynamics.riccati_rhs
-    for mod in (kphase.dynamics, kphase.phases):
-        monkeypatch.setattr(mod, "riccati_rhs", recording)
+    riccati = kphase.dynamics._riccati
+    monkeypatch.setattr(kphase.dynamics, "_riccati", recording)
     n = manifold["p"] + manifold["q"]
     h = np.diag(np.arange(n, dtype=float) - 1.0)
     sched = HamiltonianSchedule.constant([h], [1.0])

@@ -113,7 +113,7 @@ _advance = kphase.dynamics._advance
 _exact_rows = kphase.dynamics._exact_rows
 _chart_images = kphase.dynamics._chart_images
 _step_matrices = kphase.dynamics._step_matrices
-_riccati_rhs = kphase.dynamics.riccati_rhs
+_riccati = kphase.dynamics._riccati
 
 
 def _shifted_advance(Y, out, table, stages, h):
@@ -138,9 +138,10 @@ FAULTS = {
     },
     # Every block of U transposed and the off-diagonal pair exchanged:
     # on 1 x 1 blocks transposing one block alone would change nothing.
+    # The chart stage holds U stack-last, (d, d, n).
     "Mobius blocks transposed": {
         "_chart_images": lambda spec, U, z: _chart_images(
-            spec, np.swapaxes(U, -1, -2), z),
+            spec, np.swapaxes(U, 0, 1), z),
     },
     # With c1 and c3 both replaced by their mean, K keeps its first-order
     # term and loses the commutator.
@@ -151,7 +152,7 @@ FAULTS = {
     },
     "stage times shifted by h/2": {"_advance": _shifted_advance},
     "Riccati right-hand side negated": {
-        "riccati_rhs": lambda spec, H, Z: -_riccati_rhs(spec, H, Z),
+        "_riccati": lambda blocks, z: -_riccati(blocks, z),
     },
 }
 SAMPLED_ONLY = {"Magnus commutator dropped", "stage times shifted by h/2"}

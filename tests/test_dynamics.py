@@ -35,6 +35,7 @@ import kphase.geometry
 from kphase.dynamics import (
     CROSS_CHECK_TOL,
     STATIONARY_TOL,
+    CycleInfo,
     _blocks,
     _rk4_step,
     defining_dimension,
@@ -599,9 +600,12 @@ def test_chunked_stepping_matches_stepwise_reference(spec, gens,
     # The trajectory's own check, fed the stepwise RK4 Riccati rows in
     # place of the Mobius images, reads every per-step defect as rounding;
     # a shifted stage time or a skipped step in the check breaks this.
+    # The chart stage holds its arrays stack-last: us is (d, d, n) and
+    # the images (p, q, n).
     fed = iter(np.split(ref_z[1:], [k1 for _, k1 in chunks[:-1]]))
-    monkeypatch.setattr(kphase.dynamics, "_chart_images",
-                        lambda spec, us, z0: (np.ones(len(us)), next(fed)))
+    monkeypatch.setattr(
+        kphase.dynamics, "_chart_images", lambda spec, us, z0: (
+            np.ones(us.shape[-1]), next(fed).transpose(1, 2, 0)))
     assert np.max(trajectory(spec, z0, sched, n * h, h).defects) <= 1e-14
 
 
@@ -618,7 +622,8 @@ def test_defect_length_is_the_public_metric(spec, rng):
     bounded domains."""
     z = np.array([random_point(spec, rng) for _ in range(3)])
     dz = np.array([random_point(spec, rng, 1e-3) for _ in range(3)])
-    lengths = np.sqrt(kphase.geometry._metric_form(spec, z, dz))
+    lengths = np.sqrt(kphase.geometry._metric_form(
+        spec, z.transpose(1, 2, 0), dz.transpose(1, 2, 0)))
     ref = [metric_length(spec, a, b) for a, b in zip(z, dz)]
     assert lengths == pytest.approx(ref, rel=1e-12)
 
@@ -1128,3 +1133,65 @@ def test_ray_distances_start_zero():
     d = ray_distances(traj)
     assert d[0] == 0.0
     assert np.all(d >= 0.0)
+
+
+def _scanned_cycle(times, d):
+    """``find_cycle`` as a loop over the samples: the first escape past
+    the tolerance, then the first return below it, one sample at a
+    time."""
+    n = len(d) - 1
+    spacing = float(np.median(np.abs(np.diff(d)))) if n > 1 else 0.0
+    tol = max(5.0 * spacing, 1e-12)
+    escape = 1
+    if d[1] < tol:
+        escape = next((k for k in range(1, n + 1) if d[k] >= tol), None)
+        if escape is None:
+            return CycleInfo(1, float(times[1]))
+    k_ret = next((k for k in range(escape, n + 1) if d[k] < tol), None)
+    if k_ret is None:
+        raise NoCycleFound("no return")
+    while k_ret + 1 <= n and d[k_ret + 1] < d[k_ret]:
+        k_ret += 1
+    t_star = float(times[k_ret])
+    if 1 <= k_ret <= n - 1:
+        t_star = kphase.dynamics._parabola_vertex(times, d, k_ret)
+    elif k_ret == n and n >= 2:
+        t_star = kphase.dynamics._parabola_vertex(times, d, n - 1)
+        t_star = min(max(t_star, float(times[n - 1])), float(times[n]))
+    return CycleInfo(k_ret, t_star)
+
+
+@pytest.mark.parametrize("case", ["on-ray", "lingers", "early-escape",
+                                  "last-sample", "no-return"])
+def test_find_cycle_matches_a_sample_by_sample_scan(case, rng):
+    """``find_cycle``'s array scans give the ``CycleInfo`` of a loop over
+    the samples, on seeded distance arrays: a start that stays on the
+    ray, one that lingers on it before it leaves and returns, an escape
+    at the first sample, a return at the last sample, and no return."""
+    for _ in range(20):
+        n = int(rng.integers(40, 400))
+        t = np.linspace(0.0, 1.0, n + 1)
+        period = rng.uniform(0.3, 0.9)
+        d = np.abs(np.sin(np.pi * t / period + 0.01 * rng.standard_normal()))
+        if case == "on-ray":
+            d = 1e-14 * rng.random(n + 1)
+        elif case == "lingers":
+            d[:n // 5] = 1e-14 * rng.random(n // 5)
+        elif case == "last-sample":
+            d = np.abs(np.sin(np.pi * t)) * (1.0 + 0.1 * np.sin(5.0 * t))
+        elif case == "no-return":
+            d = np.abs(np.sin(0.4 * np.pi * t)) + 1e-3 * rng.random(n + 1)
+        d[0] = 0.0
+        try:
+            want = _scanned_cycle(t, d)
+        except NoCycleFound:
+            assert case == "no-return"
+            with pytest.raises(NoCycleFound):
+                find_cycle(t, d)
+            continue
+        assert case != "no-return"
+        assert find_cycle(t, d) == want
+        if case == "on-ray":
+            assert want.index == 1
+        if case == "last-sample":
+            assert want.index == n

@@ -285,16 +285,18 @@ def _complex(rng, *shape):
 def test_mm_matches_matmul(rng, rows, inner, cols, layout):
     """``_mm`` agrees with ``@`` to 1e-14 of the entries' summed terms,
     on both sides of its shape and size rules (one BLAS product for a
-    single matrix against a stack from inner dimension 2, a broadcast to
+    2-D matrix against a stack from inner dimension 2, a broadcast to
     inner dimension 3, ``np.matmul`` above): on stacks, on a 2-D matrix
     on either side of a stack and against another, on stride-0 stacks
     (read-only, so a write to an input would raise) on either side and on
-    both, on the stride-0 blocks of a constant schedule's broadcast H, on
+    both, on the transposed stride-0 blocks of a broadcast matrix, on
     the ``(m, 16, d, d)`` stacks of the flow's pairwise period products
-    and on the ``(m, d, 1)`` columns of a state vector's rows."""
+    and on the ``(m, d, 1)`` columns of a state vector's rows.  A
+    stride-0 stack has no rule of its own: it takes the rules of any
+    stack of its shape."""
     x = _complex(rng, 50, rows, inner)
     y = _complex(rng, 50, inner, cols)
-    # H as riccati_rhs reads it: a broadcast stack, transposed, in blocks.
+    # A broadcast stack, transposed, in blocks: strided, read-only views.
     h = np.broadcast_to(_complex(rng, 9, 9), (50, 9, 9)).swapaxes(-1, -2)
     if layout == "one-stack":
         x = x[0]

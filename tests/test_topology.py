@@ -93,6 +93,34 @@ def test_rank_two_d_series_flagged():
         parse_group("SO(4)")
 
 
+def test_rank_two_d_warning_names_the_caller():
+    """The D2 warning points at the line that built the factor, not at
+    the dataclass's generated ``__init__``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        SimpleFactor(Series.D, 2)
+    [w] = caught
+    assert w.filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="reducible"):
+            parse_group("D2")
+
+
+@pytest.mark.parametrize("name", ["SU(4", "SU4)", "U(1", "SO(5", "Sp2)",
+                                  "SU((4))", "SU(4)(4)"])
+def test_unbalanced_brackets_rejected(name):
+    with pytest.raises(UnknownGroup):
+        parse_group(name)
+
+
+def test_balanced_and_bare_names_parse():
+    assert parse_group("SU(4)") == parse_group("SU4") == parse_group("A3")
+    assert parse_group("Sp(2)") == parse_group("sp2") == parse_group("C2")
+    assert parse_group("U(1)").factors == (SimpleFactor(Series.U1, 1),)
+    assert parse_group("SO(5)") == parse_group("B2")
+
+
 def test_hirsch_requires_equal_rank():
     with pytest.raises(RankMismatch):
         hirsch_polynomial([2, 3], [1])
