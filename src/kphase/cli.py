@@ -41,6 +41,7 @@ from .errors import (
     NonRealExpectation,
     NotClosed,
     NotCyclic,
+    ReducibleFactor,
     UnsupportedFamily,
 )
 from .loops import fourier_loop, latitude_circle
@@ -431,10 +432,11 @@ def _exit_code_for(exc: Exception):
         return 4
     if isinstance(exc, KPhaseError):
         return 2
-    # A warning raised as an error (``PYTHONWARNINGS=error``) is an input
-    # the library flags, such as a reducible D2 factor.
+    # The library's own warning raised as an error (``PYTHONWARNINGS=error``)
+    # flags an input; numpy's RuntimeWarnings, like every other warning,
+    # propagate as faults.
     if isinstance(exc, (ValueError, KeyError, TypeError, OSError,
-                        OverflowError, MemoryError, Warning)):
+                        OverflowError, MemoryError, ReducibleFactor)):
         return 2
     return None
 

@@ -46,8 +46,8 @@ axis, so each product, rule and solve reads whole rows: the Mobius
 images (``_chart_images``), the chart rules (``manifolds._point_faults``),
 the Riccati right-hand side (``_riccati``), the RK4 steps and the Kahler
 defects (``geometry._metric_form``).  Its products are
-``manifolds._mm_last``: one BLAS product where one side is a stack of
-one (a constant schedule's H, the start point), and otherwise one
+``manifolds._mm_last``: one BLAS product where the left side is a stack
+of one (a constant schedule's H, the start point), and otherwise one
 broadcast multiply-add per inner index.  The transposes sit at the
 boundary, all of them views or one chunk's copy: the unitaries' blocks
 are read through a transposed view of the ``(n + 1, d, d)`` rows, the

@@ -2,7 +2,9 @@
 
 Every error raised by the library derives from :class:`KPhaseError`, so
 callers (and the command line driver) can separate domain problems from
-genuine bugs.
+genuine bugs.  :class:`ReducibleFactor` is the one warning the library
+issues; the command line driver maps it, when raised as an error, to a
+bad-input exit, and lets every other warning propagate.
 """
 
 
@@ -88,3 +90,7 @@ class UnsupportedFamily(KPhaseError):
 
 class BranchCut(KPhaseError):
     """Kernel-ratio increments hug the negative real axis after refinement."""
+
+
+class ReducibleFactor(UserWarning):
+    """A group factor is accepted but reducible, such as D with rank 2."""

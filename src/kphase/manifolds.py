@@ -26,10 +26,10 @@ solves, each with its rule inside:
   the propagator's stacked products take it: 2 x 2 and 3 x 3 flows the
   broadcast, and from d = 4 up (65 at j = 32) BLAS's ``@``.
 - ``_mm_last``, on the stack-last layout ``(p, q, n)``, the stack axis
-  last: a stack of one (``n = 1``) against a stack is one BLAS product
-  over whole rows, and two stacks are one broadcast multiply-add per
-  inner index over whole ``n``-long rows, never numpy's inner loops of
-  two or three entries.
+  last: a stack of one (``n = 1``) on the left of a stack is one BLAS
+  product over whole rows, and any other pair one broadcast multiply-add
+  per inner index over whole ``n``-long rows, never numpy's inner loops
+  of two or three entries.
 - ``_det``: closed forms to 3 x 3, LAPACK's LU from 4 x 4 up.
 - ``_hpd_solve``: the solves with the Hermitian positive-definite
   ``P = I + s Z Z^dag`` and ``Q = I + s Z^dag Z``: from 3 x 3 up by
@@ -385,16 +385,14 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _mm_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` on stacks in the stack-last layout, ``(k, m, n)`` against
-    ``(m, b, n)``, as a new ``(k, b, n)`` array.  A stack of one
-    (``n = 1``: a constant schedule's H, a trajectory's start point)
-    broadcasts against the other operand's stack, as one BLAS product
-    over its whole rows from inner dimension 2 up, as in :func:`_mm`;
-    otherwise the product is one broadcast multiply-add per inner index
-    over whole ``n``-long rows."""
+    ``(m, b, n)``, as a new ``(k, b, n)`` array; a stack of one
+    (``n = 1``) on either side broadcasts.  A left operand that is a
+    stack of one (a constant schedule's H, a trajectory's start point)
+    is one BLAS product over the right operand's whole rows from inner
+    dimension 2 up, as in :func:`_mm`; otherwise the product is one
+    broadcast multiply-add per inner index over whole ``n``-long rows."""
     if len(y) > 1 and x.shape[2] == 1:
         return (x[:, :, 0] @ y.reshape(len(y), -1)).reshape(-1, *y.shape[1:])
-    if len(y) > 1 and y.shape[2] == 1:
-        return np.matmul(y[:, :, 0].T, x)
     out = x[:, :1] * y[:1]
     for i in range(1, len(y)):
         out += x[:, i:i + 1] * y[i:i + 1]

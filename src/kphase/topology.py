@@ -18,7 +18,13 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidRank, NonDivisible, RankMismatch, UnknownGroup
+from .errors import (
+    InvalidRank,
+    NonDivisible,
+    RankMismatch,
+    ReducibleFactor,
+    UnknownGroup,
+)
 
 
 class Series(str, enum.Enum):
@@ -89,6 +95,7 @@ class SimpleFactor:
                 warnings.warn(
                     "D with rank 2 is reducible (two A1 factors); "
                     "allowed but flagged",
+                    ReducibleFactor,
                     stacklevel=3,
                 )
 

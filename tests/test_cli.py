@@ -170,14 +170,30 @@ def test_flagged_group_under_warnings_as_errors_exits_two(capsys):
         rc, out, err = run_cli(capsys, ["poincare", "--min-orbit", "D2"])
     assert rc == 2
     payload = json.loads(out, parse_constant=_strict)["error"]
-    assert payload["type"] == "UserWarning"
+    assert payload["type"] == "ReducibleFactor"
     assert payload["exit_code"] == 2
-    assert "reducible" in payload["message"] and "UserWarning" in err
+    assert "reducible" in payload["message"] and "ReducibleFactor" in err
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rc, out, _ = run_cli(capsys, ["poincare", "--min-orbit", "D2"])
     assert rc == 0
     assert json.loads(out)["dimension"] == 2
+
+
+def test_numpy_warning_as_error_propagates_out_of_main(capsys, monkeypatch):
+    """Only the library's own ``ReducibleFactor`` maps to exit 2: a numpy
+    RuntimeWarning raised as an error inside a run is a numerical fault,
+    and leaves ``main`` as an exception, not as a bad-input exit."""
+
+    def dividing_kernel(spec, z, w):
+        return np.ones(1) / np.zeros(1)
+
+    monkeypatch.setattr(kphase.cli, "kernel", dividing_kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="divide"):
+            main(["kernel", "--z", "1", "--w", "1"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("name", ["SU(4", "SU4)", "SO(5"])

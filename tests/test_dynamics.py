@@ -199,6 +199,37 @@ def test_riccati_rhs_values():
     assert r0[0, 0] == pytest.approx(-1j, abs=1e-15)
 
 
+@pytest.mark.parametrize("spec", [
+    cp1(), ManifoldSpec(Family.AIII, 3, 2), ManifoldSpec(Family.CI, 2),
+    ManifoldSpec(Family.DIII, 3, compact=False)],
+    ids=["CP1", "AIII(3,2)", "CI(2)", "DIII(3)-noncompact"])
+def test_riccati_rhs_broadcasts_like_a_loop(rng, spec):
+    """``riccati_rhs`` on stacks of H, of Z, or both, with their leading
+    axes broadcast, is the per-matrix ``-i (C^T + Z D^T - A^T Z - Z B^T
+    Z)`` at every index."""
+    p, q = spec.point_shape
+    d = p + q
+    hs = rng.standard_normal((4, 1, d, d)) + 1j * rng.standard_normal(
+        (4, 1, d, d))
+    hs = hs + hs.conj().swapaxes(-1, -2)
+    zs = np.stack([[random_point(spec, rng, scale=0.3) for _ in range(5)]])
+
+    def one(H, Z):
+        a, b, c, e = H[:p, :p], H[:p, p:], H[p:, :p], H[p:, p:]
+        return -1j * (c.T + Z @ e.T - a.T @ Z - Z @ b.T @ Z)
+
+    cases = [(hs, zs), (hs[0, 0], zs), (hs, zs[0, 0]), (hs[:, 0], zs[0, :4]),
+             (hs[0, 0], zs[0, 0])]
+    for H, Z in cases:
+        got = riccati_rhs(spec, H, Z)
+        lead = np.broadcast_shapes(H.shape[:-2], Z.shape[:-2])
+        assert got.shape == lead + spec.point_shape
+        hb = np.broadcast_to(H, lead + H.shape[-2:])
+        zb = np.broadcast_to(Z, lead + Z.shape[-2:])
+        for idx in np.ndindex(lead):
+            assert np.max(np.abs(got[idx] - one(hb[idx], zb[idx]))) < 1e-13
+
+
 def test_riccati_matches_mobius_derivative(rng):
     spec = ManifoldSpec(Family.CI, 2)
     H = sp_compatible_generator(rng, 2, Family.CI)

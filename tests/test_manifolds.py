@@ -15,7 +15,14 @@ from kphase import (
     projective_distance,
     validate_points,
 )
-from kphase.manifolds import _det, _hpd_solve, _mm, _solve, point_faults
+from kphase.manifolds import (
+    _det,
+    _hpd_solve,
+    _mm,
+    _mm_last,
+    _solve,
+    point_faults,
+)
 
 from finite_difference import random_point
 
@@ -324,6 +331,34 @@ def test_mm_matches_matmul(rng, rows, inner, cols, layout):
     assert got.shape == (x @ y).shape
     assert got.flags.writeable
     assert np.all(np.abs(got - x @ y) <= 1e-14 * (np.abs(x) @ np.abs(y)))
+
+
+@pytest.mark.parametrize("rows, inner, cols", [
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 3), (2, 3, 1), (3, 1, 2)])
+@pytest.mark.parametrize("layout", [
+    "stack-stack", "one-stack", "stack-one", "one-one", "transposed"])
+def test_mm_last_matches_matmul(rng, rows, inner, cols, layout):
+    """``_mm_last`` on the stack-last layout agrees with ``@`` on the
+    stack-first one to 1e-14 of the entries' summed terms: on two stacks,
+    a stack of one on either side (the BLAS product on the left from
+    inner dimension 2, the broadcast multiply-add otherwise), two stacks
+    of one, and a transposed view of a stack."""
+    x = _complex(rng, rows, inner, 40)
+    y = _complex(rng, inner, cols, 40)
+    if layout == "one-stack":
+        x = x[..., :1]
+    elif layout == "stack-one":
+        y = y[..., :1]
+    elif layout == "one-one":
+        x, y = x[..., :1], y[..., :1]
+    elif layout == "transposed":
+        y = _complex(rng, 40, cols, inner).transpose(2, 1, 0)
+    got = _mm_last(x, y)
+    xf, yf = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
+    ref = (xf @ yf).transpose(1, 2, 0)
+    bound = (np.abs(xf) @ np.abs(yf)).transpose(1, 2, 0)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * bound)
 
 
 def _cond_scaled_gap(got, ref, a):

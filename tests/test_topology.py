@@ -9,6 +9,7 @@ from kphase import (
     NonDivisible,
     PoincarePolynomial,
     RankMismatch,
+    ReducibleFactor,
     Series,
     SimpleFactor,
     UnknownGroup,
@@ -103,7 +104,7 @@ def test_rank_two_d_warning_names_the_caller():
     assert w.filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UserWarning, match="reducible"):
+        with pytest.raises(ReducibleFactor, match="reducible"):
             parse_group("D2")
 
 
