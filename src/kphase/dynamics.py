@@ -10,13 +10,15 @@ sampled schedule takes fixed-size
 fourth-order Magnus steps (``_step_matrices``), whose matrices lie in the
 group that H generates (unitary, and in Sp or SO* on CI or DIII
 generators), so the state needs no re-projection.  Each step's Pade
-solve is one batched LAPACK solve, except at d = 2, where it is taken in
-closed form (``manifolds._solve``, whose general matrices are the only
-ones that reach LAPACK's solve).  Both paths run in chunks of whole
-periods of ``PERIOD`` steps, sized by ``CHUNK_ENTRIES`` (``_blocks``):
-against the d x d entries of a step matrix in :func:`propagate` and on
-the Magnus path, and in :func:`trajectory`'s closed-form path, which
-forms no step matrices, against the entries of one chart point.
+solve (``manifolds._solve``) is a closed form at d = 2, an elimination
+without pivoting at d = 3 and 4 where every denominator of the chunk is
+column diagonally dominant (every step with ||K||_1 <= 1), and one
+batched LAPACK solve otherwise: a coarse step or d >= 5.  Both paths run
+in chunks of whole periods of ``PERIOD`` steps, sized by
+``CHUNK_ENTRIES`` (``_blocks``): against the d x d entries of a step
+matrix in :func:`propagate` and on the Magnus path, and in
+:func:`trajectory`'s closed-form path, which forms no step matrices,
+against the entries of one chart point.
 ``_flow`` yields after each chunk, so :func:`trajectory` checks a chunk
 before the next one is advanced.
 On the Magnus path each chunk interpolates the schedule's coefficient
@@ -30,10 +32,17 @@ the chunk's periods together (``_advance``): pairwise products give each
 period's whole product and those of its blocks of 2, 4, ... steps, one
 product per period carries the state across it, and one batched product
 per block level writes the rows of every period, halving the blocks
-down to single steps.  The stacked products, K^2 included, go through
-``manifolds._mm``, whose size rule takes 2 x 2 and 3 x 3 stacks as
-broadcast multiply-adds and larger ones as ``np.matmul``; the carries
-across periods, one matrix each, stay ``@``.
+down to single steps.  The Magnus path is stack-last, as the chart
+stage below: the exponents, the steps, the block levels and the states
+are ``(d, d, n)`` and ``(d, c, n)`` stacks, and the pairs of a level sit
+on the flat step axis, never across a period since ``PERIOD`` is a power
+of two.  The stacked products, K^2 included, go through
+``manifolds._mm_last``: up to d = 4 (``manifolds.STACK_LAST_MAX``) one
+broadcast multiply-add per inner index over whole rows, on stacks held
+stack-last in memory; above it ``np.matmul`` and LAPACK, on transposed
+views of stack-first memory whose matrices stay contiguous.  The
+carries across periods, one matrix each, stay ``@``, and the rows go out
+through a transposed view.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
 
@@ -48,12 +57,13 @@ the Riccati right-hand side (``_riccati``), the RK4 steps and the Kahler
 defects (``geometry._metric_form``).  Its products are
 ``manifolds._mm_last``: one BLAS product where the left side is a stack
 of one (a constant schedule's H, the start point), and otherwise one
-broadcast multiply-add per inner index.  The transposes sit at the
-boundary, all of them views or one chunk's copy: the unitaries' blocks
-are read through a transposed view of the ``(n + 1, d, d)`` rows, the
-rows and first stages are written back through transposed views of the
-``(n + 1, p, q)`` points and velocities, LAPACK's 3 x 3 solves of the
-denominators are reached through one transposed view, and their images
+broadcast multiply-add per inner index, to inner dimension 4.  The
+transposes sit at the boundary, all of them views or one chunk's copy:
+the unitaries' blocks are read through a transposed view of the
+``(n + 1, d, d)`` rows, the rows and first stages are written back
+through transposed views of the ``(n + 1, p, q)`` points and
+velocities, and the images of the denominators' solve
+(``manifolds._solve``, whose LAPACK fallback takes transposed views)
 come back as one contiguous copy.  The public :func:`riccati_rhs` and
 ``manifolds.point_faults`` keep their ``(..., p, q)`` shapes as thin
 wrappers over the same cores.  From each row P[k] one classical RK4
@@ -111,10 +121,10 @@ from .manifolds import (
     ManifoldSpec,
     _det,
     _distance,
-    _mm,
     _mm_last,
     _point_faults,
     _solve,
+    _to_stack_last,
     as_chart_array,
     raise_first_fault,
     validate_points,
@@ -386,10 +396,12 @@ def _chart_images(spec: ManifoldSpec, U: np.ndarray, z: np.ndarray):
     ``U`` is ``(d, d, n)``, ``z`` one ``(p, q, 1)`` point and the images
     ``(p, q, n)``.  An image whose determinant is below
     ``CHART_EDGE_TOL`` is meaningless, and its denominator is replaced
-    by the identity.  ``_solve`` reaches the denominators through one
-    transposed view, so the 3 x 3 ones go to LAPACK, and the images come
-    back as one contiguous copy, which the rules and products after it
-    read two to three times faster than the transposed view.
+    by the identity.  ``_solve`` takes the stack-last denominators as
+    they are: 3 x 3 and 4 x 4 ones are eliminated without pivoting where
+    the whole chunk is column diagonally dominant and go to LAPACK
+    otherwise, and the images come back as one contiguous copy, which
+    the rules and products after it read two to three times faster than
+    LAPACK's transposed view.
 
     A determinant no larger than ``p`` eps times the product of the
     denominator's l1 row lengths, the size of its rounding error, is
@@ -405,8 +417,7 @@ def _chart_images(spec: ManifoldSpec, U: np.ndarray, z: np.ndarray):
     den[:, :, np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)[..., None]
     num = _mm_last(z, d)
     num += c
-    images = _solve(den.transpose(2, 0, 1), num.transpose(2, 0, 1))
-    return det, np.ascontiguousarray(images.transpose(1, 2, 0))
+    return det, np.ascontiguousarray(_solve(den, num))
 
 
 def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
@@ -489,87 +500,117 @@ def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
     stage coefficient rows, written to the rows of ``out``; ``table`` is
     the schedule's ``_commutator_table``.
 
-    ``_step_matrices`` gives the steps' matrices.  They are grouped in
-    periods of ``PERIOD`` steps from this call's first step, with
-    identities padding the last period to full length.  Pairwise products
-    give the products of every block of 2, 4, ..., ``PERIOD`` steps
-    (``_period_products``); one product per period carries the state
-    across it.  The rows then come down the same blocks, one batched
-    product per level for every period at once: the state in the middle
-    of a block is the product of the block's first half applied to the
-    state at its start, known from the level above.  The batched products
-    are ``manifolds._mm``; the carries, one matrix each, are ``@``, which
-    beats ``_mm`` on a single matrix.
+    ``_step_matrices`` gives the steps' matrices as one stack-last
+    ``(d, d, n)`` stack.  They are grouped in periods of ``PERIOD`` steps
+    from this call's first step, with identities padding the last period
+    to full length.  Pairwise products give the products of every block
+    of 2, 4, ..., ``PERIOD`` steps (``_period_products``); one product per
+    period carries the state across it.  The rows then come down the same
+    blocks, one batched product per level for every period at once: the
+    state in the middle of a block is the product of the block's first
+    half applied to the state at its start, known from the level above.
+    The states of a ``d x c`` state are one stack-last
+    ``(d, c, m PERIOD + 1)`` stack, in the steps' memory order, so the
+    batched products are ``manifolds._mm_last`` on the flat step axis;
+    the carries, one matrix each, are ``@``, and the rows go to ``out``
+    through a transposed view.
 
     A call of one period, which is every chunk from d = 9 up and a run of
     at most ``PERIOD`` steps, has no periods to batch: the blocks would
     only double the arithmetic of its products, and would turn a column's
     matrix-vector products into matrix products, so it carries the state
-    one step at a time instead.
+    one step at a time instead, straight into ``out``.
     """
     period, n, d = PERIOD, len(out), len(Y)
     m = -(-n // period)
-    steps = np.concatenate((_step_matrices(table, stages, h), np.broadcast_to(
-        np.eye(d), (m * period - n, d, d)))).reshape(m, period, d, d)
-    levels = _period_products(steps) if m > 1 else [steps]
-    block = period // levels[-1].shape[1]
-    states = np.empty((m * period + 1,) + Y.shape, dtype=complex)
-    starts = states[::block]
-    starts[0] = Y
-    for p, whole in enumerate(levels[-1].reshape(-1, d, d)[:-(-n // block)]):
-        starts[p + 1] = whole @ starts[p]
-    grid = states[:-1].reshape((m, period) + Y.shape)
+    steps = _step_matrices(table, stages, h)
+    rows = out.reshape(n, d, -1)
+    assert np.may_share_memory(rows, out), "out must reshape as a view"
+    if m == 1:
+        state = Y.reshape(d, -1)
+        for k, step in enumerate(np.ascontiguousarray(
+                steps.transpose(2, 0, 1))):
+            rows[k] = state = step @ state
+        return
+    if n < m * period:
+        padded = np.empty_like(steps, shape=(d, d, m * period))
+        padded[..., :n], padded[..., n:] = steps, np.eye(d)[..., None]
+        steps = padded
+    levels = _period_products(steps)
+    states = np.empty_like(steps, shape=(d, rows.shape[-1], m * period + 1))
+    starts = states[..., ::period]
+    starts[..., 0] = Y.reshape(d, -1)
+    for p, whole in enumerate(levels[-1].transpose(2, 0, 1)):
+        starts[..., p + 1] = whole @ starts[..., p]
     for level in reversed(levels[:-1]):
-        half = period // level.shape[1]
-        grid[:, half::2 * half] = _mm(level[:, ::2], grid[:, ::2 * half])
-    out[:] = states[1:n + 1]
+        half = m * period // level.shape[-1]
+        states[..., half:-1:2 * half] = _mm_last(level[..., ::2],
+                                                 states[..., :-1:2 * half])
+    rows.transpose(1, 2, 0)[...] = states[..., 1:n + 1]
 
 
 def _magnus_exponents(table: np.ndarray, stages, h: float) -> np.ndarray:
     """The Hermitian fourth-order Magnus exponents
     ``K = (h/6) (H1 + 4 H2 + H3) + i (h^2/12) [H1, H3]`` of each step,
     from its coefficient rows ``c1, c2, c3`` at the step's start, middle
-    and end.  With ``H = sum_a c_a G_a``,
+    and end, as one stack-last ``(d, d, n)`` stack.  With
+    ``H = sum_a c_a G_a``,
     ``i [H1, H3] = sum_{a<b} (c1_a c3_b - c1_b c3_a) i [G_a, G_b]``, so K
     is one product of the real rows
     ``[(h/6) (c1 + 4 c2 + c3), (h^2/12) (c1_a c3_b - c1_b c3_a)]`` with
     the schedule's ``_commutator_table``, taken as one real product on
-    the table's interleaved real and imaginary parts."""
+    the table's interleaved real and imaginary parts.  The stack is that
+    ``(n, d^2)`` product through ``manifolds._to_stack_last``: one
+    transposed copy for small d, a transposed view for large d."""
     c1, c2, c3 = stages
     a, b = _pairs(c1.shape[-1])
     rows = np.concatenate(((h / 6.0) * (c1 + 4.0 * c2 + c3),
                            (h * h / 12.0) * (c1[:, a] * c3[:, b]
                                              - c1[:, b] * c3[:, a])), axis=-1)
     d = math.isqrt(table.shape[-1])
-    return (rows @ table.view(float)).view(complex).reshape(len(rows), d, d)
+    return _to_stack_last(
+        (rows @ table.view(float)).view(complex).reshape(-1, d, d))
 
 
 def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
     """Fourth-order Magnus step matrices of i dY/dt = H(t) Y, one per row
-    of the stage coefficient rows: exp(-iK) with K from
-    ``_magnus_exponents``, as its diagonal (2, 2) Pade approximant
-    ``(M + (i/2) K)^-1 (M - (i/2) K)``, ``M = I - K^2/12``, solved in
-    closed form at d = 2 and by LAPACK from d = 3 up.  K lies in the
-    Lie algebra of the flow's group, and that approximant maps the algebra
-    of every quadratic group (U, Sp, SO*) into the group, so each step
-    keeps unitarity and the chart's structure up to rounding.
+    of the stage coefficient rows, as a stack-last ``(d, d, n)`` stack:
+    exp(-iK) with K from ``_magnus_exponents``, as its diagonal (2, 2)
+    Pade approximant ``(M + (i/2) K)^-1 (M - (i/2) K)``,
+    ``M = I - K^2/12``.  K^2 is ``manifolds._mm_last``, and the solve
+    ``manifolds._solve``: in closed form at d = 2, by elimination without
+    pivoting at d = 3 and 4 where every denominator of the stack is
+    column diagonally dominant (every step with ``||K||_1 <= 1``), and
+    otherwise by LAPACK.  K lies in the Lie algebra of the flow's group,
+    and that approximant maps the algebra of every quadratic group (U,
+    Sp, SO*) into the group, so each step keeps unitarity and the chart's
+    structure up to rounding.
     """
     k = _magnus_exponents(table, stages, h)
-    m = np.eye(k.shape[-1]) - _mm(k, k) / 12.0
+    # In place, with the same rounding as I - K^2/12: at large d each
+    # temporary stack is megabytes of fresh memory (at d = 65 three more
+    # temporaries cost a quarter more minor page faults).
+    m = _mm_last(k, k)
+    m /= -12.0
+    m += np.eye(len(k))[..., None]
     k *= 0.5j
-    return _solve(m + k, m - k)
+    den = m + k
+    m -= k
+    return _solve(den, m)
 
 
 def _period_products(steps: np.ndarray) -> list[np.ndarray]:
     """The products of each period's steps in blocks of 1, 2, 4, ...,
-    ``PERIOD`` consecutive steps, later steps on the left, one batched
-    product per level: level ``l`` has shape ``(m, PERIOD >> l, d, d)``,
-    and the last holds each period's whole product.  The ``PERIOD`` steps
-    of a period are a power of two."""
+    ``PERIOD`` consecutive steps, later steps on the left, from a
+    stack-last ``(d, d, m PERIOD)`` stack of steps: one batched product
+    (``manifolds._mm_last``) per level on the flat step axis, so level
+    ``l`` has shape ``(d, d, m PERIOD >> l)`` and the last holds each
+    period's whole product.  ``PERIOD`` is a power of two, so no pair of
+    a level crosses a period's boundary."""
     levels = [steps]
-    while levels[-1].shape[1] > 1:
+    for _ in range(PERIOD.bit_length() - 1):
         prods = levels[-1]
-        levels.append(_mm(prods[:, 1::2], prods[:, ::2]))
+        levels.append(_mm_last(prods[..., 1::2], prods[..., ::2]))
     return levels
 
 

@@ -22,23 +22,35 @@ solves, each with its rule inside:
 - ``_mm``, on the ``(..., p, q)`` layout of the public functions: a 2-D
   matrix against a stack is one BLAS product from inner dimension 2 up;
   otherwise one broadcast multiply-add per inner index up to inner
-  dimension 3, and ``np.matmul`` above.  The kernel, the gradient and
-  the propagator's stacked products take it: 2 x 2 and 3 x 3 flows the
-  broadcast, and from d = 4 up (65 at j = 32) BLAS's ``@``.
+  dimension 3, and ``np.matmul`` above.  The kernel and the gradient
+  take it.
 - ``_mm_last``, on the stack-last layout ``(p, q, n)``, the stack axis
   last: a stack of one (``n = 1``) on the left of a stack is one BLAS
-  product over whole rows, and any other pair one broadcast multiply-add
-  per inner index over whole ``n``-long rows, never numpy's inner loops
-  of two or three entries.
+  product over whole rows; any other pair is one broadcast multiply-add
+  per inner index over whole ``n``-long rows up to inner dimension
+  ``STACK_LAST_MAX`` (4), never numpy's inner loops of two to four
+  entries, and ``np.matmul`` on transposed views above it.  The chart
+  stage and the propagator's Magnus path take it: K^2, the period
+  products and the rows.  ``_to_stack_last`` lays a stack-first stack
+  out for it and ``_solve``: a transposed copy below that size, a
+  transposed view above.
 - ``_det``: closed forms to 3 x 3, LAPACK's LU from 4 x 4 up.
 - ``_hpd_solve``: the solves with the Hermitian positive-definite
   ``P = I + s Z Z^dag`` and ``Q = I + s Z^dag Z``: from 3 x 3 up by
   ``_ldl``, a broadcast elimination without pivoting
   (``L diag(d) L^dag``, stable on positive-definite matrices), with one
   refinement step; the closed forms of ``_solve`` on 1 x 1 and 2 x 2.
-- ``_solve``: the general denominators, the chart images'
-  ``A^T + Z B^T`` and the propagator's Pade steps: division on 1 x 1,
-  the adjugate over ``_det`` on 2 x 2, LAPACK's pivoted LU from 3 x 3 up.
+- ``_solve``, on the stack-last layout: the general denominators, the
+  chart images' ``A^T + Z B^T`` and the propagator's Pade steps
+  ``I - K^2/12 + (i/2) K``: division on 1 x 1, the adjugate on 2 x 2,
+  and from 3 x 3 up to ``STACK_LAST_MAX`` Gaussian elimination without
+  pivoting over whole rows (``_eliminate``) when every member of the
+  stack is strictly column diagonally dominant.  Partial pivoting would
+  make no interchanges on such matrices and the growth factor is at
+  most 2, so the elimination is as stable as LAPACK's pivoted LU; a
+  Pade denominator is dominant whenever ``||K||_1 <= 1``.  A stack with
+  one member that is not, and every larger stack, go to LAPACK's
+  pivoted LU through transposed views.
 
 The chart stage of a trajectory keeps its points stack-last from the
 Mobius images to the Kahler defects (``dynamics._chart_rows``), so its
@@ -48,9 +60,9 @@ through one transposed view of its stack-last core ``_point_faults``.
 ``_ldl`` takes its stack-last input directly and eliminates in place:
 the domain check reads its pivots of ``I - Z Z^dag``, all positive for
 every p, so the domain check and the solves share one elimination, and
-``_hpd_solve`` passes it a transposed copy.  The kernel takes its
-determinant on the smaller side (``det(I_q + s W^dag Z)`` for AIII with
-q < p).
+``_hpd_solve`` passes it a transposed copy, as it passes ``_solve``
+transposed views.  The kernel takes its determinant on the smaller side
+(``det(I_q + s W^dag Z)`` for AIII with q < p).
 """
 
 from __future__ import annotations
@@ -64,6 +76,10 @@ from .errors import DimensionMismatch, OutsideDomain, SymmetryViolation
 
 SYMMETRY_TOL = 1e-12
 KERNEL_ZERO_TOL = 1e-12
+# Matrix sizes up to which ``_mm_last`` multiplies and adds over whole
+# rows and ``_solve`` may eliminate without pivoting; ``np.matmul`` and
+# LAPACK, which loop once per matrix, are faster above.
+STACK_LAST_MAX = 4
 
 
 class Family(str, enum.Enum):
@@ -300,10 +316,11 @@ def _forward(cols, y: np.ndarray) -> np.ndarray:
 
 def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``g^-1 b`` for Hermitian positive-definite ``g`` and matching
-    ``b``, or stacks of them with the same leading axes: the closed forms
-    of :func:`_solve` on 1 x 1 and 2 x 2, and from 3 x 3 up the
-    factorisation of :func:`_ldl` with one step of iterative refinement
-    in working precision, written to a new C-ordered array.
+    ``b``, or stacks of them with the same leading axes, written to a new
+    C-ordered array: the closed forms of :func:`_solve` on 1 x 1 and
+    2 x 2, through transposed views, and from 3 x 3 up the factorisation
+    of :func:`_ldl` with one step of iterative refinement in working
+    precision.
 
     The factorisation's solve is a forward substitution, the pivots and
     a back substitution with ``L^dag``; the refinement solves once more,
@@ -314,9 +331,10 @@ def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     points ten times, where the adjugate matches LU); after the
     refinement step it is below LU's (Skeel's result for fixed-precision
     refinement)."""
-    if g.shape[-1] < 3:
-        return _solve(g, b)
     gt, bt = (m.transpose(-2, -1, *range(m.ndim - 2)) for m in (g, b))
+    if len(gt) < 3:
+        x = _solve(gt, bt)
+        return np.ascontiguousarray(x.transpose(*range(2, x.ndim), 0, 1))
     cols, d = _ldl(gt.copy())
 
     def solve(y):
@@ -385,41 +403,102 @@ def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _mm_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` on stacks in the stack-last layout, ``(k, m, n)`` against
-    ``(m, b, n)``, as a new ``(k, b, n)`` array; a stack of one
-    (``n = 1``) on either side broadcasts.  A left operand that is a
-    stack of one (a constant schedule's H, a trajectory's start point)
-    is one BLAS product over the right operand's whole rows from inner
-    dimension 2 up, as in :func:`_mm`; otherwise the product is one
-    broadcast multiply-add per inner index over whole ``n``-long rows."""
+    ``(m, b, n)``, as a ``(k, b, n)`` array; a stack of one (``n = 1``)
+    on either side broadcasts.  A left operand that is a stack of one (a
+    constant schedule's H, a trajectory's start point) is one BLAS
+    product over the right operand's whole rows from inner dimension 2
+    up, as in :func:`_mm`.  Otherwise, up to inner dimension
+    ``STACK_LAST_MAX``, the product is one broadcast multiply-add per inner
+    index over whole ``n``-long rows, never numpy's inner loops of a few
+    entries.  Above it each inner index would cost one more pass over
+    the stack, and ``np.matmul`` takes the transposed ``(n, k, m)``
+    views instead; its result comes back as a transposed view of the
+    ``(n, k, b)`` product, so a chain of such products hands BLAS
+    contiguous matrices again."""
     if len(y) > 1 and x.shape[2] == 1:
         return (x[:, :, 0] @ y.reshape(len(y), -1)).reshape(-1, *y.shape[1:])
+    if len(y) > STACK_LAST_MAX:
+        return np.matmul(x.transpose(2, 0, 1),
+                         y.transpose(2, 0, 1)).transpose(1, 2, 0)
     out = x[:, :1] * y[:1]
     for i in range(1, len(y)):
         out += x[:, i:i + 1] * y[i:i + 1]
     return out
 
 
+def _to_stack_last(m: np.ndarray) -> np.ndarray:
+    """A stack-first ``(n, p, q)`` stack as the stack-last ``(p, q, n)``
+    operand of :func:`_mm_last` and :func:`_solve`: a transposed copy up
+    to ``STACK_LAST_MAX`` rows, where they read whole rows, and a
+    transposed view above it, whose matrices stay contiguous for
+    ``np.matmul`` and LAPACK."""
+    m = m.transpose(1, 2, 0)
+    return np.ascontiguousarray(m) if len(m) <= STACK_LAST_MAX else m
+
+
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` for general square ``a`` and matching ``b``, or stacks
-    of them: the chart images' denominators ``A^T + Z B^T`` and the Pade
-    steps, which are not Hermitian.  ``b / a`` on 1 x 1, the adjugate
-    over :func:`_det` on 2 x 2, and ``np.linalg.solve`` (LU with partial
-    pivoting) from 3 x 3 up.  A 3 x 3 adjugate solve beat LAPACK's
-    per-matrix loop on chart stacks, but it raised the peak memory of an
-    evolve run and had several times the backward error of LAPACK's
-    pivoted LU on matrices I - Z Z^dag near the boundary; the Hermitian
+    """``a^-1 b`` for general square ``a`` and matching ``b`` in the
+    stack-last layout, ``(d, d, ...)`` and ``(d, c, ...)`` with the same
+    stack axes, or a stack of one in ``a``: the chart images'
+    denominators ``A^T + Z B^T`` and the Pade steps' ``M + (i/2) K``,
+    which are not Hermitian.  Returns a new array in the memory order of
+    ``b``, so a transposed view of a stack-first ``b`` gives a stack-first
+    result, or from LAPACK a transposed view of a stack-first array.
+
+    ``b / a`` on 1 x 1 and the adjugate over the determinant on 2 x 2.
+    From 3 x 3 up to ``STACK_LAST_MAX``, a stack whose every member
+    is strictly column diagonally dominant, ``|a_jj| > sum_(i != j)
+    |a_ij|``, goes to Gaussian elimination without pivoting over whole
+    rows (``_eliminate``).  On such matrices partial pivoting would make
+    no interchanges and the growth factor is at most 2 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 9.5), so
+    the elimination is as stable as LAPACK's pivoted LU.  The Pade
+    denominator ``I - K^2/12 + (i/2) K`` of a Magnus step is dominant
+    whenever ``||K||_1 <= 1``, and a chart denominator while ``U`` is
+    near the identity and ``Z`` near the origin.  Any other stack, one
+    non-dominant member being enough (a coarse step, whose ``K^2/12``
+    can cancel a diagonal entry of ``I``), and every larger one go to
+    ``np.linalg.solve`` (LU with partial pivoting) through transposed
+    views.  A 3 x 3 adjugate solve had several times LAPACK's backward
+    error on matrices ``I - Z Z^dag`` near the boundary, so the Hermitian
     positive-definite solves take :func:`_hpd_solve`, which hands its
     1 x 1 and 2 x 2 ones to this function."""
-    n = a.shape[-1]
+    n = len(a)
     if n == 1:
         return b / a
     if n == 2:
-        b0, b1 = b[..., :1, :], b[..., 1:, :]
-        top = a[..., 1:, 1:] * b0 - a[..., :1, 1:] * b1
-        bottom = a[..., :1, :1] * b1 - a[..., 1:, :1] * b0
-        det = _det(a)[..., None, None]
-        return np.concatenate((top, bottom), axis=-2) / det
-    return np.linalg.solve(a, b)
+        x = np.empty_like(b, dtype=np.result_type(a, b))
+        x[0] = a[1, 1] * b[0] - a[0, 1] * b[1]
+        x[1] = a[0, 0] * b[1] - a[1, 0] * b[0]
+        x /= a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return x
+    if n <= STACK_LAST_MAX:
+        mag = np.abs(a)
+        diagonal = mag.reshape(n * n, *mag.shape[2:])[::n + 1]
+        if np.all(2.0 * diagonal > mag.sum(axis=0)):
+            return _eliminate(a, b)
+    stack = tuple(range(2, a.ndim))
+    x = np.linalg.solve(a.transpose(*stack, 0, 1), b.transpose(*stack, 0, 1))
+    return x.transpose(-2, -1, *range(x.ndim - 2))
+
+
+def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` on the layout of :func:`_solve` by Gaussian elimination
+    without pivoting, on copies, each operation over whole stacks of one
+    entry; stable only on the dominant stacks that :func:`_solve` sends
+    here."""
+    dtype = np.result_type(a, b)
+    a, x = a.astype(dtype), b.astype(dtype)
+    n = len(a)
+    for k in range(n - 1):
+        col = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
+        x[k + 1:] -= col[:, None] * x[k]
+    for k in reversed(range(n)):
+        for j in range(k + 1, n):
+            x[k] -= a[k, j] * x[j]
+        x[k] /= a[k, k]
+    return x
 
 
 def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):

@@ -985,6 +985,32 @@ def test_oracle_compare_projects_in_one_batch(tmp_path, capsys, monkeypatch):
     assert rows == [201]
 
 
+def test_spin_three_halves_oracle_compare_takes_no_lapack_solve(
+        tmp_path, capsys, monkeypatch, rng):
+    """The benchmark's oracle-compare (201 knots on the Pauli matrices,
+    T = 10, dt = 1e-3, j = 3/2): every Pade denominator of the 4 x 4 spin
+    steps is column diagonally dominant, so ``manifolds._solve``
+    eliminates without pivoting and no call reaches ``np.linalg.solve``;
+    the CP1 steps and chart images are 2 x 2 and 1 x 1 closed forms."""
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    knots = np.round(np.arange(201) * 0.05, 10)
+    sched = HamiltonianSchedule.from_samples(
+        [SX, sy, SZ],
+        np.column_stack([knots, rng.uniform(-0.6, 0.6, (201, 3))]))
+    cfg = {"schedule": sched.to_json(), "z0": 0.0, "T": 10.0, "dt": 1e-3,
+           "j": 1.5, "stride": 10}
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(cfg))
+
+    def refuse(a, b):
+        raise AssertionError(f"LAPACK solve on a {a.shape} stack")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    rc, out, _ = run_cli(capsys, ["oracle-compare", "--config", str(path)])
+    assert rc == 0
+    assert json.loads(out)["max_projection_distance"] < 1e-6
+
+
 @pytest.mark.parametrize("command, extra", [
     ("oracle-compare", {"j": 1e6}),
     ("oracle-compare", {"j": 32.5}),

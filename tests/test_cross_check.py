@@ -199,6 +199,8 @@ def test_table_exponents_match_the_stage_formula(case, rng):
     x = H1 @ H3
     ref = ((h / 6.0) * (H1 + 4.0 * H2 + H3)
            + (1j * h * h / 12.0) * (x - x.conj().swapaxes(-1, -2)))
+    # The exponents come stack-last, (d, d, n).
     k = kphase.dynamics._magnus_exponents(sched._table, stages, h)
+    k = k.transpose(2, 0, 1)
     assert k.shape == ref.shape == (n,) + sched.generators[0].shape
     assert np.max(np.abs(k - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -571,24 +571,27 @@ def test_block_stepping_matches_stepwise_reference(spec, rng):
     assert np.max(np.abs(cyc.points[-1] - clip_z[-1])) <= CROSS_CHECK_TOL
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
 @pytest.mark.parametrize("n", [1, 32, 77])
 def test_advance_rows_are_the_step_products(d, n, rng):
     """``_advance`` takes its rows down the blocks of each period, one
     batched product per level; every row equals the steps' product taken
     one step at a time, to rounding, on square and column states, for a
-    single step, one full period and a short last period."""
+    single step, one full period and a short last period.  The step
+    matrices are stack-last, ``(d, d, n)``; d = 5 takes ``_mm_last``'s
+    multiply-adds and d = 9 its ``np.matmul``."""
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     gens = [(h + h.conj().T) / 2.0, np.diag(np.arange(d, dtype=float))]
     sched = HamiltonianSchedule.from_samples(
         gens, [[0.0, 0.5, 0.2], [n * 0.01, -0.3, 0.7]])
     stages = kphase.dynamics._stages(sched, 0.0, 0.01, 0, n)
     steps = kphase.dynamics._step_matrices(sched._table, stages, 0.01)
+    assert steps.shape == (d, d, n)
     for Y in (_haar(rng, d), _haar(rng, d)[:, :1]):
         out = np.empty((n,) + Y.shape, dtype=complex)
         kphase.dynamics._advance(Y, out, sched._table, stages, 0.01)
         ref = [Y]
-        for step in steps:
+        for step in steps.transpose(2, 0, 1):
             ref.append(step @ ref[-1])
         assert np.max(np.abs(out - ref[1:])) <= 1e-14 * math.sqrt(n)
 
@@ -957,6 +960,41 @@ def test_sampled_flow_stays_in_group(dt):
             drift = us.conj().swapaxes(1, 2) @ us - np.eye(4)
             assert np.max(np.linalg.norm(drift, 2, axis=(1, 2))) <= 1e-12
             assert np.max(np.abs(us.swapaxes(1, 2) @ J @ us - J)) <= 1e-12
+
+
+def test_coarse_spin_steps_take_lapack_and_stay_unitary(monkeypatch):
+    """At dt = 1 the spin-3/2 steps of a field near the unit x field have
+    ``K`` near ``2 J_x``, whose Pade denominator's second column has
+    0.42 on the diagonal and 2.16 off it: not column diagonally
+    dominant, so ``manifolds._solve`` hands the stack to LAPACK's pivoted
+    LU, and every row stays unitary to 1e-12."""
+    calls = []
+    real = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    sched = map_schedule(HamiltonianSchedule.from_samples(
+        [SX, SY, SZ], [[0.0, 1.0, 0.0, 0.0], [5.0, 1.0, 0.3, -0.2]]), 1.5)
+    _, us = propagate(sched, np.eye(4), 0.0, 5.0, 1.0)
+    assert calls == [(5, 4, 4)]
+    drift = us.conj().swapaxes(1, 2) @ us - np.eye(4)
+    assert np.max(np.linalg.norm(drift, 2, axis=(1, 2))) <= 1e-12
+
+
+def test_sampled_propagate_takes_a_vector_state(rng):
+    """A 1-D state runs through the Magnus steps as the column of the
+    same entries does, over several periods."""
+    knots = np.linspace(0.0, 1.0, 5)
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SY, SZ], np.column_stack([knots, rng.uniform(-1, 1, (5, 3))]))
+    psi = _haar(rng, 2)[:, 0]
+    _, vec = propagate(sched, psi, 0.0, 1.0, 1e-2)
+    _, col = propagate(sched, psi[:, None], 0.0, 1.0, 1e-2)
+    assert vec.shape == (101, 2)
+    assert np.array_equal(vec, col[..., 0])
 
 
 def test_sampled_two_level_flow_stays_unitary(rng):

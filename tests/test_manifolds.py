@@ -16,6 +16,7 @@ from kphase import (
     validate_points,
 )
 from kphase.manifolds import (
+    STACK_LAST_MAX,
     _det,
     _hpd_solve,
     _mm,
@@ -297,8 +298,7 @@ def test_mm_matches_matmul(rng, rows, inner, cols, layout):
     on either side of a stack and against another, on stride-0 stacks
     (read-only, so a write to an input would raise) on either side and on
     both, on the transposed stride-0 blocks of a broadcast matrix, on
-    the ``(m, 16, d, d)`` stacks of the flow's pairwise period products
-    and on the ``(m, d, 1)`` columns of a state vector's rows.  A
+    stacks with two leading axes and on stacks of columns.  A
     stride-0 stack has no rule of its own: it takes the rules of any
     stack of its shape."""
     x = _complex(rng, 50, rows, inner)
@@ -334,14 +334,16 @@ def test_mm_matches_matmul(rng, rows, inner, cols, layout):
 
 
 @pytest.mark.parametrize("rows, inner, cols", [
-    (1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 3), (2, 3, 1), (3, 1, 2)])
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 3), (2, 3, 1), (3, 1, 2),
+    (4, 4, 4), (5, 5, 5), (4, 6, 3), (9, 9, 1)])
 @pytest.mark.parametrize("layout", [
     "stack-stack", "one-stack", "stack-one", "one-one", "transposed"])
 def test_mm_last_matches_matmul(rng, rows, inner, cols, layout):
     """``_mm_last`` on the stack-last layout agrees with ``@`` on the
     stack-first one to 1e-14 of the entries' summed terms: on two stacks,
     a stack of one on either side (the BLAS product on the left from
-    inner dimension 2, the broadcast multiply-add otherwise), two stacks
+    inner dimension 2, the broadcast multiply-add to inner dimension
+    ``STACK_LAST_MAX`` and ``np.matmul`` above it otherwise), two stacks
     of one, and a transposed view of a stack."""
     x = _complex(rng, rows, inner, 40)
     y = _complex(rng, inner, cols, 40)
@@ -369,25 +371,137 @@ def _cond_scaled_gap(got, ref, a):
     return np.max(gap / (size * np.linalg.cond(a)))
 
 
+def _last(m):
+    """A stack-first ``(n, rows, cols)`` stack as a stack-last view."""
+    return m.transpose(1, 2, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_solve_matches_lapack(rng, n):
     """``_solve`` agrees with ``np.linalg.solve`` to rounding times the
-    condition number, on stacks, on one matrix against a stack of
-    right-hand sides, and on 2 x 2 matrices with |det| near 1e-10."""
+    condition number, on stack-last stacks, on one matrix (a stack of
+    one) against a stack of right-hand sides, and on 2 x 2 matrices with
+    |det| near 1e-10."""
     a = _complex(rng, 200, n, n)
     b = _complex(rng, 200, n, 3)
-    assert _cond_scaled_gap(_solve(a, b), np.linalg.solve(a, b), a) <= 1e-14
+
+    def solve(a, b):
+        return _solve(_last(a), _last(b)).transpose(2, 0, 1)
+
+    assert _cond_scaled_gap(solve(a, b), np.linalg.solve(a, b), a) <= 1e-14
     shared = np.linalg.solve(np.broadcast_to(a[0], a.shape), b)
-    assert _cond_scaled_gap(_solve(a[0], b), shared, a[:1]) <= 1e-14
+    assert _cond_scaled_gap(solve(a[:1], b), shared, a[:1]) <= 1e-14
     if n == 2:
         u, _, vh = np.linalg.svd(a)
         s = np.stack([np.ones(200), np.full(200, 1e-10)], axis=-1)
         near = (u * s[..., None, :]) @ vh
         det = np.abs(np.linalg.det(near))
         assert np.all((0.5e-10 < det) & (det < 2e-10))
-        got, ref = _solve(near, b), np.linalg.solve(near, b)
+        got, ref = solve(near, b), np.linalg.solve(near, b)
         assert np.all(np.isfinite(got))
         assert _cond_scaled_gap(got, ref, near) <= 1e-14
+
+
+def _pade_pairs(rng, d, n, scale):
+    """The Pade pairs ``M + (i/2) K`` and ``M - (i/2) K``,
+    ``M = I - K^2/12``, of ``n`` random Hermitian ``d x d`` exponents K
+    with ``||K||_1 = scale``, as stack-first stacks: the step matrices'
+    denominators and numerators at ``h ||H|| = scale``."""
+    k = _complex(rng, n, d, d)
+    k = k + k.conj().swapaxes(-1, -2)
+    k *= scale / np.abs(k).sum(axis=-2).max(axis=-1)[:, None, None]
+    m = np.eye(d) - k @ k / 12.0
+    return m + 0.5j * k, m - 0.5j * k
+
+
+def _count_lapack_solves(monkeypatch):
+    """Count the calls of ``np.linalg.solve`` from here on."""
+    calls = []
+    real = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(3, STACK_LAST_MAX + 1))
+def test_solve_eliminates_dominant_stacks(d, rng, monkeypatch):
+    """Stacks of strictly column diagonally dominant matrices from 3 x 3
+    up to ``STACK_LAST_MAX`` are eliminated without pivoting, with no
+    LAPACK call, and match ``np.linalg.solve`` to 1e-13 relative: random
+    matrices whose diagonal exceeds the rest of its column by 1 % to
+    50 %, and Pade denominators at ``h ||H||`` from 1e-4 to 1."""
+    a = _complex(rng, 300, d, d)
+    mag = np.abs(a).sum(axis=-2) - np.abs(np.diagonal(a, axis1=-2, axis2=-1))
+    phase = np.exp(2j * np.pi * rng.random((300, d)))
+    a[:, np.arange(d), np.arange(d)] = (
+        phase * mag * rng.uniform(1.01, 1.5, (300, d)))
+    stacks = [(a, _complex(rng, 300, d, 2))]
+    stacks += [_pade_pairs(rng, d, 300, scale)
+               for scale in (1e-4, 1e-2, 1.0)]
+    calls = _count_lapack_solves(monkeypatch)
+    got = [_solve(_last(a), _last(b)).transpose(2, 0, 1) for a, b in stacks]
+    assert calls == []
+    for (a, b), x in zip(stacks, got):
+        ref = np.linalg.solve(a, b)
+        gap = np.max(np.abs(x - ref), axis=(-2, -1))
+        assert np.all(gap <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1)))
+
+
+def _backward_error(a, b, x):
+    """Normwise backward error ``||b - a x|| / (||a|| ||x|| + ||b||)`` of
+    each solution, in infinity norms, with the residual taken in extended
+    precision so that its own rounding does not hide the solve's."""
+    wide = np.clongdouble
+    r = b.astype(wide) - a.astype(wide) @ x.astype(wide)
+
+    def norm(m):
+        return np.abs(m).sum(axis=-1).max(axis=-1)
+
+    return (norm(r) / (norm(a) * norm(x) + norm(b))).astype(float)
+
+
+@pytest.mark.parametrize("d", range(3, STACK_LAST_MAX + 1))
+@pytest.mark.parametrize("scale", [1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+def test_solve_backward_error_on_pade_steps(d, scale, rng):
+    """On Pade denominators at ``h ||H|| = scale`` the elimination's
+    largest normwise backward error over a stack is at most twice
+    LAPACK's pivoted LU's."""
+    a, b = _pade_pairs(rng, d, 500, scale)
+    got = _solve(_last(a), _last(b)).transpose(2, 0, 1)
+    ours = _backward_error(a, b, got).max()
+    lapack = _backward_error(a, b, np.linalg.solve(a, b)).max()
+    assert ours <= 2.0 * lapack
+
+
+@pytest.mark.parametrize("d", range(3, STACK_LAST_MAX + 1))
+def test_solve_takes_lapack_on_one_non_dominant_member(d, rng,
+                                                       monkeypatch):
+    """One coarse step in a stack of fine ones: with ``K`` the symmetric
+    matrix whose first row and column hold ``sqrt(12 / (d - 1))`` off the
+    diagonal, ``(K^2)_00 = 12`` and the Pade denominator's first diagonal
+    entry ``1 - (K^2)_00 / 12`` is zero (to rounding), so its first
+    column is not dominant.  The whole stack goes to LAPACK, once, and
+    every step is finite, matches ``np.linalg.solve`` and is unitary to
+    1e-12.  Without the dominance test the elimination would divide by
+    that zero pivot."""
+    a, b = _pade_pairs(rng, d, 64, 1e-2)
+    k = np.zeros((d, d))
+    k[0, 1:] = k[1:, 0] = math.sqrt(12.0 / (d - 1))
+    m = np.eye(d) - k @ k / 12.0
+    assert abs(m[0, 0]) <= 1e-15
+    a[17], b[17] = m + 0.5j * k, m - 0.5j * k
+    calls = _count_lapack_solves(monkeypatch)
+    got = _solve(_last(a), _last(b)).transpose(2, 0, 1)
+    assert calls == [(64, d, d)]
+    assert np.all(np.isfinite(got))
+    ref = np.linalg.solve(a, b)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    drift = got.conj().swapaxes(-1, -2) @ got - np.eye(d)
+    assert np.max(np.linalg.norm(drift, 2, axis=(-2, -1))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
