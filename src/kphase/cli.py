@@ -255,8 +255,8 @@ def _oracle_block(sched_j, psi0, cyc, dt, beta, gamma) -> dict:
 
 
 def _build_loop(spec, loop_cfg: dict) -> np.ndarray:
-    """The validated stack of a generated loop, or of a ``points`` loop
-    validated as one stack."""
+    """The validated stack-last ``(rows, cols, n)`` stack of a generated
+    loop, or of a ``points`` loop validated as one stack."""
     if not isinstance(loop_cfg, dict):
         raise ValueError(f"'loop' must be a JSON object, got {loop_cfg!r}")
     kind = loop_cfg.get("kind", "latitude")
@@ -265,7 +265,7 @@ def _build_loop(spec, loop_cfg: dict) -> np.ndarray:
             spec,
             radius=_real(loop_cfg, "radius", 1.0),
             samples=_count(loop_cfg, "samples", 256),
-        )
+        ).transpose(1, 2, 0)
     if kind == "fourier":
         rng = np.random.default_rng(_integer(loop_cfg, "seed", 0, 0))
         return fourier_loop(
@@ -274,7 +274,7 @@ def _build_loop(spec, loop_cfg: dict) -> np.ndarray:
             samples=_count(loop_cfg, "samples", 256),
             modes=_count(loop_cfg, "modes", 3),
             scale=_real(loop_cfg, "scale", 0.5),
-        )
+        ).transpose(1, 2, 0)
     if kind == "points":
         return _loop_points(spec, [_point_value(v)
                                    for v in loop_cfg.get("points", [])])
@@ -347,7 +347,8 @@ def run_oracle_compare(config: dict) -> list[str]:
     straj = schrodinger_evolve(psi0, sched_j, T, dt)
     ks = _strided(len(traj.times), stride)
     labels = bloch_projection(straj.states[ks], j)
-    dists = _distance(spec, labels[:, None, None], traj.points[ks])
+    dists = _distance(spec, labels[None, None],
+                      traj.points[ks].transpose(1, 2, 0))
     return [
         _dumps(
             {

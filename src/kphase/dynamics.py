@@ -37,11 +37,9 @@ stage below: the exponents, the steps, the block levels and the states
 are ``(d, d, n)`` and ``(d, c, n)`` stacks, and the pairs of a level sit
 on the flat step axis, never across a period since ``PERIOD`` is a power
 of two.  The stacked products, K^2 included, go through
-``manifolds._mm_last``: up to d = 4 (``manifolds.STACK_LAST_MAX``) one
-broadcast multiply-add per inner index over whole rows, on stacks held
-stack-last in memory; above it ``np.matmul`` and LAPACK, on transposed
-views of stack-first memory whose matrices stay contiguous.  The
-carries across periods, one matrix each, stay ``@``, and the rows go out
+``manifolds._mm_last``, on stacks held stack-last in memory up to d = 4
+and on transposed views of stack-first memory above.  The carries
+across periods, one matrix each, stay ``@``, and the rows go out
 through a transposed view.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
@@ -54,10 +52,8 @@ array stack-last, ``(p, q, n)`` with the chunk's n rows on the last
 axis, so each product, rule and solve reads whole rows: the Mobius
 images (``_chart_images``), the chart rules (``manifolds._point_faults``),
 the Riccati right-hand side (``_riccati``), the RK4 steps and the Kahler
-defects (``geometry._metric_form``).  Its products are
-``manifolds._mm_last``: one BLAS product where the left side is a stack
-of one (a constant schedule's H, the start point), and otherwise one
-broadcast multiply-add per inner index, to inner dimension 4.  The
+defects (``geometry._metric_form``), with products ``manifolds._mm_last``
+and the chart edge's determinants ``manifolds._det``.  The
 transposes sit at the boundary, all of them views or one chunk's copy:
 the unitaries' blocks are read through a transposed view of the
 ``(n + 1, d, d)`` rows, the rows and first stages are written back
@@ -119,11 +115,13 @@ from .geometry import _gradient, _metric_form
 from .manifolds import (
     Family,
     ManifoldSpec,
+    _broadcast_last,
     _det,
     _distance,
     _mm_last,
     _point_faults,
     _solve,
+    _stack_first,
     _to_stack_last,
     as_chart_array,
     raise_first_fault,
@@ -411,7 +409,7 @@ def _chart_images(spec: ManifoldSpec, U: np.ndarray, z: np.ndarray):
     a, c, b, d = _transposed_blocks(spec, U)
     den = _mm_last(z, b)
     den += a
-    det = _det(den.transpose(2, 0, 1))
+    det = _det(den)
     noise = spec.p * np.finfo(float).eps * np.prod(np.abs(den).sum(1), 0)
     det = np.where(np.abs(det) > noise, det, 0.0)
     den[:, :, np.abs(det) < CHART_EDGE_TOL] = np.eye(spec.p)[..., None]
@@ -433,18 +431,8 @@ def riccati_rhs(spec: ManifoldSpec, H, Z) -> np.ndarray:
     if z.ndim < 2:
         z = z.reshape(spec.point_shape)
     h = np.asarray(H).swapaxes(-1, -2)
-    lead = np.broadcast_shapes(z.shape[:-2], h.shape[:-2])
-
-    def last(m):
-        """One matrix as a stack of one, a stack over the leading axes."""
-        if m.ndim == 2:
-            return m[..., None]
-        if m.shape[:-2] != lead:
-            m = np.broadcast_to(m, lead + m.shape[-2:])
-        return m.reshape((-1,) + m.shape[-2:]).transpose(1, 2, 0)
-
-    out = _riccati([last(blk) for blk in block_split(h, spec)], last(z))
-    return out.transpose(2, 0, 1).reshape(lead + out.shape[:2])
+    (*blocks, z), lead = _broadcast_last(*block_split(h, spec), z)
+    return _stack_first(_riccati(blocks, z), lead)
 
 
 def _riccati(blocks, z: np.ndarray) -> np.ndarray:
@@ -866,7 +854,9 @@ def expectation(spec: ManifoldSpec, level: int, Z, H):
     """
     z = validate_points(spec, Z)
     H = _hermitize(H, stack=True)
-    return _expectation(spec, level, z, H, _gradient(spec, level, z),
+    (last,), lead = _broadcast_last(z)
+    return _expectation(spec, level, z, H,
+                        _stack_first(_gradient(spec, level, last), lead),
                         riccati_rhs(spec, H, z))
 
 
@@ -897,8 +887,10 @@ class CycleInfo:
 
 
 def ray_distances(traj: Trajectory) -> np.ndarray:
-    """Projective distance of every sample from the starting point."""
-    return _distance(traj.spec, traj.points, traj.points[0])
+    """Projective distance of every sample from the starting point, on
+    one transposed copy of the points."""
+    z = np.ascontiguousarray(traj.points.transpose(1, 2, 0))
+    return _distance(traj.spec, z, z[..., :1])
 
 
 def find_cycle(times, distances) -> CycleInfo:

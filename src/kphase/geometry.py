@@ -27,10 +27,10 @@ form needs forward substitutions only: with ``P = L_P D_P L_P^dag`` and
 ``Q = L_Q D_Q L_Q^dag``, ``Re tr(P^-1 u Q^-1 u^dag)`` is
 ``sum |L_P^-1 u L_Q^-dag|^2`` weighted by ``1 / (d_P,i d_Q,j)``
 (``_metric_form``); on CI and DIII ``Q = conj(P)``, so one factorisation
-serves both.  That form and its coordinates take stack-last
-``(p, q, n)`` arrays, the layout of a trajectory's chart stage, and form
-P, Q and their elimination on whole rows; :func:`metric` reaches them
-through one transposed view of its basis.
+serves both.  The gradient's core ``_gradient``, that form and its
+coordinates take the stack-last ``(p, q, n)`` arrays of
+``manifolds._kernel`` and form P, Q and their elimination on whole rows;
+:func:`gradient` and :func:`metric` reach them through transposed views.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ from .manifolds import (
     ManifoldSpec,
     _forward,
     _hpd_solve,
+    _broadcast_last,
     _kernel,
     _ldl,
-    _mm,
     _mm_last,
+    _stack_first,
     as_chart_array,
     validate_points,
 )
@@ -97,36 +98,37 @@ def potential(spec: ManifoldSpec, level: int, z):
     kernel value must be real and strictly positive.  ``z`` is one point
     or a stack, validated here.
     """
-    z = validate_points(spec, z)
+    (z,), lead = _broadcast_last(validate_points(spec, z))
     k = _kernel(spec, z, z)
     if np.any(np.abs(k) < 1e-300):
         raise KernelZero("diagonal kernel vanished")
     if np.any(k.real <= 0.0):
         raise OutsideDomain("diagonal kernel is not positive")
-    return spec.sign * level * np.log(k.real)
+    return _stack_first(spec.sign * level * np.log(k.real), lead)
 
 
 def gradient(spec: ManifoldSpec, level: int, z) -> np.ndarray:
     """Closed-form holomorphic gradient ``G`` of the potential (see the
     module docstring) at one point or at each of a stack, validated here."""
-    return _gradient(spec, level, validate_points(spec, z))
+    (z,), lead = _broadcast_last(validate_points(spec, z))
+    return _stack_first(_gradient(spec, level, z), lead)
 
 
 def _gradient(spec: ManifoldSpec, level: int, z: np.ndarray) -> np.ndarray:
-    """:func:`gradient` on chart arrays that already passed the chart
-    rules."""
+    """:func:`gradient` on a stack-last ``(rows, cols, n)`` chart array
+    that already passed the chart rules, in the same layout."""
     sign = spec.sign
     if spec.family is Family.BDI:
-        zz = z @ z.swapaxes(-1, -2)
-        k = _kernel(spec, z, z).real[..., None, None]
+        zz = _mm_last(z, z.swapaxes(0, 1))
+        k = _kernel(spec, z, z).real
         return sign * level * (2.0 * z * zz.conj() + 2.0 * sign * z.conj()) / k
-    z_dag = z.conj().swapaxes(-1, -2)
-    if z.shape[-1] < z.shape[-2]:
+    z_dag = z.conj().swapaxes(0, 1)
+    if len(z[0]) < len(z):
         # Push-through: P^-1 Z = Z Q^-1, so G = level (Q^-1 Z^dag)^T on
         # the smaller q x q side.
-        q = np.eye(z.shape[-1]) + sign * _mm(z_dag, z)
-        return level * _hpd_solve(q, z_dag).swapaxes(-1, -2)
-    p = np.eye(z.shape[-2]) + sign * _mm(z, z_dag)
+        q = np.eye(len(z_dag))[..., None] + sign * _mm_last(z_dag, z)
+        return level * _hpd_solve(q, z_dag).swapaxes(0, 1)
+    p = np.eye(len(z))[..., None] + sign * _mm_last(z, z_dag)
     return level * _hpd_solve(p, z).conj()
 
 
@@ -143,7 +145,7 @@ def metric(spec: ManifoldSpec, level: int, z) -> np.ndarray:
     if spec.family is Family.BDI:
         sign = spec.sign
         v, bv = z[0], b[:, 0]
-        k = float(_kernel(spec, z, z).real)
+        k = float(_kernel(spec, z[..., None], z[..., None])[0].real)
         k_mu = bv @ (2.0 * v * np.conj(v @ v) + 2.0 * sign * v.conj())
         zb = bv @ v
         k_mn = 4.0 * np.outer(zb, zb.conj()) + 2.0 * sign * (bv @ bv.conj().T)

@@ -2,20 +2,23 @@
 
 Both factories return one validated ``(samples + 1, rows, cols)`` complex
 stack whose final row repeats the first one exactly, so downstream phase
-integrals see a closed path without any cyclicity slack.  Both bound the
-work they accept before they allocate anything: at most ``MAX_ENTRIES``
-entries in ``samples x rows x cols`` and at most ``MAX_MODES`` Fourier
-modes.
+integrals see a closed path without any cyclicity slack.  It is a
+transposed view of the stack-last ``(rows, cols, samples + 1)`` array
+that they build and check with ``manifolds._point_faults``, the layout
+of the phases' cores.  Both bound the work they accept before they
+allocate anything: at most ``MAX_ENTRIES`` entries in
+``samples x rows x cols`` and at most ``MAX_MODES`` Fourier modes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .manifolds import Family, ManifoldSpec, validate_points
+from .manifolds import (SYMMETRY_TOL, Family, ManifoldSpec, _point_faults,
+                        raise_first_fault)
 
 # A 2**22-entry stack is 64 MB of complex values before validation copies
-# it; each Fourier mode costs a Python-level pass over the stack.
+# it, and a Fourier loop's cos/sin table holds at most as many entries.
 MAX_ENTRIES = 2 ** 22
 MAX_MODES = 4096
 
@@ -46,9 +49,11 @@ def latitude_circle(
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
     t = _angles(samples)
-    z = np.zeros((samples + 1,) + spec.point_shape, dtype=complex)
-    z[:, 0, 0] = radius * np.exp(1j * t)
-    return validate_points(spec, z)
+    z = np.zeros(spec.point_shape + (samples + 1,), dtype=complex)
+    z[0, 0] = radius * np.exp(1j * t)
+    points, faults = _point_faults(spec, z, SYMMETRY_TOL)
+    raise_first_fault(faults)
+    return points.transpose(2, 0, 1)
 
 
 def _angles(samples: int) -> np.ndarray:
@@ -65,33 +70,44 @@ def fourier_loop(
 ) -> np.ndarray:
     """Smooth random closed loop built from a low-order Fourier series.
 
-    Coefficient matrices are drawn from ``rng``, symmetrized to the
-    family's chart symmetry, and damped by mode number.  Non-compact
-    charts get an extra overall contraction to stay inside the domain.
-    Returns the validated ``(samples + 1, rows, cols)`` stack, closed as
-    in :func:`latitude_circle`.
+    Coefficient matrices are drawn from ``rng``, mode by mode, cosine
+    before sine, symmetrized to the family's chart symmetry, and damped
+    by mode number.  Non-compact charts get an extra overall contraction
+    to stay inside the domain.  The series is one real product of the
+    coefficients with the ``cos(m t)``, ``sin(m t)`` table, in blocks of
+    terms that keep the table within ``MAX_ENTRIES`` entries.  Returns
+    the validated ``(samples + 1, rows, cols)`` stack, whose last sample
+    copies the first.
     """
     _check_size(spec, samples, modes)
     rows, cols = spec.point_shape
-    coeffs = []
-    for m in range(1, modes + 1):
-        for _ in range(2):
-            raw = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal(
-                (rows, cols)
-            )
-            if spec.family is Family.CI:
-                raw = (raw + raw.T) / 2.0
-            elif spec.family is Family.DIII:
-                raw = (raw - raw.T) / 2.0
-            coeffs.append(raw * scale / m)
+    draws = rng.standard_normal((2 * modes, 2, rows, cols))
+    c = draws[:, 0] + 1j * draws[:, 1]
+    if spec.family is Family.CI:
+        c = (c + c.swapaxes(1, 2)) / 2.0
+    elif spec.family is Family.DIII:
+        c = (c - c.swapaxes(1, 2)) / 2.0
+    c = c * scale / np.arange(1, modes + 1).repeat(2)[:, None, None]
     if not spec.compact:
-        total = sum(np.linalg.norm(c, 2) for c in coeffs)
-        if total > 0:
-            shrink = 0.4 / max(total, 0.4)
-            coeffs = [c * shrink for c in coeffs]
-    t = _angles(samples)[:, None, None]
-    z = np.zeros((samples + 1, rows, cols), dtype=complex)
-    for m in range(1, modes + 1):
-        z = z + coeffs[2 * (m - 1)] * np.cos(m * t)
-        z = z + coeffs[2 * m - 1] * np.sin(m * t)
-    return validate_points(spec, z)
+        c *= 0.4 / max(np.sum(np.linalg.norm(c, 2, axis=(1, 2))), 0.4)
+    t = _angles(samples)[:-1]
+    flat, terms = c.reshape(2 * modes, -1).view(float), np.arange(2 * modes)
+    step = MAX_ENTRIES // samples
+    series = sum(_fourier_table(t, terms[j:j + step]).T @ flat[j:j + step]
+                 for j in range(0, 2 * modes, step))
+    z = np.empty(spec.point_shape + (samples + 1,), dtype=complex)
+    z[..., :-1] = series.view(complex).T.reshape(rows, cols, samples)
+    z[..., -1] = z[..., 0]
+    points, faults = _point_faults(spec, z, SYMMETRY_TOL)
+    raise_first_fault(faults)
+    return points.transpose(2, 0, 1)
+
+
+def _fourier_table(t: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The rows ``terms``, consecutive, of the table ``cos(t), sin(t),
+    cos(2t), sin(2t), ...`` at angles ``t``."""
+    table = np.multiply.outer(terms // 2 + 1.0, t)
+    cos, sin = table[terms[0] % 2::2], table[1 - terms[0] % 2::2]
+    np.cos(cos, out=cos)
+    np.sin(sin, out=sin)
+    return table

@@ -11,57 +11,43 @@ Kernels are holomorphic in their first argument and antiholomorphic in the
 second.  Each quantity is one public function that takes one point or a
 stack of points with leading axes, validates its chart arguments once with
 :func:`validate_points`, and broadcasts in numpy's idiom; it then calls a
-private core (``_kernel``, ``_distance``) that package code holding
-validated arrays calls directly.
+private core (``_kernel``, ``_distance``) on the points laid out
+stack-last, ``(rows, cols, n)`` (``_broadcast_last``), which package code
+holding validated stack-last arrays calls directly.  A core takes a stack
+of one (``n = 1``) on either side of a stack and returns ``(n,)`` values.
 
-Chart quantities come in stacks of thousands of 1 x 1 to 3 x 3 matrices,
+Chart quantities come in stacks of thousands of 1 x 1 to 4 x 4 matrices,
 where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
 loop once per matrix.  Private kernels serve products, determinants and
-solves, each with its rule inside:
+solves on the stack-last layout, each with its rule inside:
 
-- ``_mm``, on the ``(..., p, q)`` layout of the public functions: a 2-D
-  matrix against a stack is one BLAS product from inner dimension 2 up;
-  otherwise one broadcast multiply-add per inner index up to inner
-  dimension 3, and ``np.matmul`` above.  The kernel and the gradient
-  take it.
-- ``_mm_last``, on the stack-last layout ``(p, q, n)``, the stack axis
-  last: a stack of one (``n = 1``) on the left of a stack is one BLAS
-  product over whole rows; any other pair is one broadcast multiply-add
-  per inner index over whole ``n``-long rows up to inner dimension
-  ``STACK_LAST_MAX`` (4), never numpy's inner loops of two to four
-  entries, and ``np.matmul`` on transposed views above it.  The chart
-  stage and the propagator's Magnus path take it: K^2, the period
-  products and the rows.  ``_to_stack_last`` lays a stack-first stack
-  out for it and ``_solve``: a transposed copy below that size, a
-  transposed view above.
-- ``_det``: closed forms to 3 x 3, LAPACK's LU from 4 x 4 up.
-- ``_hpd_solve``: the solves with the Hermitian positive-definite
-  ``P = I + s Z Z^dag`` and ``Q = I + s Z^dag Z``: from 3 x 3 up by
-  ``_ldl``, a broadcast elimination without pivoting
-  (``L diag(d) L^dag``, stable on positive-definite matrices), with one
+- ``_mm_last``, ``(k, m, n)`` against ``(m, b, n)``: a stack of one on
+  the left of a larger stack is one BLAS product over whole rows; any
+  other pair is one broadcast multiply-add per inner index over whole
+  ``n``-long rows up to inner dimension ``STACK_LAST_MAX`` (4), and
+  ``np.matmul`` on transposed views above it.  ``_to_stack_last`` lays
+  a stack-first stack out for it and ``_solve``: a transposed copy below
+  that size, a transposed view above.
+- ``_det``, ``(d, d, n)``: closed forms to 3 x 3, LAPACK's LU through a
+  transposed view from 4 x 4 up.
+- ``_hpd_solve``, ``(d, d, n)`` against ``(d, c, n)``: the solves with
+  the Hermitian positive-definite ``P = I + s Z Z^dag`` and
+  ``Q = I + s Z^dag Z``: from 3 x 3 up by ``_ldl``, a broadcast
+  elimination without pivoting (``L diag(d) L^dag``), with one
   refinement step; the closed forms of ``_solve`` on 1 x 1 and 2 x 2.
-- ``_solve``, on the stack-last layout: the general denominators, the
-  chart images' ``A^T + Z B^T`` and the propagator's Pade steps
-  ``I - K^2/12 + (i/2) K``: division on 1 x 1, the adjugate on 2 x 2,
-  and from 3 x 3 up to ``STACK_LAST_MAX`` Gaussian elimination without
-  pivoting over whole rows (``_eliminate``) when every member of the
-  stack is strictly column diagonally dominant.  Partial pivoting would
-  make no interchanges on such matrices and the growth factor is at
-  most 2, so the elimination is as stable as LAPACK's pivoted LU; a
-  Pade denominator is dominant whenever ``||K||_1 <= 1``.  A stack with
-  one member that is not, and every larger stack, go to LAPACK's
-  pivoted LU through transposed views.
+- ``_solve``, on the same layout: the general denominators, the chart
+  images' ``A^T + Z B^T`` and the propagator's Pade steps: division on
+  1 x 1, the adjugate on 2 x 2, Gaussian elimination without pivoting
+  (``_eliminate``) on stacks up to ``STACK_LAST_MAX`` whose every member
+  is strictly column diagonally dominant, and LAPACK's pivoted LU
+  through transposed views otherwise.
 
-The chart stage of a trajectory keeps its points stack-last from the
-Mobius images to the Kahler defects (``dynamics._chart_rows``), so its
-rules and products read whole rows.  The chart rules live there too:
-:func:`point_faults` takes and returns ``(n, rows, cols)`` stacks
-through one transposed view of its stack-last core ``_point_faults``.
-``_ldl`` takes its stack-last input directly and eliminates in place:
-the domain check reads its pivots of ``I - Z Z^dag``, all positive for
-every p, so the domain check and the solves share one elimination, and
-``_hpd_solve`` passes it a transposed copy, as it passes ``_solve``
-transposed views.  The kernel takes its determinant on the smaller side
+The chart stage of a trajectory (``dynamics._chart_rows``) and the loop
+factories build their points stack-last too.  :func:`point_faults`
+takes and returns ``(n, rows, cols)`` stacks through one transposed view
+of its stack-last core ``_point_faults``, whose domain check reads the
+pivots of ``_ldl``'s elimination of ``I - Z Z^dag``, all positive for
+every p.  The kernel takes its determinant on the smaller side
 (``det(I_q + s W^dag Z)`` for AIII with q < p).
 """
 
@@ -316,9 +302,8 @@ def _forward(cols, y: np.ndarray) -> np.ndarray:
 
 def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``g^-1 b`` for Hermitian positive-definite ``g`` and matching
-    ``b``, or stacks of them with the same leading axes, written to a new
-    C-ordered array: the closed forms of :func:`_solve` on 1 x 1 and
-    2 x 2, through transposed views, and from 3 x 3 up the factorisation
+    ``b`` on the stack-last layout of :func:`_solve`, as a new array: its
+    closed forms on 1 x 1 and 2 x 2, and from 3 x 3 up the factorisation
     of :func:`_ldl` with one step of iterative refinement in working
     precision.
 
@@ -331,11 +316,9 @@ def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     points ten times, where the adjugate matches LU); after the
     refinement step it is below LU's (Skeel's result for fixed-precision
     refinement)."""
-    gt, bt = (m.transpose(-2, -1, *range(m.ndim - 2)) for m in (g, b))
-    if len(gt) < 3:
-        x = _solve(gt, bt)
-        return np.ascontiguousarray(x.transpose(*range(2, x.ndim), 0, 1))
-    cols, d = _ldl(gt.copy())
+    if len(g) < 3:
+        return _solve(g, b)
+    cols, d = _ldl(g.copy())
 
     def solve(y):
         _forward(cols, y)
@@ -344,70 +327,41 @@ def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
             y[k] -= np.sum(cols[k].conj()[:, None] * y[k + 1:], axis=0)
         return y
 
-    x = solve(bt.copy())
-    r = bt - gt[:, 0, None] * x[0]
+    x = solve(b.copy())
+    r = b - g[:, 0, None] * x[0]
     for j in range(1, len(x)):
-        r -= gt[:, j, None] * x[j]
-    out = np.empty(b.shape, x.dtype)
-    np.add(x, solve(r), out=out.transpose(-2, -1, *range(out.ndim - 2)))
-    return out
+        r -= g[:, j, None] * x[j]
+    return x + solve(r)
 
 
 def _det(m: np.ndarray):
-    """Determinant of one square matrix or of a stack of them, as a new
-    array: writing to ``m`` afterwards leaves it unchanged.
+    """Determinant of a stack-last ``(d, d, ...)`` stack, as a new array:
+    writing to ``m`` afterwards leaves it unchanged.
 
     Closed forms to 3 x 3 (the cofactor expansion along the first row),
-    LAPACK's LU from 4 x 4 up.  A closed form overflows once a product of
-    p entries does, where LU's pivoting may still return a finite value:
-    :func:`kernel` refuses a value that is not finite."""
-    n = m.shape[-1]
+    LAPACK's LU, through a transposed view, from 4 x 4 up.  A closed form
+    overflows once a product of d entries does, where LU's pivoting may
+    still return a finite value: :func:`kernel` refuses a value that is
+    not finite."""
+    n = len(m)
     if n == 1:
-        return m[..., 0, 0].copy()
+        return m[0, 0].copy()
     if n == 2:
-        return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = np.moveaxis(m, (-2, -1), (0, 1))
+        (a, b, c), (d, e, f), (g, h, i) = m
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(m)
-
-
-def _mm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` for matrices or stacks of them, as a new array; the
-    leading axes broadcast as in ``@``.
-
-    From inner dimension 2 up, a 2-D matrix against a stack is one BLAS
-    product over the stack's rows or columns; two 2-D matrices take the
-    rules below.  Otherwise, at inner dimension 3 or less, the product is
-    one broadcast multiply-add per inner index, which beats the
-    per-matrix loop of ``np.matmul`` three- to fivefold on stacks of
-    hundreds of 2 x 2 matrices; above that it is ``np.matmul``, since
-    each inner index costs one pass over the stack.  On one 2 x 2 matrix
-    it takes about three times as long as ``@``, so the flow's single
-    products keep ``@``."""
-    k = x.shape[-1]
-    if k > 1:
-        if x.ndim > 2 and y.ndim == 2:
-            return (x.reshape(-1, k) @ y).reshape(x.shape[:-1] + y.shape[1:])
-        if y.ndim == 3 and x.ndim == 2:
-            n, _, cols = y.shape
-            out = x @ y.swapaxes(0, 1).reshape(k, n * cols)
-            return out.reshape(len(x), n, cols).swapaxes(0, 1)
-    if k > 3:
-        return np.matmul(x, y)
-    out = x[..., :, :1] * y[..., :1, :]
-    for i in range(1, k):
-        out += x[..., :, i:i + 1] * y[..., i:i + 1, :]
-    return out
+    return np.linalg.det(m.transpose(*range(2, m.ndim), 0, 1))
 
 
 def _mm_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` on stacks in the stack-last layout, ``(k, m, n)`` against
     ``(m, b, n)``, as a ``(k, b, n)`` array; a stack of one (``n = 1``)
     on either side broadcasts.  A left operand that is a stack of one (a
-    constant schedule's H, a trajectory's start point) is one BLAS
-    product over the right operand's whole rows from inner dimension 2
-    up, as in :func:`_mm`.  Otherwise, up to inner dimension
+    constant schedule's H, a trajectory's start point) against a stack is
+    one BLAS product over the right operand's whole rows from inner
+    dimension 2 up.  Otherwise, two stacks of one included, so that one
+    point rounds as it does in a stack, up to inner dimension
     ``STACK_LAST_MAX``, the product is one broadcast multiply-add per inner
     index over whole ``n``-long rows, never numpy's inner loops of a few
     entries.  Above it each inner index would cost one more pass over
@@ -415,7 +369,7 @@ def _mm_last(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     views instead; its result comes back as a transposed view of the
     ``(n, k, b)`` product, so a chain of such products hands BLAS
     contiguous matrices again."""
-    if len(y) > 1 and x.shape[2] == 1:
+    if len(y) > 1 and x.shape[2] == 1 < y.shape[2]:
         return (x[:, :, 0] @ y.reshape(len(y), -1)).reshape(-1, *y.shape[1:])
     if len(y) > STACK_LAST_MAX:
         return np.matmul(x.transpose(2, 0, 1),
@@ -434,6 +388,27 @@ def _to_stack_last(m: np.ndarray) -> np.ndarray:
     ``np.matmul`` and LAPACK."""
     m = m.transpose(1, 2, 0)
     return np.ascontiguousarray(m) if len(m) <= STACK_LAST_MAX else m
+
+
+def _broadcast_last(*points):
+    """Points or stacks of points, ``(..., rows, cols)`` arrays whose
+    leading axes broadcast, as stack-last ``(rows, cols, n)`` operands of
+    the cores over the ``n`` entries of the broadcast leading shape, one
+    point as a stack of one; and that shape, for :func:`_stack_first`."""
+    lead = np.broadcast_shapes(*(m.shape[:-2] for m in points))
+    return [m[..., None] if m.ndim == 2 else
+            np.broadcast_to(m, lead + m.shape[-2:])
+            .reshape((-1,) + m.shape[-2:]).transpose(1, 2, 0)
+            for m in points], lead
+
+
+def _stack_first(value: np.ndarray, lead: tuple):
+    """A core's stack-last ``(n,)`` values or ``(rows, cols, n)`` points
+    in the leading shape ``lead`` of :func:`_broadcast_last`; one value
+    comes back as a numpy scalar."""
+    if value.ndim > 1:
+        return value.transpose(2, 0, 1).reshape(lead + value.shape[:2])
+    return value.reshape(lead)[()]
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -502,19 +477,21 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
-    """:func:`kernel` on chart arrays that already passed the chart rules."""
+    """:func:`kernel` on stack-last ``(rows, cols, n)`` chart arrays that
+    already passed the chart rules, a stack of one on either side
+    broadcasting, as an ``(n,)`` array."""
     sign = spec.sign
-    w_dag = w.conj().swapaxes(-1, -2)
+    w_dag = w.conj().swapaxes(0, 1)
     if spec.family is Family.BDI:
-        zz = (z @ z.swapaxes(-1, -2))[..., 0, 0]
-        ww = (w @ w.swapaxes(-1, -2))[..., 0, 0]
-        zw = (z @ w_dag)[..., 0, 0]
+        zz = _mm_last(z, z.swapaxes(0, 1))[0, 0]
+        ww = _mm_last(w, w.swapaxes(0, 1))[0, 0]
+        zw = _mm_last(z, w_dag)[0, 0]
         return 1.0 + zz * np.conj(ww) + sign * 2.0 * zw
-    if z.shape[-1] < z.shape[-2]:
+    if len(z[0]) < len(z):
         # Sylvester: det(I_p + s Z W^dag) = det(I_q + s W^dag Z).  On the
         # smaller side a large rank-one Z W^dag does not cancel to zero.
-        return _det(np.eye(z.shape[-1]) + sign * _mm(w_dag, z))
-    return _det(np.eye(z.shape[-2]) + sign * _mm(z, w_dag))
+        return _det(np.eye(len(z[0]))[..., None] + sign * _mm_last(w_dag, z))
+    return _det(np.eye(len(z))[..., None] + sign * _mm_last(z, w_dag))
 
 
 def kernel(spec: ManifoldSpec, z, w):
@@ -545,11 +522,12 @@ def kernel(spec: ManifoldSpec, z, w):
     OverflowError
         If a value is not finite in double precision.
     """
-    z, w = validate_points(spec, z), validate_points(spec, w)
+    (z, w), lead = _broadcast_last(validate_points(spec, z),
+                                   validate_points(spec, w))
     with np.errstate(over="ignore", invalid="ignore"):
         value = _kernel(spec, z, w)
     _require_finite(value)
-    return value
+    return _stack_first(value, lead)
 
 
 def _require_finite(*values) -> None:
@@ -575,9 +553,11 @@ def normalized_overlap(spec: ManifoldSpec, level: int, z, w):
     with equality exactly on the diagonal.  Broadcasts as :func:`kernel`.
     """
     lam = _check_single_level(level)
-    z, w = validate_points(spec, z), validate_points(spec, w)
+    (z, w), lead = _broadcast_last(validate_points(spec, z),
+                                   validate_points(spec, w))
     kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
-    return _kernel(spec, z, w) ** lam / np.sqrt(kzz**lam * kww**lam)
+    return _stack_first(_kernel(spec, z, w) ** lam
+                        / np.sqrt(kzz**lam * kww**lam), lead)
 
 
 def projective_distance(spec: ManifoldSpec, z, w):
@@ -587,13 +567,15 @@ def projective_distance(spec: ManifoldSpec, z, w):
     non-compact specs, where the overlap modulus is >= 1, use ``arccosh``.
     Broadcasts as :func:`kernel`, and raises ``OverflowError`` as it does.
     """
-    return _distance(spec, validate_points(spec, z), validate_points(spec, w))
+    (z, w), lead = _broadcast_last(validate_points(spec, z),
+                                   validate_points(spec, w))
+    return _stack_first(_distance(spec, z, w), lead)
 
 
 def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
-    """:func:`projective_distance` on chart arrays that already passed the
-    chart rules.  Past |z| ~ 1e154 on CP1 the kernels themselves overflow,
-    and the distance raises ``OverflowError`` as :func:`kernel` does."""
+    """:func:`projective_distance` on the arrays of :func:`_kernel`.  Past
+    |z| ~ 1e154 on CP1 the kernels themselves overflow, and the distance
+    raises ``OverflowError`` as :func:`kernel` does."""
     with np.errstate(over="ignore", invalid="ignore"):
         kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
         k = _kernel(spec, z, w)

@@ -6,8 +6,8 @@ separate: the exact two-point fan formula built from kernel arguments
 integral of the connection along a sampled loop
 (:func:`line_integral_phase`).  :func:`stokes_compare` confronts them.
 
-Both phases of a path are classical and act on its whole
-``(n, rows, cols)`` stack at once.  With ``G_k`` the closed-form gradient
+Both phases of a path are classical and act on its whole stack-last
+``(rows, cols, n)`` stack at once.  With ``G_k`` the closed-form gradient
 of ``geometry.gradient`` at sample ``k``, the geometric phase is the
 trapezoid ``gamma = 1/2 sum_k Im sum((G_k + G_{k+1}) * (Z_{k+1} - Z_k))``
 over the closed loop, and the dynamical phase ``beta`` is the trapezoid
@@ -44,9 +44,11 @@ from .geometry import _gradient
 from .manifolds import (
     KERNEL_ZERO_TOL,
     ManifoldSpec,
+    _broadcast_last,
     _distance,
     _kernel,
     _require_finite,
+    _stack_first,
     as_chart_array,
     raise_first_fault,
     validate_points,
@@ -152,13 +154,14 @@ def triangle_phase(spec: ManifoldSpec, level: int, z, w):
     broadcast as in ``manifolds.kernel``; the first offending pair raises
     ``KernelZero`` or ``BranchCut``.
     """
-    return _triangle(spec, level, validate_points(spec, z),
-                     validate_points(spec, w))
+    (z, w), lead = _broadcast_last(validate_points(spec, z),
+                                   validate_points(spec, w))
+    return _stack_first(_triangle(spec, level, z, w), lead)
 
 
 def _triangle(spec: ManifoldSpec, level: int, z, w) -> np.ndarray:
-    """:func:`triangle_phase` on chart arrays that already passed the
-    chart rules."""
+    """:func:`triangle_phase` on stack-last chart arrays that already
+    passed the chart rules, as ``manifolds._kernel`` takes them."""
     k_zw = _kernel(spec, z, w)
     k_wz = np.conj(k_zw)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -180,25 +183,26 @@ def polygon_phase(spec: ManifoldSpec, level: int, vertices) -> float:
     pairs, leaving the symplectic area of the fan surface.
     """
     z = _loop_points(spec, vertices)
-    if len(z) < 2:
+    if z.shape[-1] < 2:
         raise DimensionMismatch("a polygon fan needs at least two vertices")
     return _fan(spec, level, z)
 
 
 def _fan(spec: ManifoldSpec, level: int, z: np.ndarray) -> float:
-    """The triangle phases of consecutive rows of ``z``, summed."""
-    return float(np.sum(_triangle(spec, level, z[:-1], z[1:])))
+    """The triangle phases of consecutive samples of ``z``, summed."""
+    return float(np.sum(_triangle(spec, level, z[..., :-1], z[..., 1:])))
 
 
 def _loop_points(spec: ManifoldSpec, loop) -> np.ndarray:
-    """The chart arrays of a trajectory, a validated stack, or a point
-    sequence validated once as a stack."""
+    """The stack-last ``(rows, cols, n)`` chart arrays, one transposed
+    copy, of a trajectory or of a stack or point sequence validated once
+    as a stack."""
     if isinstance(loop, Trajectory):
-        return loop.points
-    if isinstance(loop, np.ndarray) and loop.ndim == 3:
-        return validate_points(spec, loop)
-    rows = np.array([as_chart_array(spec, v) for v in loop], dtype=complex)
-    return validate_points(spec, rows.reshape((-1,) + spec.point_shape))
+        return np.ascontiguousarray(loop.points.transpose(1, 2, 0))
+    if not (isinstance(loop, np.ndarray) and loop.ndim == 3):
+        loop = np.reshape([as_chart_array(spec, v) for v in loop],
+                          (-1,) + spec.point_shape)
+    return np.ascontiguousarray(validate_points(spec, loop).transpose(1, 2, 0))
 
 
 def line_integral_phase(
@@ -218,9 +222,9 @@ def line_integral_phase(
 
 def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
                          cyclicity_tol: float) -> float:
-    """:func:`line_integral_phase` on a validated stack."""
+    """:func:`line_integral_phase` on a validated stack-last stack."""
     _closure(spec, z, cyclicity_tol)
-    z = np.concatenate([z, z[:1]])
+    z = np.concatenate((z, z[..., :1]), axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         value = _chord_sum(z, _gradient(spec, level, z))
     _require_finite(value)
@@ -228,11 +232,11 @@ def _line_integral_phase(spec: ManifoldSpec, level: int, z: np.ndarray,
 
 
 def _closure(spec: ManifoldSpec, z: np.ndarray, cyclicity_tol: float) -> float:
-    """The distance between the ends of a path of at least two samples,
-    which must be at most ``cyclicity_tol``."""
-    if len(z) < 2:
+    """The distance between the ends of a stack-last path of at least two
+    samples, which must be at most ``cyclicity_tol``."""
+    if z.shape[-1] < 2:
         raise DimensionMismatch("a loop needs at least two samples")
-    closure = float(_distance(spec, z[0], z[-1]))
+    closure = float(_distance(spec, z[..., :1], z[..., -1:])[0])
     if closure > cyclicity_tol:
         raise NotClosed(
             f"loop endpoints differ by {closure:.3e} "
@@ -242,9 +246,10 @@ def _closure(spec: ManifoldSpec, z: np.ndarray, cyclicity_tol: float) -> float:
 
 
 def _chord_sum(z: np.ndarray, g: np.ndarray) -> float:
-    """The chord rule of the connection on a closed stack ``z`` and its
-    gradients ``g``."""
-    return 0.5 * float(np.sum(np.imag((g[:-1] + g[1:]) * np.diff(z, axis=0))))
+    """The chord rule of the connection on a closed stack-last stack ``z``
+    and its gradients ``g``."""
+    return 0.5 * float(np.sum(np.imag((g[..., :-1] + g[..., 1:])
+                                      * np.diff(z, axis=-1))))
 
 
 def dynamical_phase(
@@ -257,8 +262,8 @@ def dynamical_phase(
     with dZ/dt taken by ``dynamics.riccati_rhs`` on its points."""
     times, hs = _hamiltonians(traj, schedule)
     z = traj.points
-    return _trapezoid(times, _expectation(spec, level, z, hs,
-                                          _gradient(spec, level, z),
+    g = _gradient(spec, level, z.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return _trapezoid(times, _expectation(spec, level, z, hs, g,
                                           riccati_rhs(spec, hs, z)))
 
 
@@ -287,11 +292,13 @@ def _phases(spec: ManifoldSpec, level: int, traj: Trajectory,
     ``velocities``.  The expectation is checked before the closure, so
     ``NonRealExpectation`` comes before ``NotClosed``."""
     times, hs = _hamiltonians(traj, schedule)
-    z = np.concatenate([traj.points, traj.points[:1]])
+    z = _loop_points(spec, traj)
+    z = np.concatenate((z, z[..., :1]), axis=-1)
     g = _gradient(spec, level, z)
     beta = _trapezoid(times, _expectation(spec, level, traj.points, hs,
-                                          g[:-1], traj.velocities))
-    closure = _closure(spec, traj.points, cyclicity_tol)
+                                          g[..., :-1].transpose(2, 0, 1),
+                                          traj.velocities))
+    closure = _closure(spec, z[..., :-1], cyclicity_tol)
     return beta, _chord_sum(z, g), closure
 
 
@@ -328,11 +335,11 @@ def stokes_compare(
 
 def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
                     cyclicity_tol: float) -> StokesReport:
-    """:func:`stokes_compare` on a validated stack."""
+    """:func:`stokes_compare` on a validated stack-last stack."""
     line_value = _line_integral_phase(spec, level, z, cyclicity_tol)
     closed = z
-    if not np.array_equal(closed[0], closed[-1]):
-        closed = np.concatenate([closed, closed[:1]])
+    if not np.array_equal(closed[..., 0], closed[..., -1]):
+        closed = np.concatenate((closed, closed[..., :1]), axis=-1)
     for attempt in range(MAX_REFINEMENTS + 1):
         try:
             fan_value = _fan(spec, level, closed)
@@ -340,12 +347,12 @@ def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
         except BranchCut:
             if attempt == MAX_REFINEMENTS:
                 raise
-            refined = np.empty((2 * len(closed) - 1,) + closed.shape[1:], complex)
-            refined[::2] = closed
-            refined[1::2] = validate_points(spec, (closed[:-1] + closed[1:]) / 2.0)
-            closed = refined
+            mid = (closed[..., :-1] + closed[..., 1:]) / 2.0
+            closed = np.repeat(closed, 2, axis=-1)[..., :-1]
+            closed[..., 1::2] = validate_points(
+                spec, mid.transpose(2, 0, 1)).transpose(1, 2, 0)
     return StokesReport(
         line_integral=line_value,
         polygon_fan=fan_value,
-        samples=len(z),
+        samples=z.shape[-1],
     )

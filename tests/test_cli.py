@@ -304,7 +304,7 @@ def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):
 
 def test_evolve_takes_one_gradient_pass(tmp_path, capsys, monkeypatch):
     """beta and gamma come from one gradient of the cycle's rows, closed
-    by the first row."""
+    by the first row; the gradient core takes them stack-last."""
     seen = []
 
     def counted(spec, level, z):
@@ -320,6 +320,7 @@ def test_evolve_takes_one_gradient_pass(tmp_path, capsys, monkeypatch):
     assert rc == 0
     rows = [json.loads(line)["Z"] for line in out.splitlines()[:-1]]
     [z] = seen
+    z = z.transpose(2, 0, 1)
     assert len(z) == len(rows) + 1
     assert np.array_equal(z[0], z[-1])
     assert matrix_to_json(z[-2]) == rows[-1]
@@ -442,18 +443,21 @@ def test_evolve_geometry_is_batched(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["fourier", "points"])
 def test_stokes_validates_whole_stacks(capsys, monkeypatch, tmp_path, kind):
-    """A stokes loop stays one array from the factory to the phases: it is
-    validated exactly once, as the whole stack, and never sample by
-    sample."""
+    """A stokes loop stays one array from the factory to the phases: the
+    chart rules run exactly once, on the whole stack-last stack, and
+    never sample by sample.  Every validation goes through the rules'
+    core ``_point_faults``: ``validate_points`` for a points loop, the
+    factory itself for a generated one."""
     sizes = []
-    validate = kphase.manifolds.validate_points
+    faults = kphase.manifolds._point_faults
 
     def counted(spec, z, *args, **kwargs):
-        sizes.append(np.shape(z)[:-2])
-        return validate(spec, z, *args, **kwargs)
+        sizes.append(np.shape(z)[2:])
+        return faults(spec, z, *args, **kwargs)
 
     for mod in (kphase.manifolds, kphase.loops, kphase.phases, kphase.cli):
-        monkeypatch.setattr(mod, "validate_points", counted)
+        if hasattr(mod, "_point_faults"):
+            monkeypatch.setattr(mod, "_point_faults", counted)
     argv = ["stokes", "--family", "CI", "--p", "2", "--non-compact"]
     if kind == "fourier":
         argv += ["--kind", "fourier", "--samples", "1000", "--seed", "7"]

@@ -19,7 +19,6 @@ from kphase.manifolds import (
     STACK_LAST_MAX,
     _det,
     _hpd_solve,
-    _mm,
     _mm_last,
     _solve,
     point_faults,
@@ -284,67 +283,21 @@ def _complex(rng, *shape):
 
 
 @pytest.mark.parametrize("rows, inner, cols", [
-    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (3, 2, 3), (2, 3, 1),
-    (5, 5, 5), (8, 8, 8), (3, 4, 2), (4, 5, 1), (3, 1, 2), (2, 1, 3)])
-@pytest.mark.parametrize("layout", [
-    "stack-stack", "one-stack", "stack-one", "one-one", "broadcast-stack",
-    "stack-broadcast", "broadcast-broadcast", "block-stack", "stack-block",
-    "periods", "column"])
-def test_mm_matches_matmul(rng, rows, inner, cols, layout):
-    """``_mm`` agrees with ``@`` to 1e-14 of the entries' summed terms,
-    on both sides of its shape and size rules (one BLAS product for a
-    2-D matrix against a stack from inner dimension 2, a broadcast to
-    inner dimension 3, ``np.matmul`` above): on stacks, on a 2-D matrix
-    on either side of a stack and against another, on stride-0 stacks
-    (read-only, so a write to an input would raise) on either side and on
-    both, on the transposed stride-0 blocks of a broadcast matrix, on
-    stacks with two leading axes and on stacks of columns.  A
-    stride-0 stack has no rule of its own: it takes the rules of any
-    stack of its shape."""
-    x = _complex(rng, 50, rows, inner)
-    y = _complex(rng, 50, inner, cols)
-    # A broadcast stack, transposed, in blocks: strided, read-only views.
-    h = np.broadcast_to(_complex(rng, 9, 9), (50, 9, 9)).swapaxes(-1, -2)
-    if layout == "one-stack":
-        x = x[0]
-    elif layout == "stack-one":
-        y = y[0]
-    elif layout == "one-one":
-        x, y = x[0], y[0]
-    elif layout == "broadcast-stack":
-        x = np.broadcast_to(x[0], x.shape)
-    elif layout == "stack-broadcast":
-        y = np.broadcast_to(y[0], y.shape)
-    elif layout == "broadcast-broadcast":
-        x = np.broadcast_to(x[0], x.shape)
-        y = np.broadcast_to(y[0], y.shape)
-    elif layout == "block-stack":
-        x = h[:, 1:1 + rows, 9 - inner:]
-    elif layout == "stack-block":
-        y = h[:, 9 - inner:, 1:1 + cols]
-    elif layout == "periods":
-        x = _complex(rng, 6, 16, rows, inner)
-        y = _complex(rng, 6, 16, inner, cols)
-    elif layout == "column":
-        y = y[..., :1]
-    got = _mm(x, y)
-    assert got.shape == (x @ y).shape
-    assert got.flags.writeable
-    assert np.all(np.abs(got - x @ y) <= 1e-14 * (np.abs(x) @ np.abs(y)))
-
-
-@pytest.mark.parametrize("rows, inner, cols", [
     (1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 2, 3), (2, 3, 1), (3, 1, 2),
     (4, 4, 4), (5, 5, 5), (4, 6, 3), (9, 9, 1)])
 @pytest.mark.parametrize("layout", [
-    "stack-stack", "one-stack", "stack-one", "one-one", "transposed"])
+    "stack-stack", "one-stack", "stack-one", "one-one", "transposed",
+    "point-stack", "stack-point", "adjoint"])
 def test_mm_last_matches_matmul(rng, rows, inner, cols, layout):
     """``_mm_last`` on the stack-last layout agrees with ``@`` on the
     stack-first one to 1e-14 of the entries' summed terms: on two stacks,
     a stack of one on either side (the BLAS product on the left from
     inner dimension 2, the broadcast multiply-add to inner dimension
     ``STACK_LAST_MAX`` and ``np.matmul`` above it otherwise), two stacks
-    of one, and a transposed view of a stack."""
+    of one, and a transposed view of a stack.  The public kernel's
+    layouts are among them: a 2-D point as a stack of one
+    (``point[..., None]``) on the left of a stack and on its right, and
+    the adjoint ``w.conj().swapaxes(0, 1)`` of a stack on the right."""
     x = _complex(rng, rows, inner, 40)
     y = _complex(rng, inner, cols, 40)
     if layout == "one-stack":
@@ -355,6 +308,12 @@ def test_mm_last_matches_matmul(rng, rows, inner, cols, layout):
         x, y = x[..., :1], y[..., :1]
     elif layout == "transposed":
         y = _complex(rng, 40, cols, inner).transpose(2, 1, 0)
+    elif layout == "point-stack":
+        x = _complex(rng, rows, inner)[..., None]
+    elif layout == "stack-point":
+        y = _complex(rng, inner, cols)[..., None]
+    elif layout == "adjoint":
+        y = _complex(rng, cols, inner, 40).conj().swapaxes(0, 1)
     got = _mm_last(x, y)
     xf, yf = x.transpose(2, 0, 1), y.transpose(2, 0, 1)
     ref = (xf @ yf).transpose(1, 2, 0)
@@ -504,26 +463,31 @@ def test_solve_takes_lapack_on_one_non_dominant_member(d, rng,
     assert np.max(np.linalg.norm(drift, 2, axis=(-2, -1))) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_det_is_a_new_array(rng, n):
-    """``_det`` matches ``np.linalg.det``, and writing to its input after
-    the call leaves the result unchanged."""
+    """``_det`` on a stack-last stack matches ``np.linalg.det`` on the
+    stack-first one (closed forms to 3 x 3, LU above), and writing to its
+    input after the call leaves the result unchanged."""
     m = _complex(rng, 20, n, n)
-    det = _det(m)
+    last = np.ascontiguousarray(_last(m))
+    det = _det(last)
     ref = np.linalg.det(m)
+    assert det.shape == (20,)
     assert np.max(np.abs(det - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert abs(_det(m[0]) - ref[0]) <= 1e-14 * abs(ref[0])
     kept = det.copy()
-    m[...] = 7.0
+    last[...] = 7.0
     assert np.array_equal(det, kept)
 
 
 def test_det_matches_lapack_at_3x3(rng):
     """The closed-form 3 x 3 determinant agrees with LU to 1e-13 of the
-    product of the row norms (Hadamard's bound on |det|), on a stack with
-    entries spread over twelve orders of magnitude and on one matrix."""
+    product of the row norms (Hadamard's bound on |det|), on a stack-last
+    stack with entries spread over twelve orders of magnitude and on one
+    matrix."""
     m = _complex(rng, 500, 3, 3) * 10.0 ** rng.uniform(-6, 6, (500, 3, 1))
     bound = np.prod(np.linalg.norm(m, axis=-1), axis=-1)
-    assert np.all(np.abs(_det(m) - np.linalg.det(m)) <= 1e-13 * bound)
+    assert np.all(np.abs(_det(_last(m)) - np.linalg.det(m)) <= 1e-13 * bound)
     assert abs(_det(m[0]) - np.linalg.det(m[0])) <= 1e-13 * bound[0]
 
 
@@ -589,10 +553,11 @@ def test_ldl_near_boundary_backward_error(spec, k, rng):
     LAPACK's pivoted LU, on stacks and on one matrix.  Without the
     refinement step the elimination reached 2 to 20 times LU's on
     DIII(4) and DIII(6), and 10 times on CI(2); the 3 x 3 adjugate solve
-    tried before had about six times LU's."""
+    tried before had about six times LU's.  The stack goes in stack-last,
+    the layout of the gradient."""
     z = _boundary_points(spec, rng, k)
     a = np.eye(spec.p) - z @ z.conj().swapaxes(-1, -2)
-    got = _hpd_solve(a, z)
+    got = _hpd_solve(_last(a), _last(z)).transpose(2, 0, 1)
     lapack = _backward_residual(a, np.linalg.solve(a, z), z)
     assert _backward_residual(a, got, z) <= 2.0 * lapack
     one = _hpd_solve(a[0], z[0])

@@ -225,6 +225,81 @@ def test_loop_mode_cap(rng):
         fourier_loop(cp1(), rng, 8, modes=4097)
 
 
+def _fourier_reference(spec, rng, samples, modes=3, scale=0.5):
+    """The Fourier loop as a per-mode sum, one pass over the stack for
+    each term, from the same draws: mode by mode, the cosine term's
+    before the sine term's."""
+    rows, cols = spec.point_shape
+    coeffs = []
+    for m in range(1, modes + 1):
+        for _ in range(2):
+            raw = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal(
+                (rows, cols))
+            if spec.family is Family.CI:
+                raw = (raw + raw.T) / 2.0
+            elif spec.family is Family.DIII:
+                raw = (raw - raw.T) / 2.0
+            coeffs.append(raw * scale / m)
+    if not spec.compact:
+        total = sum(np.linalg.norm(c, 2) for c in coeffs)
+        coeffs = [c * (0.4 / max(total, 0.4)) for c in coeffs]
+    t = 2.0 * np.pi * (np.arange(samples + 1) % samples) / samples
+    z = np.zeros((samples + 1, rows, cols), dtype=complex)
+    for m in range(1, modes + 1):
+        z = z + coeffs[2 * (m - 1)] * np.cos(m * t)[:, None, None]
+        z = z + coeffs[2 * m - 1] * np.sin(m * t)[:, None, None]
+    return z
+
+
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(family, p, q, compact)
+    for family, p, q in ((Family.AIII, 1, 1), (Family.AIII, 3, 2),
+                         (Family.CI, 2, 1), (Family.DIII, 3, 1),
+                         (Family.BDI, 3, 1))
+    for compact in (True, False)], ids=str)
+@pytest.mark.parametrize("modes", [1, 3, 8])
+def test_fourier_loop_matches_per_mode_sum(spec, modes):
+    """The table product of ``fourier_loop`` equals the per-mode sum to
+    1e-14 of its largest entry, on every family at both compactnesses,
+    and takes the same draws from the generator."""
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    got = fourier_loop(spec, a, 200, modes=modes, scale=0.4)
+    ref = _fourier_reference(spec, b, 200, modes=modes, scale=0.4)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(got[0], got[-1])
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("spec, cap", [(cp1(), 150),
+                                       (ManifoldSpec(Family.AIII, 2, 2), 200),
+                                       (ManifoldSpec(Family.BDI, 3, 1,
+                                                     False), 150)],
+                         ids=["CP1", "AIII(2,2)", "BDI(3)-nc"])
+def test_fourier_loop_in_blocks_matches_one_block(spec, cap, monkeypatch):
+    """With ``MAX_ENTRIES`` cut to ``cap`` the cos/sin table comes in
+    blocks of ``cap // samples`` terms, odd ones included, none of them
+    over the cap, and the loop equals the one-block loop to 1e-15 of its
+    largest entry."""
+    import kphase.loops
+
+    one = fourier_loop(spec, np.random.default_rng(3), 50, modes=7)
+    sizes = []
+    table = kphase.loops._fourier_table
+
+    def counted(*args):
+        out = table(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(kphase.loops, "MAX_ENTRIES", cap)
+    monkeypatch.setattr(kphase.loops, "_fourier_table", counted)
+    blocks = fourier_loop(spec, np.random.default_rng(3), 50, modes=7)
+    step = cap // 50
+    assert sizes == [50 * min(step, 14 - j) for j in range(0, 14, step)]
+    assert np.max(np.abs(blocks - one)) <= 1e-15 * np.max(np.abs(one))
+    assert np.array_equal(blocks[0], blocks[-1])
+
+
 def test_polygon_phase_matches_triangle_loop(rng):
     for spec in LOOP_SPECS:
         loop = fourier_loop(spec, rng, 60, scale=0.3)
