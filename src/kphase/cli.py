@@ -348,7 +348,7 @@ def run_oracle_compare(config: dict) -> list[str]:
     ks = _strided(len(traj.times), stride)
     labels = bloch_projection(straj.states[ks], j)
     dists = _distance(spec, labels[None, None],
-                      traj.points[ks].transpose(1, 2, 0))
+                      traj.points.transpose(1, 2, 0)[..., ks])
     return [
         _dumps(
             {

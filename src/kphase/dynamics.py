@@ -32,43 +32,42 @@ the chunk's periods together (``_advance``): pairwise products give each
 period's whole product and those of its blocks of 2, 4, ... steps, one
 product per period carries the state across it, and one batched product
 per block level writes the rows of every period, halving the blocks
-down to single steps.  The Magnus path is stack-last, as the chart
-stage below: the exponents, the steps, the block levels and the states
-are ``(d, d, n)`` and ``(d, c, n)`` stacks, and the pairs of a level sit
-on the flat step axis, never across a period since ``PERIOD`` is a power
-of two.  The stacked products, K^2 included, go through
-``manifolds._mm_last``, on stacks held stack-last in memory up to d = 4
-and on transposed views of stack-first memory above.  The carries
-across periods, one matrix each, stay ``@``, and the rows go out
-through a transposed view.
+down to single steps.  The pairs of a level sit on the flat step axis,
+never across a period since ``PERIOD`` is a power of two.  The stacked
+products, K^2 included, go through ``manifolds._mm_last``, on stacks
+held stack-last in memory up to d = 4 and on transposed views of
+stack-first memory above; the carries across periods, one matrix each,
+stay ``@``.
 :func:`propagate` runs this for the defining-representation unitary and
 for spin-j state vectors (``su2.schrodinger_evolve``).
+
+Every array from the flow to the phases is stack-last, the rows on the
+last axis: ``_flow`` writes one ``(d, c, n + 1)`` stack, and
+:func:`trajectory` keeps its unitaries, points and velocities in such
+stacks.  :func:`propagate`'s states and the :class:`Trajectory` fields,
+``(n + 1, ...)`` in shape, are ``transpose(2, 0, 1)`` views of them, the
+one place that decides the layout; consumers read the rows back through
+``transpose(1, 2, 0)``, a view of contiguous memory.
 
 :func:`trajectory` maps each chunk's unitaries onto the chart by the
 fractional-linear (Mobius) action and checks the resulting rows P[k]
 against the chart's own equation of motion, the Riccati equation
-(:func:`riccati_rhs`).  This chart stage (``_chart_rows``) holds every
-array stack-last, ``(p, q, n)`` with the chunk's n rows on the last
-axis, so each product, rule and solve reads whole rows: the Mobius
-images (``_chart_images``), the chart rules (``manifolds._point_faults``),
-the Riccati right-hand side (``_riccati``), the RK4 steps and the Kahler
+(:func:`riccati_rhs`).  This chart stage (``_chart_rows``) reads and
+writes slices of the trajectory's stacks: the Mobius images
+(``_chart_images``), the chart rules (``manifolds._point_faults``), the
+Riccati right-hand side (``_riccati``), the RK4 steps and the Kahler
 defects (``geometry._metric_form``), with products ``manifolds._mm_last``
-and the chart edge's determinants ``manifolds._det``.  The
-transposes sit at the boundary, all of them views or one chunk's copy:
-the unitaries' blocks are read through a transposed view of the
-``(n + 1, d, d)`` rows, the rows and first stages are written back
-through transposed views of the ``(n + 1, p, q)`` points and
-velocities, and the images of the denominators' solve
-(``manifolds._solve``, whose LAPACK fallback takes transposed views)
-come back as one contiguous copy.  The public :func:`riccati_rhs` and
-``manifolds.point_faults`` keep their ``(..., p, q)`` shapes as thin
-wrappers over the same cores.  From each row P[k] one classical RK4
-step (``_rk4_step``) on the chunk's stage Hamiltonians, assembled from
-the same coefficient rows (``_stage_blocks``), gives R[k+1]; the step's
-defect e_k is the level-1 Kahler length of d = P[k+1] - R[k+1] at
-P[k+1], ``sqrt(Re tr(P^-1 d Q^-1 d^dagger))`` with
-``P = I + s Z Z^dagger`` and ``Q = I + s Z^dagger Z`` (s = +1 compact,
--1 bounded domain), from the metric's own form
+and the chart edge's determinants ``manifolds._det``.  The images of the
+denominators' solve (``manifolds._solve``, whose LAPACK fallback takes
+transposed views) come back as one contiguous copy.  The public
+:func:`riccati_rhs` and :func:`expectation` keep their ``(..., p, q)``
+shapes as thin wrappers over the same cores.  From each row P[k] one
+classical RK4 step (``_rk4_step``) on the chunk's stage Hamiltonians,
+assembled from the same coefficient rows (``_stage_blocks``), gives
+R[k+1]; the step's defect e_k is the level-1 Kahler length of
+d = P[k+1] - R[k+1] at P[k+1], ``sqrt(Re tr(P^-1 d Q^-1 d^dagger))``
+with ``P = I + s Z Z^dagger`` and ``Q = I + s Z^dagger Z`` (s = +1
+compact, -1 bounded domain), from the metric's own form
 (``geometry._metric_form``): ``sum |L_P^-1 d L_Q^-dagger|^2 / (d_P,i
 d_Q,j)`` over the LDL^dagger factors and pivots of P and Q, forward
 substitutions only.  The defect reads H and the rows but never U, so
@@ -484,9 +483,9 @@ def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
 
 def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
              h: float):
-    """Magnus steps of i dY/dt = H(t) Y from ``Y``, one per row of the
-    stage coefficient rows, written to the rows of ``out``; ``table`` is
-    the schedule's ``_commutator_table``.
+    """Magnus steps of i dY/dt = H(t) Y from the ``d x c`` state ``Y``,
+    one per row of the stage coefficient rows, written to the stack-last
+    rows ``out``; ``table`` is the schedule's ``_commutator_table``.
 
     ``_step_matrices`` gives the steps' matrices as one stack-last
     ``(d, d, n)`` stack.  They are grouped in periods of ``PERIOD`` steps
@@ -497,11 +496,10 @@ def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
     blocks, one batched product per level for every period at once: the
     state in the middle of a block is the product of the block's first
     half applied to the state at its start, known from the level above.
-    The states of a ``d x c`` state are one stack-last
-    ``(d, c, m PERIOD + 1)`` stack, in the steps' memory order, so the
-    batched products are ``manifolds._mm_last`` on the flat step axis;
-    the carries, one matrix each, are ``@``, and the rows go to ``out``
-    through a transposed view.
+    The states are one stack-last ``(d, c, m PERIOD + 1)`` stack, in the
+    steps' memory order, so the batched products are
+    ``manifolds._mm_last`` on the flat step axis; the carries, one matrix
+    each, are ``@``, and the rows are copied to ``out`` once.
 
     A call of one period, which is every chunk from d = 9 up and a run of
     at most ``PERIOD`` steps, has no periods to batch: the blocks would
@@ -509,32 +507,29 @@ def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
     matrix-vector products into matrix products, so it carries the state
     one step at a time instead, straight into ``out``.
     """
-    period, n, d = PERIOD, len(out), len(Y)
+    period, n, d = PERIOD, out.shape[-1], len(Y)
     m = -(-n // period)
     steps = _step_matrices(table, stages, h)
-    rows = out.reshape(n, d, -1)
-    assert np.may_share_memory(rows, out), "out must reshape as a view"
     if m == 1:
-        state = Y.reshape(d, -1)
         for k, step in enumerate(np.ascontiguousarray(
                 steps.transpose(2, 0, 1))):
-            rows[k] = state = step @ state
+            out[..., k] = Y = step @ Y
         return
     if n < m * period:
         padded = np.empty_like(steps, shape=(d, d, m * period))
         padded[..., :n], padded[..., n:] = steps, np.eye(d)[..., None]
         steps = padded
     levels = _period_products(steps)
-    states = np.empty_like(steps, shape=(d, rows.shape[-1], m * period + 1))
+    states = np.empty_like(steps, shape=Y.shape + (m * period + 1,))
     starts = states[..., ::period]
-    starts[..., 0] = Y.reshape(d, -1)
+    starts[..., 0] = Y
     for p, whole in enumerate(levels[-1].transpose(2, 0, 1)):
         starts[..., p + 1] = whole @ starts[..., p]
     for level in reversed(levels[:-1]):
         half = m * period // level.shape[-1]
         states[..., half:-1:2 * half] = _mm_last(level[..., ::2],
                                                  states[..., :-1:2 * half])
-    rows.transpose(1, 2, 0)[...] = states[..., 1:n + 1]
+    out[...] = states[..., 1:n + 1]
 
 
 def _magnus_exponents(table: np.ndarray, stages, h: float) -> np.ndarray:
@@ -607,22 +602,23 @@ def _exact_rows(schedule: HamiltonianSchedule, Y0: np.ndarray):
     ``eigh`` of its matrix ``H = V diag(lam) V^dagger`` gives the function
     ``rows(elapsed, out)`` that writes
     ``Y(t0 + s) = V diag(exp(-i lam s)) V^dagger Y0`` for each ``s`` of
-    ``elapsed`` into the rows of ``out``.  Every row is taken from the
-    span start, so rounding does not accumulate from row to row.
+    ``elapsed`` into the stack-last rows ``out``.  Every row is taken from
+    the span start, so rounding does not accumulate from row to row.
 
-    Entry by entry ``Y(t0 + s)[i, c] = sum_j exp(-i lam_j s) W[j, (i, c)]``
-    with ``W[j, (i, c)] = V[i, j] (V^dagger Y0)[j, c]``, built once here,
-    so a chunk's rows are one ``(n, d) @ (d, d c)`` product, written
-    straight into ``out.reshape(n, -1)``.  That reshape is a view on the
-    rows of a C-contiguous stack, which every caller passes; any other
-    ``out`` fails an assertion rather than leaving its rows unwritten."""
+    Entry by entry ``Y(t0 + s)[i, c] = sum_j W[(i, c), j] exp(-i lam_j s)``
+    with ``W[(i, c), j] = V[i, j] (V^dagger Y0)[j, c]``, built once here,
+    so a chunk's rows are one ``(d c, d) @ (d, n)`` product, written
+    straight into ``out.reshape(d c, n)``.  That reshape is a view on a
+    slice of a C-contiguous stack's last axis, which every caller passes;
+    any other ``out`` fails an assertion rather than leaving its rows
+    unwritten."""
     lam, v = np.linalg.eigh(schedule._constant_matrix)
-    w = np.einsum("ij,jc->jic", v, v.conj().T @ Y0).reshape(len(lam), -1)
+    w = np.einsum("ij,jc->icj", v, v.conj().T @ Y0).reshape(-1, len(lam))
 
     def rows(elapsed: np.ndarray, out: np.ndarray) -> None:
-        flat = out.reshape(len(out), -1)
+        flat = out.reshape(-1, len(elapsed))
         assert np.may_share_memory(flat, out), "out must reshape as a view"
-        np.matmul(np.exp(-1j * np.multiply.outer(elapsed, lam)), w, out=flat)
+        np.matmul(w, np.exp(-1j * np.multiply.outer(lam, elapsed)), out=flat)
 
     return rows
 
@@ -648,44 +644,45 @@ def _check_rows(n: int, entries: int) -> None:
 
 def _flow(schedule: HamiltonianSchedule, states: np.ndarray, t0: float,
           h: float, entries: int):
-    """Write the flow of i dY/dt = H(t) Y from ``states[0]`` at ``t0`` to
-    ``states[1:]``, one step of ``h`` per row, chunk by chunk
-    (``_blocks``, ``entries`` per step), and yield ``(k0, k1, stages)``
-    after each chunk has written rows ``k0 + 1 .. k1``, with the chunk's
-    stage coefficient rows (``_stages``).  A constant schedule takes every
-    row in closed form from ``states[0]`` (``_exact_rows``), a sampled one
-    Magnus steps (``_advance``).  A caller that stops drawing stops the
-    flow."""
-    exact = _exact_rows(schedule, states[0]) if schedule.is_constant else None
-    for k0, k1 in _blocks(len(states) - 1, entries):
+    """Write the flow of i dY/dt = H(t) Y from ``states[..., 0]`` at ``t0``
+    to ``states[..., 1:]``, a stack-last ``(d, c, n + 1)`` stack, one step
+    of ``h`` per row, chunk by chunk (``_blocks``, ``entries`` per step),
+    and yield ``(k0, k1, stages)`` after each chunk has written rows
+    ``k0 + 1 .. k1``, with the chunk's stage coefficient rows
+    (``_stages``).  A constant schedule takes every row in closed form from
+    ``states[..., 0]`` (``_exact_rows``), a sampled one Magnus steps
+    (``_advance``).  A caller that stops drawing stops the flow."""
+    exact = (_exact_rows(schedule, states[..., 0]) if schedule.is_constant
+             else None)
+    for k0, k1 in _blocks(states.shape[-1] - 1, entries):
         stages = _stages(schedule, t0, h, k0, k1)
         if exact is None:
-            _advance(states[k0], states[k0 + 1:k1 + 1], schedule._table,
-                     stages, h)
+            _advance(states[..., k0], states[..., k0 + 1:k1 + 1],
+                     schedule._table, stages, h)
         else:
-            exact(h * np.arange(k0 + 1, k1 + 1), states[k0 + 1:k1 + 1])
+            exact(h * np.arange(k0 + 1, k1 + 1), states[..., k0 + 1:k1 + 1])
         yield k0, k1, stages
 
 
 def propagate(
     schedule: HamiltonianSchedule, Y0, t0: float, t1: float, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate i dY/dt = H(t) Y over [t0, t1] from a square matrix or a
-    column ``Y0``; returns the grid times and the stack of states.
-
-    The rows come from ``_flow``, in closed form for a constant schedule
-    and by Magnus steps for a sampled one.  A run whose rows would hold
-    more than ``MAX_ENTRIES`` entries raises ``ValueError`` before any is
-    allocated."""
+    """Integrate i dY/dt = H(t) Y over [t0, t1] from a square matrix, a
+    column or a vector ``Y0``; returns the grid times and the states, an
+    ``(n + 1,) + Y0.shape`` view of the stack-last rows of ``_flow``: in
+    closed form for a constant schedule and by Magnus steps for a sampled
+    one.  A run whose rows would hold more than ``MAX_ENTRIES`` entries
+    raises ``ValueError`` before any is allocated."""
     if not schedule.covers(t0, t1):
         raise ScheduleGap("schedule does not cover the integration span")
     n, h = _grid(t0, t1, dt)
     _check_rows(n, np.size(Y0))
-    states = np.empty((n + 1,) + np.shape(Y0), dtype=complex)
-    states[0] = Y0
-    for _ in _flow(schedule, states, t0, h, schedule.dim ** 2):
+    states = np.empty(np.shape(Y0) + (n + 1,), dtype=complex)
+    states[..., 0] = Y0
+    for _ in _flow(schedule, states.reshape(len(states), -1, n + 1), t0, h,
+                   schedule.dim ** 2):
         pass
-    return np.linspace(t0, t1, n + 1), states
+    return np.linspace(t0, t1, n + 1), np.moveaxis(states, -1, 0)
 
 
 @dataclass
@@ -700,7 +697,8 @@ class Trajectory:
     ``(H(t_k), points[k])``: the RK4 steps' first stages, and one more
     evaluation at the last row, on H at the end of the last step.  The
     rows of ``points`` passed the chart rules when the trajectory was
-    built.
+    built.  The three row arrays are views of stack-last stacks (see the
+    module docstring).
     """
 
     spec: ManifoldSpec
@@ -743,23 +741,21 @@ def trajectory(
     n, h = _grid(0.0, T, dt)
     _check_rows(n, schedule.dim ** 2 + z0.size)
     times = np.linspace(0.0, T, n + 1)
-    us = np.empty((n + 1, schedule.dim, schedule.dim), dtype=complex)
-    zs = np.empty((n + 1,) + z0.shape, dtype=complex)
+    us = np.empty((schedule.dim, schedule.dim, n + 1), dtype=complex)
+    zs = np.empty(z0.shape + (n + 1,), dtype=complex)
     vs = np.empty_like(zs)
     defects = np.empty(n)
-    us[0], zs[0] = np.eye(schedule.dim), z0
-    # The chart stage reads and writes the rows stack-last, through
-    # transposed views.
-    ut, zt, vt = (rows.transpose(1, 2, 0) for rows in (us, zs, vs))
+    us[..., 0], zs[..., 0] = np.eye(schedule.dim), z0
     entries = z0.size if schedule.is_constant else schedule.dim ** 2
     for k0, k1, stages in _flow(schedule, us, 0.0, h, entries):
         hs = [_stage_blocks(spec, schedule, c) for c in stages]
-        zt[..., k0 + 1:k1 + 1], defects[k0:k1], vt[..., k0:k1] = _chart_rows(
-            spec, times[k0 + 1:k1 + 1], ut[..., k0 + 1:k1 + 1], zt[..., :1],
-            zt[..., k0:k0 + 1], hs, h, float(np.sum(defects[:k0])))
-    vt[..., n:] = _riccati([blk[..., -1:] for blk in hs[2]], zt[..., n:])
-    return Trajectory(spec, times, zs, us, float(np.sum(defects)), defects,
-                      vs)
+        zs[..., k0 + 1:k1 + 1], defects[k0:k1], vs[..., k0:k1] = _chart_rows(
+            spec, times[k0 + 1:k1 + 1], us[..., k0 + 1:k1 + 1], zs[..., :1],
+            zs[..., k0:k0 + 1], hs, h, float(np.sum(defects[:k0])))
+    vs[..., n:] = _riccati([blk[..., -1:] for blk in hs[2]], zs[..., n:])
+    return Trajectory(spec, times, zs.transpose(2, 0, 1),
+                      us.transpose(2, 0, 1), float(np.sum(defects)), defects,
+                      vs.transpose(2, 0, 1))
 
 
 def clip_trajectory(
@@ -781,22 +777,23 @@ def clip_trajectory(
         raise ValueError("the clip time must lie inside the trajectory span")
     t = float(traj.times[k])
     h = t_end - t
-    us = traj.unitaries[: k + 2].copy()
-    [(_, _, stages)] = _flow(schedule, us[k:], t, h, schedule.dim ** 2)
+    us = traj.unitaries.transpose(1, 2, 0)[..., : k + 2].copy()
+    [(_, _, stages)] = _flow(schedule, us[..., k:], t, h, schedule.dim ** 2)
     times = np.append(traj.times[: k + 1], t_end)
     kept = traj.defects[:k]
     hs = [_stage_blocks(traj.spec, schedule, c) for c in stages]
-    zt = traj.points.transpose(1, 2, 0)
+    zs = traj.points.transpose(1, 2, 0)
     point, defect, _ = _chart_rows(
-        traj.spec, times[k + 1:], us[k + 1:].transpose(1, 2, 0), zt[..., :1],
-        zt[..., k:k + 1], hs, h, float(np.sum(kept)))
+        traj.spec, times[k + 1:], us[..., k + 1:], zs[..., :1],
+        zs[..., k:k + 1], hs, h, float(np.sum(kept)))
     defects = np.concatenate((kept, defect))
-    velocity = _riccati(hs[2], point).transpose(2, 0, 1)
-    return Trajectory(traj.spec, times,
-                      np.concatenate((traj.points[: k + 1],
-                                      point.transpose(2, 0, 1))), us,
-                      float(np.sum(defects)), defects,
-                      np.concatenate((traj.velocities[: k + 1], velocity)))
+    vs = traj.velocities.transpose(1, 2, 0)
+    return Trajectory(
+        traj.spec, times,
+        np.concatenate((zs[..., : k + 1], point), axis=-1).transpose(2, 0, 1),
+        us.transpose(2, 0, 1), float(np.sum(defects)), defects,
+        np.concatenate((vs[..., : k + 1], _riccati(hs[2], point)),
+                       axis=-1).transpose(2, 0, 1))
 
 
 def _chart_rows(spec, times, us, z0, start, stages, h: float,
@@ -851,26 +848,26 @@ def expectation(spec: ManifoldSpec, level: int, Z, H):
     ``dZ/dt`` the :func:`riccati_rhs`.  ``Z`` is one point or a stack and
     ``H`` one Hermitian matrix or a stack, checked here; their leading axes
     broadcast.  The imaginary part must cancel below 1e-8 on every row.
+    The stack-last core ``_expectation`` does the work.
     """
     z = validate_points(spec, Z)
-    H = _hermitize(H, stack=True)
-    (last,), lead = _broadcast_last(z)
-    return _expectation(spec, level, z, H,
-                        _stack_first(_gradient(spec, level, last), lead),
-                        riccati_rhs(spec, H, z))
+    h = _hermitize(H, stack=True).swapaxes(-1, -2)
+    (*blocks, z), lead = _broadcast_last(*block_split(h, spec), z)
+    return _stack_first(_expectation(spec, level, z, blocks,
+                                     _gradient(spec, level, z),
+                                     _riccati(blocks, z)), lead)
 
 
-def _expectation(spec: ManifoldSpec, level: int, z, H, g,
+def _expectation(spec: ManifoldSpec, level: int, z, blocks, g,
                  velocity) -> np.ndarray:
-    """:func:`expectation` on chart arrays and Hermitian matrices that
-    already passed their checks, with ``g`` the gradient
-    ``geometry._gradient`` and ``velocity`` the :func:`riccati_rhs` at
-    ``z``, which callers that hold them already (a trajectory's
+    """:func:`expectation` on the checked stack-last operands of
+    ``_riccati``, a stack of one on either side broadcasting, with ``g``
+    the gradient ``geometry._gradient`` and ``velocity`` the ``_riccati``
+    at ``z``, which callers that hold them already (a trajectory's
     ``velocities``) take once."""
-    a, b, _, _ = block_split(H, spec)
-    flow = np.sum(g * velocity, axis=(-2, -1))
-    value = level * (np.trace(a, axis1=-2, axis2=-1)
-                     + np.sum(z * b, axis=(-2, -1))) + 1j * spec.sign * flow
+    a_t, _, b_t, _ = blocks
+    top = np.trace(a_t) + np.sum(z * b_t.swapaxes(0, 1), axis=(0, 1))
+    value = level * top + 1j * spec.sign * np.sum(g * velocity, axis=(0, 1))
     worst = float(np.max(np.abs(value.imag)))
     if worst > 1e-8:
         raise NonRealExpectation(f"imaginary part {worst:.3e} exceeds tolerance")
@@ -888,8 +885,8 @@ class CycleInfo:
 
 def ray_distances(traj: Trajectory) -> np.ndarray:
     """Projective distance of every sample from the starting point, on
-    one transposed copy of the points."""
-    z = np.ascontiguousarray(traj.points.transpose(1, 2, 0))
+    the stack-last rows of the points."""
+    z = traj.points.transpose(1, 2, 0)
     return _distance(traj.spec, z, z[..., :1])
 
 

@@ -30,24 +30,25 @@ solves on the stack-last layout, each with its rule inside:
   that size, a transposed view above.
 - ``_det``, ``(d, d, n)``: closed forms to 3 x 3, LAPACK's LU through a
   transposed view from 4 x 4 up.
+- ``_ldl``, ``(d, d, n)``: one broadcast Gaussian elimination without
+  pivoting, ``L diag(d) L^dag`` on Hermitian positive-definite stacks.
 - ``_hpd_solve``, ``(d, d, n)`` against ``(d, c, n)``: the solves with
   the Hermitian positive-definite ``P = I + s Z Z^dag`` and
-  ``Q = I + s Z^dag Z``: from 3 x 3 up by ``_ldl``, a broadcast
-  elimination without pivoting (``L diag(d) L^dag``), with one
-  refinement step; the closed forms of ``_solve`` on 1 x 1 and 2 x 2.
+  ``Q = I + s Z^dag Z``: from 3 x 3 up by ``_ldl`` with one refinement
+  step; the closed forms of ``_solve`` on 1 x 1 and 2 x 2.
 - ``_solve``, on the same layout: the general denominators, the chart
   images' ``A^T + Z B^T`` and the propagator's Pade steps: division on
-  1 x 1, the adjugate on 2 x 2, Gaussian elimination without pivoting
-  (``_eliminate``) on stacks up to ``STACK_LAST_MAX`` whose every member
-  is strictly column diagonally dominant, and LAPACK's pivoted LU
-  through transposed views otherwise.
+  1 x 1, the adjugate on 2 x 2, ``_ldl``'s elimination and a back
+  substitution (``_eliminate``) on stacks up to ``STACK_LAST_MAX`` whose
+  every member is strictly column diagonally dominant, and LAPACK's
+  pivoted LU through transposed views otherwise.
 
 The chart stage of a trajectory (``dynamics._chart_rows``) and the loop
-factories build their points stack-last too.  :func:`point_faults`
-takes and returns ``(n, rows, cols)`` stacks through one transposed view
-of its stack-last core ``_point_faults``, whose domain check reads the
-pivots of ``_ldl``'s elimination of ``I - Z Z^dag``, all positive for
-every p.  The kernel takes its determinant on the smaller side
+factories build their points stack-last too, and check them with the
+chart rules' core ``_point_faults``, which :func:`validate_points` runs
+through one transposed view; its domain check reads the pivots of
+``_ldl``'s elimination of ``I - Z Z^dag``, all positive for every p.
+The kernel takes its determinant on the smaller side
 (``det(I_q + s W^dag Z)`` for AIII with q < p).
 """
 
@@ -168,50 +169,41 @@ def validate_points(
     An input of at most two dimensions is one point, coerced as by
     :func:`as_chart_array`; a higher one is a stack whose last two axes
     hold the points.  Raises for the earliest point that breaks a rule of
-    :func:`point_faults` and returns the points projected onto the
-    family's symmetry, in the shape of the (coerced) input.
+    ``_point_faults`` and returns a new array of the points projected
+    onto the family's symmetry, in the shape of the (coerced) input.
+
+    Entries must be finite (else ``ValueError``).  CI points must be
+    symmetric and DIII points skew-symmetric to ``symmetry_tol`` (else
+    ``SymmetryViolation``).  Non-compact points must lie in the strict
+    interior of the bounded domain (else ``OutsideDomain``).
 
     Raises
     ------
     DimensionMismatch, ValueError, SymmetryViolation, OutsideDomain
     """
-    arr = np.asarray(z, dtype=complex)
+    arr = np.array(z, dtype=complex)
     if arr.ndim <= 2:
         arr = as_chart_array(spec, arr)
-    stack, faults = point_faults(spec, arr.reshape((-1,) + arr.shape[-2:]),
-                                 symmetry_tol)
-    raise_first_fault(faults)
-    return stack.reshape(arr.shape)
-
-
-def point_faults(
-    spec: ManifoldSpec, stack, symmetry_tol: float = SYMMETRY_TOL
-):
-    """The chart rules on a ``(n, rows, cols)`` stack of points.
-
-    Entries must be finite (else ``ValueError``).  CI points must be
-    symmetric and DIII points skew-symmetric to ``symmetry_tol`` (else
-    ``SymmetryViolation``), and are then projected exactly.  Non-compact
-    points must lie in the strict interior of the bounded domain (else
-    ``OutsideDomain``): for the determinant families ``I - Z Z^dag`` must
-    be positive definite: every pivot of its :func:`_ldl` elimination
-    positive, one test for every p.  Returns the projected stack, a new
-    array, and one fault ``(mask of passing rows, exception type, message
-    of a row)`` per rule, in that order.  The rules run on the
-    stack-last layout (``_point_faults``), through a transposed view.
-    """
-    arr = np.array(stack, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1:] != spec.point_shape:
+    if arr.shape[-2:] != spec.point_shape:
         raise DimensionMismatch(f"expected points of shape {spec.point_shape},"
                                 f" got {arr.shape}")
-    points, faults = _point_faults(spec, arr.transpose(1, 2, 0), symmetry_tol)
-    return points.transpose(2, 0, 1), faults
+    stack = arr.reshape((-1,) + arr.shape[-2:]).transpose(1, 2, 0)
+    points, faults = _point_faults(spec, stack, symmetry_tol)
+    raise_first_fault(faults)
+    return points.transpose(2, 0, 1).reshape(arr.shape)
 
 
 def _point_faults(spec: ManifoldSpec, arr: np.ndarray, symmetry_tol: float):
-    """:func:`point_faults` on a stack-last ``(rows, cols, n)`` stack of
-    points of the chart's shape: the projected points (on AIII and BDI
-    the input itself) and the faults."""
+    """The chart rules of :func:`validate_points` on a stack-last
+    ``(rows, cols, n)`` stack of points of the chart's shape.
+
+    CI and DIII points are projected exactly onto their symmetry, and the
+    domain check of a determinant family requires ``I - Z Z^dag``
+    positive definite: every pivot of its :func:`_ldl` elimination
+    positive, one test for every p.  Returns the projected points (on
+    AIII and BDI the input itself) and one fault ``(mask of passing rows,
+    exception type, message of a row)`` per rule, in the order finite,
+    symmetric, inside the domain."""
     finite = np.isfinite(arr).all(axis=(0, 1))
     faults = [(finite, ValueError, lambda k: "chart point is not finite")]
     if spec.family in (Family.CI, Family.DIII):
@@ -261,34 +253,34 @@ def raise_first_fault(faults, times=None) -> None:
 
 
 def _ldl(a: np.ndarray):
-    """The factorisation ``G = L diag(d) L^dag`` of a stack of Hermitian
-    positive-definite matrices, by elimination without pivoting.
+    """Gaussian elimination without pivoting, ``G = L U``, of a stack of
+    square matrices; on Hermitian positive-definite ``G`` the
+    factorisation ``G = L diag(d) L^dag``.
 
-    The pivots ``d`` are the leading entries of the repeated Schur
-    complements ``G[1:, 1:] - G[1:, 0] G[0, 1:] / g00``; the unit
-    lower-triangular ``L`` is kept as its columns below the diagonal.  On
-    positive-definite matrices this is Cholesky's elimination, backward
-    stable without pivoting (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 10), and each pivot is the ratio ``D_k / D_(k-1)`` of
-    leading principal minors reached without forming them.
+    The pivots are the leading entries of the repeated Schur complements
+    ``G[1:, 1:] - G[1:, 0] G[0, 1:] / g00``; the unit lower-triangular
+    ``L`` is kept as its columns below the diagonal, and ``U`` is the
+    upper triangle left in ``a``.  On positive-definite matrices this is
+    Cholesky's elimination, backward stable without pivoting (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10), and each
+    pivot is the ratio ``D_k / D_(k-1)`` of leading principal minors
+    reached without forming them.
 
     ``a`` holds the stack with its axes last, ``(p, p, ...)``, so that
     every operation reads whole stacks of one entry rather than numpy's
     inner loops of two or three entries, and the elimination overwrites
     it.  Returns ``(cols, d)`` in that layout: ``cols[k]`` is
-    ``L[k+1:, k]`` of shape ``(p - k - 1, ...)`` and ``d`` the real
-    ``(p, ...)`` pivots.  A pivot that is zero divides by zero; callers
+    ``L[k+1:, k]`` of shape ``(p - k - 1, ...)`` and ``d`` the real parts
+    of the ``(p, ...)`` pivots.  A zero pivot divides by zero; callers
     that factor matrices which may not be positive definite (the domain
-    check of :func:`point_faults`) suppress that warning."""
-    d = np.empty(a.shape[1:])
+    check of :func:`_point_faults`) suppress that warning."""
     cols = []
-    for k in range(len(a)):
-        d[k] = a[k, k].real
-        if k + 1 < len(a):
-            col = a[k + 1:, k] / d[k]
-            cols.append(col)
-            a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
-    return cols, d
+    for k in range(len(a) - 1):
+        col = a[k + 1:, k] / a[k, k]
+        cols.append(col)
+        a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
+    # A copy, so that the pivots do not keep the eliminated stack alive.
+    return cols, np.moveaxis(np.diagonal(a).real, -1, 0).copy()
 
 
 def _forward(cols, y: np.ndarray) -> np.ndarray:
@@ -459,16 +451,14 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` on the layout of :func:`_solve` by Gaussian elimination
-    without pivoting, on copies, each operation over whole stacks of one
-    entry; stable only on the dominant stacks that :func:`_solve` sends
-    here."""
+    without pivoting (:func:`_ldl`), on copies, each operation over whole
+    stacks of one entry: a forward substitution and a back substitution
+    with the upper triangle the elimination leaves.  Stable only on the
+    dominant stacks that :func:`_solve` sends here."""
     dtype = np.result_type(a, b)
-    a, x = a.astype(dtype), b.astype(dtype)
+    a = a.astype(dtype)
+    x = _forward(_ldl(a)[0], b.astype(dtype))
     n = len(a)
-    for k in range(n - 1):
-        col = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= col[:, None] * a[k, k + 1:]
-        x[k + 1:] -= col[:, None] * x[k]
     for k in reversed(range(n)):
         for j in range(k + 1, n):
             x[k] -= a[k, j] * x[j]

@@ -30,7 +30,9 @@ from .dynamics import (
     HamiltonianSchedule,
     Trajectory,
     _expectation,
-    riccati_rhs,
+    _riccati,
+    _stage_blocks,
+    defining_dimension,
 )
 from .errors import (
     BranchCut,
@@ -43,10 +45,12 @@ from .errors import (
 from .geometry import _gradient
 from .manifolds import (
     KERNEL_ZERO_TOL,
+    SYMMETRY_TOL,
     ManifoldSpec,
     _broadcast_last,
     _distance,
     _kernel,
+    _point_faults,
     _require_finite,
     _stack_first,
     as_chart_array,
@@ -194,11 +198,11 @@ def _fan(spec: ManifoldSpec, level: int, z: np.ndarray) -> float:
 
 
 def _loop_points(spec: ManifoldSpec, loop) -> np.ndarray:
-    """The stack-last ``(rows, cols, n)`` chart arrays, one transposed
-    copy, of a trajectory or of a stack or point sequence validated once
-    as a stack."""
+    """The stack-last ``(rows, cols, n)`` chart arrays of a trajectory,
+    a view of its rows, or of a stack or point sequence validated once
+    as a stack, one transposed copy."""
     if isinstance(loop, Trajectory):
-        return np.ascontiguousarray(loop.points.transpose(1, 2, 0))
+        return loop.points.transpose(1, 2, 0)
     if not (isinstance(loop, np.ndarray) and loop.ndim == 3):
         loop = np.reshape([as_chart_array(spec, v) for v in loop],
                           (-1,) + spec.point_shape)
@@ -260,23 +264,27 @@ def dynamical_phase(
 ) -> float:
     """Trapezoid integral of the Hamiltonian expectation along a trajectory,
     with dZ/dt taken by ``dynamics.riccati_rhs`` on its points."""
-    times, hs = _hamiltonians(traj, schedule)
-    z = traj.points
-    g = _gradient(spec, level, z.transpose(1, 2, 0)).transpose(2, 0, 1)
-    return _trapezoid(times, _expectation(spec, level, z, hs, g,
-                                          riccati_rhs(spec, hs, z)))
+    times, hs = _hamiltonians(spec, traj, schedule)
+    z = traj.points.transpose(1, 2, 0)
+    return _trapezoid(times, _expectation(spec, level, z, hs,
+                                          _gradient(spec, level, z),
+                                          _riccati(hs, z)))
 
 
-def _hamiltonians(traj: Trajectory, schedule: HamiltonianSchedule):
-    """The times of a trajectory of at least two rows and the schedule's
-    matrices at them."""
+def _hamiltonians(spec, traj: Trajectory, schedule: HamiltonianSchedule):
+    """The times of a trajectory of at least two rows and the transposed
+    blocks of the schedule's H at them (``dynamics._stage_blocks``): a
+    constant schedule's one matrix as a stack of one."""
     times = np.asarray(traj.times, dtype=float)
     if len(times) != len(traj.points) or len(times) < 2:
         raise GridMismatch("trajectory times and points do not align")
+    if schedule.dim != defining_dimension(spec):
+        raise DimensionMismatch("schedule does not match the defining size")
     try:
-        return times, schedule.at(times)
+        coefficients = schedule._coefficients_at(times)
     except ScheduleGap as exc:
         raise GridMismatch("schedule does not cover the trajectory span") from exc
+    return times, _stage_blocks(spec, schedule, coefficients)
 
 
 def _trapezoid(times: np.ndarray, values: np.ndarray) -> float:
@@ -288,16 +296,16 @@ def _phases(spec: ManifoldSpec, level: int, traj: Trajectory,
             schedule: HamiltonianSchedule, cyclicity_tol: float):
     """:func:`dynamical_phase`, :func:`line_integral_phase` and the
     closure distance of a cyclic trajectory, from one gradient pass on
-    its rows closed by the first and from the trajectory's stored
-    ``velocities``.  The expectation is checked before the closure, so
-    ``NonRealExpectation`` comes before ``NotClosed``."""
-    times, hs = _hamiltonians(traj, schedule)
+    its stack-last rows closed by the first and from the trajectory's
+    stored ``velocities``.  The expectation is checked before the
+    closure, so ``NonRealExpectation`` comes before ``NotClosed``."""
+    times, hs = _hamiltonians(spec, traj, schedule)
     z = _loop_points(spec, traj)
     z = np.concatenate((z, z[..., :1]), axis=-1)
     g = _gradient(spec, level, z)
-    beta = _trapezoid(times, _expectation(spec, level, traj.points, hs,
-                                          g[..., :-1].transpose(2, 0, 1),
-                                          traj.velocities))
+    beta = _trapezoid(times, _expectation(
+        spec, level, z[..., :-1], hs, g[..., :-1],
+        traj.velocities.transpose(1, 2, 0)))
     closure = _closure(spec, z[..., :-1], cyclicity_tol)
     return beta, _chord_sum(z, g), closure
 
@@ -348,9 +356,10 @@ def _stokes_compare(spec: ManifoldSpec, level: int, z: np.ndarray,
             if attempt == MAX_REFINEMENTS:
                 raise
             mid = (closed[..., :-1] + closed[..., 1:]) / 2.0
+            mid, faults = _point_faults(spec, mid, SYMMETRY_TOL)
+            raise_first_fault(faults)
             closed = np.repeat(closed, 2, axis=-1)[..., :-1]
-            closed[..., 1::2] = validate_points(
-                spec, mid.transpose(2, 0, 1)).transpose(1, 2, 0)
+            closed[..., 1::2] = mid
     return StokesReport(
         line_integral=line_value,
         polygon_fan=fan_value,

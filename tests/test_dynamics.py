@@ -32,6 +32,7 @@ from kphase import (
 )
 import kphase.dynamics
 import kphase.geometry
+import kphase.phases
 from kphase.dynamics import (
     CROSS_CHECK_TOL,
     STATIONARY_TOL,
@@ -139,6 +140,25 @@ def test_block_split():
         block_split(np.eye(4, dtype=complex), ManifoldSpec(Family.BDI, 2))
     with pytest.raises(DimensionMismatch):
         block_split(np.eye(5, dtype=complex), spec)
+
+
+@pytest.mark.parametrize("spec", [cp1(), ManifoldSpec(Family.AIII, 2, 1),
+                                  ManifoldSpec(Family.CI, 2),
+                                  ManifoldSpec(Family.BDI, 3)], ids=str)
+def test_trajectory_and_metric_take_one_point(spec):
+    """``validate_points`` accepts stacks, so ``trajectory`` and
+    ``metric`` coerce their point to the chart's shape first: a stack of
+    one or two points raises ``DimensionMismatch``, not an error from
+    inside the flow or the metric."""
+    for lead in ((1,), (2,)):
+        z = np.zeros(lead + spec.point_shape)
+        with pytest.raises(DimensionMismatch):
+            kphase.geometry.metric(spec, 1, z)
+        if spec.family is not Family.BDI:
+            sched = HamiltonianSchedule.constant(
+                [np.eye(defining_dimension(spec))], [1.0])
+            with pytest.raises(DimensionMismatch):
+                trajectory(spec, z, sched, 1.0, 0.1)
 
 
 def test_mobius_diagonal_flow():
@@ -301,22 +321,75 @@ def test_expectation_closed_form_matches_cocycle_difference(spec, rng):
             assert abs(got - fd_expectation(spec, level, z, H)) < 1e-8
 
 
-def test_expectation_stack_matches_pointwise(rng):
-    spec = ManifoldSpec(Family.CI, 2)
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(family, p, q, compact)
+    for compact in (True, False)
+    for family, p, q in ((Family.AIII, 1, 1), (Family.AIII, 3, 2),
+                         (Family.CI, 2, 1), (Family.DIII, 3, 1))
+], ids=str)
+def test_expectation_stack_matches_pointwise(spec, rng):
+    """``expectation`` reaches its stack-last core through
+    ``_broadcast_last``: stacks of points and of H, one H against a stack
+    of points, one point against a stack of H and two leading axes that
+    broadcast all give the pointwise values, and one pair a scalar."""
     hs = np.array([_defining_generator(rng, spec) for _ in range(4)])
     zs = np.array([random_point(spec, rng, 0.4) for _ in range(4)])
+
+    def one(z, H):
+        value = expectation(spec, 2, z, H)
+        assert np.ndim(value) == 0
+        return value
+
     stacked = expectation(spec, 2, zs, hs)
     assert stacked.shape == (4,)
     for value, z, H in zip(stacked, zs, hs):
-        assert abs(value - expectation(spec, 2, z, H)) < 1e-13
+        assert abs(value - one(z, H)) < 1e-13
     # one generator broadcasts against the stack of points
     shared = expectation(spec, 2, zs, hs[0])
     for value, z in zip(shared, zs):
-        assert abs(value - expectation(spec, 2, z, hs[0])) < 1e-13
+        assert abs(value - one(z, hs[0])) < 1e-13
+    # one point against the stack of generators
+    single = expectation(spec, 2, zs[0], hs)
+    assert single.shape == (4,)
+    for value, H in zip(single, hs):
+        assert abs(value - one(zs[0], H)) < 1e-13
+    grid = expectation(spec, 2, zs[:3, None], hs[None])
+    assert grid.shape == (3, 4)
+    for (i, j), value in np.ndenumerate(grid):
+        assert abs(value - one(zs[i], hs[j])) < 1e-13
     bad = hs.copy()
     bad[2, 0, 1] += 1e-3
     with pytest.raises(SymmetryViolation):
         expectation(spec, 2, zs, bad)
+
+
+def test_rows_are_views_of_one_stack_last_array(monkeypatch, rng):
+    """``trajectory`` stores its rows stack-last and hands out transposed
+    views: the phases' ``_loop_points`` and ``ray_distances`` read
+    ``traj.points`` itself, with no copy, and ``propagate``'s states are
+    one stack-last array seen through a transposed view."""
+    spec = ManifoldSpec(Family.AIII, 2, 1)
+    sched = HamiltonianSchedule.constant([_defining_generator(rng, spec)],
+                                         [1.0])
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched, 1.0, 1e-2)
+    for rows in (traj.points, traj.unitaries, traj.velocities):
+        assert rows.transpose(1, 2, 0).flags.c_contiguous
+    loop = kphase.phases._loop_points(spec, traj)
+    assert loop.flags.c_contiguous and np.shares_memory(loop, traj.points)
+    seen = []
+    real = kphase.dynamics._distance
+
+    def spying(spec, z, w):
+        seen.append(np.shares_memory(z, traj.points))
+        return real(spec, z, w)
+
+    monkeypatch.setattr(kphase.dynamics, "_distance", spying)
+    ray_distances(traj)
+    assert seen == [True]
+    for Y0 in (np.eye(3), np.eye(3)[:, :1]):
+        _, states = propagate(sched, Y0, 0.0, 1.0, 1e-2)
+        assert states.shape == (101,) + Y0.shape
+        assert states.transpose(1, 2, 0).flags.c_contiguous
 
 
 def test_ray_distances_match_pairwise():
@@ -579,7 +652,9 @@ def test_advance_rows_are_the_step_products(d, n, rng):
     one step at a time, to rounding, on square and column states, for a
     single step, one full period and a short last period.  The step
     matrices are stack-last, ``(d, d, n)``; d = 5 takes ``_mm_last``'s
-    multiply-adds and d = 9 its ``np.matmul``."""
+    multiply-adds and d = 9 its ``np.matmul``.  The rows are stack-last
+    too, ``(d, c, n)``, written into a slice of a larger stack's last
+    axis as ``_flow`` passes them."""
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     gens = [(h + h.conj().T) / 2.0, np.diag(np.arange(d, dtype=float))]
     sched = HamiltonianSchedule.from_samples(
@@ -588,12 +663,16 @@ def test_advance_rows_are_the_step_products(d, n, rng):
     steps = kphase.dynamics._step_matrices(sched._table, stages, 0.01)
     assert steps.shape == (d, d, n)
     for Y in (_haar(rng, d), _haar(rng, d)[:, :1]):
-        out = np.empty((n,) + Y.shape, dtype=complex)
-        kphase.dynamics._advance(Y, out, sched._table, stages, 0.01)
+        states = np.zeros(Y.shape + (n + 2,), dtype=complex)
+        states[..., 0] = Y
+        kphase.dynamics._advance(states[..., 0], states[..., 1:n + 1],
+                                 sched._table, stages, 0.01)
         ref = [Y]
         for step in steps.transpose(2, 0, 1):
             ref.append(step @ ref[-1])
+        out = states[..., 1:n + 1].transpose(2, 0, 1)
         assert np.max(np.abs(out - ref[1:])) <= 1e-14 * math.sqrt(n)
+        assert not states[..., n + 1].any()
 
 
 def _chunk_steps(entries):
@@ -676,7 +755,7 @@ def test_failure_in_later_chunk_stops_there(monkeypatch):
     real_advance = kphase.dynamics._advance
 
     def counting(Y, out, table, stages, h):
-        advanced.append(len(out))
+        advanced.append(out.shape[-1])
         real_advance(Y, out, table, stages, h)
 
     monkeypatch.setattr(kphase.dynamics, "_advance", counting)
@@ -819,19 +898,21 @@ def test_exact_rows_match_the_eigen_form(d, rng):
     lam, v = np.linalg.eigh(sched(0.0))
     s = 1e-2 * np.arange(1, 301)
     for Y0 in (_haar(rng, d), _haar(rng, d)[:, :1]):
-        out = np.empty((len(s),) + Y0.shape, dtype=complex)
+        out = np.empty(Y0.shape + (len(s),), dtype=complex)
         kphase.dynamics._exact_rows(sched, Y0)(s, out)
         phases = np.exp(-1j * np.multiply.outer(s, lam))
         ref = (v * phases[:, None, :]) @ v.conj().T @ Y0
-        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(out.transpose(2, 0, 1) - ref)) <= (
+            1e-14 * np.max(np.abs(ref)))
 
 
 def test_exact_rows_write_into_a_contiguous_view(monkeypatch, rng):
-    """``_exact_rows`` writes a chunk through ``out.reshape(n, -1)``, which
-    is a view only on rows of a C-contiguous stack: every chunk that
-    :func:`propagate`, :func:`trajectory` and :func:`clip_trajectory`
-    pass is such a view of their rows, and an ``out`` whose reshape would
-    be a copy is refused rather than left unwritten."""
+    """``_exact_rows`` writes a chunk through ``out.reshape(-1, n)``, which
+    is a view only on a slice of the last axis of a C-contiguous
+    stack-last stack: every chunk that :func:`propagate`,
+    :func:`trajectory` and :func:`clip_trajectory` pass is such a view of
+    their rows, and an ``out`` whose reshape would be a copy is refused
+    rather than left unwritten."""
     real = kphase.dynamics._exact_rows
     seen = []
 
@@ -839,7 +920,10 @@ def test_exact_rows_write_into_a_contiguous_view(monkeypatch, rng):
         rows = real(schedule, Y0)
 
         def checked(elapsed, out):
-            seen.append(out.flags.c_contiguous and out.base is not None)
+            whole = out.base
+            seen.append(whole is not None and whole.flags.c_contiguous
+                        and np.shares_memory(out.reshape(-1, len(elapsed)),
+                                             out))
             rows(elapsed, out)
 
         return checked
@@ -854,9 +938,9 @@ def test_exact_rows_write_into_a_contiguous_view(monkeypatch, rng):
     assert len(seen) > 3 and all(seen)
     monkeypatch.undo()
     rows = kphase.dynamics._exact_rows(sched, np.eye(3))
-    wide = np.zeros((10, 3, 6), dtype=complex)
+    wide = np.zeros((3, 6, 10), dtype=complex)
     with pytest.raises(AssertionError, match="view"):
-        rows(1e-3 * np.arange(1, 11), wide[..., :3])
+        rows(1e-3 * np.arange(1, 11), wide[:, :3])
     assert not wide.any()
 
 

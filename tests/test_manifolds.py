@@ -17,11 +17,12 @@ from kphase import (
 )
 from kphase.manifolds import (
     STACK_LAST_MAX,
+    SYMMETRY_TOL,
     _det,
     _hpd_solve,
     _mm_last,
+    _point_faults,
     _solve,
-    point_faults,
 )
 
 from finite_difference import random_point
@@ -515,7 +516,8 @@ def test_domain_check_by_pivots_matches_eigvalsh(spec, gap, rng):
     norms = np.linalg.norm(points, ord=2, axis=(-2, -1))
     scale = np.where(np.arange(400) % 2 == 0, 1.0 - gap, 1.0 + gap)
     points *= (scale / norms)[:, None, None]
-    _, faults = point_faults(spec, points)
+    _, faults = _point_faults(spec, points.transpose(1, 2, 0),
+                              SYMMETRY_TOL)
     inside, kind, _ = faults[-1]
     assert kind is OutsideDomain
     gram = np.eye(spec.p) - points @ points.conj().swapaxes(-1, -2)

@@ -451,6 +451,10 @@ def test_dynamical_phase_grid_mismatch():
     short = HamiltonianSchedule.from_samples([SZ], [[0.0, 1.0], [0.5, 1.0]])
     with pytest.raises(GridMismatch):
         dynamical_phase(spec, 1, traj, short)
+    # The schedule's blocks are split by the chart's defining size.
+    wide = HamiltonianSchedule.constant([np.diag([1.0, 0.0, -1.0])], [1.0])
+    with pytest.raises(DimensionMismatch):
+        dynamical_phase(spec, 1, traj, wide)
 
 
 def test_stokes_compare_latitude():
