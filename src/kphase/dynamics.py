@@ -142,7 +142,11 @@ CHUNK_ENTRIES = 2 ** 12
 # |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
 PATH_SYMMETRY_TOL = 1e-9
 CHART_EDGE_TOL = 1e-12
-STATIONARY_TOL = 1e-9
+# Largest ray distance from the start at which an orbit counts as
+# stationary: above the ~2e-8 that ``manifolds._distance`` reads for rows
+# that differ only by rounding (arccos of 1 - k eps), so that a start at
+# a fixed point of H is not cut into a cycle by that rounding.
+STATIONARY_TOL = 1e-6
 # Entries in the rows of one run, refused before they are allocated:
 # (n + 1) states in :func:`propagate`, (n + 1) unitaries and chart points
 # in :func:`trajectory`.  2**24 complex entries are 256 MiB, 25 times an

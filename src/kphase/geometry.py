@@ -56,37 +56,26 @@ from .manifolds import (
 def coordinate_basis(spec: ManifoldSpec) -> list[np.ndarray]:
     """Real-coefficient basis matrices spanning the chart's tangent space.
 
-    AIII uses single-entry matrices; CI uses diagonal units plus symmetric
-    pair sums; DIII uses skew pair differences; BDI uses row unit vectors.
-    The length always equals ``spec.complex_dimension``.
+    One unit entry per index pair, mirrored across the diagonal with sign
+    +1 on CI and -1 on DIII: AIII and BDI take every entry, CI the
+    diagonal units and then the symmetric pair sums above it, DIII the
+    skew pair differences above it.  The length always equals
+    ``spec.complex_dimension``.
     """
     rows, cols = spec.point_shape
-    out: list[np.ndarray] = []
-    if spec.family in (Family.AIII, Family.BDI):
-        for i in range(rows):
-            for j in range(cols):
-                b = np.zeros((rows, cols), dtype=complex)
-                b[i, j] = 1.0
-                out.append(b)
-        return out
-    if spec.family is Family.CI:
-        for i in range(rows):
-            b = np.zeros((rows, rows), dtype=complex)
-            b[i, i] = 1.0
-            out.append(b)
-        for i in range(rows):
-            for j in range(i + 1, rows):
-                b = np.zeros((rows, rows), dtype=complex)
-                b[i, j] = 1.0
-                b[j, i] = 1.0
-                out.append(b)
-        return out
-    for i in range(rows):
-        for j in range(i + 1, rows):
-            b = np.zeros((rows, rows), dtype=complex)
-            b[i, j] = 1.0
-            b[j, i] = -1.0
-            out.append(b)
+    mirror = {Family.CI: 1.0, Family.DIII: -1.0}.get(spec.family)
+    if mirror is None:
+        pairs = np.ndindex(rows, cols)
+    else:
+        pairs = [(i, i) for i in range(rows) if mirror > 0]
+        pairs += [(i, j) for i in range(rows) for j in range(i + 1, rows)]
+    out = []
+    for i, j in pairs:
+        b = np.zeros((rows, cols), dtype=complex)
+        if mirror is not None:
+            b[j, i] = mirror
+        b[i, j] = 1.0
+        out.append(b)
     return out
 
 

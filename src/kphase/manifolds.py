@@ -16,6 +16,17 @@ stack-last, ``(rows, cols, n)`` (``_broadcast_last``), which package code
 holding validated stack-last arrays calls directly.  A core takes a stack
 of one (``n = 1``) on either side of a stack and returns ``(n,)`` values.
 
+The coherent-state overlap ``K(z, conj(w)) / sqrt(K(z, conj(z))
+K(w, conj(w)))`` has one implementation, the core ``_overlap``: it
+scales the three kernels by one power of two, so far points keep their
+overlaps, and returns the ratio's real and imaginary parts.
+:func:`normalized_overlap` takes its level-th power and ``_distance``
+the arccos (arccosh) of its modulus, which :func:`projective_distance`,
+``dynamics.ray_distances``, the closure of ``phases`` and ``kphase
+oracle-compare`` read.  It is also the one function that a distance
+resolved below arccos's ~1.5e-8 floor, ``1 - |overlap|^2`` formed
+without cancellation, would change.
+
 Chart quantities come in stacks of thousands of 1 x 1 to 4 x 4 matrices,
 where numpy's stacked ``@``, ``np.linalg.solve`` and ``np.linalg.det``
 loop once per matrix.  Private kernels serve products, determinants and
@@ -540,14 +551,21 @@ def normalized_overlap(spec: ManifoldSpec, level: int, z, w):
     K(w, conj(w))^level)``, the overlap of the normalized state labelled by
     ``w`` with the one labelled by ``z`` (holomorphic in ``z``).  Its modulus
     is at most one for compact specs and at least one for non-compact ones,
-    with equality exactly on the diagonal.  Broadcasts as :func:`kernel`.
+    with equality exactly on the diagonal, where the value is 1 up to an
+    imaginary part of an ulp that rounding may leave in ``K(z, conj(z))``.
+    It is the ``level``-th power of the level-one ratio of
+    :func:`_overlap`, whose kernels are scaled by one power of two, so far
+    points (|z| past about 1e77 on CP1, where ``K(z, conj(z))
+    K(w, conj(w))`` overflows, and far sooner for the level-th powers)
+    keep their overlaps.  Past |z| ~ 1e154 on CP1 the kernels themselves
+    overflow, and it raises ``OverflowError`` as :func:`kernel` does.
+    Broadcasts as :func:`kernel`.
     """
     lam = _check_single_level(level)
     (z, w), lead = _broadcast_last(validate_points(spec, z),
                                    validate_points(spec, w))
-    kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
-    return _stack_first(_kernel(spec, z, w) ** lam
-                        / np.sqrt(kzz**lam * kww**lam), lead)
+    re, im = _overlap(spec, z, w)
+    return _stack_first((re + 1j * im) ** lam, lead)
 
 
 def projective_distance(spec: ManifoldSpec, z, w):
@@ -562,10 +580,11 @@ def projective_distance(spec: ManifoldSpec, z, w):
     return _stack_first(_distance(spec, z, w), lead)
 
 
-def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
-    """:func:`projective_distance` on the arrays of :func:`_kernel`.  Past
-    |z| ~ 1e154 on CP1 the kernels themselves overflow, and the distance
-    raises ``OverflowError`` as :func:`kernel` does."""
+def _overlap(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
+    """The level-one overlap ``K(z, conj(w)) / sqrt(K(z, conj(z))
+    K(w, conj(w)))`` on the arrays of :func:`_kernel`, as its real and
+    imaginary parts.  Past |z| ~ 1e154 on CP1 the kernels themselves
+    overflow, and it raises ``OverflowError`` as :func:`kernel` does."""
     with np.errstate(over="ignore", invalid="ignore"):
         kzz, kww = _kernel(spec, z, z).real, _kernel(spec, w, w).real
         k = _kernel(spec, z, w)
@@ -573,13 +592,20 @@ def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
     # Far from the origin K(z, z) K(w, w) overflows (past |z| ~ 1e77 on
     # CP1).  One power of two from the larger diagonal kernel scales all
     # three kernels exactly, so the ratio is unchanged wherever the
-    # unscaled product is finite, and d(z, z) stays exactly zero.
+    # unscaled product is finite, and its real part is exactly 1 on the
+    # diagonal, where d(z, z) stays exactly zero.
     _, e = np.frexp(np.maximum(kzz, kww))
     norm = np.sqrt(np.ldexp(kzz, -e) * np.ldexp(kww, -e))
     # Dividing each part by the real norm keeps the modulus of a scalar
     # complex division; numpy's complex division rounds differently, and
     # near a zero distance arccos magnifies such last-bit changes ~1e8-fold.
-    mag = np.hypot(np.ldexp(k.real, -e) / norm, np.ldexp(k.imag, -e) / norm)
+    return np.ldexp(k.real, -e) / norm, np.ldexp(k.imag, -e) / norm
+
+
+def _distance(spec: ManifoldSpec, z: np.ndarray, w: np.ndarray):
+    """:func:`projective_distance` on the arrays of :func:`_kernel`, from
+    the modulus of :func:`_overlap`."""
+    mag = np.hypot(*_overlap(spec, z, w))
     if spec.compact:
         return np.arccos(np.minimum(1.0, mag))
     return np.arccosh(np.maximum(1.0, mag))

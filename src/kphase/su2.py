@@ -13,7 +13,10 @@ fourth-order Magnus steps for a sampled one, never through the 2 x 2
 unitary.  The Bloch projection back to the chart (:func:`bloch_projection`)
 reads each label in closed form off the Bloch vector ``<J>``, as the
 stereographic image of its direction, on a whole stack of states at once.
-Spins are bounded by ``MAX_TWO_J``.
+:func:`coherent_vector` takes one label or an array of them, as the chart
+quantities take one point or a stack, and the projection measures each
+row against its label's coherent vector: the overlap is formed in one
+place.  Spins are bounded by ``MAX_TWO_J``.
 """
 
 from __future__ import annotations
@@ -79,23 +82,30 @@ def spin_operators(j) -> SpinRep:
     return SpinRep(j=jj, dimension=d, j1=j1, j2=j2, j3=j3)
 
 
-def coherent_vector(j, z: complex) -> np.ndarray:
-    """Unit coherent state labelled by a chart point of the sphere.
+def coherent_vector(j, z) -> np.ndarray:
+    """Unit coherent states labelled by chart points of the sphere.
 
     Components ``sqrt(C(2j, k)) z^k / (1 + |z|^2)^j`` for k = 0 ... 2j;
     z = 0 gives the reference (highest-weight) basis vector.  Beyond the
     unit circle they are formed as
     ``sqrt(C(2j, k)) (z/|z|)^k |z|^(k - 2j) / (1 + |z|^-2)^j``, which
-    does not overflow for large |z|.
+    does not overflow for large |z|: both are the one formula with
+    ``m = max(|z|, 1)``, ``sqrt(C(2j, k)) (z/m)^k m^(k - 2j)
+    / (m^-2 + (|z|/m)^2)^j``.  ``z`` is one label, giving one
+    ``(2j+1,)`` vector, or an array of labels, giving one vector per
+    label along a new last axis.
     """
     n = _two_j(j)
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)[..., None]
     k = np.arange(n + 1)
     root = np.sqrt([float(math.comb(n, m)) for m in k])
-    r = abs(z)
-    if r <= 1.0:
-        return root * z**k / (1.0 + r * r) ** (n / 2.0)
-    return root * (z / r) ** k * r ** (k - n) / (1.0 + r**-2) ** (n / 2.0)
+    # hypot, and each part divided by the real m, round as a scalar abs
+    # and complex division do; numpy's complex abs and division round
+    # differently, and (z/m)^(2j) would carry that 2j-fold.
+    r = np.hypot(z.real, z.imag)
+    m = np.maximum(r, 1.0)
+    u = z.real / m + 1j * (z.imag / m)
+    return root * u**k * m ** (k - n) / (m**-2 + (r / m) ** 2) ** (n / 2.0)
 
 
 _PAULI = (
@@ -216,8 +226,9 @@ def bloch_projection(states, j, coherence_tol: float = 1e-6):
     it differs from the overlap maximiser by O(eps^2).  The first failing
     row raises ``ChartOverflow`` if its label is infinite (``<J+> = 0`` and
     ``<J3> < 0``, the chart's point at infinity), and otherwise
-    ``NotCoherent`` if its label's ray is farther than ``coherence_tol``,
-    as on rows with ``<J> = 0``.
+    ``NotCoherent`` if its label's ray, ``arccos |<c(z)|psi>|`` with the
+    :func:`coherent_vector` ``c(z)`` of the row's label, is farther than
+    ``coherence_tol``, as on rows with ``<J> = 0`` and on zero or NaN rows.
     """
     if np.ndim(states) == 1:
         row = np.reshape(states, (1, -1))
@@ -226,21 +237,21 @@ def bloch_projection(states, j, coherence_tol: float = 1e-6):
     psi = np.asarray(states, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != n + 1:
         raise DimensionMismatch("state dimension does not match 2j + 1")
-    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
     k = np.arange(n + 1)
-    j3 = np.abs(psi) ** 2 @ (n / 2.0 - k)
-    jplus = (psi[:, :-1].conj() * psi[:, 1:]) @ np.sqrt(k[1:] * (n - k[:-1]))
-    length = np.hypot(np.abs(jplus), j3)
-    # Poles, zero Bloch vectors and NaN rows divide by zero here; the fault
-    # masks below report them.
+    # Zero and NaN rows, poles and zero Bloch vectors divide by zero or by
+    # NaN here; the fault masks below report them.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        j3 = np.abs(psi) ** 2 @ (n / 2.0 - k)
+        jplus = ((psi[:, :-1].conj() * psi[:, 1:])
+                 @ np.sqrt(k[1:] * (n - k[:-1])))
+        length = np.hypot(np.abs(jplus), j3)
         z = np.where(j3 >= 0.0, jplus / (length + j3),
                      (length - j3) / np.conj(jplus))
-        # Overlap polynomial in conj(z), highest power first.
-        poly = psi[:, ::-1] * np.sqrt([math.comb(n, i) for i in k[::-1]])
-        overlap_sq = _quality(poly, np.conj(z), n)
-    # fmax maps a NaN overlap to 0, so a NaN row counts as incoherent.
-    residual = np.arccos(np.minimum(1.0, np.sqrt(np.fmax(0.0, overlap_sq))))
+        overlap = np.abs(np.sum(coherent_vector(j, z).conj() * psi, axis=1))
+    # A NaN row's NaN overlap fails the comparison below, so it counts as
+    # incoherent.
+    residual = np.arccos(np.minimum(1.0, overlap))
     raise_first_fault([
         (~np.isinf(z), ChartOverflow,
          lambda r: f"ray sits at the chart's point at infinity (row {r})"),
@@ -250,21 +261,3 @@ def bloch_projection(states, j, coherence_tol: float = 1e-6):
     ])
     return z
 
-
-def _polyval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each row's polynomial (highest power first) at that row's ``w``,
-    by Horner's rule as ``numpy.polyval``."""
-    out = np.zeros(coeffs.shape[:-1], dtype=complex)
-    for k in range(coeffs.shape[-1]):
-        out = out * w + coeffs[..., k]
-    return out
-
-
-def _quality(poly: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Squared coherent overlap of each row with the ray at ``conj(w)``;
-    where ``|w| > 1``, the reversed polynomial at ``1/w`` gives the same
-    value without overflow, since ``p(w) = w^n q(1/w)``."""
-    flip = np.abs(w) > 1.0
-    u = np.divide(1.0, w, out=w.copy(), where=flip)
-    coeffs = np.where(flip[:, None], poly[:, ::-1], poly)
-    return np.abs(_polyval(coeffs, u)) ** 2 / (1.0 + np.abs(u) ** 2) ** n

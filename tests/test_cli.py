@@ -25,7 +25,7 @@ from kphase import (
     triangle_phase,
 )
 from kphase.cli import main
-from kphase.serialize import matrix_to_json
+from kphase.serialize import matrix_from_json, matrix_to_json
 
 from finite_difference import random_point
 
@@ -277,6 +277,53 @@ def test_gamma_ignores_a_trace_shift(tmp_path, capsys):
         assert abs(math.remainder(moved, 2.0 * math.pi)) < 1e-9
         assert shifted[key]["consistent"] is True
     assert abs(shifted["oracle_defect"]) < 1e-6
+
+
+def _stationary_config(p, q, lam, seed):
+    """An evolve config whose start is a fixed point of H: H = V diag(lam)
+    V^dag with V = exp(-0.3 i K), K a seeded Hermitian matrix of unit
+    norm, and z0 = V . 0, the Mobius image of the origin, which the flow
+    V exp(-i diag(lam) t) V^dag keeps where it is."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p + q, p + q)) + 1j * rng.standard_normal(
+        (p + q, p + q))
+    k = a + a.conj().T
+    k /= np.linalg.norm(k, 2)
+    w, u = np.linalg.eigh(k)
+    v = (u * np.exp(-0.3j * w)) @ u.conj().T
+    h = (v * np.asarray(lam, dtype=float)) @ v.conj().T
+    z0 = np.linalg.solve(v[:p, :p].T, v[p:, :p].T)
+    return {"manifold": {"family": "AIII", "p": p, "q": q}, "level": 2,
+            "z0": matrix_to_json(z0), "T": 1.02 * 2.0 * math.pi,
+            "dt": 4e-3, "stride": 10_000,
+            "schedule": {"generators": [matrix_to_json(h)],
+                         "constant": [1.0]}}
+
+
+@pytest.mark.parametrize("p, q, lam", [(3, 2, (2, 1, 0, -1, -2)),
+                                       (2, 1, (1, 0, -1))])
+def test_stationary_start_reports_the_whole_span(tmp_path, p, q, lam):
+    """An orbit that starts at a fixed point of H never leaves its ray.
+    Its rows differ only by rounding, at ray distances of 0 and 2.1e-8,
+    and must not be cut into a cycle at the first such return: the cycle
+    is the whole span, and beta is E(z0) T."""
+    path = tmp_path / "stationary.json"
+    for seed in range(12):
+        cfg = _stationary_config(p, q, lam, seed)
+        rc, rows, err = _run_config_file(
+            path, ["evolve", "--config", str(path)], cfg)
+        assert (rc, err) == (0, "")
+        summary, T = rows[-1], cfg["T"]
+        steps = math.ceil(T / cfg["dt"])
+        assert summary["cycle"]["index"] == steps
+        assert summary["cycle"]["time"] == T
+        spec = ManifoldSpec(Family.AIII, p, q)
+        z0 = matrix_from_json(cfg["z0"])
+        h = matrix_from_json(cfg["schedule"]["generators"][0])
+        energy = kphase.dynamics.expectation(spec, 2, z0, h)
+        report = summary["report"]
+        beta_raw = report["alpha_raw"] - report["gamma_raw"]
+        assert beta_raw == pytest.approx(energy * T, rel=1e-9)
 
 
 def test_evolve_integrates_once(tmp_path, capsys, monkeypatch):

@@ -48,6 +48,21 @@ def test_basis_symmetry_classes():
         assert np.array_equal(b, -b.T)
 
 
+def test_basis_order():
+    """Unit entries in reading order; CI's diagonal units come before its
+    pairs, so the metric's entries keep their places."""
+    def units(spec):
+        return [sorted(zip(*np.nonzero(b))) for b in coordinate_basis(spec)]
+
+    assert units(ManifoldSpec(Family.AIII, 3, 2)) == [
+        [(i, j)] for i in range(3) for j in range(2)]
+    assert units(ManifoldSpec(Family.BDI, 3)) == [[(0, j)] for j in range(3)]
+    pairs = [[(0, 1), (1, 0)], [(0, 2), (2, 0)], [(1, 2), (2, 1)]]
+    assert units(ManifoldSpec(Family.CI, 3)) == [
+        [(0, 0)], [(1, 1)], [(2, 2)]] + pairs
+    assert units(ManifoldSpec(Family.DIII, 3)) == pairs
+
+
 def test_potential_values():
     spec = cp1()
     assert potential(spec, 1, 1.0) == pytest.approx(math.log(2.0), abs=1e-14)

@@ -203,6 +203,45 @@ def test_normalized_overlap_values():
     assert normalized_overlap(spec, 3, 0.7j, 0.7j) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("spec, far, near", [
+    (cp1(), 1e30, 0.6 - 0.3j),
+    (cp1(), 1e80, 0.6 - 0.3j),
+    (cp1(), 1e150, 0.6 - 0.3j),
+    (ManifoldSpec(Family.AIII, 2, 1), [[1e80], [-2e80]], [[0.5], [0.2j]]),
+])
+def test_normalized_overlap_of_far_points(spec, far, near):
+    """Past |z| ~ 1e77 on CP1 the product K(z, z) K(w, w) overflows, and
+    the level-th powers of unscaled kernels overflow from far smaller |z|:
+    the overlap read 0 on the diagonal, -0 between neighbours on a far
+    circle and NaN from |z| = 1e60 at level 3.  Scaled as the distance's
+    kernels are, it is exactly 1 on the diagonal of a real far point, its
+    modulus is the cosine of the distance, and level 3 is the cube of
+    level 1; past |z| ~ 1e154 the kernel overflows."""
+    far = np.asarray(far, dtype=complex)
+    turn = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 5))
+    for level in (1, 3):
+        assert normalized_overlap(spec, level, far, far) == 1.0
+        # Off the real axis the kernel's rounding may leave K(z, conj(z))
+        # an imaginary part of one ulp.
+        rotated = normalized_overlap(spec, level, far * turn[1], far * turn[1])
+        assert abs(rotated) == 1.0 and abs(rotated - 1.0) <= 1e-15
+    pairs = [(far, far * turn[2]), (far * turn[1], far * turn[3]),
+             (far, near), (near, far), (far, np.zeros_like(far))]
+    for z, w in pairs:
+        one = normalized_overlap(spec, 1, z, w)
+        three = normalized_overlap(spec, 3, z, w)
+        assert np.isfinite(one) and np.isfinite(three)
+        assert abs(abs(one) - math.cos(projective_distance(spec, z, w))) <= 1e-15
+        assert abs(three - one**3) <= 1e-15
+    # one far pair has a phase, and one overlap is neither 0 nor 1
+    assert abs(np.angle(normalized_overlap(spec, 1, far, far * turn[2]))) > 1.0
+    assert 0.1 < abs(normalized_overlap(spec, 1, far, near)) < 0.99
+    for level in (1, 3):
+        with pytest.raises(OverflowError, match="kernel"):
+            normalized_overlap(spec, level, far * (1e160 / np.abs(far).max()),
+                               near)
+
+
 def test_overlap_level_power(rng):
     for spec in ALL_SPECS:
         z = random_point(spec, rng)

@@ -79,6 +79,40 @@ def test_coherent_vector_far_from_the_origin(z):
     assert abs(v[-2]) == pytest.approx(8.0 / abs(z), rel=1e-8)
 
 
+def _coherent_reference(j, z):
+    """One coherent vector by the branch formulas of the docstring, one
+    label at a time in Python scalars."""
+    n = int(round(2 * j))
+    k = np.arange(n + 1)
+    root = np.sqrt([float(math.comb(n, m)) for m in k])
+    r = abs(z)
+    if r <= 1.0:
+        return root * z**k / (1.0 + r * r) ** (n / 2.0)
+    return root * (z / r) ** k * r ** (k - n) / (1.0 + r**-2) ** (n / 2.0)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.5, 32.0])
+def test_coherent_vector_on_an_array_of_labels(j):
+    """An array of labels gives one vector per label, each equal to that
+    label's own vector bit for bit and within one ulp of the branch
+    formulas taken one label at a time."""
+    labels = np.array([[0.0, 1e-3, -1e-3j, 1e-3 * np.exp(2.0j)],
+                       [1.0, np.exp(0.7j), 1e200, 1e200 * np.exp(-2.1j)]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vectors = coherent_vector(j, labels)
+    assert vectors.shape == labels.shape + (int(2 * j) + 1,)
+    for index in np.ndindex(labels.shape):
+        z = complex(labels[index])
+        one = coherent_vector(j, z)
+        assert one.shape == (int(2 * j) + 1,)
+        assert np.array_equal(vectors[index], one)
+        ref = _coherent_reference(j, z)
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(one) - part(ref))
+                          <= np.spacing(np.abs(part(ref))))
+
+
 def test_map_to_spin_identity_on_spin_half():
     for g in (SX, SY, SZ, np.eye(2, dtype=complex), SX + 0.3 * np.eye(2)):
         assert np.max(np.abs(map_to_spin(g, 0.5) - g)) < 1e-13
@@ -268,6 +302,47 @@ def test_bloch_projection_round_trip_far_from_the_origin(j):
             for z in r * np.exp(2j * math.pi * (np.arange(5) + 0.5) / 5):
                 back = bloch_projection(coherent_vector(j, z), j)
                 assert abs(back - z) <= 1e-12 * abs(z)
+
+
+@pytest.mark.parametrize("j, z", [(1.5, 0.4 + 0.2j), (8.0, 1.3 * np.exp(2.5j))])
+def test_bloch_projection_coherence_threshold(j, z):
+    """A coherent row mixed at angle a with a state orthogonal to the
+    coherent orbit through it (to the row and to its tangent) is a ray at
+    distance a from the coherent rays: accepted at half ``coherence_tol``,
+    refused at twice it."""
+    tol = 1e-6
+    n = int(2 * j) + 1
+    c = coherent_vector(j, z)
+    tangent = np.arange(n) * c / z
+    other = np.random.default_rng(7).standard_normal(n) + 0j
+    for v in (c, tangent - np.vdot(c, tangent) * c):
+        other -= np.vdot(v, other) * v / np.vdot(v, v)
+    other /= np.linalg.norm(other)
+    for scale, accepted in ((0.5, True), (2.0, False)):
+        a = scale * tol
+        row = math.cos(a) * c + math.sin(a) * other
+        if accepted:
+            assert abs(bloch_projection(row, j, tol) - z) <= 1e-9
+        else:
+            with pytest.raises(NotCoherent, match=r"\(row 0\)$"):
+                bloch_projection(row, j, tol)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.5, 8.0])
+def test_bloch_projection_reports_the_earliest_bad_row(j):
+    """A NaN row is not coherent and a row at the chart's point at infinity
+    overflows; whichever comes first is the one reported."""
+    n = int(2 * j) + 1
+    good = coherent_vector(j, np.array([0.3, -0.5j, 2.0]))
+    nan = np.full(n, np.nan, dtype=complex)
+    pole = np.zeros(n, dtype=complex)
+    pole[-1] = 1.0
+    with pytest.raises(NotCoherent, match=r"\(row 2\)$"):
+        bloch_projection(np.vstack([good[:2], nan, pole, good[2]]), j)
+    with pytest.raises(ChartOverflow, match=r"\(row 1\)$"):
+        bloch_projection(np.vstack([good[:1], pole, nan, good[1:]]), j)
+    with pytest.raises(NotCoherent, match=r"\(row 0\)$"):
+        bloch_projection(nan, j)
 
 
 def test_bloch_projection_phase_invariance(rng):
