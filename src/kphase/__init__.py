@@ -82,101 +82,43 @@ from .su2 import (
     schrodinger_evolve,
     spin_operators,
 )
-from .topology import (
-    BettiReport,
-    GroupSpec,
-    MinOrbitInfo,
-    PoincarePolynomial,
-    Series,
-    SimpleFactor,
-    betti_validate,
-    hirsch_polynomial,
-    min_orbit,
-    parse_group,
-    parse_quotient,
-    poincare_quotient,
-    weyl_degrees,
-)
 from .loops import fourier_loop, latitude_circle
 
 __version__ = "1.0.0"
 
-__all__ = [
+# ``topology`` is imported on first use of one of its names (PEP 562):
+# of the command line, only ``poincare`` needs it.
+_TOPOLOGY = (
     "BettiReport",
-    "BranchCut",
-    "ChartOverflow",
-    "CrossCheckFailure",
-    "CycleInfo",
-    "DimensionMismatch",
-    "Family",
-    "GridMismatch",
     "GroupSpec",
-    "HamiltonianSchedule",
-    "InvalidRank",
-    "InvalidSpin",
-    "KPhaseError",
-    "KernelZero",
-    "ManifoldSpec",
     "MinOrbitInfo",
-    "NoCycleFound",
-    "NonDivisible",
-    "NonRealExpectation",
-    "NotClosed",
-    "NotCoherent",
-    "NotCyclic",
-    "OutsideDomain",
-    "PhaseReport",
     "PoincarePolynomial",
-    "RankMismatch",
-    "ReducibleFactor",
-    "ScheduleGap",
     "Series",
     "SimpleFactor",
-    "SpinRep",
-    "StateTrajectory",
-    "StokesReport",
-    "SymmetryViolation",
-    "Trajectory",
-    "UnknownGroup",
-    "UnsupportedFamily",
-    "assemble_report",
     "betti_validate",
-    "bloch_projection",
-    "block_split",
-    "clip_trajectory",
-    "coherent_vector",
-    "coordinate_basis",
-    "cp1",
-    "dynamical_phase",
-    "expectation",
-    "find_cycle",
-    "fourier_loop",
-    "gradient",
     "hirsch_polynomial",
-    "kernel",
-    "latitude_circle",
-    "line_integral_phase",
-    "map_schedule",
-    "map_to_spin",
-    "metric",
     "min_orbit",
-    "normalized_overlap",
     "parse_group",
     "parse_quotient",
     "poincare_quotient",
-    "polygon_phase",
-    "potential",
-    "projective_distance",
-    "propagate",
-    "quantum_phases",
-    "ray_distances",
-    "riccati_rhs",
-    "schrodinger_evolve",
-    "spin_operators",
-    "stokes_compare",
-    "trajectory",
-    "triangle_phase",
-    "validate_points",
     "weyl_degrees",
-    "wrap_angle",
-]
+)
+
+# Every class and function bound above, and topology's.
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if getattr(value, "__module__", "").startswith(__name__ + ".")]
+    + list(_TOPOLOGY)
+)
+
+
+def __getattr__(name: str):
+    if name in _TOPOLOGY:
+        from . import topology
+
+        return getattr(topology, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_TOPOLOGY})

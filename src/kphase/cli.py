@@ -18,7 +18,6 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 
@@ -76,7 +75,6 @@ from .su2 import (
     quantum_phases,
     schrodinger_evolve,
 )
-from .topology import betti_validate, min_orbit, poincare_quotient
 
 _EPILOG = (
     "All reported angles use the principal branch (-pi, pi], with the lower "
@@ -300,6 +298,8 @@ def run_stokes(config: dict) -> list[str]:
 
 
 def run_poincare(config: dict) -> list[str]:
+    from .topology import betti_validate, min_orbit, poincare_quotient
+
     quotients = config.get("quotients", [])
     orbits = config.get("min_orbits", [])
     if not quotients and not orbits:
@@ -492,6 +492,8 @@ def _results(args) -> list:
     items = [(args.command, _merge(base, c)) for c in configs]
     if len(items) <= 1:
         return [_sweep_worker(item) for item in items]
+    import multiprocessing
+
     workers = min(len(items), os.cpu_count() or 1)
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(_sweep_worker, items)

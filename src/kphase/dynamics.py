@@ -903,12 +903,19 @@ def find_cycle(times, distances) -> CycleInfo:
     the distance per sample, walks to the local minimum, and refines the
     return time by a parabola through the squared distances.  A trajectory
     that never leaves the start ray returns index 1 immediately.
+
+    The median comes from one ``np.partition``: the middle value of an
+    odd count, ``(a + b) / 2`` of the two middle values of an even one,
+    and NaN if any change is NaN, so it equals ``np.median``'s bit for
+    bit.  ``np.median`` itself is not called because its NaN check
+    imports ``numpy.ma``, which costs a fresh process more than the
+    whole search.
     """
     d = np.asarray(distances, dtype=float)
     n = len(d) - 1
     if n < 1:
         raise NoCycleFound("trajectory has no steps")
-    spacing = float(np.median(np.abs(np.diff(d)))) if n > 1 else 0.0
+    spacing = _median(np.abs(np.diff(d))) if n > 1 else 0.0
     tol = max(5.0 * spacing, 1e-12)
     escape = 1
     if d[1] < tol:
@@ -931,6 +938,15 @@ def find_cycle(times, distances) -> CycleInfo:
         t_star = _parabola_vertex(times, d, n - 1)
         t_star = min(max(t_star, float(times[n - 1])), float(times[n]))
     return CycleInfo(k_ret, t_star)
+
+
+def _median(x: np.ndarray) -> float:
+    """The median of a non-empty 1-D float array, NaN if any entry is."""
+    m, odd = divmod(len(x), 2)
+    part = np.partition(x, [m, -1] if odd else [m - 1, m, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[m] if odd else (part[m - 1] + part[m]) / 2)
 
 
 def _parabola_vertex(times, d, k: int) -> float:

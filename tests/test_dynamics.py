@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kphase import (
     ChartOverflow,
@@ -1312,6 +1313,39 @@ def _scanned_cycle(times, d):
         t_star = kphase.dynamics._parabola_vertex(times, d, n - 1)
         t_star = min(max(t_star, float(times[n - 1])), float(times[n]))
     return CycleInfo(k_ret, t_star)
+
+
+# Distances with ties (a few repeated values), zeros, subnormals and NaN.
+_distance_entries = st.one_of(
+    st.floats(0.0, 2.0, allow_subnormal=True),
+    st.sampled_from([0.0, 0.0, 0.5, 0.5, 1.0, 5e-324, 1e-310, 2.5e-308,
+                     math.nan]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_distance_entries, min_size=3, max_size=64))
+def test_find_cycle_takes_np_median_bit_for_bit(d):
+    """The median step of ``find_cycle`` is ``np.median``'s, bit for bit
+    and NaN where it is NaN, on odd and even counts; the cycle it finds,
+    or the ``NoCycleFound`` it raises, is the scan's with ``np.median``."""
+    d = np.array(d)
+    t = np.linspace(0.0, 1.0, len(d))
+    step = np.abs(np.diff(d))
+    got = np.float64(kphase.dynamics._median(step))
+    assert got.tobytes() == np.float64(np.median(step)).tobytes()
+    if np.isnan(d).any():
+        with pytest.raises(NoCycleFound, match="^no return below tolerance "
+                                               "nan within the span$"):
+            find_cycle(t, d)
+        return
+    try:
+        want = _scanned_cycle(t, d)
+    except NoCycleFound:
+        with pytest.raises(NoCycleFound):
+            find_cycle(t, d)
+        return
+    assert find_cycle(t, d) == want
 
 
 @pytest.mark.parametrize("case", ["on-ray", "lingers", "early-escape",
