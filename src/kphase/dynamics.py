@@ -137,7 +137,7 @@ CROSS_CHECK_TOL = 1e-6
 PERIOD = 32
 # Entries of one chunk's stack of step matrices, or of its chart points
 # on trajectory's closed-form path (see ``_blocks``).
-CHUNK_ENTRIES = 2 ** 12
+CHUNK_ENTRIES = 2 ** 13
 # Symmetry slack of Mobius images along a trajectory, and the smallest
 # |det(A^T + Z B^T)| at which the Mobius image stays on the chart.
 PATH_SYMMETRY_TOL = 1e-9
@@ -485,11 +485,11 @@ def _stages(schedule: HamiltonianSchedule, t0: float, h: float, k0: int,
     return cs[:-1:2], cs[1::2], cs[2::2]
 
 
-def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
-             h: float):
-    """Magnus steps of i dY/dt = H(t) Y from the ``d x c`` state ``Y``,
-    one per row of the stage coefficient rows, written to the stack-last
-    rows ``out``; ``table`` is the schedule's ``_commutator_table``.
+def _advance(states: np.ndarray, table: np.ndarray, stages, h: float):
+    """Magnus steps of i dY/dt = H(t) Y from the ``d x c`` state
+    ``states[..., 0]``, one per row of the stage coefficient rows, written
+    to the rest of the stack-last rows ``states``; ``table`` is the
+    schedule's ``_commutator_table``.
 
     ``_step_matrices`` gives the steps' matrices as one stack-last
     ``(d, d, n)`` stack.  They are grouped in periods of ``PERIOD`` steps
@@ -500,40 +500,43 @@ def _advance(Y: np.ndarray, out: np.ndarray, table: np.ndarray, stages,
     blocks, one batched product per level for every period at once: the
     state in the middle of a block is the product of the block's first
     half applied to the state at its start, known from the level above.
-    The states are one stack-last ``(d, c, m PERIOD + 1)`` stack, in the
-    steps' memory order, so the batched products are
-    ``manifolds._mm_last`` on the flat step axis; the carries, one matrix
-    each, are ``@``, and the rows are copied to ``out`` once.
+    The batched products are ``manifolds._mm_last`` on the flat step axis
+    of ``states`` itself; the carries, one matrix each, are ``@``.  Only
+    a padded last period takes a ``(d, c, m PERIOD + 1)`` stack of its
+    own, whose rows are then copied back.
 
-    A call of one period, which is every chunk from d = 9 up and a run of
+    A call of one period, which is every chunk from d = 12 up and a run of
     at most ``PERIOD`` steps, has no periods to batch: the blocks would
     only double the arithmetic of its products, and would turn a column's
     matrix-vector products into matrix products, so it carries the state
-    one step at a time instead, straight into ``out``.
+    one step at a time instead.
     """
-    period, n, d = PERIOD, out.shape[-1], len(Y)
+    period, n, d = PERIOD, states.shape[-1] - 1, len(states)
     m = -(-n // period)
     steps = _step_matrices(table, stages, h)
     if m == 1:
+        Y = states[..., 0]
         for k, step in enumerate(np.ascontiguousarray(
                 steps.transpose(2, 0, 1))):
-            out[..., k] = Y = step @ Y
+            states[..., k + 1] = Y = step @ Y
         return
+    rows = states
     if n < m * period:
         padded = np.empty_like(steps, shape=(d, d, m * period))
         padded[..., :n], padded[..., n:] = steps, np.eye(d)[..., None]
         steps = padded
+        rows = np.empty_like(states, shape=states.shape[:2] + (m * period + 1,))
+        rows[..., 0] = states[..., 0]
     levels = _period_products(steps)
-    states = np.empty_like(steps, shape=Y.shape + (m * period + 1,))
-    starts = states[..., ::period]
-    starts[..., 0] = Y
+    starts = rows[..., ::period]
     for p, whole in enumerate(levels[-1].transpose(2, 0, 1)):
         starts[..., p + 1] = whole @ starts[..., p]
     for level in reversed(levels[:-1]):
         half = m * period // level.shape[-1]
-        states[..., half:-1:2 * half] = _mm_last(level[..., ::2],
-                                                 states[..., :-1:2 * half])
-    out[...] = states[..., 1:n + 1]
+        rows[..., half:-1:2 * half] = _mm_last(level[..., ::2],
+                                               rows[..., :-1:2 * half])
+    if rows is not states:
+        states[..., 1:] = rows[..., 1:n + 1]
 
 
 def _magnus_exponents(table: np.ndarray, stages, h: float) -> np.ndarray:
@@ -555,8 +558,9 @@ def _magnus_exponents(table: np.ndarray, stages, h: float) -> np.ndarray:
                            (h * h / 12.0) * (c1[:, a] * c3[:, b]
                                              - c1[:, b] * c3[:, a])), axis=-1)
     d = math.isqrt(table.shape[-1])
-    return _to_stack_last(
-        (rows @ table.view(float)).view(complex).reshape(-1, d, d))
+    k = (rows @ table.view(float)).view(complex).reshape(-1, d, d)
+    del rows
+    return _to_stack_last(k)
 
 
 def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
@@ -576,13 +580,15 @@ def _step_matrices(table: np.ndarray, stages, h: float) -> np.ndarray:
     k = _magnus_exponents(table, stages, h)
     # In place, with the same rounding as I - K^2/12: at large d each
     # temporary stack is megabytes of fresh memory (at d = 65 three more
-    # temporaries cost a quarter more minor page faults).
+    # temporaries cost a quarter more minor page faults).  K goes before
+    # the solve, which eliminates in place on the two stacks left.
     m = _mm_last(k, k)
     m /= -12.0
     m += np.eye(len(k))[..., None]
     k *= 0.5j
     den = m + k
     m -= k
+    del k
     return _solve(den, m)
 
 
@@ -660,11 +666,12 @@ def _flow(schedule: HamiltonianSchedule, states: np.ndarray, t0: float,
              else None)
     for k0, k1 in _blocks(states.shape[-1] - 1, entries):
         stages = _stages(schedule, t0, h, k0, k1)
-        if exact is None:
-            _advance(states[..., k0], states[..., k0 + 1:k1 + 1],
-                     schedule._table, stages, h)
-        else:
-            exact(h * np.arange(k0 + 1, k1 + 1), states[..., k0 + 1:k1 + 1])
+        with np.errstate():
+            np.setbufsize(-(-(k1 - k0) // 16) * 16)
+            if exact is None:
+                _advance(states[..., k0:k1 + 1], schedule._table, stages, h)
+            else:
+                exact(h * np.arange(k0 + 1, k1 + 1), states[..., k0 + 1:k1 + 1])
         yield k0, k1, stages
 
 
@@ -756,7 +763,11 @@ def trajectory(
         zs[..., k0 + 1:k1 + 1], defects[k0:k1], vs[..., k0:k1] = _chart_rows(
             spec, times[k0 + 1:k1 + 1], us[..., k0 + 1:k1 + 1], zs[..., :1],
             zs[..., k0:k0 + 1], hs, h, float(np.sum(defects[:k0])))
-    vs[..., n:] = _riccati([blk[..., -1:] for blk in hs[2]], zs[..., n:])
+        # Only H at the chunk's last row, for that row's velocity, outlives
+        # the chunk: the next one is advanced without these stage stacks.
+        end = [blk[..., -1:].copy() for blk in hs[2]]
+        del hs, stages
+    vs[..., n:] = _riccati(end, zs[..., n:])
     return Trajectory(spec, times, zs.transpose(2, 0, 1),
                       us.transpose(2, 0, 1), float(np.sum(defects)), defects,
                       vs.transpose(2, 0, 1))

@@ -305,8 +305,9 @@ def _forward(cols, y: np.ndarray) -> np.ndarray:
 
 def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``g^-1 b`` for Hermitian positive-definite ``g`` and matching
-    ``b`` on the stack-last layout of :func:`_solve`, as a new array: its
-    closed forms on 1 x 1 and 2 x 2, and from 3 x 3 up the factorisation
+    ``b`` on the stack-last layout of :func:`_solve`, as a new array that
+    leaves both operands as they were: its closed forms on 1 x 1 and
+    2 x 2, on a copy of ``b``, and from 3 x 3 up the factorisation
     of :func:`_ldl` with one step of iterative refinement in working
     precision.
 
@@ -320,7 +321,7 @@ def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     refinement step it is below LU's (Skeel's result for fixed-precision
     refinement)."""
     if len(g) < 3:
-        return _solve(g, b)
+        return _solve(g, b.copy(order="K"))
     cols, d = _ldl(g.copy())
 
     def solve(y):
@@ -419,9 +420,12 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack-last layout, ``(d, d, ...)`` and ``(d, c, ...)`` with the same
     stack axes, or a stack of one in ``a``: the chart images'
     denominators ``A^T + Z B^T`` and the Pade steps' ``M + (i/2) K``,
-    which are not Hermitian.  Returns a new array in the memory order of
-    ``b``, so a transposed view of a stack-first ``b`` gives a stack-first
-    result, or from LAPACK a transposed view of a stack-first array.
+    which are not Hermitian.  The solve works in place, so that a chunk
+    of Pade steps holds no more stacks than its two operands: the
+    solution overwrites ``b``, which is returned, and the elimination
+    below overwrites ``a`` too.  Callers pass fresh writable arrays of
+    one complex dtype that they no longer need.  Only LAPACK's solve
+    returns a new array, as a transposed view of a stack-first one.
 
     ``b / a`` on 1 x 1 and the adjugate over the determinant on 2 x 2.
     From 3 x 3 up to ``STACK_LAST_MAX``, a stack whose every member
@@ -443,17 +447,22 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     1 x 1 and 2 x 2 ones to this function."""
     n = len(a)
     if n == 1:
-        return b / a
+        b /= a
+        return b
     if n == 2:
-        x = np.empty_like(b, dtype=np.result_type(a, b))
-        x[0] = a[1, 1] * b[0] - a[0, 1] * b[1]
-        x[1] = a[0, 0] * b[1] - a[1, 0] * b[0]
-        x /= a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        return x
+        x0 = a[1, 1] * b[0]
+        x0 -= a[0, 1] * b[1]
+        np.multiply(a[0, 0], b[1], out=b[1])
+        b[1] -= a[1, 0] * b[0]
+        b[0] = x0
+        b /= a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+        return b
     if n <= STACK_LAST_MAX:
         mag = np.abs(a)
         diagonal = mag.reshape(n * n, *mag.shape[2:])[::n + 1]
-        if np.all(2.0 * diagonal > mag.sum(axis=0)):
+        dominant = np.all(2.0 * diagonal > mag.sum(axis=0))
+        del mag, diagonal
+        if dominant:
             return _eliminate(a, b)
     stack = tuple(range(2, a.ndim))
     x = np.linalg.solve(a.transpose(*stack, 0, 1), b.transpose(*stack, 0, 1))
@@ -462,13 +471,13 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` on the layout of :func:`_solve` by Gaussian elimination
-    without pivoting (:func:`_ldl`), on copies, each operation over whole
-    stacks of one entry: a forward substitution and a back substitution
-    with the upper triangle the elimination leaves.  Stable only on the
-    dominant stacks that :func:`_solve` sends here."""
-    dtype = np.result_type(a, b)
-    a = a.astype(dtype)
-    x = _forward(_ldl(a)[0], b.astype(dtype))
+    without pivoting (:func:`_ldl`), each operation over whole stacks of
+    one entry: a forward substitution and a back substitution with the
+    upper triangle the elimination leaves.  It works in place: ``a``
+    ends up holding the factors and ``b``, which is returned, the
+    solution, so both must be writable arrays of the solution's dtype.
+    Stable only on the dominant stacks that :func:`_solve` sends here."""
+    x = _forward(_ldl(a)[0], b)
     n = len(a)
     for k in reversed(range(n)):
         for j in range(k + 1, n):

@@ -116,13 +116,13 @@ _step_matrices = kphase.dynamics._step_matrices
 _riccati = kphase.dynamics._riccati
 
 
-def _shifted_advance(Y, out, table, stages, h):
+def _shifted_advance(states, table, stages, h):
     """Magnus steps on the coefficient rows at t + h/2, t + h and
     t + 3h/2: the next step's midpoint, or past the chunk's end the linear
     extrapolation."""
     _, c2, c3 = stages
     ahead = np.concatenate((c2[1:], 2.0 * c3[-1:] - c2[-1:]))
-    _advance(Y, out, table, (c2, c3, ahead), h)
+    _advance(states, table, (c2, c3, ahead), h)
 
 
 # Each fault replaces functions of ``kphase.dynamics``.  All but the sign
@@ -131,8 +131,8 @@ def _shifted_advance(Y, out, table, stages, h):
 # rows, so scaling or shifting the rows scales or shifts H.
 FAULTS = {
     "H scaled by 1 + 1e-5": {
-        "_advance": lambda Y, out, table, stages, h: _advance(
-            Y, out, table, [c * (1.0 + 1e-5) for c in stages], h),
+        "_advance": lambda states, table, stages, h: _advance(
+            states, table, [c * (1.0 + 1e-5) for c in stages], h),
         "_exact_rows": lambda schedule, Y0: _exact_rows(
             HamiltonianSchedule.constant([schedule(0.0)], [1.0 + 1e-5]), Y0),
     },

@@ -568,16 +568,22 @@ def test_velocities_are_the_riccati_rhs_at_each_row(spec, constant, rng):
     """``velocities[k]`` is dZ/dt at row k, ``riccati_rhs`` at
     ``(H(t_k), points[k])``, on every row of a trajectory of several
     chunks, its last row and a clip row included: the RK4 first stages
-    and one evaluation each at the last row and the clip row."""
+    and one evaluation each at the last row and the clip row.  The run
+    takes at least 1250 steps over t = 2.5, more where two chunks would
+    hold them all."""
     gens = [_defining_generator(rng, spec) for _ in range(2)]
     sched = (HamiltonianSchedule.constant(gens, [0.4, 0.3]) if constant else
              HamiltonianSchedule.from_samples(
                  gens, [[0.0, 0.4, 0.3], [2.5, -0.2, 0.5]]))
-    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched, 2.5, 2e-3)
-    entries = traj.points[0].size if constant else sched.dim ** 2
-    assert len(_blocks(1250, entries)) > 1
+    entries = math.prod(spec.point_shape) if constant else sched.dim ** 2
+    n = max(1250, 2 * _chunk_steps(entries) + 37)
+    assert len(_blocks(n, entries)) > 2
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched, 2.5,
+                      2.5 / n)
+    assert len(traj.times) == n + 1
     cyc = clip_trajectory(traj, sched, 1.2345)
-    assert np.array_equal(cyc.velocities[:-1], traj.velocities[:618])
+    kept = int(np.searchsorted(traj.times, 1.2345))
+    assert np.array_equal(cyc.velocities[:-1], traj.velocities[:kept])
     for path in (traj, cyc):
         ref = np.array([riccati_rhs(spec, sched(t), z)
                         for t, z in zip(path.times, path.points)])
@@ -654,8 +660,8 @@ def test_advance_rows_are_the_step_products(d, n, rng):
     single step, one full period and a short last period.  The step
     matrices are stack-last, ``(d, d, n)``; d = 5 takes ``_mm_last``'s
     multiply-adds and d = 9 its ``np.matmul``.  The rows are stack-last
-    too, ``(d, c, n)``, written into a slice of a larger stack's last
-    axis as ``_flow`` passes them."""
+    too, ``(d, c, n)``, written after the start row into a slice of a
+    larger stack's last axis as ``_flow`` passes them."""
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     gens = [(h + h.conj().T) / 2.0, np.diag(np.arange(d, dtype=float))]
     sched = HamiltonianSchedule.from_samples(
@@ -666,13 +672,14 @@ def test_advance_rows_are_the_step_products(d, n, rng):
     for Y in (_haar(rng, d), _haar(rng, d)[:, :1]):
         states = np.zeros(Y.shape + (n + 2,), dtype=complex)
         states[..., 0] = Y
-        kphase.dynamics._advance(states[..., 0], states[..., 1:n + 1],
-                                 sched._table, stages, 0.01)
+        kphase.dynamics._advance(states[..., :n + 1], sched._table, stages,
+                                 0.01)
         ref = [Y]
         for step in steps.transpose(2, 0, 1):
             ref.append(step @ ref[-1])
         out = states[..., 1:n + 1].transpose(2, 0, 1)
         assert np.max(np.abs(out - ref[1:])) <= 1e-14 * math.sqrt(n)
+        assert np.array_equal(states[..., 0], Y)
         assert not states[..., n + 1].any()
 
 
@@ -743,27 +750,30 @@ def test_defect_length_is_the_public_metric(spec, rng):
 
 
 def test_failure_in_later_chunk_stops_there(monkeypatch):
-    # A sudden strong field in the third chunk sends the RK4 step to
-    # t = 2.07, whose end stage sees it, off the chart; no later chunk is
-    # advanced.
+    # A sudden strong field in the third of five chunks, 22 steps in,
+    # sends the RK4 step to t_jump, whose end stage sees it, off the
+    # chart; no later chunk is advanced.
     spec, h = cp1(), 1e-3
     size = _chunk_steps(4)
-    assert 2 * size < 2070 <= 3 * size
+    step = 2 * size + 22
+    assert 2 * size < step <= 3 * size
+    t_jump, T = step * h, 5 * size * h
     sched = HamiltonianSchedule.from_samples(
-        [SX, SZ], [[0.0, 0.0, 0.5], [2.0699, 0.0, 0.5], [2.07, 1e6, 0.5],
-                   [5.0, 1e6, 0.5]])
+        [SX, SZ], [[0.0, 0.0, 0.5], [t_jump - 1e-4, 0.0, 0.5],
+                   [t_jump, 1e6, 0.5], [T, 1e6, 0.5]])
     advanced = []
     real_advance = kphase.dynamics._advance
 
-    def counting(Y, out, table, stages, h):
-        advanced.append(out.shape[-1])
-        real_advance(Y, out, table, stages, h)
+    def counting(states, table, stages, h):
+        advanced.append(states.shape[-1] - 1)
+        real_advance(states, table, stages, h)
 
     monkeypatch.setattr(kphase.dynamics, "_advance", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CrossCheckFailure, match=r"at t = 2\.07$"):
-            trajectory(spec, 0.2, sched, 5.0, h)
+        with pytest.raises(CrossCheckFailure,
+                           match=re.escape(f"at t = {t_jump:.6g}") + "$"):
+            trajectory(spec, 0.2, sched, T, h)
     assert advanced == [size] * 3
 
 
@@ -780,14 +790,18 @@ def _counting_chart_rows(monkeypatch):
     return rows
 
 
-@pytest.mark.parametrize("constant, size", [(True, 448), (False, 96)],
+@pytest.mark.parametrize("constant, entries", [(True, 9), (False, 36)],
                          ids=["constant", "sampled"])
-def test_trajectory_chunks_follow_the_path(constant, size, monkeypatch,
+def test_trajectory_chunks_follow_the_path(constant, entries, monkeypatch,
                                            rng):
     """A constant schedule forms no step matrices, so its chunks hold
-    2^12 entries of 3 x 3 chart points (448 steps); a sampled one's hold
-    2^12 entries of 6 x 6 step matrices (96 steps)."""
-    spec, n = ManifoldSpec(Family.DIII, 3, compact=False), 1000
+    ``CHUNK_ENTRIES`` entries of 3 x 3 chart points (896 steps at 2^13);
+    a sampled one's hold as many entries of 6 x 6 step matrices (224
+    steps).  The run of at least 1000 steps spans three chunks or more,
+    the last one short."""
+    spec = ManifoldSpec(Family.DIII, 3, compact=False)
+    size = _chunk_steps(entries)
+    n = max(1000, 2 * size + 104)
     H = sp_compatible_generator(rng, 3, Family.DIII)
     sched = (HamiltonianSchedule.constant([H], [0.3]) if constant else
              HamiltonianSchedule.from_samples(
@@ -802,9 +816,13 @@ def test_trajectory_chunks_follow_the_path(constant, size, monkeypatch,
 
 def test_closed_form_failure_in_later_chunk_stops_there(monkeypatch):
     """From Z = 0 this generator carries the DIII(3) orbit to the chart
-    edge at t = pi/2, in the fourth 448-step chunk.  The failure is the
-    one that 96-step chunks (6 x 6 step matrices) reported, at the same
-    time, and no later chunk is mapped."""
+    edge at t = pi/2, at row 1569, in a later chunk of 3 x 3 chart
+    points than the first (the second at 2^13 entries, the fourth at
+    2^12).  The failure is the one that chunks of 6 x 6 step matrices
+    reported, at the same time, and no later chunk is mapped."""
+    size = _chunk_steps(9)
+    failing = 1568 // size
+    assert failing >= 1 and (failing + 1) * size < 2000
     rows = _counting_chart_rows(monkeypatch)
     q = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     H = np.block([[np.zeros((3, 3)), q], [q.T, np.zeros((3, 3))]])
@@ -812,7 +830,7 @@ def test_closed_form_failure_in_later_chunk_stops_there(monkeypatch):
     with pytest.raises(CrossCheckFailure, match=r"at t = 1\.569$"):
         trajectory(ManifoldSpec(Family.DIII, 3), np.zeros((3, 3)), sched,
                    2.0, 1e-3)
-    assert rows == [448] * 4
+    assert rows == [size] * (failing + 1)
 
 
 @pytest.mark.parametrize("scale", [1e60, 1e120, 1e150, 1e200])
@@ -1171,9 +1189,9 @@ def test_trajectory_evaluates_schedule_once_per_block(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(HamiltonianSchedule, name, counted(name))
-    sched = HamiltonianSchedule.from_samples(
-        [SX, SZ], [[0.0, 0.4, 0.9], [3.0, 0.6, 0.7]])
     n = 2 * _chunk_steps(4) + 37
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 0.4, 0.9], [n * 1e-3, 0.6, 0.7]])
     traj = trajectory(cp1(), 0.2, sched, n * 1e-3, 1e-3)
     assert len(traj.times) == n + 1
     assert calls == {"__call__": 0, "at": 0, "_coefficients_at": 3}

@@ -375,6 +375,12 @@ def _last(m):
     return m.transpose(1, 2, 0)
 
 
+def _solved(a, b):
+    """``_solve`` of two stack-first stacks, on stack-last views of their
+    copies, since the solve overwrites its operands; back stack-first."""
+    return _solve(_last(a.copy()), _last(b.copy())).transpose(2, 0, 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_solve_matches_lapack(rng, n):
     """``_solve`` agrees with ``np.linalg.solve`` to rounding times the
@@ -383,20 +389,16 @@ def test_solve_matches_lapack(rng, n):
     |det| near 1e-10."""
     a = _complex(rng, 200, n, n)
     b = _complex(rng, 200, n, 3)
-
-    def solve(a, b):
-        return _solve(_last(a), _last(b)).transpose(2, 0, 1)
-
-    assert _cond_scaled_gap(solve(a, b), np.linalg.solve(a, b), a) <= 1e-14
+    assert _cond_scaled_gap(_solved(a, b), np.linalg.solve(a, b), a) <= 1e-14
     shared = np.linalg.solve(np.broadcast_to(a[0], a.shape), b)
-    assert _cond_scaled_gap(solve(a[:1], b), shared, a[:1]) <= 1e-14
+    assert _cond_scaled_gap(_solved(a[:1], b), shared, a[:1]) <= 1e-14
     if n == 2:
         u, _, vh = np.linalg.svd(a)
         s = np.stack([np.ones(200), np.full(200, 1e-10)], axis=-1)
         near = (u * s[..., None, :]) @ vh
         det = np.abs(np.linalg.det(near))
         assert np.all((0.5e-10 < det) & (det < 2e-10))
-        got, ref = solve(near, b), np.linalg.solve(near, b)
+        got, ref = _solved(near, b), np.linalg.solve(near, b)
         assert np.all(np.isfinite(got))
         assert _cond_scaled_gap(got, ref, near) <= 1e-14
 
@@ -442,7 +444,7 @@ def test_solve_eliminates_dominant_stacks(d, rng, monkeypatch):
     stacks += [_pade_pairs(rng, d, 300, scale)
                for scale in (1e-4, 1e-2, 1.0)]
     calls = _count_lapack_solves(monkeypatch)
-    got = [_solve(_last(a), _last(b)).transpose(2, 0, 1) for a, b in stacks]
+    got = [_solved(a, b) for a, b in stacks]
     assert calls == []
     for (a, b), x in zip(stacks, got):
         ref = np.linalg.solve(a, b)
@@ -470,7 +472,7 @@ def test_solve_backward_error_on_pade_steps(d, scale, rng):
     largest normwise backward error over a stack is at most twice
     LAPACK's pivoted LU's."""
     a, b = _pade_pairs(rng, d, 500, scale)
-    got = _solve(_last(a), _last(b)).transpose(2, 0, 1)
+    got = _solved(a, b)
     ours = _backward_error(a, b, got).max()
     lapack = _backward_error(a, b, np.linalg.solve(a, b)).max()
     assert ours <= 2.0 * lapack
@@ -494,7 +496,7 @@ def test_solve_takes_lapack_on_one_non_dominant_member(d, rng,
     assert abs(m[0, 0]) <= 1e-15
     a[17], b[17] = m + 0.5j * k, m - 0.5j * k
     calls = _count_lapack_solves(monkeypatch)
-    got = _solve(_last(a), _last(b)).transpose(2, 0, 1)
+    got = _solved(a, b)
     assert calls == [(64, d, d)]
     assert np.all(np.isfinite(got))
     ref = np.linalg.solve(a, b)
