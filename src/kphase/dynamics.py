@@ -391,6 +391,19 @@ def _stage_blocks(spec: ManifoldSpec, schedule: HamiltonianSchedule,
     return _transposed_blocks(spec, h)
 
 
+def _chunk_blocks(spec: ManifoldSpec, schedule: HamiltonianSchedule, stages):
+    """``_stage_blocks`` at a chunk's start, middle and end rows
+    (``_stages``).  Each step's end is the next one's start, so a sampled
+    H is assembled twice: at the step boundaries, read as the starts and
+    the ends, and at the midpoints."""
+    c1, c2, c3 = stages
+    if schedule.is_constant:
+        return [_stage_blocks(spec, schedule, c2)] * 3
+    ends = _stage_blocks(spec, schedule, np.concatenate((c1, c3[-1:])))
+    return [[b[..., :-1] for b in ends], _stage_blocks(spec, schedule, c2),
+            [b[..., 1:] for b in ends]]
+
+
 def _chart_images(spec: ManifoldSpec, U: np.ndarray, z: np.ndarray):
     """Denominator determinants ``det(A^T + Z B^T)`` and fractional-linear
     images of ``z`` under a stack of matrices, in the stack-last layout:
@@ -456,11 +469,21 @@ def _riccati(blocks, z: np.ndarray) -> np.ndarray:
 def _rk4_step(rhs, y, k1, H2, H3, h):
     """Classical RK4 step of dy/dt = rhs(H(t), y) given its first stage
     ``k1 = rhs(H1, y)``, with H1 the Hamiltonian at the start of the
-    step, and H at the middle and end of the step."""
+    step, and H at the middle and end of the step.  The weighted sum of
+    the stages is accumulated in place, with the rounding of
+    ``y + (h/6) (k1 + 2 k2 + 2 k3 + k4)``, each stage dropped once added."""
     k2 = rhs(H2, y + (h / 2.0) * k1)
     k3 = rhs(H2, y + (h / 2.0) * k2)
+    acc = 2.0 * k2
+    acc += k1
+    del k2
     k4 = rhs(H3, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc += 2.0 * k3
+    del k3
+    acc += k4
+    acc *= h / 6.0
+    acc += y
+    return acc
 
 
 def _blocks(n: int, entries: int):
@@ -759,7 +782,7 @@ def trajectory(
     us[..., 0], zs[..., 0] = np.eye(schedule.dim), z0
     entries = z0.size if schedule.is_constant else schedule.dim ** 2
     for k0, k1, stages in _flow(schedule, us, 0.0, h, entries):
-        hs = [_stage_blocks(spec, schedule, c) for c in stages]
+        hs = _chunk_blocks(spec, schedule, stages)
         zs[..., k0 + 1:k1 + 1], defects[k0:k1], vs[..., k0:k1] = _chart_rows(
             spec, times[k0 + 1:k1 + 1], us[..., k0 + 1:k1 + 1], zs[..., :1],
             zs[..., k0:k0 + 1], hs, h, float(np.sum(defects[:k0])))
@@ -796,7 +819,7 @@ def clip_trajectory(
     [(_, _, stages)] = _flow(schedule, us[..., k:], t, h, schedule.dim ** 2)
     times = np.append(traj.times[: k + 1], t_end)
     kept = traj.defects[:k]
-    hs = [_stage_blocks(traj.spec, schedule, c) for c in stages]
+    hs = _chunk_blocks(traj.spec, schedule, stages)
     zs = traj.points.transpose(1, 2, 0)
     point, defect, _ = _chart_rows(
         traj.spec, times[k + 1:], us[..., k + 1:], zs[..., :1],
@@ -831,6 +854,7 @@ def _chart_rows(spec, times, us, z0, start, stages, h: float,
     points, faults = _point_faults(spec, images, PATH_SYMMETRY_TOL)
     faults.insert(0, (np.abs(det) >= CHART_EDGE_TOL, ChartOverflow,
                       lambda k: "orbit left the coordinate chart"))
+    del det, images
     starts = np.concatenate((start, points[..., :-1]), axis=-1)
     # Rows beyond the chart edge or off the chart may overflow or meet a
     # singular metric here; the guards report those rows before their

@@ -1201,7 +1201,8 @@ def test_sampled_propagate_assembles_no_matrices(monkeypatch, rng):
     """On a sampled schedule the Magnus path forms every exponent from the
     coefficient rows and the commutator table: ``propagate`` never
     assembles an H stack, for a unitary or for a spin-3/2 column.  Only
-    the trajectory's RK4 check assembles, once per stage of each chunk."""
+    the trajectory's RK4 check assembles, twice per chunk: at the step
+    boundaries, read as the steps' starts and ends, and at the midpoints."""
     assembled = []
     real = kphase.dynamics._assemble
 
@@ -1221,7 +1222,7 @@ def test_sampled_propagate_assembles_no_matrices(monkeypatch, rng):
     schrodinger_evolve(np.eye(4)[0], spin, n * 1e-3, 1e-3)
     assert assembled == []
     trajectory(cp1(), 0.2, sched, 1.0, 1e-3)
-    assert assembled == [1000] * 3
+    assert assembled == [1001, 1000]
 
 
 def test_assemble_is_the_generator_sum(rng):
