@@ -9,8 +9,9 @@ _DEFAULT_SEED = 20240817
 
 @pytest.fixture
 def rng():
-    """Seeded generator; KPHASE_SEED overrides for reproduction runs."""
-    seed = int(os.environ.get("KPHASE_SEED", _DEFAULT_SEED))
+    """Seeded generator; KPHASE_SEED overrides for reproduction runs, and
+    an empty one counts as unset."""
+    seed = int(os.environ.get("KPHASE_SEED") or _DEFAULT_SEED)
     return np.random.default_rng(seed)
 
 

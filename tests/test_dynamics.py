@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -730,6 +731,80 @@ def test_chunked_stepping_matches_stepwise_reference(spec, gens,
     assert np.max(trajectory(spec, z0, sched, n * h, h).defects) <= 1e-14
 
 
+def _sampled_spin_schedule(rng, span):
+    """A sampled sigma x, y, z schedule over ``[0, span]`` and its spin-3/2
+    image."""
+    knots = np.linspace(0.0, span, 41)
+    sched = HamiltonianSchedule.from_samples(
+        [SX, SY, SZ],
+        np.column_stack([knots, rng.uniform(-0.6, 0.6, (41, 3))]))
+    return sched, map_schedule(sched, 1.5)
+
+
+def test_rows_do_not_depend_on_the_chunk_budget(monkeypatch, rng):
+    """The rows of a sampled spin-3/2 ``propagate`` and of sampled CP1 and
+    DIII(3) trajectories are bit for bit the same at ``CHUNK_ENTRIES`` of
+    2^12 and 2^13: a chunk's periods start on multiples of ``PERIOD``
+    either way, and every product is taken entry by entry in the same
+    order.  Each run's last chunk holds more than one period at both
+    budgets; a chunk of one period steps its rows one product at a time,
+    which rounds differently.  The DIII(3) field stays weak, ||H|| t below
+    0.2, so that every chart denominator ``A^T + Z B^T`` is column
+    diagonally dominant and eliminated at either budget: a chunk with one
+    member that is not goes to LAPACK whole, which rounds differently."""
+    sched, spin = _sampled_spin_schedule(rng, 3.0)
+    spec = ManifoldSpec(Family.DIII, 3, compact=False)
+    gens = [g / np.linalg.norm(g, 2)
+            for g in (_defining_generator(rng, spec) for _ in range(2))]
+    diii = HamiltonianSchedule.from_samples(
+        gens, [[0.0, 0.1, 0.05], [1.0, -0.05, 0.1]])
+    z0 = 0.2 * random_point(spec, rng)
+    runs = [(16, 1000, lambda: propagate(spin, np.eye(4)[:, :1], 0.0, 1.0,
+                                         1e-3)[1:]),
+            (4, 3000, lambda: _rows(trajectory(cp1(), 0.3 + 0.1j, sched,
+                                               3.0, 1e-3))),
+            (36, 712, lambda: _rows(trajectory(spec, z0, diii, 0.712,
+                                               1e-3)))]
+    got = {}
+    for budget in (2 ** 12, 2 ** 13):
+        monkeypatch.setattr(kphase.dynamics, "CHUNK_ENTRIES", budget)
+        for entries, n, run in runs:
+            k0, k1 = kphase.dynamics._blocks(n, entries)[-1]
+            assert k1 - k0 > kphase.dynamics.PERIOD
+        got[budget] = [run() for _, _, run in runs]
+    for small, large in zip(got[2 ** 12], got[2 ** 13]):
+        for a, b in zip(small, large):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _rows(traj):
+    """The row arrays of a trajectory."""
+    return (traj.unitaries, traj.points, traj.defects, traj.velocities)
+
+
+def test_chunk_temporaries_stay_within_four_stacks(rng):
+    """The traced peak of a 10^4-step sampled spin-3/2 ``propagate``,
+    minus the rows it returns, stays within four chunk stacks
+    (``CHUNK_ENTRIES`` complex entries each): the Pade solve overwrites
+    its two operands, K goes before it, and the rows are written straight
+    into the returned stack.  Copying the operands in the elimination, as
+    it once did, takes it to five."""
+    _, spin = _sampled_spin_schedule(rng, 10.0)
+    col = np.eye(4)[:, :1]
+    propagate(spin, col, 0.0, 1.0, 1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        times, states = propagate(spin, col, 0.0, 10.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows = times.nbytes + states.nbytes
+    assert len(times) == 10001
+    assert peak - rows <= 4 * kphase.dynamics.CHUNK_ENTRIES * 16
+
+
 @pytest.mark.parametrize("spec", [
     cp1(), cp1(compact=False), ManifoldSpec(Family.AIII, 3, 2),
     ManifoldSpec(Family.AIII, 2, 2, compact=False), ManifoldSpec(Family.CI, 2),
@@ -797,18 +872,17 @@ def test_trajectory_chunks_follow_the_path(constant, entries, monkeypatch,
     """A constant schedule forms no step matrices, so its chunks hold
     ``CHUNK_ENTRIES`` entries of 3 x 3 chart points (896 steps at 2^13);
     a sampled one's hold as many entries of 6 x 6 step matrices (224
-    steps).  The run of at least 1000 steps spans three chunks or more,
-    the last one short."""
+    steps).  The run over t = 1 takes at least 1000 steps, enough for
+    three chunks or more, the last one short."""
     spec = ManifoldSpec(Family.DIII, 3, compact=False)
     size = _chunk_steps(entries)
     n = max(1000, 2 * size + 104)
     H = sp_compatible_generator(rng, 3, Family.DIII)
     sched = (HamiltonianSchedule.constant([H], [0.3]) if constant else
-             HamiltonianSchedule.from_samples(
-                 [H], [[0.0, 0.3], [n * 1e-3, 0.2]]))
+             HamiltonianSchedule.from_samples([H], [[0.0, 0.3], [1.0, 0.2]]))
     rows = _counting_chart_rows(monkeypatch)
-    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched,
-                      n * 1e-3, 1e-3)
+    traj = trajectory(spec, 0.2 * random_point(spec, rng), sched, 1.0,
+                      1.0 / n)
     assert len(traj.times) == n + 1
     assert len(rows) == math.ceil(n / size)
     assert rows == [size] * (len(rows) - 1) + [n - size * (len(rows) - 1)]

@@ -19,11 +19,14 @@ from kphase.manifolds import (
     STACK_LAST_MAX,
     SYMMETRY_TOL,
     _det,
+    _eliminate,
     _hpd_solve,
     _mm_last,
     _point_faults,
     _solve,
 )
+
+from kphase.geometry import _gradient
 
 from finite_difference import random_point
 
@@ -503,6 +506,46 @@ def test_solve_takes_lapack_on_one_non_dominant_member(d, rng,
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     drift = got.conj().swapaxes(-1, -2) @ got - np.eye(d)
     assert np.max(np.linalg.norm(drift, 2, axis=(-2, -1))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, STACK_LAST_MAX + 1))
+def test_solve_overwrites_its_operands_but_hpd_solve_does_not(d, rng):
+    """``_solve`` works in place: on Pade pairs from 1 x 1 to
+    ``STACK_LAST_MAX`` it returns ``b`` itself, holding the solution, and
+    from 3 x 3 up ``_eliminate`` leaves its factors in ``a``.
+    ``_hpd_solve`` leaves both its operands as they were, on every size,
+    and so does the gradient core, whose points a trajectory keeps."""
+    a, b = _pade_pairs(rng, d, 50, 1e-2)
+    ref = np.linalg.solve(a, b)
+    a_last = np.ascontiguousarray(_last(a))
+    b_last = np.ascontiguousarray(_last(b))
+    x = (_eliminate if d >= 3 else _solve)(a_last, b_last)
+    assert x is b_last
+    assert np.max(np.abs(_stack_first(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(_stack_first(a_last), a) == (d < 3)
+
+    g = np.eye(d) + a @ a.conj().swapaxes(-1, -2)
+    g_last = np.ascontiguousarray(_last(g))
+    b_last = np.ascontiguousarray(_last(b))
+    _hpd_solve(g_last, b_last)
+    assert np.array_equal(_stack_first(g_last), g)
+    assert np.array_equal(_stack_first(b_last), b)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+def test_gradient_core_leaves_its_points(spec, rng):
+    """The gradient core solves with ``I + s Z Z^dag`` on the stack-last
+    points it is given, as the phases pass a trajectory's rows, and
+    leaves them as they were."""
+    z = np.array([random_point(spec, rng, 0.4) for _ in range(30)])
+    last = np.ascontiguousarray(_last(z))
+    _gradient(spec, 2, last)
+    assert np.array_equal(_stack_first(last), z)
+
+
+def _stack_first(m):
+    """A stack-last ``(rows, cols, n)`` stack as a stack-first view."""
+    return m.transpose(2, 0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
