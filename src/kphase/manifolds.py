@@ -305,11 +305,10 @@ def _forward(cols, y: np.ndarray) -> np.ndarray:
 
 def _hpd_solve(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``g^-1 b`` for Hermitian positive-definite ``g`` and matching
-    ``b`` on the stack-last layout of :func:`_solve`, as a new array that
-    leaves both operands as they were: its closed forms on 1 x 1 and
-    2 x 2, on a copy of ``b``, and from 3 x 3 up the factorisation
-    of :func:`_ldl` with one step of iterative refinement in working
-    precision.
+    ``b`` on the stack-last layout of :func:`_solve`, as a new array: its
+    closed forms on a copy of ``b`` on 1 x 1 and 2 x 2, and from 3 x 3 up
+    the factorisation of :func:`_ldl` with one step of iterative
+    refinement in working precision.
 
     The factorisation's solve is a forward substitution, the pivots and
     a back substitution with ``L^dag``; the refinement solves once more,
@@ -420,12 +419,10 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stack-last layout, ``(d, d, ...)`` and ``(d, c, ...)`` with the same
     stack axes, or a stack of one in ``a``: the chart images'
     denominators ``A^T + Z B^T`` and the Pade steps' ``M + (i/2) K``,
-    which are not Hermitian.  The solve works in place, so that a chunk
-    of Pade steps holds no more stacks than its two operands: the
-    solution overwrites ``b``, which is returned, and the elimination
-    below overwrites ``a`` too.  Callers pass fresh writable arrays of
-    one complex dtype that they no longer need.  Only LAPACK's solve
-    returns a new array, as a transposed view of a stack-first one.
+    which are not Hermitian.  It works in place on operands of one
+    complex dtype that the caller no longer needs: ``b``, returned, holds
+    the solution and the elimination leaves its factors in ``a``; only
+    LAPACK returns a new array, a transposed view of a stack-first one.
 
     ``b / a`` on 1 x 1 and the adjugate over the determinant on 2 x 2.
     From 3 x 3 up to ``STACK_LAST_MAX``, a stack whose every member
@@ -447,8 +444,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     1 x 1 and 2 x 2 ones to this function."""
     n = len(a)
     if n == 1:
-        b /= a
-        return b
+        return np.divide(b, a, out=b)
     if n == 2:
         x0 = a[1, 1] * b[0]
         x0 -= a[0, 1] * b[1]
@@ -473,9 +469,7 @@ def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` on the layout of :func:`_solve` by Gaussian elimination
     without pivoting (:func:`_ldl`), each operation over whole stacks of
     one entry: a forward substitution and a back substitution with the
-    upper triangle the elimination leaves.  It works in place: ``a``
-    ends up holding the factors and ``b``, which is returned, the
-    solution, so both must be writable arrays of the solution's dtype.
+    upper triangle the elimination leaves, in place as in :func:`_solve`.
     Stable only on the dominant stacks that :func:`_solve` sends here."""
     x = _forward(_ldl(a)[0], b)
     n = len(a)

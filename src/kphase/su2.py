@@ -38,9 +38,9 @@ from .manifolds import raise_first_fault
 from .phases import _trapezoid, wrap_angle
 
 
-# Largest accepted 2j.  At this size (d = 65) a chunk of the spin-j Magnus
-# propagator is one 32-step period: 32 step matrices of d x d, 2.2 MB; the
-# oracle is an exact check for small spins.
+# Largest accepted 2j.  From d = 12 up, and so at this size (d = 65), a
+# chunk of the spin-j Magnus propagator is one 32-step period: here 32 step
+# matrices of d x d, 2.2 MB; the oracle is an exact check for small spins.
 MAX_TWO_J = 64
 
 
