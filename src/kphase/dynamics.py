@@ -45,16 +45,16 @@ defects (``geometry._metric_form``).  The public :func:`riccati_rhs` and
 :func:`expectation` are thin ``(..., p, q)`` wrappers over the same cores.
 From each row P[k] one classical RK4 step (``_rk4_step``) on the chunk's
 stage Hamiltonians, assembled from the same coefficient rows
-(``_chunk_blocks``), gives R[k+1]; the step's defect e_k is the level-1 Kahler length of
-d = P[k+1] - R[k+1] at P[k+1], ``sqrt(Re tr(P^-1 d Q^-1 d^dagger))``
-with ``P = I + s Z Z^dagger`` and ``Q = I + s Z^dagger Z`` (s = +1
-compact, -1 bounded domain), from the metric's own form
-(``geometry._metric_form``): ``sum |L_P^-1 d L_Q^-dagger|^2 / (d_P,i
-d_Q,j)`` over the LDL^dagger factors and pivots of P and Q, forward
-substitutions only.  The defect reads H and the rows but never U, so
-the two routes stay independent.  The RK4 step's first stage is dZ/dt
-at the row it starts from; the trajectory keeps it as ``velocities``,
-which the dynamical phase reads.
+(``_chunk_blocks``), gives R[k+1]; the step's defect e_k is the
+level-1 Kahler length of d = P[k+1] - R[k+1] at P[k+1],
+``sqrt(Re tr(P^-1 d Q^-1 d^dagger))`` with ``P = I + s Z Z^dagger`` and
+``Q = I + s Z^dagger Z`` (s = +1 compact, -1 bounded domain), from the
+metric's own form (``geometry._metric_form``): ``sum |L_P^-1 d
+L_Q^-dagger|^2 / (d_P,i d_Q,j)`` over the LDL^dagger factors and pivots
+of P and Q, forward substitutions only.  The defect reads H and the
+rows but never U, so the two routes stay independent.  The RK4 step's
+first stage is dZ/dt at the row it starts from; the trajectory keeps it
+as ``velocities``, which the dynamical phase reads.
 The flow acts on the chart by isometries of this metric, so
 ``cross_check_error``, the sum of the e_k, bounds how far the Mobius path
 has drifted from the Riccati flow in ray distance, up to RK4's own
