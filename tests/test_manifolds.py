@@ -19,7 +19,6 @@ from kphase.manifolds import (
     STACK_LAST_MAX,
     SYMMETRY_TOL,
     _det,
-    _eliminate,
     _hpd_solve,
     _mm_last,
     _point_faults,
@@ -512,14 +511,15 @@ def test_solve_takes_lapack_on_one_non_dominant_member(d, rng,
 def test_solve_overwrites_its_operands_but_hpd_solve_does_not(d, rng):
     """``_solve`` works in place: on Pade pairs from 1 x 1 to
     ``STACK_LAST_MAX`` it returns ``b`` itself, holding the solution, and
-    from 3 x 3 up ``_eliminate`` leaves its factors in ``a``.
+    from 3 x 3 up the elimination (``_eliminate``) leaves its factors in
+    ``a``.
     ``_hpd_solve`` leaves both its operands as they were, on every size,
     and so does the gradient core, whose points a trajectory keeps."""
     a, b = _pade_pairs(rng, d, 50, 1e-2)
     ref = np.linalg.solve(a, b)
     a_last = np.ascontiguousarray(_last(a))
     b_last = np.ascontiguousarray(_last(b))
-    x = (_eliminate if d >= 3 else _solve)(a_last, b_last)
+    x = _solve(a_last, b_last)
     assert x is b_last
     assert np.max(np.abs(_stack_first(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(_stack_first(a_last), a) == (d < 3)
@@ -532,7 +532,7 @@ def test_solve_overwrites_its_operands_but_hpd_solve_does_not(d, rng):
     assert np.array_equal(_stack_first(b_last), b)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+@pytest.mark.parametrize("spec", ALL_SPECS)
 def test_gradient_core_leaves_its_points(spec, rng):
     """The gradient core solves with ``I + s Z Z^dag`` on the stack-last
     points it is given, as the phases pass a trajectory's rows, and
