@@ -777,6 +777,22 @@ def test_rows_do_not_depend_on_the_chunk_budget(monkeypatch, rng):
             assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def test_flow_restores_the_ufunc_buffer_size(rng):
+    """The flow runs each chunk with numpy's ufunc buffer set to one step
+    row and gives the caller's size back, also when a trajectory stops
+    on a failing chunk."""
+    sched, spin = _sampled_spin_schedule(rng, 3.0)
+    size = np.getbufsize()
+    propagate(spin, np.eye(4)[:, :1], 0.0, 1.0, 1e-3)
+    trajectory(cp1(), 0.3, sched, 3.0, 1e-3)
+    assert np.getbufsize() == size
+    jump = HamiltonianSchedule.from_samples(
+        [SX, SZ], [[0.0, 0.0, 0.5], [0.1, 1e6, 0.5], [1.0, 1e6, 0.5]])
+    with pytest.raises(CrossCheckFailure):
+        trajectory(cp1(), 0.2, jump, 1.0, 1e-3)
+    assert np.getbufsize() == size
+
+
 def _rows(traj):
     """The row arrays of a trajectory."""
     return (traj.unitaries, traj.points, traj.defects, traj.velocities)
